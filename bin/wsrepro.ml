@@ -514,7 +514,7 @@ let explore_cmd =
     in
     let sink = Telemetry.Sink.create () in
     let st, frontier, _clean =
-      Ws_harness.Runner.exhaustive_check_full spec ~max_runs
+      Ws_harness.Scenarios.explore_check spec ~max_runs
         ~preemption_bound:(Some pb) ~jobs ~memo ~por ~dpor ?memo_store ~sink
         ~snapshots ~progress ()
     in
@@ -713,7 +713,7 @@ let explore_cmd =
       $ memo_file_arg $ explore_metrics $ snapshots_arg $ progress_arg
       $ forensics_arg $ trace_failure_arg)
 
-(* native: the pool on real silicon — sim-vs-native parity + service bench *)
+(* native: the pool on real silicon — sim-vs-native parity or a scenario replay *)
 let backend_conv =
   Arg.enum
     [
@@ -753,28 +753,28 @@ let seed_override_arg =
 
 let native_cmd =
   let run machine domains backend policy steal_half smoke fib_n graph_nodes
-      rate requests chain work serve_metrics flight scenario seed_opt =
+      serve_metrics flight scenario seed_opt =
     match scenario with
     | Some file ->
         let spec = load_scenario_or_die file seed_opt in
         (* exit nonzero when the replay violated the scenario's SLO *)
-        if
-          not
-            (Ws_harness.Exp_native.run ~machine ?serve_metrics ~scenario:spec
-               ())
-        then exit 1
+        if not (Ws_harness.Exp_native.replay ?serve_metrics spec) then exit 1
     | None ->
-    let seed = Option.value seed_opt ~default:1 in
-    (* smoke shrinks every knob so CI finishes in seconds *)
-    let pick full small = if smoke then small else full in
-    ignore
-      (Ws_harness.Exp_native.run ~machine ?domains ~backend ~policy
-         ~steal_half
-         ~fib_n:(pick fib_n (min fib_n 16))
-         ~graph_nodes:(pick graph_nodes (min graph_nodes 400))
-         ~rate ~requests:(pick requests (min requests 200))
-         ~chain ~work:(pick work (min work 500))
-         ?serve_metrics ?flight_file:flight ~seed ())
+        if serve_metrics <> None then begin
+          prerr_endline
+            "wsrepro native: --serve-metrics scrapes the scenario replay's \
+             pool; it needs --scenario FILE";
+          exit 2
+        end;
+        (* smoke shrinks every knob so CI finishes in seconds *)
+        let pick full small = if smoke then small else full in
+        Ws_harness.Exp_native.run ~machine ?domains ~backend ~policy
+          ~steal_half
+          ~fib_n:(pick fib_n (min fib_n 16))
+          ~graph_nodes:(pick graph_nodes (min graph_nodes 400))
+          ?flight_file:flight
+          ~seed:(Option.value seed_opt ~default:1)
+          ()
   in
   let domains =
     Arg.(
@@ -820,35 +820,16 @@ let native_cmd =
       & info [ "graph-nodes" ] ~docv:"N"
           ~doc:"Graph nodes (edges default to 4x).")
   in
-  let rate =
-    Arg.(
-      value & opt float 5000.
-      & info [ "rate" ] ~docv:"R" ~doc:"Poisson arrival rate, requests/s.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 1000
-      & info [ "requests" ] ~docv:"N" ~doc:"Service-bench requests.")
-  in
-  let chain =
-    Arg.(
-      value & opt int 4
-      & info [ "chain" ] ~docv:"K" ~doc:"Dependent stages per request.")
-  in
-  let work =
-    Arg.(
-      value & opt int 2000
-      & info [ "work" ] ~docv:"W" ~doc:"Spin iterations per stage.")
-  in
   let serve_metrics =
     Arg.(
       value
       & opt (some int) None
       & info [ "serve-metrics" ] ~docv:"PORT"
           ~doc:
-            "Serve live OpenMetrics scrapes of the service-bench pool on \
-             http://127.0.0.1:PORT/metrics for the duration of the bench \
-             (0 picks a free port; the endpoint is printed to stderr).")
+            "With $(b,--scenario): serve live OpenMetrics scrapes of the \
+             replay's pool on http://127.0.0.1:PORT/metrics for the \
+             duration of the replay (0 picks a free port; the endpoint is \
+             printed to stderr).")
   in
   let flight =
     Arg.(
@@ -867,74 +848,33 @@ let native_cmd =
       & info [ "scenario" ] ~docv:"FILE"
           ~doc:
             "Replay a wsrepro-scenario/v1 JSON file on the native pool \
-             (replaces the fixed parity/service sections): same pre-drawn \
-             arrival gaps and service demands the simulator replays, \
-             ticks mapped to wall time via the scenario's tick_ns.")
+             (replaces the parity section): same pre-drawn arrival gaps and \
+             service demands the simulator replays, ticks mapped to wall \
+             time via the scenario's tick_ns.")
   in
   Cmd.v
     (Cmd.info "native"
        ~doc:
          "Run the fib/graph workloads on the native OCaml 5 work-stealing \
-          pool and cross-check against the simulator, then an open-system \
-          Poisson service benchmark with sojourn-latency percentiles")
+          pool and cross-check against the simulator, or replay an \
+          open-system scenario on it with sojourn-latency percentiles")
     Term.(
       const run $ machine_arg $ domains $ backend $ policy $ steal_half
-      $ smoke $ fib_n $ graph_nodes $ rate $ requests $ chain $ work
-      $ serve_metrics $ flight $ scenario $ seed_override_arg)
+      $ smoke $ fib_n $ graph_nodes $ serve_metrics $ flight $ scenario
+      $ seed_override_arg)
 
-(* top: the service bench under a live per-slot dashboard *)
+(* top: a scenario replay under a live per-slot dashboard *)
 let top_cmd =
-  let run domains backend policy steal_half rate requests chain work
-      serve_metrics interval seed =
-    Ws_harness.Exp_native.top ?domains ~backend ~policy ~steal_half ~rate
-      ~requests ~chain ~work ?serve_metrics ~interval ~seed ()
+  let run file serve_metrics interval seed_opt =
+    Ws_harness.Exp_native.top ?serve_metrics ~interval
+      (load_scenario_or_die file seed_opt)
   in
-  let domains =
+  let scenario =
     Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains (default: recommended_domain_count - 1).")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt backend_conv Ws_native.Pool.Chase_lev_deques
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Deque backend: $(b,cl) (Chase-Lev) or $(b,the) (THE).")
-  in
-  let policy =
-    Arg.(
-      value
-      & opt policy_conv Ws_native.Pool.Random_victim
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"Victim selection: $(b,random) or $(b,round-robin).")
-  in
-  let steal_half =
-    Arg.(
-      value & flag
-      & info [ "steal-half" ]
-          ~doc:"Batched steals (requires $(b,--backend the)).")
-  in
-  let rate =
-    Arg.(
-      value & opt float 2000.
-      & info [ "rate" ] ~docv:"R" ~doc:"Poisson arrival rate, requests/s.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 10_000
-      & info [ "requests" ] ~docv:"N" ~doc:"Requests to serve before exit.")
-  in
-  let chain =
-    Arg.(
-      value & opt int 4
-      & info [ "chain" ] ~docv:"K" ~doc:"Dependent stages per request.")
-  in
-  let work =
-    Arg.(
-      value & opt int 2000
-      & info [ "work" ] ~docv:"W" ~doc:"Spin iterations per stage.")
+      required
+      & opt (some string) None
+      & info [ "scenario" ] ~docv:"FILE"
+          ~doc:"wsrepro-scenario/v1 JSON file to replay on the native pool.")
   in
   let serve_metrics =
     Arg.(
@@ -954,13 +894,12 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Run the open-system service benchmark under a live, refreshing \
+         "Replay a scenario on the native pool under a live, refreshing \
           per-slot dashboard (tasks run/stolen/injected, steal attempts \
-          and aborts, parks, queue gauges) drawn on stderr; stdout gets \
-          the final summary only")
+          and aborts, parks, queue gauges, stage latencies) drawn on \
+          stderr; stdout gets the final summary only")
     Term.(
-      const run $ domains $ backend $ policy $ steal_half $ rate $ requests
-      $ chain $ work $ serve_metrics $ interval $ seed_arg)
+      const run $ scenario $ serve_metrics $ interval $ seed_override_arg)
 
 (* scenario: the heavy-traffic overload sweep over a scenario file *)
 let scenario_cmd =

@@ -26,8 +26,11 @@ let explore ?(por = false) ~delta () =
   (* the violating schedule needs a single preemption (worker runs, then
      the thief), so a CHESS bound of 3 keeps the search exhaustive-within-
      bound AND small enough to finish *)
-  Ws_harness.Scenarios.explore_check spec ~max_runs:2_000_000
-    ~preemption_bound:(Some 3) ~por ()
+  let st, _, _ =
+    Ws_harness.Scenarios.explore_check spec ~max_runs:2_000_000
+      ~preemption_bound:(Some 3) ~por ()
+  in
+  st
 
 let () =
   Printf.printf "machine: TSO[2]; worker does 0 stores between takes\n\n";

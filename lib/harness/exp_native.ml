@@ -7,10 +7,11 @@
    factor — so the table reports normalized tasks-per-unit-time for both
    and their fib/graph ratios side by side.
 
-   Service: an open-system benchmark the simulator cannot run — Poisson
-   arrivals submitted from a non-worker domain (exercising the injector
-   path), each request a chain of dependent stages, sojourn latency
-   recorded into a telemetry histogram for p50/p99/p999. *)
+   Scenario replay: the open system the simulator also runs — a
+   wsrepro-scenario/v1 load plan submitted from a non-worker domain
+   (exercising the injector path), each request a chain of dependent
+   stages, sojourn latency recorded into a telemetry histogram for
+   p50/p99/p999. *)
 
 type native_point = { tasks : int; seconds : float; tasks_per_sec : float }
 
@@ -22,35 +23,9 @@ type parity_row = {
   native : native_point;
 }
 
-type service_result = {
-  requests : int;
-  completed : int;
-  rate : float;  (* offered load, requests/s *)
-  elapsed : float;
-  throughput_rps : float;
-  p50_ns : int;
-  p99_ns : int;
-  p999_ns : int;
-  sojourn : Telemetry.Histogram.t;
-  steals : int;
-  injector_runs : int;
-  parks : int;
-  (* stage attribution (ns, per cell) — all empty unless ~attribution *)
-  st_qwait : Telemetry.Histogram.t;
-  st_dispatch : Telemetry.Histogram.t;
-  st_service : Telemetry.Histogram.t;
-  st_windows : Telemetry.Windowed.t;
-  (* steal-delay (spawn to stolen run, ns) joined from the flight
-     recorder's lineage — empty unless ~flight *)
-  st_steal_delay : Telemetry.Histogram.t;
-}
-
 (* ------------------------------------------------------------------ *)
 (* Native measurements                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let mk_pool ?domains ?backend ?policy ?steal_half ?(telemetry = false) () =
-  Ws_native.Pool.create ?domains ?backend ?policy ?steal_half ~telemetry ()
 
 let timed_point pool f =
   let before = Ws_native.Pool.tasks_run pool in
@@ -62,7 +37,7 @@ let timed_point pool f =
   { tasks; seconds; tasks_per_sec = float_of_int tasks /. seconds }
 
 let native_fib ?domains ?backend ?policy ?steal_half ~n () =
-  let pool = mk_pool ?domains ?backend ?policy ?steal_half () in
+  let pool = Ws_native.Pool.create ?domains ?backend ?policy ?steal_half () in
   let point =
     timed_point pool (fun () -> ignore (Ws_native.Pool.fib pool n))
   in
@@ -75,7 +50,7 @@ let native_fib ?domains ?backend ?policy ?steal_half ~n () =
 let native_graph ?domains ?backend ?policy ?steal_half ~nodes ~edges ~seed ()
     =
   let g = Ws_workloads.Graph.random_graph ~nodes ~edges ~seed in
-  let pool = mk_pool ?domains ?backend ?policy ?steal_half () in
+  let pool = Ws_native.Pool.create ?domains ?backend ?policy ?steal_half () in
   let visited = Array.init nodes (fun _ -> Atomic.make false) in
   let rec visit u () =
     Array.iter
@@ -191,15 +166,8 @@ let render_parity rows =
   | _ -> table
 
 (* ------------------------------------------------------------------ *)
-(* Open-system service benchmark                                       *)
+(* Scenario-driven native runs (`wsrepro native --scenario`)           *)
 (* ------------------------------------------------------------------ *)
-
-let spin_work iters =
-  let x = ref 0 in
-  for i = 1 to iters do
-    x := !x + i
-  done;
-  ignore (Sys.opaque_identity !x)
 
 (* The fourth stage the three timestamps cannot see: how long a stolen
    task sat between its victim-side spawn and its thief-side run. The
@@ -217,137 +185,28 @@ let steal_delay_of_flight recorder =
     lineages;
   h
 
-let service ?domains ?backend ?policy ?steal_half ?(telemetry = false)
-    ?(attribution = false) ?(flight = false) ?monitor ?(rate = 5000.)
-    ?(requests = 1000) ?(chain = 4) ?(work = 2000) ?(seed = 23) () =
-  if rate <= 0. then invalid_arg "Exp_native.service: rate must be positive";
-  let pool =
-    Ws_native.Pool.create ?domains ?backend ?policy ?steal_half ~telemetry
-      ~attribution ~flight ()
-  in
-  (* The monitor (metrics server, live dashboard) attaches to the running
-     pool and returns its own teardown, invoked after the last request
-     completes but before the pool shuts down. *)
-  let stop_monitor =
-    match monitor with Some m -> m pool | None -> fun () -> ()
-  in
-  let sojourn = Telemetry.Histogram.create () in
-  let hist_lock = Mutex.create () in
-  let completed = Atomic.make 0 in
-  let rng = Random.State.make [| seed; 0x5e47 |] in
-  let t0 = Unix.gettimeofday () in
-  (* Absolute Poisson schedule: if the generator falls behind it submits
-     immediately, keeping the offered load open-system (arrivals do not
-     wait for service). *)
-  let next = ref t0 in
-  for _ = 1 to requests do
-    next :=
-      !next +. (-.log (1. -. Random.State.float rng 1.) /. rate);
-    let delay = !next -. Unix.gettimeofday () in
-    if delay > 0. then Unix.sleepf delay;
-    let born = Unix.gettimeofday () in
-    let rec stage k () =
-      spin_work work;
-      if k > 1 then Ws_native.Pool.spawn pool (stage (k - 1))
-      else begin
-        let ns = int_of_float ((Unix.gettimeofday () -. born) *. 1e9) in
-        Mutex.lock hist_lock;
-        Telemetry.Histogram.observe sojourn ns;
-        Mutex.unlock hist_lock;
-        Atomic.incr completed
-      end
-    in
-    (* submitted from this non-worker domain: goes through the injector *)
-    Ws_native.Pool.spawn pool (stage chain)
-  done;
-  while Atomic.get completed < requests do
-    Domain.cpu_relax ()
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  stop_monitor ();
-  let stats = Ws_native.Pool.worker_stats pool in
-  let recorder = Ws_native.Pool.flight pool in
-  Ws_native.Pool.shutdown pool;
-  (* read the stage planes after the join: every worker has flushed *)
-  let st_qwait, st_dispatch, st_service = Ws_native.Pool.stage_hists pool in
-  let st_windows = Ws_native.Pool.windowed_sojourn pool in
-  let st_steal_delay =
-    match recorder with
-    | Some r -> steal_delay_of_flight r
-    | None -> Telemetry.Histogram.create ()
-  in
-  let sum f = Array.fold_left (fun acc st -> acc + f st) 0 stats in
-  {
-    requests;
-    completed = Atomic.get completed;
-    rate;
-    elapsed;
-    throughput_rps = float_of_int requests /. elapsed;
-    p50_ns = Telemetry.Histogram.percentile sojourn 0.5;
-    p99_ns = Telemetry.Histogram.percentile sojourn 0.99;
-    p999_ns = Telemetry.Histogram.percentile sojourn 0.999;
-    sojourn;
-    steals = sum (fun st -> st.Ws_native.Pool.steals);
-    injector_runs = sum (fun st -> st.Ws_native.Pool.injector_runs);
-    parks = sum (fun st -> st.Ws_native.Pool.parks);
-    st_qwait;
-    st_dispatch;
-    st_service;
-    st_windows;
-    st_steal_delay;
-  }
-
-let render_service r =
-  let module H = Telemetry.Histogram in
-  let base =
-    Printf.sprintf
-      "requests=%d completed=%d offered=%.0f/s achieved=%.0f/s elapsed=%.3fs\n\
-       sojourn p50=%dns p99=%dns p999=%dns\n\
-       pool: steals=%d injector_runs=%d parks=%d\n"
-      r.requests r.completed r.rate r.throughput_rps r.elapsed r.p50_ns
-      r.p99_ns r.p999_ns r.steals r.injector_runs r.parks
-  in
-  let stages =
-    if H.total r.st_qwait = 0 then ""
-    else
-      Printf.sprintf
-        "stages: qwait p99=%dns dispatch p99=%dns service p99=%dns\n"
-        (H.percentile r.st_qwait 0.99)
-        (H.percentile r.st_dispatch 0.99)
-        (H.percentile r.st_service 0.99)
-  in
-  let steal_delay =
-    if H.total r.st_steal_delay = 0 then ""
-    else
-      Printf.sprintf "steal-delay: p50=%dns p99=%dns (%d stolen)\n"
-        (H.percentile r.st_steal_delay 0.5)
-        (H.percentile r.st_steal_delay 0.99)
-        (H.total r.st_steal_delay)
-  in
-  base ^ stages ^ steal_delay
-
-(* ------------------------------------------------------------------ *)
-(* Scenario-driven native runs (`wsrepro native --scenario`)           *)
-(* ------------------------------------------------------------------ *)
-
 (* The native half of a scenario: replay the same pre-drawn plan the
    timing model replays, with ticks mapped to wall time through the
-   scenario's [tick_ns]. Arrivals follow an absolute schedule (a late
-   generator submits immediately rather than shifting the remaining
-   arrivals), service burns wall-clock time, and the injector bound is
-   enforced by [Pool.submit] under the scenario's drop/block policy — so
-   overload shows up exactly where it does in the simulator: drops under
-   Drop, arrival-side delay under Block. *)
+   scenario's [tick_ns]. Arrivals follow an absolute schedule of due times
+   (a late generator submits immediately rather than shifting the
+   remaining arrivals), service burns wall-clock time, and the injector
+   bound is enforced by [Pool.submit] under the scenario's drop/block
+   policy — so overload shows up exactly where it does in the simulator:
+   drops under Drop, arrival-side delay under Block. Every stamp is on
+   the monotonic clock, and sojourn is timed from the due time, so a
+   generator that falls behind its plan shows up as latency; its lateness
+   at each submission is recorded beside it. *)
 
 type scenario_result = {
   sn_injected : int;
   sn_dropped : int;
   sn_completed : int;
-  sn_elapsed : float;  (* first submission to last completion, seconds *)
+  sn_elapsed : float;  (* plan start to last completion, seconds *)
   sn_p50_ns : int;
   sn_p99_ns : int;
   sn_p999_ns : int;
   sn_sojourn : Telemetry.Histogram.t;
+  sn_late : Telemetry.Histogram.t;  (* submission minus due time, ns *)
   sn_peak_injector : int;  (* max injector depth seen at submission *)
   sn_steals : int;
   sn_injector_runs : int;
@@ -356,6 +215,8 @@ type scenario_result = {
   sn_qwait : Telemetry.Histogram.t;
   sn_dispatch : Telemetry.Histogram.t;
   sn_service : Telemetry.Histogram.t;
+  (* spawn-to-stolen-run delay (ns) from the flight-recorder lineage join *)
+  sn_steal_delay : Telemetry.Histogram.t;
   (* request-level rotating sojourn windows, width = slo window (or the
      default) converted to ns through sc_tick_ns *)
   sn_windows : Telemetry.Windowed.t;
@@ -377,11 +238,18 @@ let native_policy = function
    compute from the scheduler's point of view, so the worker must stay on
    core (sleeping would park the domain and understate contention). *)
 let spin_ns ns =
-  if ns > 0 then begin
-    let fin = Unix.gettimeofday () +. (float_of_int ns *. 1e-9) in
-    while Unix.gettimeofday () < fin do
-      Domain.cpu_relax ()
-    done
+  let fin = Telemetry.Clock.now_ns () + ns in
+  while Telemetry.Clock.now_ns () < fin do
+    Domain.cpu_relax ()
+  done
+
+(* The generator, by contrast, sleeps: it shares the host with the
+   workers it feeds. *)
+let rec sleep_until t =
+  let d = t - Telemetry.Clock.now_ns () in
+  if d > 0 then begin
+    Unix.sleepf (float_of_int d *. 1e-9);
+    sleep_until t
   end
 
 let scenario_native ?monitor (spec : Scenarios.open_spec) =
@@ -404,12 +272,16 @@ let scenario_native ?monitor (spec : Scenarios.open_spec) =
     Ws_native.Pool.create ~domains:spec.Scenarios.sc_workers
       ~backend:(backend_of_queue spec.Scenarios.sc_queue)
       ~injector_capacity:spec.Scenarios.sc_capacity ~attribution:true
-      ~window_ns ~window_slots ()
+      ~window_ns ~window_slots ~flight:true ()
   in
+  (* The monitor (metrics server, live dashboard) attaches to the running
+     pool and returns its own teardown, invoked after the last request
+     completes but before the pool shuts down. *)
   let stop_monitor =
     match monitor with Some m -> m pool | None -> fun () -> ()
   in
   let sojourn = Telemetry.Histogram.create () in
+  let late = Telemetry.Histogram.create () in
   let windows =
     Telemetry.Windowed.create ~slots:window_slots ~width:window_ns ()
   in
@@ -418,30 +290,28 @@ let scenario_native ?monitor (spec : Scenarios.open_spec) =
   let dropped = ref 0 in
   let peak_injector = ref 0 in
   let completed = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let next = ref t0 in
+  let t0 = Telemetry.Clock.now_ns () in
+  let due = ref t0 in
   for i = 0 to spec.Scenarios.sc_requests - 1 do
     (* Same stage split as the simulator: base + remainder spread over the
        first stages, so sim and native run identical per-stage demands. *)
     let s = plan.Open_load.services.(i) in
     let base = s / chain and rem = s mod chain in
-    next :=
-      !next
-      +. (float_of_int (plan.Open_load.gaps.(i) * tick_ns) *. 1e-9);
-    let delay = !next -. Unix.gettimeofday () in
-    if delay > 0. then Unix.sleepf delay;
-    let born = Unix.gettimeofday () in
+    due := !due + (plan.Open_load.gaps.(i) * tick_ns);
+    let born = !due in
+    sleep_until born;
+    Telemetry.Histogram.observe late (Telemetry.Clock.now_ns () - born);
     let rec stage k () =
       spin_ns ((base + if k < rem then 1 else 0) * tick_ns);
       if k < chain - 1 then Ws_native.Pool.spawn pool (stage (k + 1))
       else begin
-        let ns = int_of_float ((Unix.gettimeofday () -. born) *. 1e9) in
+        let fin = Telemetry.Clock.now_ns () in
         Mutex.lock hist_lock;
-        Telemetry.Histogram.observe sojourn ns;
+        Telemetry.Histogram.observe sojourn (fin - born);
         (* keyed by completion instant: the monotonic clock is system-wide,
            so the hist_lock-serialized stream is monotone up to inter-core
            skew (orders of magnitude below the window width) *)
-        Telemetry.Windowed.observe windows ~now:(Telemetry.Clock.now_ns ()) ns;
+        Telemetry.Windowed.observe windows ~now:fin (fin - born);
         Mutex.unlock hist_lock;
         Atomic.incr completed
       end
@@ -454,10 +324,12 @@ let scenario_native ?monitor (spec : Scenarios.open_spec) =
   while Atomic.get completed < !injected do
     Domain.cpu_relax ()
   done;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = float_of_int (Telemetry.Clock.now_ns () - t0) *. 1e-9 in
   stop_monitor ();
   let stats = Ws_native.Pool.worker_stats pool in
+  let recorder = Option.get (Ws_native.Pool.flight pool) in
   Ws_native.Pool.shutdown pool;
+  (* read the stage planes after the join: every worker has flushed *)
   let sn_qwait, sn_dispatch, sn_service = Ws_native.Pool.stage_hists pool in
   let sum f = Array.fold_left (fun acc st -> acc + f st) 0 stats in
   {
@@ -469,6 +341,7 @@ let scenario_native ?monitor (spec : Scenarios.open_spec) =
     sn_p99_ns = Telemetry.Histogram.percentile sojourn 0.99;
     sn_p999_ns = Telemetry.Histogram.percentile sojourn 0.999;
     sn_sojourn = sojourn;
+    sn_late = late;
     sn_peak_injector = !peak_injector;
     sn_steals = sum (fun st -> st.Ws_native.Pool.steals);
     sn_injector_runs = sum (fun st -> st.Ws_native.Pool.injector_runs);
@@ -476,22 +349,37 @@ let scenario_native ?monitor (spec : Scenarios.open_spec) =
     sn_qwait;
     sn_dispatch;
     sn_service;
+    sn_steal_delay = steal_delay_of_flight recorder;
     sn_windows = windows;
   }
 
 let render_scenario_native (spec : Scenarios.open_spec) r =
   let module H = Telemetry.Histogram in
-  Printf.sprintf
-    "scenario=%s injected=%d dropped=%d completed=%d elapsed=%.3fs\n\
-     sojourn p50=%dns p99=%dns p999=%dns\n\
-     stages: qwait p99=%dns dispatch p99=%dns service p99=%dns\n\
-     pool: peak_injector=%d steals=%d injector_runs=%d parks=%d\n"
-    spec.Scenarios.sc_name r.sn_injected r.sn_dropped r.sn_completed
-    r.sn_elapsed r.sn_p50_ns r.sn_p99_ns r.sn_p999_ns
-    (H.percentile r.sn_qwait 0.99)
-    (H.percentile r.sn_dispatch 0.99)
-    (H.percentile r.sn_service 0.99)
-    r.sn_peak_injector r.sn_steals r.sn_injector_runs r.sn_parks
+  let base =
+    Printf.sprintf
+      "scenario=%s injected=%d dropped=%d completed=%d elapsed=%.3fs\n\
+       sojourn p50=%dns p99=%dns p999=%dns\n\
+       stages: qwait p99=%dns dispatch p99=%dns service p99=%dns\n\
+       pool: peak_injector=%d steals=%d injector_runs=%d parks=%d\n"
+      spec.Scenarios.sc_name r.sn_injected r.sn_dropped r.sn_completed
+      r.sn_elapsed r.sn_p50_ns r.sn_p99_ns r.sn_p999_ns
+      (H.percentile r.sn_qwait 0.99)
+      (H.percentile r.sn_dispatch 0.99)
+      (H.percentile r.sn_service 0.99)
+      r.sn_peak_injector r.sn_steals r.sn_injector_runs r.sn_parks
+  in
+  let late =
+    Printf.sprintf "generator: late p99=%dns\n" (H.percentile r.sn_late 0.99)
+  in
+  let steal_delay =
+    if H.total r.sn_steal_delay = 0 then ""
+    else
+      Printf.sprintf "steal-delay: p50=%dns p99=%dns (%d stolen)\n"
+        (H.percentile r.sn_steal_delay 0.5)
+        (H.percentile r.sn_steal_delay 0.99)
+        (H.total r.sn_steal_delay)
+  in
+  base ^ late ^ steal_delay
 
 (* Judge the native replay against the scenario's SLO. Budgets are stated
    in ticks; the native engine runs wall time, so each budget converts
@@ -621,29 +509,6 @@ let pool_metrics pool =
         [ sample (float_of_int snap.Ws_native.Pool.snap_injector_drops) ];
     ]
   in
-  let lats = snap.Ws_native.Pool.slot_latencies in
-  let latency_families =
-    if not (Array.exists (fun h -> Telemetry.Histogram.total h > 0) lats)
-    then []
-    else
-      [
-        gauge ~name:"ws_pool_task_latency_ns"
-          ~help:
-            "Per-slot spawn-to-completion latency quantiles (telemetry \
-             pools)"
-          (List.concat_map
-             (fun (q, qlbl) ->
-               Array.to_list
-                 (Array.mapi
-                    (fun i h ->
-                      sample
-                        ~labels:
-                          [ ("slot", string_of_int i); ("quantile", qlbl) ]
-                        (float_of_int (Telemetry.Histogram.percentile h q)))
-                    lats))
-             [ (0.5, "0.5"); (0.99, "0.99"); (0.999, "0.999") ]);
-      ]
-  in
   (* Stage-attribution families (attribution pools): proper OpenMetrics
      histograms with cumulative buckets, one family per stage. *)
   let merged a =
@@ -667,7 +532,7 @@ let pool_metrics pool =
           (merged snap.Ws_native.Pool.slot_service);
       ]
   in
-  counters @ latency_families @ stage_families
+  counters @ stage_families
 
 let metrics_body pool () = Telemetry.Openmetrics.render (pool_metrics pool)
 
@@ -807,8 +672,7 @@ let dashboard_lines pool =
   in
   (header :: rows) @ [ gauges ] @ stage_rows
 
-let top ?domains ?backend ?policy ?steal_half ?rate ?requests ?chain ?work
-    ?serve_metrics ?(interval = 0.25) ?seed () =
+let top ?serve_metrics ?(interval = 0.25) spec =
   let rep = Telemetry.Progress.create ~interval ~label:"top" () in
   let monitor pool =
     let stop_serving =
@@ -833,43 +697,33 @@ let top ?domains ?backend ?policy ?steal_half ?rate ?requests ?chain ?work
       Telemetry.Progress.redraw_now rep (dashboard_lines pool);
       stop_serving ()
   in
-  let r =
-    service ?domains ?backend ?policy ?steal_half ~telemetry:true
-      ~attribution:true ~flight:true ~monitor ?rate ?requests ?chain ?work
-      ?seed ()
-  in
+  let r = scenario_native ~monitor spec in
   Telemetry.Progress.finish rep;
-  print_string (render_service r)
+  print_string (render_scenario_native spec r)
 
 (* ------------------------------------------------------------------ *)
-(* Entry point (the `wsrepro native` subcommand body)                  *)
+(* Entry points (the `wsrepro native` subcommand bodies)               *)
 (* ------------------------------------------------------------------ *)
+
+let replay ?serve_metrics (spec : Scenarios.open_spec) =
+  Printf.printf "== Native scenario replay: %s (%d worker domains) ==\n"
+    spec.Scenarios.sc_name spec.Scenarios.sc_workers;
+  let monitor =
+    Option.map (fun port pool -> serve_metrics_monitor ~port pool) serve_metrics
+  in
+  let r = scenario_native ?monitor spec in
+  print_string (render_scenario_native spec r);
+  match spec.Scenarios.sc_slo with
+  | None -> true
+  | Some slo ->
+      let vs = native_verdicts spec slo r in
+      print_string
+        (Scenarios.render_verdicts ~name:spec.Scenarios.sc_name ~units:"ns" vs);
+      Scenarios.verdicts_ok vs
 
 let run ?(machine = Machine_config.westmere_ex) ?domains ?backend ?policy
-    ?steal_half ?fib_n ?graph_nodes ?graph_edges ?rate ?requests ?chain ?work
-    ?serve_metrics ?flight_file ?scenario ?(seed = 23) () =
-  match scenario with
-  | Some spec ->
-      (* Scenario mode replaces the fixed sections: the file says what to
-         run, and the run must mirror the simulator's replay of it. *)
-      Printf.printf "== Native scenario replay: %s (%d worker domains) ==\n"
-        spec.Scenarios.sc_name spec.Scenarios.sc_workers;
-      let monitor =
-        Option.map
-          (fun port pool -> serve_metrics_monitor ~port pool)
-          serve_metrics
-      in
-      let r = scenario_native ?monitor spec in
-      print_string (render_scenario_native spec r);
-      (match spec.Scenarios.sc_slo with
-      | None -> true
-      | Some slo ->
-          let vs = native_verdicts spec slo r in
-          print_string
-            (Scenarios.render_verdicts ~name:spec.Scenarios.sc_name
-               ~units:"ns" vs);
-          Scenarios.verdicts_ok vs)
-  | None ->
+    ?steal_half ?fib_n ?graph_nodes ?graph_edges ?flight_file ?(seed = 23) ()
+    =
   let d =
     match domains with
     | Some d -> d
@@ -883,19 +737,8 @@ let run ?(machine = Machine_config.westmere_ex) ?domains ?backend ?policy
     (render_parity
        (parity ~machine ~domains:d ?backend ?policy ?steal_half ?fib_n
           ?graph_nodes ?graph_edges ~seed ()));
-  Printf.printf
-    "== Native service benchmark: open-system Poisson arrivals ==\n";
-  let monitor =
-    Option.map (fun port pool -> serve_metrics_monitor ~port pool)
-      serve_metrics
-  in
-  print_string
-    (render_service
-       (service ~domains:d ?backend ?policy ?steal_half ?monitor ?rate
-          ?requests ?chain ?work ~seed ()));
-  (match flight_file with
+  match flight_file with
   | None -> ()
   | Some file ->
       Printf.printf "== Flight recorder: steal-forcing probe ==\n";
-      flight_section ~file ~domains:d ?backend ());
-  true
+      flight_section ~file ~domains:d ?backend ()

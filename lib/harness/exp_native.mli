@@ -1,8 +1,9 @@
 (** Silicon cross-check: the simulator's fib / graph workloads re-run on
-    the native OCaml 5 work-stealing pool ({!Ws_native.Pool}), plus an
-    open-system service benchmark (Poisson arrivals through the injector,
-    request chains, sojourn-latency percentiles) that only the native pool
-    can host. Surfaced as [wsrepro native]. *)
+    the native OCaml 5 work-stealing pool ({!Ws_native.Pool}), plus the
+    native replay of an open-system scenario (the same load plan the
+    timing model replays, submitted through the injector, with
+    sojourn-latency percentiles). Surfaced as [wsrepro native] and
+    [wsrepro top]. *)
 
 type native_point = {
   tasks : int;
@@ -16,32 +17,6 @@ type parity_row = {
   sim_makespan : float;  (** simulated cycles *)
   sim_tasks_per_mcycle : float;
   native : native_point;
-}
-
-type service_result = {
-  requests : int;
-  completed : int;
-  rate : float;  (** offered load, requests/s *)
-  elapsed : float;
-  throughput_rps : float;
-  p50_ns : int;
-  p99_ns : int;
-  p999_ns : int;
-  sojourn : Telemetry.Histogram.t;
-  steals : int;
-  injector_runs : int;
-  parks : int;
-  st_qwait : Telemetry.Histogram.t;
-      (** arrival-to-inject ns, per cell (empty unless [~attribution]) *)
-  st_dispatch : Telemetry.Histogram.t;
-      (** inject-to-dequeue ns (empty unless [~attribution]) *)
-  st_service : Telemetry.Histogram.t;
-      (** dequeue-to-completion ns (empty unless [~attribution]) *)
-  st_windows : Telemetry.Windowed.t;
-      (** rotating per-cell sojourn windows (empty unless [~attribution]) *)
-  st_steal_delay : Telemetry.Histogram.t;
-      (** spawn-to-stolen-run ns from the flight-recorder lineage join
-          (empty unless [~flight]) *)
 }
 
 val steal_delay_of_flight :
@@ -88,48 +63,18 @@ val parity :
 
 val render_parity : parity_row list -> string
 
-val service :
-  ?domains:int ->
-  ?backend:Ws_native.Pool.backend ->
-  ?policy:Ws_native.Pool.victim_policy ->
-  ?steal_half:bool ->
-  ?telemetry:bool ->
-  ?attribution:bool ->
-  ?flight:bool ->
-  ?monitor:(Ws_native.Pool.t -> unit -> unit) ->
-  ?rate:float ->
-  ?requests:int ->
-  ?chain:int ->
-  ?work:int ->
-  ?seed:int ->
-  unit ->
-  service_result
-(** Submits [requests] request chains from the calling (non-worker) domain
-    on an absolute Poisson schedule at [rate] arrivals/s; each request is a
-    chain of [chain] dependent stages of [work] spin iterations. Sojourn
-    time (arrival to last stage) feeds the returned histogram.
-
-    [telemetry]/[attribution]/[flight] forward to
-    {!Ws_native.Pool.create}; with [attribution] the result additionally
-    carries the qwait/dispatch/service stage histograms and the rotating
-    sojourn window ring, and with [flight] the steal-delay histogram
-    reconstructed from the lineage join. [monitor], if
-    given, is called with the running pool before the first request and
-    must return a teardown thunk, invoked after the last request completes
-    but before the pool shuts down — the hook the metrics server and the
-    [wsrepro top] dashboard attach through. *)
-
-val render_service : service_result -> string
-
 type scenario_result = {
   sn_injected : int;
   sn_dropped : int;  (** submissions refused at a full injector (Drop) *)
   sn_completed : int;
-  sn_elapsed : float;  (** first submission to last completion, seconds *)
+  sn_elapsed : float;  (** plan start to last completion, seconds *)
   sn_p50_ns : int;
   sn_p99_ns : int;
   sn_p999_ns : int;
-  sn_sojourn : Telemetry.Histogram.t;
+  sn_sojourn : Telemetry.Histogram.t;  (** due time to last stage, ns *)
+  sn_late : Telemetry.Histogram.t;
+      (** generator lateness: submission minus due time, ns, one sample
+          per submission (dropped ones included) *)
   sn_peak_injector : int;  (** max injector depth seen at submission *)
   sn_steals : int;
   sn_injector_runs : int;
@@ -137,6 +82,8 @@ type scenario_result = {
   sn_qwait : Telemetry.Histogram.t;  (** per-cell stage histograms, ns *)
   sn_dispatch : Telemetry.Histogram.t;
   sn_service : Telemetry.Histogram.t;
+  sn_steal_delay : Telemetry.Histogram.t;
+      (** spawn-to-stolen-run ns, from {!steal_delay_of_flight} *)
   sn_windows : Telemetry.Windowed.t;
       (** request-level rotating sojourn windows; width = the SLO block's
           window (ticks, default geometry when absent) times [sc_tick_ns] *)
@@ -154,11 +101,18 @@ val scenario_native :
 (** Replay a scenario's pre-drawn load plan ({!Ws_runtime.Open_load.plan})
     on the native pool: the same inter-arrival gaps and per-stage service
     demands the timing model replays, with ticks mapped to wall time
-    through [sc_tick_ns]. Arrivals follow an absolute schedule and go
-    through {!Ws_native.Pool.submit} under the scenario's injector bound
-    and drop/block policy; sojourn (arrival to last chain stage) feeds the
-    returned histogram. [monitor] is the same attachment hook as in
-    {!service}. *)
+    through [sc_tick_ns]. Each request's due time is the start plus its
+    cumulative gaps, on {!Telemetry.Clock}; the generator sleeps until it,
+    records its lateness, and submits through {!Ws_native.Pool.submit}
+    under the scenario's injector bound and drop/block policy. Sojourn
+    (due time to last chain stage) feeds the returned histogram. The pool
+    runs with attribution and flight recording on, so the result carries
+    the stage histograms and the steal-delay join.
+
+    [monitor], if given, is called with the running pool before the first
+    request and must return a teardown thunk, invoked after the last
+    request completes but before the pool shuts down — the hook the
+    metrics server and the [wsrepro top] dashboard attach through. *)
 
 val render_scenario_native : Scenarios.open_spec -> scenario_result -> string
 
@@ -175,7 +129,8 @@ val native_verdicts :
 val pool_metrics : Ws_native.Pool.t -> Telemetry.Openmetrics.metric list
 (** One live {!Ws_native.Pool.scrape} rendered as OpenMetrics families:
     per-slot counters (labelled [slot="i"]), pool gauges, and — on
-    [~telemetry] pools with observations — per-slot latency quantiles. *)
+    [~attribution] pools with observations — one cumulative-bucket
+    histogram family per stage (qwait, dispatch, service). *)
 
 val metrics_body : Ws_native.Pool.t -> unit -> string
 (** [pool_metrics] composed with {!Telemetry.Openmetrics.render}; the
@@ -185,7 +140,7 @@ val metrics_body : Ws_native.Pool.t -> unit -> string
 val serve_metrics_monitor :
   ?quiet:bool -> port:int -> Ws_native.Pool.t -> unit -> unit
 (** Start a metrics server scraping the pool and return its stop thunk
-    (a {!service}-compatible monitor). Prints the bound endpoint to stderr
+    (a {!scenario_native} monitor). Prints the bound endpoint to stderr
     unless [quiet]. *)
 
 val flight_probe :
@@ -212,24 +167,20 @@ val flight_section :
     a Chrome trace next to it ([file] with extension [.trace.json]), and
     print a one-line summary to stdout. *)
 
-val top :
-  ?domains:int ->
-  ?backend:Ws_native.Pool.backend ->
-  ?policy:Ws_native.Pool.victim_policy ->
-  ?steal_half:bool ->
-  ?rate:float ->
-  ?requests:int ->
-  ?chain:int ->
-  ?work:int ->
-  ?serve_metrics:int ->
-  ?interval:float ->
-  ?seed:int ->
-  unit ->
-  unit
-(** The service benchmark under a refreshing per-slot dashboard
-    (stderr, ANSI block redraw via {!Telemetry.Progress}); stdout gets
-    only the final {!render_service} summary. [serve_metrics] additionally
-    serves OpenMetrics on that port for the duration. *)
+val top : ?serve_metrics:int -> ?interval:float -> Scenarios.open_spec -> unit
+(** {!scenario_native} under a refreshing per-slot dashboard (stderr, ANSI
+    block redraw via {!Telemetry.Progress}, every [interval] seconds,
+    default 0.25); stdout gets only the final {!render_scenario_native}
+    summary. [serve_metrics] additionally serves OpenMetrics on that port
+    for the duration. *)
+
+val replay : ?serve_metrics:int -> Scenarios.open_spec -> bool
+(** Print a native replay of the scenario ({!scenario_native}), judged
+    against the scenario's SLO block when it has one (verdict table
+    printed, budgets converted to ns). [serve_metrics] serves live
+    OpenMetrics scrapes of the replay's pool on the given port (0 picks a
+    free one; endpoint printed to stderr). Returns [false] iff an SLO
+    budget was violated — the CLI exit status. *)
 
 val run :
   ?machine:Machine_config.t ->
@@ -240,23 +191,10 @@ val run :
   ?fib_n:int ->
   ?graph_nodes:int ->
   ?graph_edges:int ->
-  ?rate:float ->
-  ?requests:int ->
-  ?chain:int ->
-  ?work:int ->
-  ?serve_metrics:int ->
   ?flight_file:string ->
-  ?scenario:Scenarios.open_spec ->
   ?seed:int ->
   unit ->
-  bool
-(** Print both sections (parity table, then service benchmark).
-    [serve_metrics] serves live OpenMetrics scrapes of the service-bench
-    pool on the given port (0 picks a free one; endpoint printed to
-    stderr). [flight_file] appends a third section: the steal-forcing
-    flight-recorder probe, its wsrepro-flight/v1 report written to the
-    given path (Chrome trace alongside). With [scenario] the fixed
-    sections are replaced by a native replay of that scenario
-    ({!scenario_native}), judged against the scenario's SLO block when it
-    has one (verdict table printed, budgets converted to ns). Returns
-    [false] iff an SLO budget was violated — the CLI exit status. *)
+  unit
+(** Print the parity table. [flight_file] appends a second section: the
+    steal-forcing flight-recorder probe, its wsrepro-flight/v1 report
+    written to the given path (Chrome trace alongside). *)

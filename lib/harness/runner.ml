@@ -35,22 +35,6 @@ let run_dag m v ?workers ~seeds ?sink ?tracer ?trace_pid dag ~name =
       makespan r)
     seeds
 
-let exhaustive_check_full spec ?max_runs ?max_depth ?preemption_bound ?jobs
-    ?memo ?por ?dpor ?memo_store ?sink ?snapshots ?progress () =
-  let st, frontier =
-    Scenarios.explore_check_full spec ?max_runs ?max_depth ?preemption_bound
-      ?jobs ?memo ?por ?dpor ?memo_store ?sink ?snapshots ?progress ()
-  in
-  (st, frontier, st.Tso.Explore.failures = [] && st.Tso.Explore.truncated = 0)
-
-let exhaustive_check spec ?max_runs ?max_depth ?preemption_bound ?jobs ?memo
-    ?por ?dpor ?memo_store ?sink ?snapshots ?progress () =
-  let st, _, clean =
-    exhaustive_check_full spec ?max_runs ?max_depth ?preemption_bound ?jobs
-      ?memo ?por ?dpor ?memo_store ?sink ?snapshots ?progress ()
-  in
-  (st, clean)
-
 let forensics_report spec ?(progress = false) ?sink ~choices ~message () =
   let reporter =
     if progress then Some (Telemetry.Progress.create ~label:"shrink" ())

@@ -29,49 +29,6 @@ val run_dag :
     over every seed's run; [tracer]/[trace_pid] record Chrome-trace spans
     (see {!Ws_runtime.Engine.run_timed}). *)
 
-val exhaustive_check :
-  Scenarios.spec ->
-  ?max_runs:int ->
-  ?max_depth:int ->
-  ?preemption_bound:int option ->
-  ?jobs:int ->
-  ?memo:bool ->
-  ?por:bool ->
-  ?dpor:bool ->
-  ?memo_store:Tso.Memo_store.t ->
-  ?sink:Telemetry.Sink.t ->
-  ?snapshots:bool ->
-  ?progress:bool ->
-  unit ->
-  Tso.Explore.stats * bool
-(** Bounded exhaustive model checking of a queue scenario, optionally
-    memoized ([memo], persistently via [memo_store]), reduced with sleep
-    sets ([por]) or source-DPOR ([dpor], implies [por]), and fanned out
-    across domains ([jobs]). [snapshots] selects snapshot-based sibling
-    exploration (default) vs replay-from-root. [sink] receives the
-    work-stealing frontier counters. With [progress], a live
-    nodes-per-second status line is maintained on stderr. Returns the
-    explorer statistics and a clean-verdict flag: no failure found and no
-    run truncated by the depth bound. *)
-
-val exhaustive_check_full :
-  Scenarios.spec ->
-  ?max_runs:int ->
-  ?max_depth:int ->
-  ?preemption_bound:int option ->
-  ?jobs:int ->
-  ?memo:bool ->
-  ?por:bool ->
-  ?dpor:bool ->
-  ?memo_store:Tso.Memo_store.t ->
-  ?sink:Telemetry.Sink.t ->
-  ?snapshots:bool ->
-  ?progress:bool ->
-  unit ->
-  Tso.Explore.stats * Tso.Explore_par.frontier_stats * bool
-(** {!exhaustive_check} plus the work-stealing frontier distribution
-    record (trivial single-domain record when [jobs = 1]). *)
-
 val forensics_report :
   Scenarios.spec ->
   ?progress:bool ->

@@ -154,7 +154,7 @@ let estimate_clause rep covered =
     Printf.sprintf ", ~%.1f%% of tree, ETA %s" (100.0 *. covered) eta_str
   end
 
-let explore_check_full spec ?max_runs ?max_depth ?preemption_bound ?(jobs = 1)
+let explore_check spec ?max_runs ?max_depth ?preemption_bound ?(jobs = 1)
     ?(memo = false) ?(por = false) ?(dpor = false) ?memo_store ?sink
     ?(snapshots = true) ?(progress = false) () =
   let reporter =
@@ -209,13 +209,7 @@ let explore_check_full spec ?max_runs ?max_depth ?preemption_bound ?(jobs = 1)
   (match sink with
   | None -> ()
   | Some s -> Explore_par.frontier_to_sink frontier s);
-  (st, frontier)
-
-let explore_check spec ?max_runs ?max_depth ?preemption_bound ?jobs ?memo ?por
-    ?dpor ?memo_store ?sink ?snapshots ?progress () =
-  fst
-    (explore_check_full spec ?max_runs ?max_depth ?preemption_bound ?jobs ?memo
-       ?por ?dpor ?memo_store ?sink ?snapshots ?progress ())
+  (st, frontier, st.Explore.failures = [] && st.Explore.truncated = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Open-system scenario DSL (wsrepro-scenario/v1)                      *)

@@ -50,7 +50,7 @@ val explore_check :
   ?snapshots:bool ->
   ?progress:bool ->
   unit ->
-  Tso.Explore.stats
+  Tso.Explore.stats * Tso.Explore_par.frontier_stats * bool
 (** Bounded exhaustive exploration of the scenario. [jobs > 1] fans the
     search out across domains ({!Tso.Explore_par}); [memo] enables the
     visited-state cache; [por] enables sleep-set partial-order reduction
@@ -62,7 +62,10 @@ val explore_check :
     status line (runs/s, depth frontier, memo hit rate; per-domain subtree
     balance when parallel) is maintained on stderr. Defaults: [jobs = 1],
     [memo = false], [por = false], [dpor = false], [snapshots = true],
-    [progress = false]. *)
+    [progress = false]. Returns the explorer statistics, the
+    work-stealing frontier distribution (a trivial single-domain record
+    when [jobs = 1]) and a clean-verdict flag: no failure found and no run
+    truncated by the depth bound. *)
 
 (** {1 Open-system scenarios}
 
@@ -155,20 +158,3 @@ val open_config : open_spec -> Ws_runtime.Open_system.config
     like [sc_tick_ns] do not appear; engine knobs not in the DSL keep
     {!Ws_runtime.Open_system.default_config} values). *)
 
-val explore_check_full :
-  spec ->
-  ?max_runs:int ->
-  ?max_depth:int ->
-  ?preemption_bound:int option ->
-  ?jobs:int ->
-  ?memo:bool ->
-  ?por:bool ->
-  ?dpor:bool ->
-  ?memo_store:Tso.Memo_store.t ->
-  ?sink:Telemetry.Sink.t ->
-  ?snapshots:bool ->
-  ?progress:bool ->
-  unit ->
-  Tso.Explore.stats * Tso.Explore_par.frontier_stats
-(** {!explore_check} plus the work-stealing frontier distribution record
-    (trivial single-domain record when [jobs = 1]). *)

@@ -315,7 +315,7 @@ let explore_spec qname =
   }
 
 let test_explore_safety qname () =
-  let st =
+  let st, _, _ =
     Ws_harness.Scenarios.explore_check (explore_spec qname) ~max_runs:120_000
       ~preemption_bound:(Some 2) ()
   in
@@ -331,7 +331,7 @@ let test_explore_safety qname () =
 
 let test_the_without_fence_fails () =
   let spec = { (explore_spec "the") with worker_fence = false } in
-  let st =
+  let st, _, _ =
     Ws_harness.Scenarios.explore_check spec ~max_runs:500_000
       ~preemption_bound:(Some 3) ()
   in
@@ -348,7 +348,7 @@ let test_chase_lev_without_fence_fails () =
       client_stores = 0;
     }
   in
-  let st =
+  let st, _, _ =
     Ws_harness.Scenarios.explore_check spec ~max_runs:500_000
       ~preemption_bound:(Some 3) ()
   in
@@ -370,7 +370,7 @@ let test_ff_cl_undersized_delta_fails () =
       client_stores = 0;
     }
   in
-  let st =
+  let st, _, _ =
     Ws_harness.Scenarios.explore_check spec ~max_runs:1_000_000
       ~preemption_bound:(Some 3) ()
   in

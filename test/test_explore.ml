@@ -71,15 +71,15 @@ let test_scenario_memo_completes () =
   (* the default ff-the scenario blows the 200k-run budget unmemoized;
      memoization collapses it to a complete (exhaustive) proof *)
   let spec = Ws_harness.Scenarios.default_spec in
-  let st, clean =
-    Ws_harness.Runner.exhaustive_check spec ~preemption_bound:(Some 3)
+  let st, _, clean =
+    Ws_harness.Scenarios.explore_check spec ~preemption_bound:(Some 3)
       ~memo:true ()
   in
   checkb "no violation" true clean;
   checkb "memo hits reported" true (st.Explore.memo_hits > 0);
   checkb "well under the run budget" true (st.Explore.runs < 10_000);
-  let par, par_clean =
-    Ws_harness.Runner.exhaustive_check spec ~preemption_bound:(Some 3)
+  let par, _, par_clean =
+    Ws_harness.Scenarios.explore_check spec ~preemption_bound:(Some 3)
       ~memo:true ~jobs:4 ()
   in
   checkb "parallel memoized verdict agrees" true (par_clean = clean);
@@ -132,11 +132,11 @@ let test_por_capacity_sweep () =
         }
       in
       let go ?(jobs = 1) por =
-        Ws_harness.Runner.exhaustive_check spec ~max_runs:40_000
+        Ws_harness.Scenarios.explore_check spec ~max_runs:40_000
           ~preemption_bound:(Some 3) ~jobs ~por ()
       in
-      let plain, plain_clean = go false in
-      let por, por_clean = go true in
+      let plain, _, plain_clean = go false in
+      let por, _, por_clean = go true in
       checkb
         (Printf.sprintf "sb=%d: clean verdict agrees" sb_capacity)
         plain_clean por_clean;
@@ -144,7 +144,7 @@ let test_por_capacity_sweep () =
         (Printf.sprintf "sb=%d: POR never explores more" sb_capacity)
         true
         (por.Explore.runs <= plain.Explore.runs);
-      let _, par_clean = go ~jobs:4 true in
+      let _, _, par_clean = go ~jobs:4 true in
       checkb
         (Printf.sprintf "sb=%d: parallel POR verdict agrees" sb_capacity)
         plain_clean par_clean)
@@ -170,9 +170,11 @@ let test_por_delta_scenarios () =
      order; memoization collapses it to ~100 runs and memoized failure
      prefixes stay replayable, so sight through the cache *)
   let sight por =
-    fst
-      (Ws_harness.Runner.exhaustive_check (spec 1) ~preemption_bound:(Some 3)
-         ~memo:true ~por ())
+    let st, _, _ =
+      Ws_harness.Scenarios.explore_check (spec 1) ~preemption_bound:(Some 3)
+        ~memo:true ~por ()
+    in
+    st
   in
   let plain = sight false and por = sight true in
   checkb "delta=1: unreduced search sights the duplication" true
@@ -189,15 +191,15 @@ let test_por_delta_scenarios () =
   (* delta=2 is a proof, so it must exhaust: memoization makes that cheap,
      and POR must compose with it (the sleep set is part of the memo key) *)
   let prove ?(jobs = 1) por =
-    Ws_harness.Runner.exhaustive_check (spec 2) ~preemption_bound:(Some 3)
+    Ws_harness.Scenarios.explore_check (spec 2) ~preemption_bound:(Some 3)
       ~memo:true ~jobs ~por ()
   in
-  let p, p_clean = prove false in
-  let q, q_clean = prove true in
+  let p, _, p_clean = prove false in
+  let q, _, q_clean = prove true in
   checkb "delta=2: both memoized proofs are clean" true (p_clean && q_clean);
   checkb "delta=2: both proofs complete under budget" true
     (p.Explore.runs < 200_000 && q.Explore.runs < 200_000);
-  let _, par_clean = prove ~jobs:4 true in
+  let _, _, par_clean = prove ~jobs:4 true in
   checkb "delta=2: parallel POR+memo proof agrees" true par_clean
 
 (* --- failure orientation ----------------------------------------------- *)
@@ -251,9 +253,11 @@ let test_snapshot_replay_oracle () =
     Ws_litmus.Classic.all;
   (* and on a queue scenario with memo + POR + preemption bound stacked *)
   let go snapshots =
-    fst
-      (Ws_harness.Runner.exhaustive_check Ws_harness.Scenarios.default_spec
-         ~preemption_bound:(Some 3) ~memo:true ~por:true ~snapshots ())
+    let st, _, _ =
+      Ws_harness.Scenarios.explore_check Ws_harness.Scenarios.default_spec
+        ~preemption_bound:(Some 3) ~memo:true ~por:true ~snapshots ()
+    in
+    st
   in
   Alcotest.check stats "scenario: snapshots equal replay under memo+POR"
     (go false) (go true)
@@ -326,10 +330,9 @@ let test_dpor_delta_scenarios () =
       client_stores = 0;
     }
   in
-  let sighted =
-    fst
-      (Ws_harness.Runner.exhaustive_check (spec 1) ~preemption_bound:(Some 3)
-         ~memo:true ~dpor:true ())
+  let sighted, _, _ =
+    Ws_harness.Scenarios.explore_check (spec 1) ~preemption_bound:(Some 3)
+      ~memo:true ~dpor:true ()
   in
   checkb "delta=1: DPOR sights the duplication" true
     (sighted.Explore.failures <> []);
@@ -343,8 +346,8 @@ let test_dpor_delta_scenarios () =
       | Error _ -> ()
       | Ok () -> Alcotest.fail "DPOR duplication prefix did not replay")
   | [] -> ());
-  let proof, clean =
-    Ws_harness.Runner.exhaustive_check (spec 2) ~preemption_bound:(Some 3)
+  let proof, _, clean =
+    Ws_harness.Scenarios.explore_check (spec 2) ~preemption_bound:(Some 3)
       ~memo:true ~dpor:true ()
   in
   checkb "delta=2: DPOR+memo proof is clean" true clean;
@@ -495,7 +498,7 @@ let test_frontier_accounting () =
     }
   in
   let st, fr, clean =
-    Ws_harness.Runner.exhaustive_check_full spec ~preemption_bound:(Some 3)
+    Ws_harness.Scenarios.explore_check spec ~preemption_bound:(Some 3)
       ~jobs:4 ()
   in
   checkb "scenario is clean" true clean;
@@ -513,7 +516,7 @@ let test_frontier_accounting () =
 let test_frontier_trivial_when_sequential () =
   let spec = Ws_harness.Scenarios.default_spec in
   let st, fr, _ =
-    Ws_harness.Runner.exhaustive_check_full spec ~preemption_bound:(Some 3)
+    Ws_harness.Scenarios.explore_check spec ~preemption_bound:(Some 3)
       ~memo:true ~jobs:1 ()
   in
   Alcotest.(check int) "one domain" 1 fr.Explore_par.fr_domains;

@@ -26,7 +26,7 @@ let mk = Ws_harness.Scenarios.instance violating_spec
    deterministic, so the recorded failure is too). *)
 let failure =
   lazy
-    (let st =
+    (let st, _, _ =
        Ws_harness.Scenarios.explore_check violating_spec
          ~preemption_bound:(Some 3) ~memo:true ()
      in
@@ -37,13 +37,12 @@ let failure =
 let test_delta_pairing () =
   (* the violation really is the delta argument's edge: the same scenario
      with delta = 2 explores clean *)
-  let st =
+  let _, _, clean =
     Ws_harness.Scenarios.explore_check
       { violating_spec with delta = 2 }
       ~preemption_bound:(Some 3) ~memo:true ()
   in
-  checkb "delta=2 is sound at S=2" true
-    (st.Tso.Explore.failures = [] && st.Tso.Explore.truncated = 0)
+  checkb "delta=2 is sound at S=2" true clean
 
 let test_shrink_minimizes () =
   let choices, msg = Lazy.force failure in

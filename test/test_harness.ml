@@ -688,6 +688,7 @@ let test_native_verdicts () =
       sn_p99_ns = 2000;
       sn_p999_ns = 2000;
       sn_sojourn = h 800;
+      sn_late = h 1;
       sn_peak_injector = 1;
       sn_steals = 0;
       sn_injector_runs = 9;
@@ -695,6 +696,7 @@ let test_native_verdicts () =
       sn_qwait = h 200 (* p99 255 <= 500: ok *);
       sn_dispatch = h 1;
       sn_service = h 1;
+      sn_steal_delay = H.create ();
       sn_windows = windows;
     }
   in
@@ -727,6 +729,33 @@ let test_steal_delay_join () =
   let h = Exp_native.steal_delay_of_flight recorder in
   checkb "every forced steal contributes a delay" true (H.total h >= 4);
   checki "no negative delays" 0 (H.negative h)
+
+(* A live replay, small enough for the quick suite: a drop-policy
+   injector bound tight enough that a burst may overflow it. Whatever the
+   host's timing, every request is either injected or dropped, every
+   injected one completes, each submission leaves one lateness sample, and
+   sojourn, timed from the due time on the monotonic clock, is never
+   negative. *)
+let test_scenario_native_live () =
+  let module H = Telemetry.Histogram in
+  let spec =
+    {
+      Scenarios.default_open_spec with
+      Scenarios.sc_workers = 1;
+      sc_requests = 50;
+      sc_capacity = 4;
+      sc_policy = Ws_runtime.Open_load.Drop;
+    }
+  in
+  let r = Exp_native.scenario_native spec in
+  checki "injected + dropped = requests" 50
+    (r.Exp_native.sn_injected + r.Exp_native.sn_dropped);
+  checki "completed = injected" r.Exp_native.sn_injected
+    r.Exp_native.sn_completed;
+  checki "one lateness sample per submission" 50 (H.total r.Exp_native.sn_late);
+  checki "one sojourn sample per completion" r.Exp_native.sn_completed
+    (H.total r.Exp_native.sn_sojourn);
+  checki "no negative sojourn" 0 (H.negative r.Exp_native.sn_sojourn)
 
 let () =
   Alcotest.run "harness"
@@ -795,6 +824,8 @@ let () =
             test_native_verdicts;
           Alcotest.test_case "steal-delay lineage join" `Quick
             test_steal_delay_join;
+          Alcotest.test_case "live scenario replay" `Quick
+            test_scenario_native_live;
         ] );
       ( "delta-analysis",
         [
