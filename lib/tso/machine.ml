@@ -159,9 +159,9 @@ let thread_count t = t.n_threads
 let thread_name t tid = (thread t tid).name
 
 let thread_done t tid =
-  match (thread t tid).status with Program.Done -> true | Program.Paused _ -> false
+  match (thread t tid).status with Program.Done -> true | Program.Paused_at _ -> false
 
-let status_done = function Program.Done -> true | Program.Paused _ -> false
+let status_done = function Program.Done -> true | Program.Paused_at _ -> false
 
 let all_done t =
   let rec go i =
@@ -226,7 +226,7 @@ let enabled_iter t f =
           (Store_buffer.drain_lanes th.buf));
     match th.status with
     | Program.Done -> ()
-    | Program.Paused (Program.Paused_at (req, _)) ->
+    | Program.Paused_at (req, _) ->
         if request_enabled th req then f th.step_tr
   done
 
@@ -276,7 +276,7 @@ let enabled_into t b =
           (Store_buffer.drain_lanes th.buf));
     match th.status with
     | Program.Done -> ()
-    | Program.Paused (Program.Paused_at (req, _)) ->
+    | Program.Paused_at (req, _) ->
         if request_enabled th req then tbuf_add b th.step_tr
   done;
   b.len
@@ -289,34 +289,39 @@ let enabled t =
 let pending_request t tid =
   match (thread t tid).status with
   | Program.Done -> None
-  | Program.Paused (Program.Paused_at (req, _)) ->
+  | Program.Paused_at (req, _) ->
       Some (Program.describe_named (Memory.name t.mem) req)
 
 type request_class =
+  | C_none
   | C_load
   | C_store
   | C_rmw
   | C_fence
-  | C_work of int
+  | C_work
   | C_free
 
 let pending_class t tid =
   match (thread t tid).status with
-  | Program.Done -> None
-  | Program.Paused (Program.Paused_at (req, _)) ->
-      Some
-        (match req with
-        | Program.Req_load _ -> C_load
-        | Program.Req_store _ -> C_store
-        | Program.Req_cas _ | Program.Req_fetch_add _ -> C_rmw
-        | Program.Req_fence -> C_fence
-        | Program.Req_work n -> C_work n
-        | Program.Req_label _ | Program.Req_pause -> C_free)
+  | Program.Done -> C_none
+  | Program.Paused_at (req, _) -> (
+      match req with
+      | Program.Req_load _ -> C_load
+      | Program.Req_store _ -> C_store
+      | Program.Req_cas _ | Program.Req_fetch_add _ -> C_rmw
+      | Program.Req_fence -> C_fence
+      | Program.Req_work _ -> C_work
+      | Program.Req_label _ | Program.Req_pause -> C_free)
+
+let pending_work t tid =
+  match (thread t tid).status with
+  | Program.Paused_at (Program.Req_work n, _) -> n
+  | _ -> 0
 
 let pending_load t tid =
   let th = thread t tid in
   match th.status with
-  | Program.Paused (Program.Paused_at (Program.Req_load a, _)) -> (
+  | Program.Paused_at (Program.Req_load a, _) -> (
       match Store_buffer.lookup th.buf a with
       | Some v -> Some (a, v, true)
       | None -> Some (a, Memory.get t.mem a, false))
@@ -325,7 +330,7 @@ let pending_load t tid =
 let store_blocked t tid =
   let th = thread t tid in
   match th.status with
-  | Program.Paused (Program.Paused_at (Program.Req_store _, _)) ->
+  | Program.Paused_at (Program.Req_store _, _) ->
       Store_buffer.is_full th.buf
   | _ -> false
 
@@ -346,10 +351,9 @@ let on_event t f =
 
 let exec_request t th (type a) (req : a Program.request) : a =
   match req with
-  | Program.Req_load a -> (
-      match Store_buffer.lookup th.buf a with
-      | Some v -> v
-      | None -> Memory.get t.mem a)
+  | Program.Req_load a ->
+      let s = Store_buffer.forward_slot th.buf a in
+      if s >= 0 then Store_buffer.slot_value th.buf s else Memory.get t.mem a
   | Program.Req_store (a, v) ->
       Store_buffer.push th.buf a v;
       ()
@@ -451,7 +455,7 @@ let count_drain (s : Telemetry.Sink.t) th result =
   | Store_buffer.Coalesced _ -> s.coalesces <- s.coalesces + 1
   | Store_buffer.Wrote _ | Store_buffer.Staged _ -> ());
   Telemetry.Histogram.observe s.egress_depth
-    (match Store_buffer.egress_entry th.buf with None -> 0 | Some _ -> 1)
+    (if Store_buffer.can_flush_egress th.buf then 1 else 0)
 
 (* The sink charged for thread [tid]'s events: its shard when a sharded
    plane is attached ([counters] has one entry per shard), the root sink
@@ -475,16 +479,16 @@ let apply t tr =
       let th = thread t tid in
       match th.status with
       | Program.Done -> invalid_arg "Machine.apply: thread is done"
-      | Program.Paused (Program.Paused_at (req, resume)) ->
+      | Program.Paused_at (req, k) ->
           if not (request_enabled th req) then
             invalid_arg "Machine.apply: instruction not enabled";
           let v = exec_request t th req in
           th.hist <- mix (mix th.hist (encode_request req)) (encode_response req v);
           if t.record then log_response th (encode_response req v);
-          th.status <- resume v;
+          th.status <- Program.resume k v;
           if counting then count_exec (counter_for t tid) th req;
           (* The formatted instruction string exists only for listeners;
-             without any registered, the step allocates nothing here. *)
+             without any registered, nothing is formatted. *)
           if t.n_listeners > 0 then begin
             let instr = Program.describe_named (Memory.name t.mem) req in
             emit t (Ev_exec { tid; instr });
@@ -511,16 +515,16 @@ let fingerprint t =
   for i = 0 to n_cells - 1 do
     h := mix !h (Memory.cell mem i)
   done;
-  (* One closure shared by the egress slot and the buffer-proper walk; the
-     tuples it receives are the queue's own entries (no per-entry boxing). *)
-  let add_entry (a, v) = h := mix (mix !h (Addr.to_index a + 2)) v in
+  (* One closure shared by the egress slot and the buffer-proper walk, which
+     passes each entry's address and value unboxed. *)
+  let add_entry a v = h := mix (mix !h (Addr.to_index a + 2)) v in
   for i = 0 to t.n_threads - 1 do
     let th = t.threads.(i) in
     (* Control state: done/paused, the pending instruction, and the
        response-history hash (program position). *)
     (match th.status with
     | Program.Done -> h := mix !h 0xD0
-    | Program.Paused (Program.Paused_at (req, _)) ->
+    | Program.Paused_at (req, _) ->
         h := mix (mix !h 0xBA) (encode_request req));
     h := mix !h th.hist;
     (* The egress slot B is hashed separately from the buffer proper: a
@@ -528,9 +532,9 @@ let fingerprint t =
        states (they enable different transitions). *)
     (match Store_buffer.egress_entry th.buf with
     | None -> h := mix !h 0x0E
-    | Some e ->
+    | Some (a, v) ->
         h := mix !h 0x1E;
-        add_entry e);
+        add_entry a v);
     h := mix !h (Store_buffer.entries th.buf);
     Store_buffer.iter_entries th.buf add_entry
   done;
@@ -564,7 +568,7 @@ let footprint t tr =
       let th = thread t tid in
       match th.status with
       | Program.Done -> { f_tid = tid; f_read = no_addr; f_write = no_addr }
-      | Program.Paused (Program.Paused_at (req, _)) -> (
+      | Program.Paused_at (req, _) -> (
           match req with
           | Program.Req_load a ->
               { f_tid = tid; f_read = Addr.to_index a; f_write = no_addr }
@@ -679,7 +683,7 @@ let snapshot t snap =
     let n_entries = Store_buffer.entries th.buf in
     ts.s_entries <- ensure_int_array ts.s_entries (2 * n_entries);
     let k = ref 0 in
-    Store_buffer.iter_entries th.buf (fun (a, v) ->
+    Store_buffer.iter_entries th.buf (fun a v ->
         ts.s_entries.(2 * !k) <- Addr.to_index a;
         ts.s_entries.((2 * !k) + 1) <- v;
         incr k);
@@ -725,8 +729,8 @@ let restore_into snap t =
       match th.status with
       | Program.Done ->
           invalid_arg "Machine.restore_into: thread diverged from snapshot"
-      | Program.Paused (Program.Paused_at (req, resume)) ->
-          th.status <- resume (decode_response req ts.s_resp.(k))
+      | Program.Paused_at (req, c) ->
+          th.status <- Program.resume c (decode_response req ts.s_resp.(k))
     done;
     if status_done th.status <> ts.s_done then
       invalid_arg "Machine.restore_into: thread diverged from snapshot";
@@ -771,7 +775,7 @@ let fingerprint_digest t =
     Buffer.add_char b '|';
     (match th.status with
     | Program.Done -> Buffer.add_char b 'D'
-    | Program.Paused (Program.Paused_at (req, _)) ->
+    | Program.Paused_at (req, _) ->
         Buffer.add_char b 'P';
         Buffer.add_string b (Program.describe req));
     Buffer.add_char b '#';

@@ -1,27 +1,51 @@
-type t = {
-  mutable cells : int array;
-  mutable names : string array;
-  mutable used : int;
+(* One entry per allocation, in address order. A scalar's [len] is 0 so
+   that it stays distinguishable from a one-element array ([x] vs [x[0]]);
+   it still covers exactly one cell. *)
+type region = {
+  base : int;
+  len : int;
+  name : string;
 }
 
-let create () = { cells = Array.make 64 0; names = Array.make 64 ""; used = 0 }
+type t = {
+  mutable cells : int array;
+  mutable used : int;
+  mutable regions : region array;
+  mutable n_regions : int;
+}
+
+let no_region = { base = 0; len = 0; name = "" }
+
+let create () =
+  {
+    cells = Array.make 64 0;
+    used = 0;
+    regions = Array.make 8 no_region;
+    n_regions = 0;
+  }
 
 let ensure_capacity t n =
   if n > Array.length t.cells then begin
-    let cap = max n (2 * Array.length t.cells) in
-    let cells = Array.make cap 0 in
+    let cells = Array.make (max n (2 * Array.length t.cells)) 0 in
     Array.blit t.cells 0 cells 0 t.used;
-    let names = Array.make cap "" in
-    Array.blit t.names 0 names 0 t.used;
-    t.cells <- cells;
-    t.names <- names
+    t.cells <- cells
   end
+
+let add_region t r =
+  let n = t.n_regions in
+  if n = Array.length t.regions then begin
+    let grown = Array.make (2 * n) no_region in
+    Array.blit t.regions 0 grown 0 n;
+    t.regions <- grown
+  end;
+  t.regions.(n) <- r;
+  t.n_regions <- n + 1
 
 let alloc t ~name ~init =
   ensure_capacity t (t.used + 1);
   let a = t.used in
   t.cells.(a) <- init;
-  t.names.(a) <- name;
+  add_region t { base = a; len = 0; name };
   t.used <- t.used + 1;
   Addr.of_index a
 
@@ -29,10 +53,8 @@ let alloc_array t ~name ~len ~init =
   assert (len > 0);
   ensure_capacity t (t.used + len);
   let base = t.used in
-  for i = 0 to len - 1 do
-    t.cells.(base + i) <- init;
-    t.names.(base + i) <- Printf.sprintf "%s[%d]" name i
-  done;
+  Array.fill t.cells base len init;
+  add_region t { base; len; name };
   t.used <- t.used + len;
   Addr.of_index base
 
@@ -45,7 +67,21 @@ let check t a =
 let get t a = t.cells.(check t a)
 let set t a v = t.cells.(check t a) <- v
 let size t = t.used
-let name t a = t.names.(check t a)
+
+(* The region holding cell [i]: the last one whose base is <= i. *)
+let region_of t i =
+  let lo = ref 0 and hi = ref (t.n_regions - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if t.regions.(mid).base <= i then lo := mid else hi := mid - 1
+  done;
+  t.regions.(!lo)
+
+let name_of_index t i =
+  let r = region_of t i in
+  if r.len = 0 then r.name else Printf.sprintf "%s[%d]" r.name (i - r.base)
+
+let name t a = name_of_index t (check t a)
 let snapshot t = Array.sub t.cells 0 t.used
 
 let blit_to t dst =
@@ -64,6 +100,6 @@ let cell t i =
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   for i = 0 to t.used - 1 do
-    Format.fprintf ppf "%s = %d@," t.names.(i) t.cells.(i)
+    Format.fprintf ppf "%s = %d@," (name_of_index t i) t.cells.(i)
   done;
   Format.fprintf ppf "@]"

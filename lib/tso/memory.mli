@@ -2,10 +2,12 @@
 
     Memory is a flat array of integer cells. Cells are allocated with a
     symbolic name so traces and error messages can refer to variables the way
-    the paper does ([H], [T], [tasks\[3\]], ...). All reads and writes to
-    memory are performed by {!Machine} when it applies transitions; algorithm
-    code never touches memory directly (it goes through the {!Program}
-    effects). *)
+    the paper does ([H], [T], [tasks\[3\]], ...). Names are kept once per
+    allocation, not per cell, and a cell's name is formatted on demand
+    ({!name}, {!pp}): allocating a 65,536-entry task array stores one string.
+    All reads and writes to memory are performed by {!Machine} when it
+    applies transitions; algorithm code never touches memory directly (it
+    goes through the {!Program} effects). *)
 
 type t
 
@@ -25,7 +27,10 @@ val size : t -> int
 (** Number of allocated cells. *)
 
 val name : t -> Addr.t -> string
-(** Symbolic name of a cell, for tracing. *)
+(** Symbolic name of a cell, for tracing: the allocation's name for a cell
+    from {!alloc}, [name[i]] for element [i] of an {!alloc_array}. Found by
+    binary search over the allocations and formatted on each call (array
+    elements allocate a fresh string); keep it off hot paths. *)
 
 val snapshot : t -> int array
 (** Copy of the current contents (used by the explorer to compare states and

@@ -1,22 +1,3 @@
-type _ Effect.t +=
-  | E_load : Addr.t -> int Effect.t
-  | E_store : Addr.t * int -> unit Effect.t
-  | E_cas : Addr.t * int * int -> bool Effect.t
-  | E_fetch_add : Addr.t * int -> int Effect.t
-  | E_fence : unit Effect.t
-  | E_work : int -> unit Effect.t
-  | E_label : string -> unit Effect.t
-  | E_pause : unit Effect.t
-
-let load a = Effect.perform (E_load a)
-let store a v = Effect.perform (E_store (a, v))
-let cas a ~expect ~replace = Effect.perform (E_cas (a, expect, replace))
-let fetch_add a d = Effect.perform (E_fetch_add (a, d))
-let fence () = Effect.perform E_fence
-let work n = if n > 0 then Effect.perform (E_work n)
-let label s = Effect.perform (E_label s)
-let spin_pause () = Effect.perform E_pause
-
 type _ request =
   | Req_load : Addr.t -> int request
   | Req_store : Addr.t * int -> unit request
@@ -27,11 +8,20 @@ type _ request =
   | Req_label : string -> unit request
   | Req_pause : unit request
 
-type status =
-  | Done
-  | Paused of paused
+type _ Effect.t += E_req : 'a request -> 'a Effect.t
 
-and paused = Paused_at : 'a request * ('a -> status) -> paused
+let load a = Effect.perform (E_req (Req_load a))
+let store a v = Effect.perform (E_req (Req_store (a, v)))
+let cas a ~expect ~replace = Effect.perform (E_req (Req_cas (a, expect, replace)))
+let fetch_add a d = Effect.perform (E_req (Req_fetch_add (a, d)))
+let fence () = Effect.perform (E_req Req_fence)
+let work n = if n > 0 then Effect.perform (E_req (Req_work n))
+let label s = Effect.perform (E_req (Req_label s))
+let spin_pause () = Effect.perform (E_req Req_pause)
+
+type status =
+  | Done : status
+  | Paused_at : 'a request * ('a, status) Effect.Deep.continuation -> status
 
 let start body =
   let open Effect.Deep in
@@ -41,22 +31,13 @@ let start body =
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
-          let pause (req : a request) =
-            Some
-              (fun (k : (a, status) continuation) ->
-                Paused (Paused_at (req, fun v -> continue k v)))
-          in
           match eff with
-          | E_load a -> pause (Req_load a)
-          | E_store (a, v) -> pause (Req_store (a, v))
-          | E_cas (a, e, r) -> pause (Req_cas (a, e, r))
-          | E_fetch_add (a, d) -> pause (Req_fetch_add (a, d))
-          | E_fence -> pause Req_fence
-          | E_work n -> pause (Req_work n)
-          | E_label s -> pause (Req_label s)
-          | E_pause -> pause Req_pause
+          | E_req req ->
+              Some (fun (k : (a, status) continuation) -> Paused_at (req, k))
           | _ -> None);
     }
+
+let resume k v = Effect.Deep.continue k v
 
 let describe_named (type a) name (req : a request) =
   match req with

@@ -40,7 +40,11 @@ val spin_pause : unit -> unit
 (** A PAUSE-like hint inside spin loops; a cheap no-op transition that gives
     the scheduler a preemption point. *)
 
-(** {1 Machine-side representation} *)
+(** {1 Machine-side representation}
+
+    Every instruction above performs one effect carrying its request; the
+    handler installed by {!start} pauses the program there, keeping the
+    request and the effect's continuation as they are. *)
 
 (** The typed request a paused thread is waiting to execute. *)
 type _ request =
@@ -54,13 +58,17 @@ type _ request =
   | Req_pause : unit request
 
 type status =
-  | Done
-  | Paused of paused
-
-and paused = Paused_at : 'a request * ('a -> status) -> paused
+  | Done : status
+  | Paused_at : 'a request * ('a, status) Effect.Deep.continuation -> status
+      (** Waiting to execute the request; the continuation is the rest of
+          the thread program, resumed (once) with the request's result. *)
 
 val start : (unit -> unit) -> status
 (** Run a thread program up to its first instruction (or completion). *)
+
+val resume : ('a, status) Effect.Deep.continuation -> 'a -> status
+(** Resume a paused program with its request's result, running it up to
+    its next instruction (or completion). Each continuation is one-shot. *)
 
 val describe : 'a request -> string
 (** Human-readable rendering of a request, for traces. *)

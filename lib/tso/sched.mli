@@ -19,8 +19,9 @@ type policy = Machine.t -> Machine.tbuf -> Machine.transition
 val run : ?max_steps:int -> Machine.t -> policy -> outcome
 (** Drive the machine with a policy until quiescence or the step budget
     (default [2_000_000]) is exhausted. The enabled set is recomputed into
-    one reusable buffer per step, so the loop allocates nothing in steady
-    state. *)
+    one reusable buffer per step, so choosing a transition allocates
+    nothing in steady state; applying it allocates what {!Machine.apply}
+    does. *)
 
 val round_robin : unit -> policy
 (** Deterministic baseline: cycles fairly over transitions. *)

@@ -13,7 +13,15 @@
       store currently held in B overwrites B in place — the same-address
       coalescing that lets a load be reordered with unboundedly many stores
       when the thread's only stores target one location (the L = 0 anomaly of
-      Fig. 8b). *)
+      Fig. 8b).
+
+    The buffer proper is a ring of [capacity] slots held in two int arrays
+    (address index, value), and B is two ints. Pushing, draining, flushing
+    and forwarding change only those ints: the buffer's state operations
+    allocate nothing. What allocates is what a caller asks to see —
+    {!drain}'s and {!flush_egress}'s results, and the option/list views
+    ({!lookup}, {!oldest}, {!egress_entry}, {!to_list}, {!buffered},
+    {!drain_lanes}) kept for tests, traces and forensics. *)
 
 type model =
   | Abstract
@@ -50,6 +58,15 @@ val push : t -> Addr.t -> int -> unit
 val lookup : t -> Addr.t -> int option
 (** Newest buffered value for an address (store-to-load forwarding), searching
     the buffer proper newest-first, then B. *)
+
+val forward_slot : t -> Addr.t -> int
+(** The slot {!lookup} forwards from, or [-1] when the address has no
+    pending store: the allocation-free form of {!lookup} that
+    {!Machine.apply}'s load path uses. A slot is only meaningful until the
+    buffer next changes. *)
+
+val slot_value : t -> int -> int
+(** The value held in a slot returned by {!forward_slot}. *)
 
 type drain_result =
   | Wrote of Addr.t * int  (** a store became globally visible in memory *)
@@ -103,9 +120,9 @@ val set_egress : t -> (Addr.t * int) option -> unit
 val buffered : t -> (Addr.t * int) list
 (** The buffer proper only, oldest-first (excludes B). *)
 
-val iter_entries : t -> (Addr.t * int -> unit) -> unit
+val iter_entries : t -> (Addr.t -> int -> unit) -> unit
 (** Iterate the buffer proper oldest-first without building a list; the
-    callback receives the buffer's own entries (no per-entry allocation).
-    Used by {!Machine.fingerprint}'s hot path. *)
+    callback receives each entry's address and value (no per-entry
+    allocation). Used by {!Machine.fingerprint}'s hot path. *)
 
 val pp : Memory.t -> Format.formatter -> t -> unit

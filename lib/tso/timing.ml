@@ -119,19 +119,17 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
   let feasible_time tid =
     let c = cores.(tid) in
     match Machine.pending_class m tid with
-    | None -> -1
-    | Some cls -> (
-        match cls with
-        | Machine.C_load | Machine.C_work _ | Machine.C_free -> c.clock
-        | Machine.C_store ->
-            if Machine.store_blocked m tid then begin
-              c.store_was_blocked <- true;
-              -1
-            end
-            else c.clock
-        | Machine.C_rmw | Machine.C_fence ->
-            if Queue.is_empty c.issue_times then max c.clock c.buffer_emptied_at
-            else -1)
+    | Machine.C_none -> -1
+    | Machine.C_load | Machine.C_work | Machine.C_free -> c.clock
+    | Machine.C_store ->
+        if Machine.store_blocked m tid then begin
+          c.store_was_blocked <- true;
+          -1
+        end
+        else c.clock
+    | Machine.C_rmw | Machine.C_fence ->
+        if Queue.is_empty c.issue_times then max c.clock c.buffer_emptied_at
+        else -1
   in
   let steps = ref 0 in
   let outcome = ref Sched.Quiescent in
@@ -198,11 +196,8 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
           let tid = !best_tid in
           clk.now <- time;
           let c = cores.(tid) in
-          let cls =
-            match Machine.pending_class m tid with
-            | Some cls -> cls
-            | None -> assert false
-          in
+          let cls = Machine.pending_class m tid in
+          let work = Machine.pending_work m tid in
           (* Grab the description before [apply] consumes the instruction;
              only when tracing — it allocates a string per instruction. *)
           let descr =
@@ -241,10 +236,11 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
               c.fences <- c.fences + 1;
               c.fence_stall <- c.fence_stall + (time - clock_before);
               c.clock <- time + costs.fence_cost
-          | Machine.C_work w ->
-              c.work_cycles <- c.work_cycles + w;
-              c.clock <- time + w
-          | Machine.C_free -> c.clock <- time + costs.pause_cost);
+          | Machine.C_work ->
+              c.work_cycles <- c.work_cycles + work;
+              c.clock <- time + work
+          | Machine.C_free -> c.clock <- time + costs.pause_cost
+          | Machine.C_none -> assert false);
           (match cls, sink with
           | (Machine.C_rmw | Machine.C_fence), Some s ->
               let s = stall_sink tid s in
@@ -270,8 +266,9 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
                 | Machine.C_store -> "store"
                 | Machine.C_rmw -> "rmw"
                 | Machine.C_fence -> "fence"
-                | Machine.C_work _ -> "work"
+                | Machine.C_work -> "work"
                 | Machine.C_free -> "free"
+                | Machine.C_none -> assert false
               in
               Telemetry.Chrome_trace.complete tr ~name ~cat ~pid:trace_pid
                 ~tid ~ts:time

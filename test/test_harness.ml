@@ -757,6 +757,48 @@ let test_scenario_native_live () =
     (H.total r.Exp_native.sn_sojourn);
   checki "no negative sojourn" 0 (H.negative r.Exp_native.sn_sojourn)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words are a deterministic function of the code path, so these
+   bounds cannot flake the way timing gates do. They hold the simulator to
+   its allocation budget: a paused thread holds its continuation, store
+   buffers are int rings, and memory names cells per allocation. *)
+
+let test_fig10_point_words_per_step () =
+  (* One Fig. 10 grid point: Fib 18 under FF-THE on the simulated Haswell,
+     simulation seed 11, set-up included. *)
+  let dag = Ws_runtime.Dag.of_comp (Ws_workloads.Cilk_suite.fib 18) in
+  let v = List.find (fun v -> v.Variants.label = "FF-THE") Variants.fig10 in
+  let cfg = Runner.config Machine_config.haswell v ~seed:11 () in
+  let w0 = Gc.minor_words () in
+  let r = Ws_runtime.Engine.run_timed cfg (Ws_runtime.Dag.instantiate dag ~name:"Fib") in
+  let words = Gc.minor_words () -. w0 in
+  let steps =
+    match r.Ws_runtime.Engine.timing with
+    | Some t -> t.Tso.Timing.steps
+    | None -> Alcotest.fail "timed run expected"
+  in
+  checki "steps" 470_091 steps;
+  let per_step = words /. float_of_int steps in
+  checkb
+    (Printf.sprintf "%.1f minor words per step <= 30" per_step)
+    true (per_step <= 30.0)
+
+let test_instance_build_words () =
+  (* One explorer instance: ff-the, 3 tasks, 2 steal attempts. *)
+  let spec = Scenarios.default_spec in
+  checki "tasks" 3 (spec.Scenarios.preloaded + spec.Scenarios.puts);
+  checki "steals" 2 spec.Scenarios.steal_attempts;
+  ignore (Scenarios.instance spec ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Scenarios.instance spec ()));
+  let words = Gc.minor_words () -. w0 in
+  checkb
+    (Printf.sprintf "%.0f minor words per instance <= 1000" words)
+    true (words <= 1000.0)
+
 let () =
   Alcotest.run "harness"
     [
@@ -792,6 +834,13 @@ let () =
           Alcotest.test_case "fig11 miniature" `Slow test_fig11_mini;
           Alcotest.test_case "table1 renders" `Quick test_table1_renders;
           Alcotest.test_case "fig7 detection" `Quick test_fig7_render;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "fig10 point words per step" `Slow
+            test_fig10_point_words_per_step;
+          Alcotest.test_case "explorer instance build" `Quick
+            test_instance_build_words;
         ] );
       ( "par-runner",
         [

@@ -43,6 +43,40 @@ let test_memory_growth () =
   let addrs = List.init 500 (fun i -> Memory.alloc mem ~name:(Printf.sprintf "c%d" i) ~init:i) in
   List.iteri (fun i a -> checki "grown cell" i (Memory.get mem a)) addrs
 
+let test_memory_names () =
+  (* Names are formatted on demand from one entry per allocation; these are
+     the strings the per-cell naming used to store. *)
+  let mem = Memory.create () in
+  let h = Memory.alloc mem ~name:"q0.H" ~init:0 in
+  let tasks = Memory.alloc_array mem ~name:"q0.tasks" ~len:64 ~init:(-1) in
+  let one = Memory.alloc_array mem ~name:"one" ~len:1 ~init:0 in
+  let t = Memory.alloc mem ~name:"q0.T" ~init:0 in
+  let visited = Memory.alloc_array mem ~name:"visited" ~len:3 ~init:0 in
+  let last = Memory.alloc mem ~name:"scratch" ~init:0 in
+  let name a = Memory.name mem a in
+  check Alcotest.string "scalar before arrays" "q0.H" (name h);
+  check Alcotest.string "first element" "q0.tasks[0]" (name tasks);
+  check Alcotest.string "last element" "q0.tasks[63]"
+    (name (Addr.offset tasks 63));
+  check Alcotest.string "one-element array" "one[0]" (name one);
+  check Alcotest.string "scalar between arrays" "q0.T" (name t);
+  check Alcotest.string "second array, first" "visited[0]" (name visited);
+  check Alcotest.string "second array, last" "visited[2]"
+    (name (Addr.offset visited 2));
+  check Alcotest.string "scalar after arrays" "scratch" (name last);
+  Alcotest.check_raises "name out of bounds"
+    (Invalid_argument "Memory: address 71 out of bounds (size 71)")
+    (fun () -> ignore (Memory.name mem (Addr.of_index 71)))
+
+let test_memory_pp () =
+  let mem = Memory.create () in
+  let _ = Memory.alloc mem ~name:"x" ~init:7 in
+  let t = Memory.alloc_array mem ~name:"t" ~len:2 ~init:(-1) in
+  Memory.set mem (Addr.offset t 1) 4;
+  let _ = Memory.alloc mem ~name:"y" ~init:0 in
+  check Alcotest.string "pp" "x = 7\nt[0] = -1\nt[1] = 4\ny = 0\n"
+    (Format.asprintf "%a" Memory.pp mem)
+
 let test_memory_oob () =
   let mem = Memory.create () in
   let _ = Memory.alloc mem ~name:"x" ~init:0 in
@@ -237,6 +271,199 @@ let sb_model_prop =
            (fun i -> Memory.get mem addrs.(i) = refmem.(i))
            [ 0; 1; 2; 3 ])
 
+(* qcheck: the ring store buffer against a list-plus-option reference, for
+   every model, at capacities small enough that the ring wraps. Every operation is tried whether or not it
+   is enabled: a disabled one must raise in the buffer exactly when the
+   reference refuses it. *)
+type sb_op =
+  | Op_push of int * int
+  | Op_drain
+  | Op_drain_lane of int
+  | Op_flush
+  | Op_lookup of int
+  | Op_clear
+  | Op_set_egress of (int * int) option
+
+let sb_op_to_string = function
+  | Op_push (a, v) -> Printf.sprintf "push %d:=%d" a v
+  | Op_drain -> "drain"
+  | Op_drain_lane l -> Printf.sprintf "drain_lane %d" l
+  | Op_flush -> "flush"
+  | Op_lookup a -> Printf.sprintf "lookup %d" a
+  | Op_clear -> "clear"
+  | Op_set_egress None -> "set_egress none"
+  | Op_set_egress (Some (a, v)) -> Printf.sprintf "set_egress %d:=%d" a v
+
+let sb_models =
+  [|
+    Store_buffer.Abstract;
+    Store_buffer.Realistic { coalesce = true };
+    Store_buffer.Realistic { coalesce = false };
+    Store_buffer.Pso;
+  |]
+
+let sb_ring_arb =
+  let n_addrs = 3 in
+  let addr = QCheck.Gen.int_bound (n_addrs - 1) in
+  let value = QCheck.Gen.int_bound 9 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun a v -> Op_push (a, v)) addr value);
+          (4, return Op_drain);
+          (3, map (fun l -> Op_drain_lane l) addr);
+          (3, return Op_flush);
+          (2, map (fun a -> Op_lookup a) addr);
+          (1, return Op_clear);
+          ( 1,
+            map (fun e -> Op_set_egress e) (opt (pair addr value)) );
+        ])
+  in
+  QCheck.make
+    ~print:(fun (m, cap, ops) ->
+      Printf.sprintf "model %d, capacity %d: %s" m cap
+        (String.concat "; " (List.map sb_op_to_string ops)))
+    QCheck.Gen.(
+      triple (int_bound 3) (int_range 1 5) (list_size (int_range 0 60) op))
+
+let sb_ring_prop =
+  QCheck.Test.make ~name:"ring store buffer matches list reference" ~count:500
+    sb_ring_arb (fun (mi, cap, ops) ->
+      let model = sb_models.(mi) in
+      let n_addrs = 3 in
+      let mem = Memory.create () in
+      let addrs =
+        Array.init n_addrs (fun i ->
+            Memory.alloc mem ~name:(Printf.sprintf "a%d" i) ~init:0)
+      in
+      let sb = Store_buffer.create ~capacity:cap ~model in
+      (* reference: buffer proper oldest-first, B, memory *)
+      let q = ref [] and b = ref None in
+      let refmem = Array.make n_addrs 0 in
+      let ref_can_drain () =
+        match !q with
+        | [] -> false
+        | (a, _) :: _ -> (
+            match model with
+            | Store_buffer.Abstract | Store_buffer.Pso -> true
+            | Store_buffer.Realistic { coalesce } -> (
+                match !b with
+                | None -> true
+                | Some (a', _) -> coalesce && a = a'))
+      in
+      let ref_lanes () =
+        match model with
+        | Store_buffer.Abstract | Store_buffer.Realistic _ ->
+            if ref_can_drain () then [ 0 ] else []
+        | Store_buffer.Pso -> List.sort_uniq compare (List.map fst !q)
+      in
+      let ref_drain_fifo () =
+        match !q with
+        | [] -> assert false
+        | (a, v) :: rest -> (
+            q := rest;
+            match model with
+            | Store_buffer.Abstract | Store_buffer.Pso ->
+                refmem.(a) <- v;
+                `Wrote (a, v)
+            | Store_buffer.Realistic _ ->
+                let was = !b in
+                b := Some (a, v);
+                if was = None then `Staged (a, v) else `Coalesced (a, v))
+      in
+      let ref_lookup a =
+        match List.rev (List.filter (fun (a', _) -> a' = a) !q) with
+        | (_, v) :: _ -> Some v
+        | [] -> (
+            match !b with Some (a', v) when a' = a -> Some v | _ -> None)
+      in
+      let of_result = function
+        | Store_buffer.Wrote (a, v) -> `Wrote (Addr.to_index a, v)
+        | Store_buffer.Staged (a, v) -> `Staged (Addr.to_index a, v)
+        | Store_buffer.Coalesced (a, v) -> `Coalesced (Addr.to_index a, v)
+      in
+      let raises f =
+        match f () with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let step op =
+        match op with
+        | Op_push (a, v) ->
+            if List.length !q >= cap then
+              raises (fun () -> Store_buffer.push sb addrs.(a) v)
+            else begin
+              Store_buffer.push sb addrs.(a) v;
+              q := !q @ [ (a, v) ];
+              true
+            end
+        | Op_drain ->
+            if ref_can_drain () then
+              of_result (Store_buffer.drain sb mem) = ref_drain_fifo ()
+            else raises (fun () -> Store_buffer.drain sb mem)
+        | Op_drain_lane l -> (
+            let lane =
+              match model with Store_buffer.Pso -> l | _ -> l mod 2
+            in
+            if not (List.mem lane (ref_lanes ())) then
+              raises (fun () -> Store_buffer.drain_lane sb lane mem)
+            else
+              let got = of_result (Store_buffer.drain_lane sb lane mem) in
+              match model with
+              | Store_buffer.Pso ->
+                  let rec remove = function
+                    | [] -> assert false
+                    | (a, v) :: rest when a = lane -> (v, rest)
+                    | e :: rest ->
+                        let v, rest = remove rest in
+                        (v, e :: rest)
+                  in
+                  let v, rest = remove !q in
+                  q := rest;
+                  refmem.(lane) <- v;
+                  got = `Wrote (lane, v)
+              | _ -> got = ref_drain_fifo ())
+        | Op_flush -> (
+            match !b with
+            | None -> raises (fun () -> Store_buffer.flush_egress sb mem)
+            | Some (a, v) ->
+                let a', v' = Store_buffer.flush_egress sb mem in
+                b := None;
+                refmem.(a) <- v;
+                Addr.to_index a' = a && v' = v)
+        | Op_lookup a -> Store_buffer.lookup sb addrs.(a) = ref_lookup a
+        | Op_clear ->
+            Store_buffer.clear sb;
+            q := [];
+            b := None;
+            true
+        | Op_set_egress e ->
+            Store_buffer.set_egress sb
+              (Option.map (fun (a, v) -> (addrs.(a), v)) e);
+            b := e;
+            true
+      in
+      let agrees () =
+        let to_ints = List.map (fun (a, v) -> (Addr.to_index a, v)) in
+        let expected_list =
+          match !b with None -> !q | Some e -> e :: !q
+        in
+        to_ints (Store_buffer.to_list sb) = expected_list
+        && Store_buffer.pending sb = List.length expected_list
+        && Store_buffer.entries sb = List.length !q
+        && Store_buffer.is_full sb = (List.length !q >= cap)
+        && Store_buffer.is_empty sb = (expected_list = [])
+        && Store_buffer.can_drain sb = ref_can_drain ()
+        && Store_buffer.can_flush_egress sb = Option.is_some !b
+        && Store_buffer.drain_lanes sb = ref_lanes ()
+        && List.for_all
+             (fun a -> Store_buffer.lookup sb addrs.(a) = ref_lookup a)
+             (List.init n_addrs Fun.id)
+        && Memory.snapshot mem = refmem
+      in
+      List.for_all (fun op -> step op && agrees ()) ops)
+
 (* ------------------------------------------------------------------ *)
 (* Machine semantics                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -401,6 +628,64 @@ let test_fingerprint_distinguishes_egress () =
   ignore (Machine.apply m_staged (Machine.Drain (tid, 0))) (* stage into B *);
   checkb "queued vs staged-in-B differ" true
     (Machine.fingerprint m_queued <> Machine.fingerprint m_staged)
+
+let test_snapshot_wrapped_ring () =
+  (* Snapshot a state whose store-buffer ring has wrapped (the youngest
+     entry sits in slot 0, behind the oldest) while B holds a store, restore
+     it into a fresh machine, and drive both identically to quiescence. *)
+  let mk () =
+    let m = Machine.create (Machine.realistic_config ~sb_capacity:2 ~coalesce:false) in
+    Machine.set_record_responses m true;
+    let mem = Machine.memory m in
+    let x = Memory.alloc mem ~name:"x" ~init:0 in
+    let y = Memory.alloc mem ~name:"y" ~init:0 in
+    let z = Memory.alloc mem ~name:"z" ~init:0 in
+    let seen = ref (-1) in
+    let _ =
+      Machine.spawn m ~name:"t" (fun () ->
+          Program.store x 1;
+          Program.store y 2;
+          Program.store z 3;
+          seen := Program.load y;
+          Program.fence ())
+    in
+    (m, seen)
+  in
+  let entries m =
+    List.map (fun (a, v) -> (Addr.to_index a, v)) (Machine.buffered_entries m 0)
+  in
+  let m, seen = mk () in
+  List.iter (Machine.apply m)
+    [ Machine.Step 0; Machine.Step 0; Machine.Drain (0, 0); Machine.Step 0 ];
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "x:=1 in B, y:=2 then z:=3 in the wrapped ring"
+    [ (0, 1); (1, 2); (2, 3) ]
+    (entries m);
+  let snap = Machine.snapshot_create () in
+  Machine.snapshot m snap;
+  let m', seen' = mk () in
+  Machine.restore_into snap m';
+  checki "restored fingerprint" (Machine.fingerprint m) (Machine.fingerprint m');
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "restored buffer" (entries m) (entries m');
+  (* Prefer the thread's step, so the load forwards y from the ring. *)
+  let rec drive () =
+    match List.rev (Machine.enabled m) with
+    | [] -> ()
+    | tr :: _ ->
+        Machine.apply m tr;
+        Machine.apply m' tr;
+        checki "fingerprints agree" (Machine.fingerprint m) (Machine.fingerprint m');
+        drive ()
+  in
+  drive ();
+  checkb "both quiescent" true (Machine.quiescent m && Machine.quiescent m');
+  checki "load forwarded from the ring" 2 !seen;
+  checki "restored load forwarded too" 2 !seen';
+  check (Alcotest.array Alcotest.int) "same memory" (Memory.snapshot (Machine.memory m))
+    (Memory.snapshot (Machine.memory m'))
 
 let test_machine_rmw_atomicity () =
   (* two threads fetch-add the same cell 50 times each; the result must be
@@ -1267,6 +1552,8 @@ let () =
           Alcotest.test_case "arrays" `Quick test_memory_array;
           Alcotest.test_case "growth" `Quick test_memory_growth;
           Alcotest.test_case "out of bounds" `Quick test_memory_oob;
+          Alcotest.test_case "names on demand" `Quick test_memory_names;
+          Alcotest.test_case "pp" `Quick test_memory_pp;
         ] );
       ( "store-buffer",
         [
@@ -1281,6 +1568,7 @@ let () =
           Alcotest.test_case "PSO drain lanes are stable" `Quick
             test_sb_pso_lanes_stable;
           QCheck_alcotest.to_alcotest sb_model_prop;
+          QCheck_alcotest.to_alcotest sb_ring_prop;
         ] );
       ( "machine",
         [
@@ -1297,6 +1585,8 @@ let () =
             test_fingerprint_covers_control_state;
           Alcotest.test_case "fingerprint splits egress from queue" `Quick
             test_fingerprint_distinguishes_egress;
+          Alcotest.test_case "snapshot restores a wrapped ring and B" `Quick
+            test_snapshot_wrapped_ring;
           Alcotest.test_case "rmw atomicity" `Quick test_machine_rmw_atomicity;
         ] );
       ( "sched",
