@@ -3,10 +3,10 @@
 
    Run with:  dune exec examples/native_pool.exe
 
-   (As DESIGN.md explains, OCaml atomics are always fully fenced, so this
-   pool is the *fenced* baseline; the fence-free algorithms live on the
-   simulated machine where fences are controllable. DESIGN.md §12 has the
-   pool architecture: injector, parking, exception safety.) *)
+   (The deques here are the *fenced* algorithms: their take fence is the
+   tail's Atomic.set, an xchg on amd64 (DESIGN.md §1). The fence-free
+   algorithms live on the simulated machine. DESIGN.md §12 has the pool
+   architecture: injector, parking, exception safety.) *)
 
 let () =
   let pool = Ws_native.Pool.create ~domains:3 ~telemetry:true () in

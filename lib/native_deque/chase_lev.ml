@@ -23,12 +23,24 @@ type 'a t = {
   buf : 'a buffer Atomic.t;
 }
 
+let padded (x : 'a) : 'a =
+  let src = Obj.repr x in
+  let n = Obj.size src in
+  let dst = Obj.new_block (Obj.tag src) (n + 16) in
+  for i = 0 to n - 1 do
+    Obj.set_field dst i (Obj.field src i)
+  done;
+  Obj.obj dst
+
+(* The indices are padded apart: [tail] is the owner's, [head] the
+   thieves', and unpadded two-word atomics share cache lines with whatever
+   the heap put next to them, another deque's indices included. *)
 let create ?(capacity = 64) () =
   let rec log2_up n acc = if 1 lsl acc >= n then acc else log2_up n (acc + 1) in
   {
-    head = Atomic.make 0;
-    tail = Atomic.make 0;
-    buf = Atomic.make (buffer_create (max 4 (log2_up capacity 0)));
+    head = padded (Atomic.make 0);
+    tail = padded (Atomic.make 0);
+    buf = padded (Atomic.make (buffer_create (max 4 (log2_up capacity 0))));
   }
 
 let size q = max 0 (Atomic.get q.tail - Atomic.get q.head)
@@ -46,17 +58,17 @@ let push q v =
     else b
   in
   buffer_set b t (Some v);
-  (* Atomic.set is a release store: the element is visible before the new
-     tail. *)
+  (* the element is visible before the new tail; both [Atomic.set]s are
+     full fences, though x86-TSO keeps stores in order without them *)
   Atomic.set q.tail (t + 1)
 
 let pop q =
   let t = Atomic.get q.tail - 1 in
   let b = Atomic.get q.buf in
   Atomic.set q.tail t;
-  (* OCaml SC atomics make this store/load sequence the fenced take() of
-     Fig. 2c — the fence the paper removes is implicit and unremovable
-     here. *)
+  (* This [Atomic.set] is an [xchg], a full fence: it is the take fence of
+     Fig. 2c, the one the paper removes. The [Atomic.get] of the head below
+     is a plain load. *)
   let h = Atomic.get q.head in
   if t > h then buffer_get b t
   else if t < h then begin

@@ -1,32 +1,66 @@
 (* Work-stealing runtime over the native deques.
 
    The shape follows the paper's discipline (and Rito & Paulino's
-   low-synchronization scheduler): the owner path is as close to
-   synchronization-free as OCaml's SC atomics allow — a worker pushes and
-   pops its own deque with no lock and no CAS on the common path — and all
+   low-synchronization scheduler): a worker's own spawn, push, pop and
+   execute touch only state that no other domain writes, and all
    coordination lives on the cold paths: the steal path (CAS / the THE
-   conflict lock), the external-submission injector (mutex FIFO), and the
-   parking lot (mutex + condition, entered only after a full failed hunt).
+   conflict lock), the external-submission injector (mutex FIFO), the
+   parking lot (mutex + condition, entered only after a full failed
+   hunt) and the termination check (run only when a hunt fails).
 
-   Correctness invariants, each of which an earlier version violated:
+   Bookkeeping. Each slot (0 is the coordinator, 1..n the workers) owns a
+   [slot] record: its [worker_stats], the id of the task it is running,
+   and two monotone counts, [spawned] (tasks it spawned) and [finished]
+   (tasks it ran to the end). Callers that own no slot (external [spawn]
+   and [submit], [shutdown]'s drain) share one more pair, [ext_spawned] /
+   [ext_finished]. Every block a slot writes per task, and each deque's
+   indices, are padded at [create] ([Chase_lev.padded]) so that no two
+   domains' hot words share a cache line. There is no pool-wide counter on the
+   task path.
 
-   - Exceptions: a task that raises must still decrement [in_flight]
+   Invariants, each of which an earlier version violated:
+
+   - In flight = sum of spawned - sum of finished. A task's spawn is
+     counted (by its spawner, before the push) before any domain can run
+     it, so at every instant the finished total is at most the spawned
+     total. [in_flight] reads every [finished] first and every [spawned]
+     second; both are monotone, so the first sum is at most the finished
+     total at the instant T between the two passes and the second at least
+     the spawned total at T. A zero therefore means nothing was in flight
+     at T; only an external caller can spawn after that, and a run that
+     races its own external spawns has no defined end anyway. A nonzero
+     result may over-estimate, never miss a task. The sums are taken only
+     when a hunt fails, or by a finisher that sees a sleeper.
+
+   - Exceptions: a task that raises must still be counted finished
      (otherwise [parallel_run] waits forever for a count that can never
-     reach zero) and must not kill its worker domain. The first failure is
+     balance) and must not kill its worker domain. The first failure is
      captured (with its backtrace) and re-raised at the join point.
 
    - Single-owner push: only the domain that owns a deque may push to it.
      Non-worker domains submit through [injector]; in debug mode every
      push asserts the caller is the recorded owner.
 
-   - [pending] counts cells sitting in some queue (deques + injector). It
-     is the parking predicate: a worker only sleeps while [pending = 0],
-     and every enqueue increments [pending] before checking for sleepers,
-     so the classic store-buffering argument (both sides are SC atomics)
-     rules out lost wakeups.
+   - Parking: a worker sleeps only when every deque and the injector are
+     empty ([pending] = 0); the coordinator sleeps only when they are
+     empty and something is still in flight. The parker raises [sleepers]
+     (an atomic read-modify-write) and then reads the queues; every
+     enqueue publishes its cell with a full fence (a deque push's
+     [Atomic.set] of the tail, the injector's [Atomic.incr] of its size)
+     and then reads [sleepers]. That is the store-buffering shape, and
+     with both sides SC at least one sees the other: the parker finds the
+     cell, or the enqueuer finds the sleeper and broadcasts. A push that
+     drops that fence must put one back before it reads [sleepers]. The
+     coordinator's wake-up is the same shape over [finished]: the
+     finisher that sees a sleeper and a zero in-flight sum broadcasts.
 
-   - Shutdown first drains all queued work (it used to drop it), then
-     stops and joins the workers; it is idempotent. *)
+   - Shutdown: a caller that owns no slot counts its task in
+     [ext_spawned] before it reads [shut]; when [shut] is set it counts
+     the task finished and raises. [shutdown] sets [shut] first, then
+     drains (executing queued work, not dropping it) until nothing is in
+     flight, then stops and joins the workers; it is idempotent. So a
+     submission either sees [shut] or is seen by the drain: none is
+     accepted and lost. *)
 
 type task = unit -> unit
 
@@ -113,14 +147,36 @@ type cell = {
 
 type deque = Cl of cell Chase_lev.t | The of cell The_queue.t
 
+(* Everything a slot's owner writes on the task path. Only the owner
+   writes these blocks; other domains read [spawned]/[finished] when they
+   sum, and [stats] when they scrape. *)
+type slot = {
+  stats : worker_stats;
+  mutable current : int;  (* id of the task being executed, -1 idle *)
+  spawned : int Atomic.t;  (* tasks this slot spawned, ever *)
+  finished : int Atomic.t;  (* tasks this slot ran to the end, ever *)
+}
+
+(* Every block of a slot is padded, so two slots' hot words never share
+   a cache line. *)
+let slot_create () =
+  Chase_lev.padded
+    {
+      stats = Chase_lev.padded (stats_create ());
+      current = -1;
+      spawned = Chase_lev.padded (Atomic.make 0);
+      finished = Chase_lev.padded (Atomic.make 0);
+    }
+
 type t = {
   deques : deque array;  (* slot 0: the coordinator; slots 1..n: workers *)
   owners : int array;  (* Domain id owning each deque; -1 when unclaimed *)
   injector : cell Injector.t;
   injector_capacity : int;  (* soft bound enforced by [submit] only *)
   injector_drops : int Atomic.t;  (* submissions refused under Drop *)
-  in_flight : int Atomic.t;  (* spawned and not yet finished *)
-  pending : int Atomic.t;  (* enqueued and not yet dequeued *)
+  slots : slot array;  (* per deque slot *)
+  ext_spawned : int Atomic.t;  (* the no-slot pair: external spawns and *)
+  ext_finished : int Atomic.t;  (* submits, and tasks run by the drain *)
   stop : bool Atomic.t;
   error : (exn * Printexc.raw_backtrace) option Atomic.t;
   mutable domains : unit Domain.t list;
@@ -135,7 +191,6 @@ type t = {
   lock : Mutex.t;
   cond : Condition.t;
   sleepers : int Atomic.t;
-  stats : worker_stats array;
   latencies : Telemetry.Histogram.t array;  (* per worker, telemetry only *)
   (* per-slot stage histograms (ns) and rotating sojourn windows, written
      only by the owning domain (attribution only) *)
@@ -144,7 +199,6 @@ type t = {
   stage_service : Telemetry.Histogram.t array;
   sojourn_windows : Telemetry.Windowed.t array;
   recorder : Telemetry.Flight_recorder.t option;
-  current : int array;  (* per slot: id of the task being executed, -1 idle *)
   next_task_id : int Atomic.t;
   running : bool Atomic.t;  (* a parallel_run is in progress *)
   shut : bool Atomic.t;
@@ -175,6 +229,35 @@ let make_cell pool ~parent ?(arrived = 0) f =
       }
 
 (* ------------------------------------------------------------------ *)
+(* Counts                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Tasks spawned and not yet finished: every [finished] read first, every
+   [spawned] second, so a zero is exact (see the header). Costs two reads
+   per slot, so it is taken only when a hunt fails, when a finisher sees a
+   sleeper, and in [scrape]. *)
+let in_flight pool =
+  let fin = ref (Atomic.get pool.ext_finished) in
+  for i = 0 to Array.length pool.slots - 1 do
+    fin := !fin + Atomic.get pool.slots.(i).finished
+  done;
+  let spw = ref (Atomic.get pool.ext_spawned) in
+  for i = 0 to Array.length pool.slots - 1 do
+    spw := !spw + Atomic.get pool.slots.(i).spawned
+  done;
+  !spw - !fin
+
+(* Cells sitting in some queue: the deques' sizes plus the injector's. *)
+let pending pool =
+  let n = ref (Injector.size pool.injector) in
+  for i = 0 to Array.length pool.deques - 1 do
+    match pool.deques.(i) with
+    | Cl q -> n := !n + Chase_lev.size q
+    | The q -> n := !n + The_queue.size q
+  done;
+  !n
+
+(* ------------------------------------------------------------------ *)
 (* Parking lot                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -187,17 +270,19 @@ let wake_all pool =
 
 (* The no-lost-wakeup argument: the parker publishes [sleepers] (atomic
    increment) before testing the predicate; the waker publishes the state
-   change ([pending], [stop], [in_flight]) before reading [sleepers].
-   Under OCaml's SC atomics at least one side observes the other, so
-   either the parker sees the new state and refuses to sleep, or the
-   waker sees the sleeper and broadcasts (and the broadcast cannot be
-   missed: the parker holds the mutex from its predicate test until
-   [Condition.wait] releases it). *)
+   change (a deque's tail, the injector's size, [stop], a [finished]
+   count) with an SC atomic write before reading [sleepers]. Under
+   OCaml's SC atomics at least one side observes the other, so either
+   the parker sees the new state and refuses to sleep, or the waker sees
+   the sleeper and broadcasts (and the broadcast cannot be missed: the
+   parker holds the mutex from its predicate test until [Condition.wait]
+   releases it). *)
 let park pool me ~should_sleep =
   Mutex.lock pool.lock;
   Atomic.incr pool.sleepers;
   if should_sleep () then begin
-    pool.stats.(me).parks <- pool.stats.(me).parks + 1;
+    let st = pool.slots.(me).stats in
+    st.parks <- st.parks + 1;
     (match pool.recorder with
     | Some r -> FR.record r ~slot:me FR.Park ~task:FR.no_task ~arg:FR.no_arg
     | None -> ());
@@ -254,8 +339,8 @@ let steal_from pool me victim =
         match The_queue.steal_half q with
         | [] -> `Empty
         | c :: rest ->
-            (* the surplus stays queued (and counted in [pending]) — it
-               just moves to our own deque *)
+            (* the surplus stays queued — it just moves to our own
+               deque, whose owner is awake to run it *)
             List.iter (fun c -> push_own pool me c) rest;
             `Task c
       else The_queue.steal_detail q
@@ -267,20 +352,28 @@ let steal_from pool me victim =
 let record_error pool e bt =
   ignore (Atomic.compare_and_set pool.error None (Some (e, bt)))
 
-(* The decrement of [in_flight] is unconditional: a raising task counts
-   as finished (its failure is captured for the join point), so the run
-   can terminate and report instead of spinning forever. [current] is set
-   for the duration of the task body so that nested [spawn]s can name
-   their parent; only this slot's domain touches [current.(me)]. *)
+(* Count one task finished in [finished] (a slot's count, or the no-slot
+   one). The coordinator parks while something is in flight, so the
+   finisher that sees a sleeper and leaves the sums balanced wakes it. *)
+let finish pool finished =
+  Atomic.incr finished;
+  if Atomic.get pool.sleepers > 0 && in_flight pool = 0 then wake_all pool
+
+(* The finish is unconditional: a raising task counts as finished (its
+   failure is captured for the join point), so the run can terminate and
+   report instead of spinning forever. [current] is set for the duration
+   of the task body so that nested [spawn]s can name their parent; only
+   this slot's domain touches it. *)
 let exec_cell pool me cell =
-  pool.current.(me) <- cell.id;
+  let s = pool.slots.(me) in
+  s.current <- cell.id;
   let deq_ns = if cell.inj_ns > 0 then Telemetry.Clock.now_ns () else 0 in
   (try cell.f ()
    with e ->
      let bt = Printexc.get_raw_backtrace () in
      record_error pool e bt);
-  pool.current.(me) <- -1;
-  let st = pool.stats.(me) in
+  s.current <- -1;
+  let st = s.stats in
   st.tasks_run <- st.tasks_run + 1;
   if deq_ns > 0 then begin
     (* all four stamps read the same monotonic clock, and this slot's
@@ -297,9 +390,7 @@ let exec_cell pool me cell =
   if pool.telemetry && cell.born > 0. then
     Telemetry.Histogram.observe pool.latencies.(me)
       (int_of_float ((now () -. cell.born) *. 1e9));
-  if Atomic.fetch_and_add pool.in_flight (-1) = 1 then
-    (* the count reached zero: a parked coordinator is waiting for this *)
-    wake_all pool
+  finish pool s.finished
 
 let pick_victim pool me rng rr =
   let n = Array.length pool.deques in
@@ -323,17 +414,15 @@ let record_run pool me cell ~arg =
 (* One full hunt: own deque, then the injector, then one steal attempt
    per other deque. *)
 let find_task pool me rng rr =
-  let st = pool.stats.(me) in
+  let st = pool.slots.(me).stats in
   match pop_own pool me with
   | Some c ->
-      Atomic.decr pool.pending;
       record_run pool me c ~arg:FR.origin_pop;
       Some c
   | None -> (
       st.take_empties <- st.take_empties + 1;
       match Injector.pop pool.injector with
       | Some c ->
-          Atomic.decr pool.pending;
           st.injector_runs <- st.injector_runs + 1;
           record_run pool me c ~arg:FR.origin_inject;
           Some c
@@ -347,7 +436,6 @@ let find_task pool me rng rr =
             let victim = pick_victim pool me rng rr in
             (match steal_from pool me victim with
             | `Task c ->
-                Atomic.decr pool.pending;
                 st.steals <- st.steals + 1;
                 st.tasks_stolen <- st.tasks_stolen + 1;
                 (match pool.recorder with
@@ -391,7 +479,7 @@ let worker_loop pool me =
         else begin
           spins := 0;
           park pool me ~should_sleep:(fun () ->
-              (not (Atomic.get pool.stop)) && Atomic.get pool.pending = 0)
+              (not (Atomic.get pool.stop)) && pending pool = 0)
         end
   done
 
@@ -432,8 +520,9 @@ let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
       injector = Injector.create ();
       injector_capacity;
       injector_drops = Atomic.make 0;
-      in_flight = Atomic.make 0;
-      pending = Atomic.make 0;
+      slots = Array.init (n + 1) (fun _ -> slot_create ());
+      ext_spawned = Chase_lev.padded (Atomic.make 0);
+      ext_finished = Chase_lev.padded (Atomic.make 0);
       stop = Atomic.make false;
       error = Atomic.make None;
       domains = [];
@@ -448,7 +537,6 @@ let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
       lock = Mutex.create ();
       cond = Condition.create ();
       sleepers = Atomic.make 0;
-      stats = Array.init (n + 1) (fun _ -> stats_create ());
       latencies = Array.init (n + 1) (fun _ -> Telemetry.Histogram.create ());
       stage_qwait = Array.init (n + 1) (fun _ -> Telemetry.Histogram.create ());
       stage_dispatch =
@@ -462,7 +550,6 @@ let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
         (if flight then
            Some (FR.create ~capacity:flight_capacity ~slots:(n + 1) ())
          else None);
-      current = Array.make (n + 1) (-1);
       next_task_id = Atomic.make 0;
       running = Atomic.make false;
       shut = Atomic.make false;
@@ -472,29 +559,48 @@ let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
     List.init n (fun i -> Domain.spawn (fun () -> worker_loop pool (i + 1)));
   pool
 
+(* A caller that owns no slot counts its task in flight before it reads
+   [shut], so a [shutdown] that has not stopped it will wait for the
+   task (see the header). A refused task is counted finished again. *)
+let admit pool ~what =
+  Atomic.incr pool.ext_spawned;
+  if Atomic.get pool.shut then begin
+    finish pool pool.ext_finished;
+    invalid_arg (what ^ ": pool is shut down")
+  end
+
+(* Enqueue an admitted task on the injector. *)
+let inject ?arrived pool f =
+  let cell = make_cell pool ~parent:(-1) ?arrived f in
+  (match pool.recorder with
+  | Some r -> FR.record_external r FR.Inject ~task:cell.id ~arg:FR.no_arg
+  | None -> ());
+  Injector.push pool.injector cell;
+  wake_all pool
+
 let spawn pool f =
-  if Atomic.get pool.shut then invalid_arg "Pool.spawn: pool is shut down";
-  ignore (Atomic.fetch_and_add pool.in_flight 1);
-  ignore (Atomic.fetch_and_add pool.pending 1);
-  (match Domain.DLS.get pool.worker_id with
+  match Domain.DLS.get pool.worker_id with
   | Some me ->
-      let cell = make_cell pool ~parent:pool.current.(me) f in
-      pool.stats.(me).spawns <- pool.stats.(me).spawns + 1;
+      (* a slot owner spawns from inside a task, which is itself in
+         flight: no drain can end before this spawn is counted, whichever
+         side of [shut] it reads *)
+      if Atomic.get pool.shut then invalid_arg "Pool.spawn: pool is shut down";
+      let s = pool.slots.(me) in
+      Atomic.incr s.spawned;
+      let cell = make_cell pool ~parent:s.current f in
+      s.stats.spawns <- s.stats.spawns + 1;
       (* The Spawn event lands before the push: the cell must be on record
          before a thief can emit the matching Steal/Run. *)
       (match pool.recorder with
       | Some r -> FR.record r ~slot:me FR.Spawn ~task:cell.id ~arg:cell.parent
       | None -> ());
-      push_own pool me cell
+      push_own pool me cell;
+      wake_all pool
   | None ->
       (* not a pool domain: Chase-Lev push is single-owner, so external
          submissions go through the MPMC injector *)
-      let cell = make_cell pool ~parent:(-1) f in
-      (match pool.recorder with
-      | Some r -> FR.record_external r FR.Inject ~task:cell.id ~arg:FR.no_arg
-      | None -> ());
-      Injector.push pool.injector cell);
-  wake_all pool
+      admit pool ~what:"Pool.spawn";
+      inject pool f
 
 (* External submission under the injector bound. [spawn] is the closed-
    system door and never refuses work (a worker body must be able to fork
@@ -503,19 +609,10 @@ let spawn pool f =
    somewhere is here. The bound is soft: concurrent submitters race the
    size check, so the depth can transiently exceed capacity by the number
    of racing callers — fine for backpressure, whose job is to stop an
-   unbounded queue, not to enforce an exact high-water mark. *)
-let inject ?arrived pool f =
-  ignore (Atomic.fetch_and_add pool.in_flight 1);
-  ignore (Atomic.fetch_and_add pool.pending 1);
-  let cell = make_cell pool ~parent:(-1) ?arrived f in
-  (match pool.recorder with
-  | Some r -> FR.record_external r FR.Inject ~task:cell.id ~arg:FR.no_arg
-  | None -> ());
-  Injector.push pool.injector cell;
-  wake_all pool
-
+   unbounded queue, not to enforce an exact high-water mark. A [Block]
+   spin also ends when [shutdown] begins, and the task is refused. *)
 let submit ?(policy = Block) pool f =
-  if Atomic.get pool.shut then invalid_arg "Pool.submit: pool is shut down";
+  admit pool ~what:"Pool.submit";
   (* arrival is stamped before the capacity check: a Block spin is queueing
      delay the request experiences, so it belongs to the qwait stage *)
   let arrived = if pool.attribution then Telemetry.Clock.now_ns () else 0 in
@@ -527,11 +624,19 @@ let submit ?(policy = Block) pool f =
     match policy with
     | Drop ->
         Atomic.incr pool.injector_drops;
+        finish pool pool.ext_finished;
         false
     | Block ->
-        while Injector.size pool.injector >= pool.injector_capacity do
+        while
+          Injector.size pool.injector >= pool.injector_capacity
+          && not (Atomic.get pool.shut)
+        do
           Domain.cpu_relax ()
         done;
+        if Atomic.get pool.shut then begin
+          finish pool pool.ext_finished;
+          invalid_arg "Pool.submit: pool is shut down"
+        end;
         inject ~arrived pool f;
         true
 
@@ -551,21 +656,22 @@ let parallel_run pool tasks =
   List.iter (fun f -> spawn pool f) tasks;
   let rng = Random.State.make [| 0xab1e |] in
   let rr = ref 0 in
-  let spins = ref 0 in
-  while Atomic.get pool.in_flight > 0 do
+  (* the sums are taken only when a hunt fails *)
+  let rec loop spins =
     match find_task pool 0 rng rr with
     | Some cell ->
-        spins := 0;
-        exec_cell pool 0 cell
+        exec_cell pool 0 cell;
+        loop 0
+    | None when in_flight pool = 0 -> ()
+    | None when spins < spin_rounds ->
+        Domain.cpu_relax ();
+        loop (spins + 1)
     | None ->
-        incr spins;
-        if !spins < spin_rounds then Domain.cpu_relax ()
-        else begin
-          spins := 0;
-          park pool 0 ~should_sleep:(fun () ->
-              Atomic.get pool.pending = 0 && Atomic.get pool.in_flight > 0)
-        end
-  done;
+        park pool 0 ~should_sleep:(fun () ->
+            pending pool = 0 && in_flight pool > 0);
+        loop 0
+  in
+  loop 0;
   (* release the coordinator slot: spawns from this domain outside a
      parallel_run go through the injector like any other external caller *)
   Domain.DLS.set pool.worker_id None;
@@ -578,7 +684,6 @@ let parallel_run pool tasks =
 let drain_find pool rr =
   match Injector.pop pool.injector with
   | Some c ->
-      Atomic.decr pool.pending;
       (match pool.recorder with
       | Some r -> FR.record_external r FR.Run ~task:c.id ~arg:FR.origin_inject
       | None -> ());
@@ -592,7 +697,6 @@ let drain_find pool rr =
         rr := (!rr + 1) mod n;
         (match steal_from pool (-1) !rr with
         | `Task c ->
-            Atomic.decr pool.pending;
             (match pool.recorder with
             | Some r -> FR.record_external r FR.Run ~task:c.id ~arg:!rr
             | None -> ());
@@ -605,17 +709,22 @@ let shutdown pool =
   if Atomic.compare_and_set pool.shut false true then begin
     (* Drain before stopping: queued tasks are executed, not dropped. The
        caller helps from outside (injector + steals) while the workers
-       keep running; [in_flight] reaching zero means every spawned task
-       has finished. *)
+       keep running; the sums balancing means every spawned task has
+       finished, including any admitted before [shut] was set. *)
     let rr = ref 0 in
-    while Atomic.get pool.in_flight > 0 do
+    let rec drain () =
       match drain_find pool rr with
       | Some cell ->
           (try cell.f ()
            with e -> record_error pool e (Printexc.get_raw_backtrace ()));
-          if Atomic.fetch_and_add pool.in_flight (-1) = 1 then wake_all pool
-      | None -> Domain.cpu_relax ()
-    done;
+          finish pool pool.ext_finished;
+          drain ()
+      | None when in_flight pool = 0 -> ()
+      | None ->
+          Domain.cpu_relax ();
+          drain ()
+    in
+    drain ();
     Atomic.set pool.stop true;
     wake_all pool;
     List.iter Domain.join pool.domains;
@@ -636,11 +745,12 @@ let injector_drops pool = Atomic.get pool.injector_drops
    events in flight during the final copy. See pool.mli for the precise
    tolerance statement. *)
 let scrape_slot pool i =
+  let st = pool.slots.(i).stats in
   let rec go prev tries =
-    let cur = stats_copy pool.stats.(i) in
+    let cur = stats_copy st in
     if tries = 0 || stats_equal prev cur then cur else go cur (tries - 1)
   in
-  go (stats_copy pool.stats.(i)) 3
+  go (stats_copy st) 3
 
 type snapshot = {
   slot_stats : worker_stats array;
@@ -680,26 +790,26 @@ let merged_windows pool =
 
 let scrape pool =
   {
-    slot_stats = Array.init (Array.length pool.stats) (scrape_slot pool);
+    slot_stats = Array.init (Array.length pool.slots) (scrape_slot pool);
     slot_latencies = copy_hists pool.latencies;
     slot_qwait = copy_hists pool.stage_qwait;
     slot_dispatch = copy_hists pool.stage_dispatch;
     slot_service = copy_hists pool.stage_service;
     snap_windows = merged_windows pool;
-    snap_pending = Atomic.get pool.pending;
-    snap_in_flight = Atomic.get pool.in_flight;
+    snap_pending = pending pool;
+    snap_in_flight = in_flight pool;
     snap_sleepers = Atomic.get pool.sleepers;
     snap_injector = Injector.size pool.injector;
     snap_injector_drops = Atomic.get pool.injector_drops;
   }
 
 let worker_stats pool =
-  Array.init (Array.length pool.stats) (scrape_slot pool)
+  Array.init (Array.length pool.slots) (scrape_slot pool)
 
 let flight pool = pool.recorder
 
 let tasks_run pool =
-  Array.fold_left (fun acc st -> acc + st.tasks_run) 0 pool.stats
+  Array.fold_left (fun acc s -> acc + s.stats.tasks_run) 0 pool.slots
 
 let latency pool =
   let h = Telemetry.Histogram.create () in
@@ -720,7 +830,7 @@ let windowed_sojourn pool = merged_windows pool
 
 let fold_into_sink pool sink =
   Array.iter
-    (fun st ->
+    (fun { stats = st; _ } ->
       sink.Telemetry.Sink.puts <- sink.Telemetry.Sink.puts + st.spawns;
       sink.Telemetry.Sink.tasks_run <-
         sink.Telemetry.Sink.tasks_run + st.tasks_run;
@@ -736,7 +846,7 @@ let fold_into_sink pool sink =
       sink.Telemetry.Sink.steal_aborts <-
         sink.Telemetry.Sink.steal_aborts + st.steal_aborts;
       sink.Telemetry.Sink.parks <- sink.Telemetry.Sink.parks + st.parks)
-    pool.stats
+    pool.slots
 
 let fib pool n =
   let acc = Atomic.make 0 in

@@ -94,7 +94,10 @@ val submit : ?policy:backpressure -> t -> (unit -> unit) -> bool
     task was accepted. With [Drop] (and the injector full) the task is
     refused, [false] is returned and [snap_injector_drops] is bumped;
     with [Block] (the default) the caller spins until a worker makes
-    room, so it always returns [true]. The bound is soft — concurrent
+    room, so it returns [true]. A submit after, or racing, {!shutdown}
+    raises [Invalid_argument] (a [Block] spin stops when shutdown begins);
+    a task it accepted is always run, by a worker or by the drain. The
+    bound is soft — concurrent
     submitters race the size check, so the depth can transiently exceed
     capacity by the number of racing callers; backpressure needs a dam,
     not an exact high-water mark. *)
@@ -135,8 +138,8 @@ type snapshot = {
       (** per-slot dequeue-to-completion ns (empty unless [~attribution]) *)
   snap_windows : Telemetry.Windowed.t;
       (** merged rotating sojourn windows (empty unless [~attribution]) *)
-  snap_pending : int;  (** cells enqueued and not yet dequeued *)
-  snap_in_flight : int;  (** tasks spawned and not yet finished *)
+  snap_pending : int;  (** cells enqueued and not yet dequeued (a sum) *)
+  snap_in_flight : int;  (** tasks spawned and not yet finished (a sum) *)
   snap_sleepers : int;  (** workers parked at the instant of the scrape *)
   snap_injector : int;  (** cells waiting in the external-submission FIFO *)
   snap_injector_drops : int;  (** {!submit} refusals under [Drop], ever *)
@@ -156,9 +159,13 @@ val scrape : t -> snapshot
     single word written by one domain, so a field read is never torn,
     and all counters are monotone. No consistency holds {e between}
     slots — slot A's copy and slot B's copy are taken at different
-    instants. The scalar gauges ([snap_pending], [snap_in_flight],
-    [snap_sleepers], [snap_injector]) are independent atomic reads, each
-    exact at its own instant. *)
+    instants. [snap_sleepers] and [snap_injector] are single atomic
+    reads, each exact at its own instant. [snap_pending] and
+    [snap_in_flight] are sums of per-slot reads taken one after another
+    (the deque sizes plus the injector's; spawned counts minus finished
+    counts, finished read first), so they are exact only at quiescence:
+    while tasks run, [snap_pending] may be off by the cells moved during
+    the reads, and [snap_in_flight] may over-count, never under-count. *)
 
 val flight : t -> Telemetry.Flight_recorder.t option
 (** The flight recorder attached at creation ([?flight:true]), for

@@ -28,7 +28,8 @@ let push q v =
 let pop q =
   let t = Atomic.get q.tail - 1 in
   Atomic.set q.tail t;
-  (* the SC-atomic read of head doubles as the THE fence *)
+  (* the tail's [Atomic.set] (an [xchg]) is the THE fence; the read of
+     the head is a plain load *)
   let h = Atomic.get q.head in
   if t > h then q.elems.(t land q.mask)
   else if t < h then begin

@@ -1,8 +1,9 @@
 (** A real (non-simulated) THE queue (Cilk-5 / Fig. 2b) on OCaml 5 Atomics,
     with a per-queue mutex for the conflict path. Single owner for
-    [push]/[pop]; [steal] from any domain. As with {!Chase_lev}, the
-    worker-side fence is implicit in OCaml's SC atomics and cannot be
-    removed — see DESIGN.md §1. *)
+    [push]/[pop]; [steal] from any domain. As in {!Chase_lev}, the
+    worker-side fence is the tail's [Atomic.set] in [pop] (an [xchg] on
+    amd64); this is the fenced THE, not the paper's fence-free FF-THE —
+    see DESIGN.md §1. *)
 
 type 'a t
 

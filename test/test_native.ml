@@ -540,6 +540,126 @@ let test_pool_submit_backpressure () =
     (Atomic.get ran);
   Pool.shutdown pool
 
+(* A submission racing shutdown is either refused or run, never accepted
+   and lost. One domain submits in a loop until the pool refuses it, while
+   the main domain shuts the pool down as soon as the first submission is
+   in; over many trials, every accepted task must have run. The injector
+   bound is above what one submitter can leave behind, so a lost task
+   cannot also block the submitter's spin. *)
+let test_pool_submit_races_shutdown () =
+  let trials = 3000 in
+  let lost = ref 0 in
+  for _ = 1 to trials do
+    let pool = Pool.create ~domains:1 ~injector_capacity:4 () in
+    let ran = Atomic.make 0 in
+    let started = Atomic.make false in
+    let submitter =
+      Domain.spawn (fun () ->
+          let accepted = ref 0 in
+          (try
+             while true do
+               if
+                 Pool.submit ~policy:Pool.Block pool (fun () ->
+                     Atomic.incr ran)
+               then incr accepted;
+               Atomic.set started true
+             done
+           with Invalid_argument _ -> ());
+          !accepted)
+    in
+    while not (Atomic.get started) do
+      Domain.cpu_relax ()
+    done;
+    Pool.shutdown pool;
+    let accepted = Domain.join submitter in
+    lost := !lost + (accepted - Atomic.get ran)
+  done;
+  checki "every accepted submission ran" 0 !lost
+
+(* Exact termination and wake-up: parallel_run must return only when every
+   task has finished, and then nothing may be left in flight or queued.
+   Seeded random task trees; some runs start after every worker has
+   parked, and in some a domain outside the pool spawns extra trees while
+   the run is live (a root task holds the run open until it is done). *)
+let test_pool_exact_termination backend () =
+  let max_depth = 7 in
+  let hash k = ((k * 0x2545F491) + 0x6C8E9CF5) land 0x3FFFFFFF in
+  let kids key depth = if depth >= max_depth then 0 else hash key mod 4 in
+  let child key i = hash ((key * 4) + i + 1) in
+  let rec size key depth =
+    let n = ref 1 in
+    for i = 0 to kids key depth - 1 do
+      n := !n + size (child key i) (depth + 1)
+    done;
+    !n
+  in
+  let pool = Pool.create ~domains:2 ~backend () in
+  let spawned = Atomic.make 0 and finished = Atomic.make 0 in
+  let rec node key depth () =
+    for i = 0 to kids key depth - 1 do
+      Atomic.incr spawned;
+      Pool.spawn pool (node (child key i) (depth + 1))
+    done;
+    for _ = 1 to hash key mod 200 do
+      Domain.cpu_relax ()
+    done;
+    Atomic.incr finished
+  in
+  let rng = Random.State.make [| 0x5eed |] in
+  for run = 1 to 300 do
+    Atomic.set spawned 0;
+    Atomic.set finished 0;
+    let root = Random.State.bits rng in
+    let expected = ref (size root 0) in
+    if run mod 3 = 0 then begin
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      while
+        Pool.sleeper_count pool < Pool.worker_count pool
+        && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.0005
+      done
+    end;
+    let roots =
+      if run mod 4 <> 1 then [ node root 0 ]
+      else begin
+        let ext_roots = List.init 3 (fun i -> hash (root + i + 1)) in
+        List.iter (fun k -> expected := !expected + size k 1) ext_roots;
+        let ext_done = Atomic.make false in
+        let outsider =
+          Domain.spawn (fun () ->
+              List.iter
+                (fun k ->
+                  Atomic.incr spawned;
+                  Pool.spawn pool (node k 1))
+                ext_roots;
+              Atomic.set ext_done true)
+        in
+        let gate () =
+          while not (Atomic.get ext_done) do
+            Domain.cpu_relax ()
+          done;
+          Domain.join outsider
+        in
+        [ node root 0; gate ]
+      end
+    in
+    Atomic.incr spawned;
+    Pool.parallel_run pool roots;
+    let snap = Pool.scrape pool in
+    checki
+      (Printf.sprintf "run %d: every task finished before the return" run)
+      !expected (Atomic.get finished);
+    checki
+      (Printf.sprintf "run %d: tasks run = tasks spawned" run)
+      (Atomic.get spawned) (Atomic.get finished);
+    checki (Printf.sprintf "run %d: nothing in flight" run) 0
+      snap.Pool.snap_in_flight;
+    checki (Printf.sprintf "run %d: nothing pending" run) 0
+      snap.Pool.snap_pending
+  done;
+  Pool.shutdown pool
+
 (* qcheck: random sequential op sequences vs a reference deque *)
 let cl_matches_reference =
   QCheck.Test.make ~name:"native chase-lev matches reference deque (sequential)"
@@ -624,5 +744,12 @@ let () =
             test_pool_stage_attribution;
           Alcotest.test_case "bounded injector backpressure" `Quick
             test_pool_submit_backpressure;
+          Alcotest.test_case "submit racing shutdown is never lost" `Slow
+            test_pool_submit_races_shutdown;
+          Alcotest.test_case "exact termination and wake-up (Chase-Lev)"
+            `Slow
+            (test_pool_exact_termination Pool.Chase_lev_deques);
+          Alcotest.test_case "exact termination and wake-up (THE)" `Slow
+            (test_pool_exact_termination Pool.The_deques);
         ] );
     ]
