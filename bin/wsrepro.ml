@@ -766,6 +766,12 @@ let native_cmd =
              pool; it needs --scenario FILE";
           exit 2
         end;
+        if graph_nodes < 2 then begin
+          Printf.eprintf
+            "wsrepro native: --graph-nodes must be at least 2 (got %d)\n"
+            graph_nodes;
+          exit 2
+        end;
         (* smoke shrinks every knob so CI finishes in seconds *)
         let pick full small = if smoke then small else full in
         Ws_harness.Exp_native.run ~machine ?domains ~backend ~policy
@@ -818,7 +824,7 @@ let native_cmd =
     Arg.(
       value & opt int 2000
       & info [ "graph-nodes" ] ~docv:"N"
-          ~doc:"Graph nodes (edges default to 4x).")
+          ~doc:"Graph nodes, at least 2 (edges default to 4x).")
   in
   let serve_metrics =
     Arg.(

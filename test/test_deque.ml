@@ -542,65 +542,76 @@ let pack_rejects_overflow () =
     (Invalid_argument "Pack: lo field overflows 4 bits") (fun () ->
       ignore (Ws_core.Pack.pack2 ~lo_bits:4 ~hi:0 ~lo:16))
 
-(* qcheck: single-threaded op sequences against the sequential spec.
-   THEP only gets put/take sequences: its solo steal can legitimately block
-   (see test_thep_solo_steal_blocks). *)
+(* Single-threaded op sequences against the sequential spec (0 = put,
+   1 = take, 2 = steal). THEP only gets put/take sequences: its solo steal
+   can legitimately block (see test_thep_solo_steal_blocks). The queue is
+   sized to the sequence, so even an all-put sequence stays inside the
+   fixed-capacity queues' domain. *)
+let seq_spec_holds qname ops =
+  let (module Q : Ws_core.Queue_intf.S) = Ws_core.Registry.find qname in
+  let results =
+    solo qname ~capacity:(max 256 (List.length ops)) (fun q ->
+        List.mapi
+          (fun i op ->
+            match op with
+            | 0 ->
+                Ws_core.Queue_intf.put q i;
+                `Put i
+            | 1 -> `Take (Ws_core.Queue_intf.take q)
+            | _ -> `Steal (Ws_core.Queue_intf.steal q))
+          ops)
+  in
+  (* replay against the spec; a lone sequential thread must behave like
+     the strict spec except that FF thieves may abort *)
+  let rec go state = function
+    | [] -> true
+    | `Put i :: rest -> (
+        match Ws_linearize.Spec.conforms Ws_linearize.Spec.Strict state
+                (Ws_linearize.Spec.Put i) Ws_linearize.Spec.R_ok with
+        | Some s' -> go s' rest
+        | None -> false)
+    | `Take r :: rest -> (
+        let resp =
+          match r with
+          | `Task t -> Ws_linearize.Spec.R_task t
+          | `Empty -> Ws_linearize.Spec.R_empty
+        in
+        match Ws_linearize.Spec.conforms Ws_linearize.Spec.Strict state
+                Ws_linearize.Spec.Take resp with
+        | Some s' -> go s' rest
+        | None -> false)
+    | `Steal r :: rest -> (
+        let resp =
+          match r with
+          | `Task t -> Ws_linearize.Spec.R_task t
+          | `Empty -> Ws_linearize.Spec.R_empty
+          | `Abort -> Ws_linearize.Spec.R_abort
+        in
+        let kind =
+          if Q.may_abort then Ws_linearize.Spec.Relaxed
+          else Ws_linearize.Spec.Strict
+        in
+        match Ws_linearize.Spec.conforms kind state Ws_linearize.Spec.Steal
+                resp with
+        | Some s' -> go s' rest
+        | None -> false)
+  in
+  go Ws_linearize.Spec.initial results
+
 let seq_spec_prop qname =
   let max_op = if is_thep qname then 1 else 2 in
   QCheck.Test.make
     ~name:(Printf.sprintf "%s matches the sequential spec" qname)
     ~count:120
     QCheck.(list (int_bound max_op))
-    (fun ops ->
-      let (module Q : Ws_core.Queue_intf.S) = Ws_core.Registry.find qname in
-      let results =
-        solo qname ~capacity:256 (fun q ->
-            List.mapi
-              (fun i op ->
-                match op with
-                | 0 ->
-                    Ws_core.Queue_intf.put q i;
-                    `Put i
-                | 1 -> `Take (Ws_core.Queue_intf.take q)
-                | _ -> `Steal (Ws_core.Queue_intf.steal q))
-              ops)
-      in
-      (* replay against the spec; a lone sequential thread must behave like
-         the strict spec except that FF thieves may abort *)
-      let rec go state = function
-        | [] -> true
-        | `Put i :: rest -> (
-            match Ws_linearize.Spec.conforms Ws_linearize.Spec.Strict state
-                    (Ws_linearize.Spec.Put i) Ws_linearize.Spec.R_ok with
-            | Some s' -> go s' rest
-            | None -> false)
-        | `Take r :: rest -> (
-            let resp =
-              match r with
-              | `Task t -> Ws_linearize.Spec.R_task t
-              | `Empty -> Ws_linearize.Spec.R_empty
-            in
-            match Ws_linearize.Spec.conforms Ws_linearize.Spec.Strict state
-                    Ws_linearize.Spec.Take resp with
-            | Some s' -> go s' rest
-            | None -> false)
-        | `Steal r :: rest -> (
-            let resp =
-              match r with
-              | `Task t -> Ws_linearize.Spec.R_task t
-              | `Empty -> Ws_linearize.Spec.R_empty
-              | `Abort -> Ws_linearize.Spec.R_abort
-            in
-            let kind =
-              if Q.may_abort then Ws_linearize.Spec.Relaxed
-              else Ws_linearize.Spec.Strict
-            in
-            match Ws_linearize.Spec.conforms kind state Ws_linearize.Spec.Steal
-                    resp with
-            | Some s' -> go s' rest
-            | None -> false)
-      in
-      go Ws_linearize.Spec.initial results)
+    (seq_spec_holds qname)
+
+(* QCheck's lists run to 10,000 ops, so a put/take walk can pass 256 net
+   puts; this fixed sequence holds the queue at 300 tasks. *)
+let test_spec_long_sequence qname () =
+  let ops = List.init 300 (fun _ -> 0) @ List.init 300 (fun _ -> 1) in
+  checkb "300 puts then 300 takes match the spec" true
+    (seq_spec_holds qname ops)
 
 let () =
   let for_queues qs name speed f =
@@ -667,5 +678,7 @@ let () =
         ] );
       ( "spec conformance",
         List.map (fun q -> QCheck_alcotest.to_alcotest (seq_spec_prop q))
-          strict_queues );
+          strict_queues
+        @ for_queues [ "thep"; "thep-sep" ] "300 net puts" `Quick (fun q () ->
+              test_spec_long_sequence q ()) );
     ]

@@ -105,6 +105,43 @@ let test_generators_deterministic () =
   let g3 = Graph.random_graph ~nodes:100 ~edges:300 ~seed:10 in
   checkb "different seed, different graph" true (g1.Graph.adj <> g3.Graph.adj)
 
+(* degenerate sizes are refused up front: random_graph at 1 node used to
+   redraw self-loops forever, and 0 or negative sizes died on an array
+   bound *)
+let rejects name msg f =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ())))
+
+let generator_errors =
+  [
+    rejects "random_graph: negative nodes"
+      "Graph.random_graph: nodes must be non-negative" (fun () ->
+        Graph.random_graph ~nodes:(-5) ~edges:0 ~seed:1);
+    rejects "random_graph: negative edges"
+      "Graph.random_graph: edges must be non-negative" (fun () ->
+        Graph.random_graph ~nodes:10 ~edges:(-1) ~seed:1);
+    rejects "random_graph: edges on one node"
+      "Graph.random_graph: edges need at least 2 nodes" (fun () ->
+        Graph.random_graph ~nodes:1 ~edges:4 ~seed:1);
+    rejects "k_graph: odd nodes" "Graph.k_graph: nodes must be even" (fun () ->
+        Graph.k_graph ~nodes:7 ~k:2 ~seed:1);
+    rejects "k_graph: negative nodes" "Graph.k_graph: nodes must be non-negative"
+      (fun () -> Graph.k_graph ~nodes:(-4) ~k:2 ~seed:1);
+    rejects "k_graph: negative k" "Graph.k_graph: k must be non-negative"
+      (fun () -> Graph.k_graph ~nodes:8 ~k:(-1) ~seed:1);
+    rejects "torus: width 0" "Graph.torus: width must be at least 1" (fun () ->
+        Graph.torus ~width:0 ~height:4);
+    rejects "torus: height 0" "Graph.torus: height must be at least 1" (fun () ->
+        Graph.torus ~width:4 ~height:0);
+  ]
+
+let test_empty_graphs () =
+  checki "no nodes, no edges" 0
+    (Array.length (Graph.random_graph ~nodes:0 ~edges:0 ~seed:1).Graph.adj);
+  Alcotest.(check (array (array int)))
+    "one node, no edges" [| [||] |]
+    (Graph.random_graph ~nodes:1 ~edges:0 ~seed:1).Graph.adj
+
 let test_reachability_oracle () =
   (* two disconnected triangles *)
   let g =
@@ -121,6 +158,193 @@ let test_reachability_oracle () =
     "only the first triangle"
     [| true; true; true; false; false; false |]
     r
+
+(* ------------------------------------------------------------------ *)
+(* Graph oracle                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The list-and-Set generators that the counting-sort ones replaced, kept
+   as the reference: Graph must give exactly their adjacency arrays, seed
+   for seed. *)
+module Oracle = struct
+  let of_edge_list nodes edge_list =
+    let deg = Array.make nodes 0 in
+    List.iter
+      (fun (u, v) ->
+        deg.(u) <- deg.(u) + 1;
+        deg.(v) <- deg.(v) + 1)
+      edge_list;
+    let adj = Array.init nodes (fun u -> Array.make deg.(u) 0) in
+    let fill = Array.make nodes 0 in
+    List.iter
+      (fun (u, v) ->
+        adj.(u).(fill.(u)) <- v;
+        fill.(u) <- fill.(u) + 1;
+        adj.(v).(fill.(v)) <- u;
+        fill.(v) <- fill.(v) + 1)
+      edge_list;
+    adj
+
+  let dedup_pairs pairs =
+    let module S = Set.Make (struct
+      type t = int * int
+
+      let compare = compare
+    end) in
+    let norm (u, v) = if u < v then (u, v) else (v, u) in
+    S.elements
+      (List.fold_left
+         (fun s (u, v) -> if u = v then s else S.add (norm (u, v)) s)
+         S.empty pairs)
+
+  let k_graph ~nodes ~k ~seed =
+    let rng = Random.State.make [| seed; nodes; k |] in
+    let pairs = ref [] in
+    for _ = 1 to k do
+      let perm = Array.init nodes Fun.id in
+      for i = nodes - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let tmp = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- tmp
+      done;
+      let i = ref 0 in
+      while !i + 1 < nodes do
+        pairs := (perm.(!i), perm.(!i + 1)) :: !pairs;
+        i := !i + 2
+      done
+    done;
+    of_edge_list nodes (dedup_pairs !pairs)
+
+  let random_graph ~nodes ~edges ~seed =
+    let rng = Random.State.make [| seed; nodes; edges |] in
+    let pairs = ref [] in
+    let made = ref 0 in
+    while !made < edges do
+      let u = Random.State.int rng nodes and v = Random.State.int rng nodes in
+      if u <> v then begin
+        pairs := (u, v) :: !pairs;
+        incr made
+      end
+    done;
+    of_edge_list nodes (dedup_pairs !pairs)
+
+  let torus ~width ~height =
+    let id x y = (((y + height) mod height) * width) + ((x + width) mod width) in
+    let pairs = ref [] in
+    for y = 0 to height - 1 do
+      for x = 0 to width - 1 do
+        pairs := (id x y, id (x + 1) y) :: (id x y, id x (y + 1)) :: !pairs
+      done
+    done;
+    of_edge_list (width * height) (dedup_pairs !pairs)
+end
+
+type shape =
+  | Random_graph of { nodes : int; edges : int; seed : int }
+  | K_graph of { nodes : int; k : int; seed : int }
+  | Torus of { width : int; height : int }
+
+let shape_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        (int_range 2 300 >>= fun nodes ->
+         map2
+           (fun edges seed -> Random_graph { nodes; edges; seed })
+           (int_range 0 (3 * nodes))
+           int);
+        map3
+          (fun half k seed -> K_graph { nodes = 2 * half; k; seed })
+          (int_range 0 150) (int_range 0 4) int;
+        map2
+          (fun width height -> Torus { width; height })
+          (int_range 1 30) (int_range 1 30);
+      ])
+
+let shape_print = function
+  | Random_graph { nodes; edges; seed } ->
+      Printf.sprintf "random_graph ~nodes:%d ~edges:%d ~seed:%d" nodes edges seed
+  | K_graph { nodes; k; seed } ->
+      Printf.sprintf "k_graph ~nodes:%d ~k:%d ~seed:%d" nodes k seed
+  | Torus { width; height } ->
+      Printf.sprintf "torus ~width:%d ~height:%d" width height
+
+(* every list strictly ascending, in range, loop-free and mirrored *)
+let well_formed (g : Graph.t) =
+  Array.length g.Graph.adj = g.Graph.nodes
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun u a ->
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun i v ->
+                   v >= 0 && v < g.Graph.nodes && v <> u
+                   && (i = 0 || a.(i - 1) < v)
+                   && Array.mem u g.Graph.adj.(v))
+                 a))
+          g.Graph.adj)
+
+let matches_oracle =
+  QCheck.Test.make ~name:"generators = list-and-Set oracle" ~count:300
+    (QCheck.make ~print:shape_print shape_gen)
+    (fun shape ->
+      let g, expect =
+        match shape with
+        | Random_graph { nodes; edges; seed } ->
+            ( Graph.random_graph ~nodes ~edges ~seed,
+              Oracle.random_graph ~nodes ~edges ~seed )
+        | K_graph { nodes; k; seed } ->
+            (Graph.k_graph ~nodes ~k ~seed, Oracle.k_graph ~nodes ~k ~seed)
+        | Torus { width; height } ->
+            (Graph.torus ~width ~height, Oracle.torus ~width ~height)
+      in
+      well_formed g && g.Graph.adj = expect)
+
+(* Adjacency.of_endpoints alone, on endpoint arrays no generator makes:
+   dense repeats, self-loops and isolated nodes *)
+let of_endpoints_matches_oracle =
+  QCheck.Test.make ~name:"Adjacency.of_endpoints = Set dedup" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list (pair int int)))
+       QCheck.Gen.(
+         int_range 1 40 >>= fun nodes ->
+         map
+           (fun pairs -> (nodes, pairs))
+           (small_list (pair (int_bound (nodes - 1)) (int_bound (nodes - 1))))))
+    (fun (nodes, pairs) ->
+      let us = Array.of_list (List.map fst pairs)
+      and vs = Array.of_list (List.map snd pairs) in
+      let adj = Adjacency.of_endpoints ~nodes us vs in
+      well_formed { Graph.nodes; adj }
+      && adj = Oracle.of_edge_list nodes (Oracle.dedup_pairs pairs))
+
+let adj_digest (g : Graph.t) =
+  let b = Buffer.create (1 lsl 20) in
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun v ->
+          Buffer.add_string b (string_of_int v);
+          Buffer.add_char b ' ')
+        a;
+      Buffer.add_char b '\n')
+    g.Graph.adj;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* perfbench's native-forkjoin graph, digests recorded with the
+   list-and-Set generator: the benchmark's input cannot move silently *)
+let test_forkjoin_graph_pinned () =
+  List.iter
+    (fun (seed, md5) ->
+      let g = Graph.random_graph ~nodes:40_000 ~edges:160_000 ~seed in
+      Alcotest.(check string) (Printf.sprintf "seed %d" seed) md5 (adj_digest g))
+    [
+      (1, "e06dfadc12ae2cbdd01d61cc427d6228");
+      (2, "fe306a74782cdbce9589bf7fd602744f");
+      (3, "efe695aa1418b19f47121957efece5d9");
+      (4, "2ee2359e530fef31e4e922a6a8b610a2");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Graph workloads through the engine                                  *)
@@ -240,6 +464,15 @@ let () =
           Alcotest.test_case "random graph shape" `Quick test_random_graph_shape;
           Alcotest.test_case "determinism" `Quick test_generators_deterministic;
           Alcotest.test_case "reachability oracle" `Quick test_reachability_oracle;
+          Alcotest.test_case "empty graphs" `Quick test_empty_graphs;
+        ]
+        @ generator_errors );
+      ( "graph-oracle",
+        [
+          QCheck_alcotest.to_alcotest matches_oracle;
+          QCheck_alcotest.to_alcotest of_endpoints_matches_oracle;
+          Alcotest.test_case "native-forkjoin graph pinned" `Quick
+            test_forkjoin_graph_pinned;
         ] );
       ( "graph-workloads",
         [
