@@ -7,23 +7,45 @@
 
 open Cmdliner
 
-let machine_conv =
+(* Converters that reject a bad value while parsing, so it ends in
+   cmdliner's usage error (exit 124) rather than an uncaught exception deep
+   in a run. *)
+let named_conv ~what name all =
   let parse s =
-    match Ws_harness.Machine_config.find s with
-    | m -> Ok m
-    | exception Not_found ->
+    match List.find_opt (fun x -> String.equal (name x) s) all with
+    | Some x -> Ok x
+    | None ->
         Error
           (`Msg
-            (Printf.sprintf "unknown machine %S (expected %s)" s
-               (String.concat " | "
-                  (List.map
-                     (fun (m : Ws_harness.Machine_config.t) -> m.name)
-                     Ws_harness.Machine_config.all))))
+            (Printf.sprintf "unknown %s %S (expected %s)" what s
+               (String.concat " | " (List.map name all))))
   in
-  let print ppf (m : Ws_harness.Machine_config.t) =
-    Format.pp_print_string ppf m.name
+  Arg.conv (parse, fun ppf x -> Format.pp_print_string ppf (name x))
+
+let machine_conv =
+  named_conv ~what:"machine"
+    (fun (m : Ws_harness.Machine_config.t) -> m.name)
+    Ws_harness.Machine_config.all
+
+let queue_conv = named_conv ~what:"queue" Fun.id Ws_core.Registry.names
+
+let bench_conv =
+  named_conv ~what:"benchmark" Fun.id
+    (List.map
+       (fun (b : Ws_workloads.Cilk_suite.bench) -> b.name)
+       Ws_workloads.Cilk_suite.all)
+
+let pos_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    | Error _ as e -> e
   in
-  Arg.conv (parse, print)
+  Arg.conv (parse, Format.pp_print_int)
 
 let machine_arg =
   Arg.(
@@ -34,7 +56,7 @@ let machine_arg =
 
 let repeats_arg =
   Arg.(
-    value & opt int 3
+    value & opt pos_int 3
     & info [ "repeats"; "r" ] ~docv:"N" ~doc:"Runs per data point (median).")
 
 let seed_arg =
@@ -45,7 +67,7 @@ let queue_arg =
     Printf.sprintf "Queue algorithm: %s."
       (String.concat ", " Ws_core.Registry.names)
   in
-  Arg.(value & opt string "ff-the" & info [ "queue"; "q" ] ~docv:"QUEUE" ~doc)
+  Arg.(value & opt queue_conv "ff-the" & info [ "queue"; "q" ] ~docv:"QUEUE" ~doc)
 
 (* fig1 *)
 let fig1_cmd =
@@ -131,7 +153,7 @@ let fig10_cmd =
   in
   let benches =
     Arg.(
-      value & pos_all string []
+      value & pos_all bench_conv []
       & info [] ~docv:"BENCH" ~doc:"Subset of benchmarks (default: all).")
   in
   Cmd.v
@@ -200,7 +222,7 @@ let scaling_cmd =
     Ws_harness.Exp_scaling.run ~machine ~bench ~jobs ()
   in
   let bench =
-    Arg.(value & opt string "Fib" & info [ "bench"; "b" ] ~docv:"BENCH" ~doc:"Benchmark.")
+    Arg.(value & opt bench_conv "Fib" & info [ "bench"; "b" ] ~docv:"BENCH" ~doc:"Benchmark.")
   in
   Cmd.v
     (Cmd.info "scaling" ~doc:"Worker-count speedup curves (THE vs THEP)")
@@ -345,8 +367,8 @@ let litmus_cmd =
     if !bad > 0 then exit 1
   in
   let l = Arg.(value & opt int 1 & info [ "l" ] ~docv:"L" ~doc:"Client stores between takes.") in
-  let delta = Arg.(value & opt int 4 & info [ "delta"; "d" ] ~docv:"D" ~doc:"Thief's delta.") in
-  let sb = Arg.(value & opt int 32 & info [ "sb" ] ~docv:"S" ~doc:"Store buffer entries.") in
+  let delta = Arg.(value & opt pos_int 4 & info [ "delta"; "d" ] ~docv:"D" ~doc:"Thief's delta.") in
+  let sb = Arg.(value & opt pos_int 32 & info [ "sb" ] ~docv:"S" ~doc:"Store buffer entries.") in
   let coalesce = Arg.(value & flag & info [ "coalesce" ] ~doc:"Enable same-address coalescing in B.") in
   let runs = Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N" ~doc:"Number of runs.") in
   let tasks = Arg.(value & opt int 256 & info [ "tasks" ] ~docv:"N" ~doc:"Initial queue size.") in
@@ -397,8 +419,8 @@ let check_cmd =
   in
   let workers = Arg.(value & opt int 3 & info [ "workers"; "w" ] ~docv:"N" ~doc:"Workers.") in
   let seeds = Arg.(value & opt int 50 & info [ "seeds" ] ~docv:"N" ~doc:"Random schedules to try.") in
-  let sb = Arg.(value & opt int 4 & info [ "sb" ] ~docv:"S" ~doc:"Store buffer entries.") in
-  let delta = Arg.(value & opt int 3 & info [ "delta"; "d" ] ~docv:"D" ~doc:"Delta for fence-free queues.") in
+  let sb = Arg.(value & opt pos_int 4 & info [ "sb" ] ~docv:"S" ~doc:"Store buffer entries.") in
+  let delta = Arg.(value & opt pos_int 3 & info [ "delta"; "d" ] ~docv:"D" ~doc:"Delta for fence-free queues.") in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Randomized safety check of a queue under the runtime")
@@ -460,8 +482,8 @@ let trace_cmd =
         Printf.printf "SAFETY VIOLATION: %s\n" e;
         exit 1
   in
-  let sb = Arg.(value & opt int 3 & info [ "sb" ] ~docv:"S" ~doc:"Store buffer entries.") in
-  let delta = Arg.(value & opt int 2 & info [ "delta"; "d" ] ~docv:"D" ~doc:"Delta.") in
+  let sb = Arg.(value & opt pos_int 3 & info [ "sb" ] ~docv:"S" ~doc:"Store buffer entries.") in
+  let delta = Arg.(value & opt pos_int 2 & info [ "delta"; "d" ] ~docv:"D" ~doc:"Delta.") in
   let preloaded = Arg.(value & opt int 3 & info [ "tasks" ] ~docv:"N" ~doc:"Preloaded tasks.") in
   let steals = Arg.(value & opt int 2 & info [ "steals" ] ~docv:"N" ~doc:"Thief attempts.") in
   let last =
@@ -653,8 +675,8 @@ let explore_cmd =
          end);
         exit 1
   in
-  let sb = Arg.(value & opt int 1 & info [ "sb" ] ~docv:"S" ~doc:"Store buffer entries.") in
-  let delta = Arg.(value & opt int 2 & info [ "delta"; "d" ] ~docv:"D" ~doc:"Delta.") in
+  let sb = Arg.(value & opt pos_int 1 & info [ "sb" ] ~docv:"S" ~doc:"Store buffer entries.") in
+  let delta = Arg.(value & opt pos_int 2 & info [ "delta"; "d" ] ~docv:"D" ~doc:"Delta.") in
   let preloaded = Arg.(value & opt int 2 & info [ "tasks" ] ~docv:"N" ~doc:"Preloaded tasks.") in
   let steals = Arg.(value & opt int 1 & info [ "steals" ] ~docv:"N" ~doc:"Thief attempts.") in
   let client_stores =

@@ -112,7 +112,7 @@ val apply : t -> transition -> unit
     next instruction captures and that instruction's request, with the
     effect, handler and [Paused_at] blocks around them; a drain allocates
     its {!Store_buffer.drain_result}. One Fig. 10 grid point (Fib 18, FF-THE,
-    simulated Haswell) averages 20.4 minor words per step, set-up
+    simulated Haswell) averages 13.3 minor words per step, set-up
     included. *)
 
 val on_event : t -> (event -> unit) -> unit
@@ -167,8 +167,8 @@ type request_class =
 
 val pending_class : t -> tid -> request_class
 (** Classification of the pending instruction, [C_none] if the thread is
-    done. A constant constructor: the timing engine's per-event scan of
-    every core calls it and allocates nothing. *)
+    done. A constant constructor: the timing engine calls it after every
+    event on a core and allocates nothing. *)
 
 val pending_work : t -> tid -> int
 (** The cycle count of the pending instruction when it is a [work]

@@ -36,12 +36,22 @@ type report = {
 }
 
 type core = {
+  step_tr : Machine.transition;  (* [Step tid], built once *)
+  drain_tr : Machine.transition;  (* [Drain (tid, 0)], built once *)
   mutable clock : int;
   mutable drain_free : int;  (* when the drain engine can start its next write *)
   mutable buffer_emptied_at : int;  (* time of the drain that last emptied the buffer *)
-  issue_times : int Queue.t;  (* completion times of buffered stores, oldest first *)
-  store_ids : int Queue.t;  (* trace ids of buffered stores, parallel to issue_times *)
+  issue_times : int array;
+      (* ring of sb_capacity slots: completion times of buffered stores,
+         entry [k] (0 = oldest) in slot [(head + k) mod sb_capacity] *)
+  store_ids : int array;  (* trace ids of buffered stores, parallel to issue_times *)
+  mutable head : int;
+  mutable len : int;  (* buffered stores; never more than sb_capacity *)
   mutable store_was_blocked : bool;  (* pending store has waited on a full buffer *)
+  mutable next_drain : int;  (* time of this core's next drain, -1 = none *)
+  mutable next_step : int;
+      (* time its pending instruction can execute, -1 = none (thread done,
+         or waiting for a drain: full buffer / fence / RMW) *)
   mutable instructions : int;
   mutable loads : int;
   mutable stores : int;
@@ -50,6 +60,12 @@ type core = {
   mutable fence_stall : int;
   mutable work_cycles : int;
 }
+
+(* Ring slot of the [k]th oldest buffered store. *)
+let slot c k =
+  let s = c.head + k in
+  let cap = Array.length c.issue_times in
+  if s >= cap then s - cap else s
 
 (* Simulated "now", threaded through the run instead of a module-global ref:
    each run owns (or is given) its clock, so timed runs in different domains
@@ -89,15 +105,23 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
           (Machine.thread_name m tid)
       done);
   let next_store_id = ref 0 in
+  let cap = (Machine.config m).Machine.sb_capacity in
   let cores =
-    Array.init n (fun _ ->
+    Array.init n (fun tid ->
         {
+          step_tr = Machine.Step tid;
+          drain_tr = Machine.Drain (tid, 0);
           clock = 0;
           drain_free = 0;
           buffer_emptied_at = 0;
-          issue_times = Queue.create ();
-          store_ids = Queue.create ();
+          issue_times = Array.make cap 0;
+          store_ids =
+            (match tracer with None -> [||] | Some _ -> Array.make cap 0);
+          head = 0;
+          len = 0;
           store_was_blocked = false;
+          next_drain = -1;
+          next_step = -1;
           instructions = 0;
           loads = 0;
           stores = 0;
@@ -107,95 +131,88 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
           work_cycles = 0;
         })
   in
-  (* [-1] encodes "no event" below, so the selection loop handles ints only
-     (no option/tuple allocation per simulated event). *)
-  let next_drain_time tid =
+  (* Recompute core [tid]'s next events. They depend only on its own
+     thread's pending request, its own buffer and its own clocks, so this
+     runs after each event on [tid] and no other core's event can stale
+     it (see the locality invariant in timing.mli). *)
+  let refresh tid =
     let c = cores.(tid) in
-    if Queue.is_empty c.issue_times then -1
-    else max c.drain_free (Queue.peek c.issue_times) + costs.drain_latency
+    c.next_drain <-
+      (if c.len = 0 then -1
+       else max c.drain_free c.issue_times.(c.head) + costs.drain_latency);
+    c.next_step <-
+      (match Machine.pending_class m tid with
+      | Machine.C_none -> -1
+      | Machine.C_load | Machine.C_work | Machine.C_free -> c.clock
+      | Machine.C_store ->
+          if Machine.store_blocked m tid then begin
+            c.store_was_blocked <- true;
+            -1
+          end
+          else c.clock
+      | Machine.C_rmw | Machine.C_fence ->
+          if c.len = 0 then max c.clock c.buffer_emptied_at else -1)
   in
-  (* Time at which the instruction pending on [tid] can execute, or -1 if
-     it must wait for a drain (full buffer / fence / RMW). *)
-  let feasible_time tid =
-    let c = cores.(tid) in
-    match Machine.pending_class m tid with
-    | Machine.C_none -> -1
-    | Machine.C_load | Machine.C_work | Machine.C_free -> c.clock
-    | Machine.C_store ->
-        if Machine.store_blocked m tid then begin
-          c.store_was_blocked <- true;
-          -1
-        end
-        else c.clock
-    | Machine.C_rmw | Machine.C_fence ->
-        if Queue.is_empty c.issue_times then max c.clock c.buffer_emptied_at
-        else -1
-  in
+  for tid = 0 to n - 1 do
+    refresh tid
+  done;
   let steps = ref 0 in
   let outcome = ref Sched.Quiescent in
-  let best_time = ref (-1) in
-  let best_kind = ref 0 in
-  let best_tid = ref 0 in
-  let better time kind tid =
-    !best_time < 0
-    || time < !best_time
-    || time = !best_time
-       && (kind < !best_kind || (kind = !best_kind && tid < !best_tid))
-  in
   (try
-     while not (Machine.quiescent m) do
+     while true do
        if !steps >= max_steps then begin
-         outcome := Sched.Max_steps;
+         outcome :=
+           if Machine.quiescent m then Sched.Quiescent else Sched.Max_steps;
          raise Exit
        end;
-       (* Select the lexicographically least (time, kind, tid) event; drains
-          (kind 0) beat instructions on ties so a load at time t sees every
-          store that reached memory by t. *)
-       best_time := -1;
+       (* Select the lexicographically least (time, kind, tid) event, with
+          (time, kind) packed as [2 * time + kind]; drains (kind 0) beat
+          instructions on ties so a load at time t sees every store that
+          reached memory by t. Scanning tids upwards with a strict [<]
+          keeps the lowest tid among equal keys. *)
+       let best = ref max_int in
+       let best_tid = ref (-1) in
        for tid = 0 to n - 1 do
-         let dt = next_drain_time tid in
-         if dt >= 0 && better dt 0 tid then begin
-           best_time := dt;
-           best_kind := 0;
+         let c = cores.(tid) in
+         if c.next_drain >= 0 && 2 * c.next_drain < !best then begin
+           best := 2 * c.next_drain;
            best_tid := tid
          end;
-         let ft = feasible_time tid in
-         if ft >= 0 && better ft 1 tid then begin
-           best_time := ft;
-           best_kind := 1;
+         if c.next_step >= 0 && (2 * c.next_step) + 1 < !best then begin
+           best := (2 * c.next_step) + 1;
            best_tid := tid
          end
        done;
-       (if !best_time < 0 then begin
-          outcome := Sched.Deadlock;
-          raise Exit
-        end
-        else if !best_kind = 0 then begin
+       let tid = !best_tid in
+       if tid < 0 then begin
+         (* No event is feasible: either everything is done and drained, or
+            the machine is stuck. *)
+         outcome :=
+           if Machine.quiescent m then Sched.Quiescent else Sched.Deadlock;
+         raise Exit
+       end;
+       let time = !best lsr 1 in
+       clk.now <- time;
+       let c = cores.(tid) in
+       (if !best land 1 = 0 then begin
           (* drain *)
-          let time = !best_time in
-          let tid = !best_tid in
-          clk.now <- time;
-          let c = cores.(tid) in
-          Machine.apply m (Machine.Drain (tid, 0));
-          ignore (Queue.pop c.issue_times);
+          Machine.apply m c.drain_tr;
+          let head = c.head in
+          c.head <- slot c 1;
+          c.len <- c.len - 1;
           c.drain_free <- time;
-          if Queue.is_empty c.issue_times then c.buffer_emptied_at <- time;
+          if c.len = 0 then c.buffer_emptied_at <- time;
           match tracer with
           | None -> ()
           | Some tr ->
-              let id = Queue.pop c.store_ids in
               Telemetry.Chrome_trace.async_end tr ~name:"sb-store" ~cat:"sb"
-                ~pid:trace_pid ~tid ~ts:time ~id ();
+                ~pid:trace_pid ~tid ~ts:time ~id:c.store_ids.(head) ();
               Telemetry.Chrome_trace.counter tr ~name:"sb-entries" ~cat:"sb"
                 ~pid:trace_pid ~tid ~ts:time
-                ~values:[ ("entries", Queue.length c.issue_times) ]
+                ~values:[ ("entries", c.len) ]
                 ()
         end
         else begin
-          let time = !best_time in
-          let tid = !best_tid in
-          clk.now <- time;
-          let c = cores.(tid) in
           let cls = Machine.pending_class m tid in
           let work = Machine.pending_work m tid in
           (* Grab the description before [apply] consumes the instruction;
@@ -206,7 +223,7 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
             | Some _ -> Machine.pending_request m tid
           in
           let clock_before = c.clock in
-          Machine.apply m (Machine.Step tid);
+          Machine.apply m c.step_tr;
           c.instructions <- c.instructions + 1;
           (match cls with
           | Machine.C_load ->
@@ -215,7 +232,8 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
           | Machine.C_store ->
               c.stores <- c.stores + 1;
               c.clock <- time + costs.store_cost;
-              Queue.push c.clock c.issue_times;
+              c.issue_times.(slot c c.len) <- c.clock;
+              c.len <- c.len + 1;
               (* If the store sat on a full buffer, the wait ended when the
                  drain engine freed a slot at [drain_free]. *)
               if c.store_was_blocked then begin
@@ -278,15 +296,16 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
               | Machine.C_store ->
                   let id = !next_store_id in
                   incr next_store_id;
-                  Queue.push id c.store_ids;
+                  c.store_ids.(slot c (c.len - 1)) <- id;
                   Telemetry.Chrome_trace.async_begin tr ~name:"sb-store"
                     ~cat:"sb" ~pid:trace_pid ~tid ~ts:time ~id ();
                   Telemetry.Chrome_trace.counter tr ~name:"sb-entries"
                     ~cat:"sb" ~pid:trace_pid ~tid ~ts:time
-                    ~values:[ ("entries", Queue.length c.issue_times) ]
+                    ~values:[ ("entries", c.len) ]
                     ()
               | _ -> ()
         end);
+       refresh tid;
        incr steps
      done
    with Exit -> ());

@@ -73,6 +73,19 @@ val run :
     [clock] defaults to a fresh private clock; pass one explicitly when
     thread programs need to observe simulated time mid-run.
 
+    The engine is event-driven: each core caches the time of its next
+    drain and the time its pending instruction can execute, recomputed
+    only after an event on that core (its instruction step or its drain),
+    and each step takes the least cached event. [Machine.quiescent] is
+    consulted only when no event is feasible (quiescence vs deadlock) or
+    the step budget is spent. The cache is exact by a locality invariant:
+    a core's next events depend only on its own thread's pending request,
+    its own store buffer and its own clocks. Memory values never gate
+    timing, and no event of one core changes another core's request,
+    buffer or clocks. A future cross-core timing effect (a shared bus,
+    coherence traffic delaying another core's drains, ...) breaks that
+    invariant, and must refresh every core it touches.
+
     [sink], if given, is attached to the machine (so its per-instruction
     counters fill in) and additionally receives the stall attribution only
     the timing engine can compute: [fence_stall_cycles] (drain waits before

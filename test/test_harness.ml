@@ -764,7 +764,11 @@ let test_scenario_native_live () =
 (* Minor-heap words are a deterministic function of the code path, so these
    bounds cannot flake the way timing gates do. They hold the simulator to
    its allocation budget: a paused thread holds its continuation, store
-   buffers are int rings, and memory names cells per allocation. *)
+   buffers are int rings, and memory names cells per allocation. The timing
+   engine adds nothing per event: issue times sit in int rings, transitions
+   are built once per core and quiescence is tested only when no event is
+   feasible (13.3 words per step, 20.4 when every event rescanned every
+   core). *)
 
 let test_fig10_point_words_per_step () =
   (* One Fig. 10 grid point: Fib 18 under FF-THE on the simulated Haswell,
@@ -783,8 +787,8 @@ let test_fig10_point_words_per_step () =
   checki "steps" 470_091 steps;
   let per_step = words /. float_of_int steps in
   checkb
-    (Printf.sprintf "%.1f minor words per step <= 30" per_step)
-    true (per_step <= 30.0)
+    (Printf.sprintf "%.1f minor words per step <= 18" per_step)
+    true (per_step <= 18.0)
 
 let test_instance_build_words () =
   (* One explorer instance: ff-the, 3 tasks, 2 steal attempts. *)

@@ -936,6 +936,472 @@ let test_timing_sharded_sink_byte_identical () =
     (Telemetry.Json.to_string ~indent:true (Telemetry.Sink.to_json plain))
     (Telemetry.Json.to_string ~indent:true (Telemetry.Sink.to_json merged))
 
+(* The engine as it stood before each core cached its next events: every
+   step rescans every core (two feasibility calls each) and tests
+   [Machine.quiescent] before selecting. Kept verbatim as the oracle that the
+   event-driven engine must match field for field and byte for byte. It
+   uses only public [Machine] and [Telemetry] API. *)
+module Reference_timing = struct
+  open Timing
+
+  type core = {
+    mutable clock : int;
+    mutable drain_free : int;  (* when the drain engine can start its next write *)
+    mutable buffer_emptied_at : int;  (* time of the drain that last emptied the buffer *)
+    issue_times : int Queue.t;  (* completion times of buffered stores, oldest first *)
+    store_ids : int Queue.t;  (* trace ids of buffered stores, parallel to issue_times *)
+    mutable store_was_blocked : bool;  (* pending store has waited on a full buffer *)
+    mutable instructions : int;
+    mutable loads : int;
+    mutable stores : int;
+    mutable rmws : int;
+    mutable fences : int;
+    mutable fence_stall : int;
+    mutable work_cycles : int;
+  }
+
+  type clock = { mutable now : int }
+
+  let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
+      ?(trace_pid = 0) m costs =
+    (match Machine.config m with
+    | { buffer_model = Store_buffer.Abstract; _ } -> ()
+    | _ -> invalid_arg "Timing.run: requires the Abstract buffer model");
+    let clk = match clk with Some c -> c | None -> { now = 0 } in
+    let n = Machine.thread_count m in
+    (* One knob for counter collection: attaching the sink here also turns on
+       the machine-level counters (loads/stores/occupancy/...); this function
+       adds the stall attribution the machine cannot see. With [shards], each
+       simulated thread accumulates into its own shard and the batched merge
+       below (this run's quiescence point) folds them into the root sink, so
+       the reported totals are byte-identical to an unsharded run. *)
+    (match sink, shards with
+    | Some s, Some sh -> Machine.set_sharded_sink m s sh
+    | Some s, None -> Machine.set_sink m s
+    | None, _ -> ());
+    (* Stall attribution goes to the stalled thread's shard (or the root
+       sink when unsharded). *)
+    let stall_sink tid s =
+      match shards with Some sh -> Telemetry.Shards.shard sh tid | None -> s
+    in
+    (match tracer with
+    | None -> ()
+    | Some tr ->
+        for tid = 0 to n - 1 do
+          Telemetry.Chrome_trace.set_thread_name tr ~pid:trace_pid ~tid
+            (Machine.thread_name m tid)
+        done);
+    let next_store_id = ref 0 in
+    let cores =
+      Array.init n (fun _ ->
+          {
+            clock = 0;
+            drain_free = 0;
+            buffer_emptied_at = 0;
+            issue_times = Queue.create ();
+            store_ids = Queue.create ();
+            store_was_blocked = false;
+            instructions = 0;
+            loads = 0;
+            stores = 0;
+            rmws = 0;
+            fences = 0;
+            fence_stall = 0;
+            work_cycles = 0;
+          })
+    in
+    (* [-1] encodes "no event" below, so the selection loop handles ints only
+       (no option/tuple allocation per simulated event). *)
+    let next_drain_time tid =
+      let c = cores.(tid) in
+      if Queue.is_empty c.issue_times then -1
+      else max c.drain_free (Queue.peek c.issue_times) + costs.drain_latency
+    in
+    (* Time at which the instruction pending on [tid] can execute, or -1 if
+       it must wait for a drain (full buffer / fence / RMW). *)
+    let feasible_time tid =
+      let c = cores.(tid) in
+      match Machine.pending_class m tid with
+      | Machine.C_none -> -1
+      | Machine.C_load | Machine.C_work | Machine.C_free -> c.clock
+      | Machine.C_store ->
+          if Machine.store_blocked m tid then begin
+            c.store_was_blocked <- true;
+            -1
+          end
+          else c.clock
+      | Machine.C_rmw | Machine.C_fence ->
+          if Queue.is_empty c.issue_times then max c.clock c.buffer_emptied_at
+          else -1
+    in
+    let steps = ref 0 in
+    let outcome = ref Sched.Quiescent in
+    let best_time = ref (-1) in
+    let best_kind = ref 0 in
+    let best_tid = ref 0 in
+    let better time kind tid =
+      !best_time < 0
+      || time < !best_time
+      || time = !best_time
+         && (kind < !best_kind || (kind = !best_kind && tid < !best_tid))
+    in
+    (try
+       while not (Machine.quiescent m) do
+         if !steps >= max_steps then begin
+           outcome := Sched.Max_steps;
+           raise Exit
+         end;
+         (* Select the lexicographically least (time, kind, tid) event; drains
+            (kind 0) beat instructions on ties so a load at time t sees every
+            store that reached memory by t. *)
+         best_time := -1;
+         for tid = 0 to n - 1 do
+           let dt = next_drain_time tid in
+           if dt >= 0 && better dt 0 tid then begin
+             best_time := dt;
+             best_kind := 0;
+             best_tid := tid
+           end;
+           let ft = feasible_time tid in
+           if ft >= 0 && better ft 1 tid then begin
+             best_time := ft;
+             best_kind := 1;
+             best_tid := tid
+           end
+         done;
+         (if !best_time < 0 then begin
+            outcome := Sched.Deadlock;
+            raise Exit
+          end
+          else if !best_kind = 0 then begin
+            (* drain *)
+            let time = !best_time in
+            let tid = !best_tid in
+            clk.now <- time;
+            let c = cores.(tid) in
+            Machine.apply m (Machine.Drain (tid, 0));
+            ignore (Queue.pop c.issue_times);
+            c.drain_free <- time;
+            if Queue.is_empty c.issue_times then c.buffer_emptied_at <- time;
+            match tracer with
+            | None -> ()
+            | Some tr ->
+                let id = Queue.pop c.store_ids in
+                Telemetry.Chrome_trace.async_end tr ~name:"sb-store" ~cat:"sb"
+                  ~pid:trace_pid ~tid ~ts:time ~id ();
+                Telemetry.Chrome_trace.counter tr ~name:"sb-entries" ~cat:"sb"
+                  ~pid:trace_pid ~tid ~ts:time
+                  ~values:[ ("entries", Queue.length c.issue_times) ]
+                  ()
+          end
+          else begin
+            let time = !best_time in
+            let tid = !best_tid in
+            clk.now <- time;
+            let c = cores.(tid) in
+            let cls = Machine.pending_class m tid in
+            let work = Machine.pending_work m tid in
+            (* Grab the description before [apply] consumes the instruction;
+               only when tracing — it allocates a string per instruction. *)
+            let descr =
+              match tracer with
+              | None -> None
+              | Some _ -> Machine.pending_request m tid
+            in
+            let clock_before = c.clock in
+            Machine.apply m (Machine.Step tid);
+            c.instructions <- c.instructions + 1;
+            (match cls with
+            | Machine.C_load ->
+                c.loads <- c.loads + 1;
+                c.clock <- time + costs.load_cost
+            | Machine.C_store ->
+                c.stores <- c.stores + 1;
+                c.clock <- time + costs.store_cost;
+                Queue.push c.clock c.issue_times;
+                (* If the store sat on a full buffer, the wait ended when the
+                   drain engine freed a slot at [drain_free]. *)
+                if c.store_was_blocked then begin
+                  c.store_was_blocked <- false;
+                  match sink with
+                  | None -> ()
+                  | Some s ->
+                      let s = stall_sink tid s in
+                      s.Telemetry.Sink.drain_stall_cycles <-
+                        s.Telemetry.Sink.drain_stall_cycles
+                        + max 0 (c.drain_free - clock_before)
+                end
+            | Machine.C_rmw ->
+                c.rmws <- c.rmws + 1;
+                c.fence_stall <- c.fence_stall + (time - clock_before);
+                c.clock <- time + costs.rmw_cost
+            | Machine.C_fence ->
+                c.fences <- c.fences + 1;
+                c.fence_stall <- c.fence_stall + (time - clock_before);
+                c.clock <- time + costs.fence_cost
+            | Machine.C_work ->
+                c.work_cycles <- c.work_cycles + work;
+                c.clock <- time + work
+            | Machine.C_free -> c.clock <- time + costs.pause_cost
+            | Machine.C_none -> assert false);
+            (match cls, sink with
+            | (Machine.C_rmw | Machine.C_fence), Some s ->
+                let s = stall_sink tid s in
+                s.Telemetry.Sink.fence_stall_cycles <-
+                  s.Telemetry.Sink.fence_stall_cycles + (time - clock_before)
+            | _ -> ());
+            match tracer with
+            | None -> ()
+            | Some tr ->
+                let stall = time - clock_before in
+                (match cls with
+                | (Machine.C_rmw | Machine.C_fence) when stall > 0 ->
+                    Telemetry.Chrome_trace.complete tr ~name:"fence-stall"
+                      ~cat:"stall" ~pid:trace_pid ~tid ~ts:clock_before
+                      ~dur:stall ()
+                | _ -> ());
+                let name =
+                  match descr with Some d -> d | None -> "instr"
+                in
+                let cat =
+                  match cls with
+                  | Machine.C_load -> "load"
+                  | Machine.C_store -> "store"
+                  | Machine.C_rmw -> "rmw"
+                  | Machine.C_fence -> "fence"
+                  | Machine.C_work -> "work"
+                  | Machine.C_free -> "free"
+                  | Machine.C_none -> assert false
+                in
+                Telemetry.Chrome_trace.complete tr ~name ~cat ~pid:trace_pid
+                  ~tid ~ts:time
+                  ~dur:(max 0 (c.clock - time))
+                  ();
+                match cls with
+                | Machine.C_store ->
+                    let id = !next_store_id in
+                    incr next_store_id;
+                    Queue.push id c.store_ids;
+                    Telemetry.Chrome_trace.async_begin tr ~name:"sb-store"
+                      ~cat:"sb" ~pid:trace_pid ~tid ~ts:time ~id ();
+                    Telemetry.Chrome_trace.counter tr ~name:"sb-entries"
+                      ~cat:"sb" ~pid:trace_pid ~tid ~ts:time
+                      ~values:[ ("entries", Queue.length c.issue_times) ]
+                      ()
+                | _ -> ()
+          end);
+         incr steps
+       done
+     with Exit -> ());
+    (* Quiescence point: no simulated thread is running, so the batched
+       shard merge is safe and the root sink now carries the run's totals. *)
+    (match sink, shards with
+    | Some s, Some sh -> Telemetry.Shards.merge ~into:s sh
+    | _ -> ());
+    let threads =
+      Array.map
+        (fun c ->
+          {
+            finish_time = c.clock;
+            instructions = c.instructions;
+            loads = c.loads;
+            stores = c.stores;
+            rmws = c.rmws;
+            fences = c.fences;
+            fence_stall = c.fence_stall;
+            work_cycles = c.work_cycles;
+          })
+        cores
+    in
+    let makespan = Array.fold_left (fun acc c -> max acc c.clock) 0 cores in
+    { makespan; outcome = !outcome; steps = !steps; threads }
+end
+
+(* Random small machines run under both engines. A load feeds the value it
+   reads back into the program (odd values add work), so the instruction
+   stream itself depends on the event order. *)
+type timing_op =
+  | T_load of int
+  | T_store of int * int
+  | T_fence
+  | T_cas of int * int * int
+  | T_fetch_add of int * int
+  | T_work of int
+  | T_pause
+
+type timing_case = {
+  sb : int;
+  cells : int;
+  tcosts : Timing.cost_model;
+  limit : int option;  (** [max_steps], when the run is cut short *)
+  progs : timing_op list array;
+}
+
+let timing_case_machine tc =
+  let m = Machine.create (Machine.abstract_config ~sb_capacity:tc.sb) in
+  let base =
+    Memory.alloc_array (Machine.memory m) ~name:"c" ~len:tc.cells ~init:0
+  in
+  let cell a = Addr.offset base a in
+  let exec = function
+    | T_load a ->
+        let v = Program.load (cell a) in
+        if v land 1 = 1 then Program.work v
+    | T_store (a, v) -> Program.store (cell a) v
+    | T_fence -> Program.fence ()
+    | T_cas (a, expect, replace) ->
+        ignore (Program.cas (cell a) ~expect ~replace)
+    | T_fetch_add (a, d) -> ignore (Program.fetch_add (cell a) d)
+    | T_work n -> Program.work n
+    | T_pause -> Program.spin_pause ()
+  in
+  Array.iteri
+    (fun i ops ->
+      ignore
+        (Machine.spawn m ~name:(Printf.sprintf "t%d" i) (fun () ->
+             List.iter exec ops)))
+    tc.progs;
+  m
+
+(* Everything a run shows: the reports of a plain-sink, a sharded-sink and
+   a traced run, both sinks' JSON, the final memory and the trace bytes. *)
+let timing_observe ~reference tc =
+  let run ?sink ?shards ?tracer m =
+    if reference then
+      Reference_timing.run ?max_steps:tc.limit ?sink ?shards ?tracer
+        ~trace_pid:3 m tc.tcosts
+    else
+      Timing.run ?max_steps:tc.limit ?sink ?shards ?tracer ~trace_pid:3 m
+        tc.tcosts
+  in
+  let json s = Telemetry.Json.to_string (Telemetry.Sink.to_json s) in
+  let m = timing_case_machine tc in
+  let plain = Telemetry.Sink.create () in
+  let r = run ~sink:plain m in
+  let mem = Memory.snapshot (Machine.memory m) in
+  let merged = Telemetry.Sink.create () in
+  let shards = Telemetry.Shards.create ~n:2 in
+  let r_sharded = run ~sink:merged ~shards (timing_case_machine tc) in
+  let tr = Telemetry.Chrome_trace.create () in
+  let r_traced = run ~tracer:tr (timing_case_machine tc) in
+  ( (r, r_sharded, r_traced),
+    (json plain, json merged),
+    mem,
+    Telemetry.Chrome_trace.to_string tr )
+
+let timing_matches_reference tc =
+  timing_observe ~reference:true tc = timing_observe ~reference:false tc
+
+let timing_case_gen =
+  let open QCheck.Gen in
+  let cost = int_range 0 30 in
+  let* sb = int_range 1 4 in
+  let* cells = int_range 1 4 in
+  let addr = int_bound (cells - 1) in
+  let op =
+    frequency
+      [
+        (3, map (fun a -> T_load a) addr);
+        (4, map2 (fun a v -> T_store (a, v)) addr (int_range 1 5));
+        (1, return T_fence);
+        ( 1,
+          map3 (fun a e r -> T_cas (a, e, r)) addr (int_bound 3) (int_range 1 5)
+        );
+        (1, map2 (fun a d -> T_fetch_add (a, d)) addr (int_range 1 3));
+        (1, map (fun n -> T_work n) (int_range 1 40));
+        (1, return T_pause);
+      ]
+  in
+  let* progs = array_size (int_range 1 5) (list_size (int_range 0 12) op) in
+  let* load_cost = cost
+  and* store_cost = cost
+  and* rmw_cost = cost
+  and* fence_cost = cost
+  and* drain_latency = int_range 0 40
+  and* pause_cost = cost in
+  let+ limit = frequency [ (2, return None); (1, map Option.some (int_bound 60)) ] in
+  {
+    sb;
+    cells;
+    tcosts =
+      {
+        Timing.load_cost;
+        store_cost;
+        rmw_cost;
+        fence_cost;
+        drain_latency;
+        pause_cost;
+      };
+    limit;
+    progs;
+  }
+
+let print_timing_case tc =
+  let op = function
+    | T_load a -> Printf.sprintf "r%d" a
+    | T_store (a, v) -> Printf.sprintf "w%d=%d" a v
+    | T_fence -> "fence"
+    | T_cas (a, e, r) -> Printf.sprintf "cas%d(%d->%d)" a e r
+    | T_fetch_add (a, d) -> Printf.sprintf "fadd%d+%d" a d
+    | T_work n -> Printf.sprintf "work%d" n
+    | T_pause -> "pause"
+  in
+  let c = tc.tcosts in
+  Printf.sprintf
+    "sb=%d cells=%d costs(ld=%d st=%d rmw=%d fence=%d drain=%d pause=%d) \
+     max_steps=%s\n%s"
+    tc.sb tc.cells c.Timing.load_cost c.Timing.store_cost c.Timing.rmw_cost
+    c.Timing.fence_cost c.Timing.drain_latency c.Timing.pause_cost
+    (match tc.limit with None -> "-" | Some n -> string_of_int n)
+    (String.concat "\n"
+       (Array.to_list
+          (Array.map (fun ops -> String.concat "; " (List.map op ops)) tc.progs)))
+
+let timing_oracle_prop =
+  QCheck.Test.make ~name:"event-driven engine = per-step scan reference"
+    ~count:300
+    (QCheck.make ~print:print_timing_case timing_case_gen)
+    timing_matches_reference
+
+let oracle_case ?limit progs =
+  { sb = 1; cells = 2; tcosts = costs; limit; progs }
+
+let test_timing_oracle_full_buffer () =
+  (* sb_capacity 1: the second store waits for the first to drain *)
+  let tc =
+    oracle_case
+      [|
+        [ T_store (0, 1); T_store (1, 2); T_store (0, 3); T_load 1 ];
+        [ T_store (1, 5); T_work 2; T_store (1, 7); T_fence ];
+      |]
+  in
+  checkb "matches reference" true (timing_matches_reference tc);
+  let s = Telemetry.Sink.create () in
+  ignore (Timing.run ~sink:s (timing_case_machine tc) tc.tcosts);
+  checkb "drain stall recorded" true (s.Telemetry.Sink.drain_stall_cycles > 0)
+
+let test_timing_oracle_max_steps_boundary () =
+  let progs =
+    [|
+      [ T_store (0, 1); T_fence; T_load 1; T_fetch_add (0, 2) ];
+      [ T_store (1, 3); T_pause; T_cas (0, 1, 4); T_work 5 ];
+    |]
+  in
+  let needed =
+    (Timing.run (timing_case_machine (oracle_case progs)) costs).steps
+  in
+  let outcome limit =
+    let tc = oracle_case ~limit progs in
+    checkb
+      (Printf.sprintf "max_steps %d matches reference" limit)
+      true (timing_matches_reference tc);
+    (Timing.run ~max_steps:limit (timing_case_machine tc) costs).outcome
+  in
+  checkb "budget equal to the steps needed: quiescent" true
+    (outcome needed = Sched.Quiescent);
+  checkb "one step short: max steps" true
+    (outcome (needed - 1) = Sched.Max_steps)
+
 (* ------------------------------------------------------------------ *)
 (* Explore                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1608,6 +2074,11 @@ let () =
             test_timing_domain_isolation;
           Alcotest.test_case "sharded sink byte-identical to plain" `Quick
             test_timing_sharded_sink_byte_identical;
+          QCheck_alcotest.to_alcotest timing_oracle_prop;
+          Alcotest.test_case "oracle: store on a full buffer" `Quick
+            test_timing_oracle_full_buffer;
+          Alcotest.test_case "oracle: max_steps at the quiescence boundary"
+            `Quick test_timing_oracle_max_steps_boundary;
         ] );
       ( "explore",
         [
