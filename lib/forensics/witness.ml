@@ -27,8 +27,7 @@ type replay = {
   verdict : (unit, string) Stdlib.result;
 }
 
-let replay ?sink ~mk choices =
-  let inst = mk () in
+let replay_on ?sink inst choices =
   let m = inst.Explore.machine in
   let mem = Machine.memory m in
   (* The trace provides the timeline and the event list; a second listener
@@ -130,3 +129,11 @@ let replay ?sink ~mk choices =
       List.init (Machine.thread_count m) (fun tid -> Machine.thread_name m tid);
     verdict;
   }
+
+(* The instance is built here, so it is released here on every exit: a
+   schedule that raises part-way leaves threads paused. *)
+let replay ?sink ~mk choices =
+  let inst = mk () in
+  Fun.protect
+    ~finally:(fun () -> Machine.release inst.Explore.machine)
+    (fun () -> replay_on ?sink inst choices)

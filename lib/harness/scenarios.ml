@@ -48,10 +48,13 @@ let spec_json spec =
     ("client_stores", Telemetry.Json.Int spec.client_stores);
   ]
 
-let instance spec () =
+(* The per-spec work (registry lookup, queue parameters, thread names, the
+   preload list) is done once, when the builder is made: the explorer calls
+   the builder for every sibling it restores, and a build is ~1 µs. *)
+let instance spec =
   let (module Q : Ws_core.Queue_intf.S) = Ws_core.Registry.find spec.queue in
-  let machine =
-    Machine.create { Machine.sb_capacity = spec.sb_capacity; buffer_model = spec.buffer_model }
+  let cfg =
+    { Machine.sb_capacity = spec.sb_capacity; buffer_model = spec.buffer_model }
   in
   let params =
     {
@@ -61,77 +64,90 @@ let instance spec () =
       tag = "q";
     }
   in
-  let q = Q.create machine params in
   let total = spec.preloaded + spec.puts in
-  Q.preload q (List.init spec.preloaded Fun.id);
-  let removed = Array.make (max total 1) 0 in
-  let bad_abort = ref false in
-  let scratch = Memory.alloc (Machine.memory machine) ~name:"scratch" ~init:0 in
-  let _ =
-    Machine.spawn machine ~name:"worker" (fun () ->
-        for i = spec.preloaded to total - 1 do
-          Q.put q i
-        done;
-        let rec drain () =
-          match Q.take q with
-          | `Empty -> ()
-          | `Task i ->
-              removed.(i) <- removed.(i) + 1;
-              for s = 1 to spec.client_stores do
-                Program.store scratch (i + s)
-              done;
-              drain ()
-        in
-        drain ())
+  let preload = List.init spec.preloaded Fun.id in
+  let thief_names =
+    Array.init spec.thieves (fun t -> Printf.sprintf "thief%d" (t + 1))
   in
-  for t = 1 to spec.thieves do
-    ignore
-      (Machine.spawn machine
-         ~name:(Printf.sprintf "thief%d" t)
-         (fun () ->
-           for _ = 1 to spec.steal_attempts do
-             match Q.steal q with
-             | `Task i -> removed.(i) <- removed.(i) + 1
-             | `Empty -> ()
-             | `Abort -> if not Q.may_abort then bad_abort := true
-           done))
-  done;
-  let check () =
-    if !bad_abort then Error (Q.name ^ " returned ABORT but may_abort is false")
-    else begin
-      let problems = ref [] in
-      Array.iteri
-        (fun i c ->
-          if i < total then begin
-            if c = 0 then problems := Printf.sprintf "task %d lost" i :: !problems
-            else if c > 1 && not Q.may_duplicate then
-              problems :=
-                Printf.sprintf "task %d extracted %d times" i c :: !problems
-          end)
-        removed;
-      match !problems with
-      | [] -> Ok ()
-      | ps -> Error (String.concat "; " (List.rev ps))
-    end
-  in
-  { Explore.machine; check }
+  fun () ->
+    let machine = Machine.create cfg in
+    let q = Q.create machine params in
+    Q.preload q preload;
+    let removed = Array.make (max total 1) 0 in
+    let bad_abort = ref false in
+    let scratch = Memory.alloc (Machine.memory machine) ~name:"scratch" ~init:0 in
+    let _ =
+      Machine.spawn machine ~name:"worker" (fun () ->
+          for i = spec.preloaded to total - 1 do
+            Q.put q i
+          done;
+          let rec drain () =
+            match Q.take q with
+            | `Empty -> ()
+            | `Task i ->
+                removed.(i) <- removed.(i) + 1;
+                for s = 1 to spec.client_stores do
+                  Program.store scratch (i + s)
+                done;
+                drain ()
+          in
+          drain ())
+    in
+    Array.iter
+      (fun name ->
+        ignore
+          (Machine.spawn machine ~name (fun () ->
+               for _ = 1 to spec.steal_attempts do
+                 match Q.steal q with
+                 | `Task i -> removed.(i) <- removed.(i) + 1
+                 | `Empty -> ()
+                 | `Abort -> if not Q.may_abort then bad_abort := true
+               done)))
+      thief_names;
+    let check () =
+      if !bad_abort then Error (Q.name ^ " returned ABORT but may_abort is false")
+      else begin
+        let problems = ref [] in
+        Array.iteri
+          (fun i c ->
+            if i < total then begin
+              if c = 0 then problems := Printf.sprintf "task %d lost" i :: !problems
+              else if c > 1 && not Q.may_duplicate then
+                problems :=
+                  Printf.sprintf "task %d extracted %d times" i c :: !problems
+            end)
+          removed;
+        match !problems with
+        | [] -> Ok ()
+        | ps -> Error (String.concat "; " (List.rev ps))
+      end
+    in
+    { Explore.machine; check }
 
 let random_check spec ~seeds ?(drain_weight = 0.1) () =
+  let mk = instance spec in
   let rec go = function
     | [] -> Ok ()
     | seed :: rest -> (
-        let inst = instance spec () in
+        let inst = mk () in
         let rng = Random.State.make [| seed |] in
-        match
-          Sched.run ~max_steps:500_000 inst.Explore.machine
-            (Sched.weighted rng ~drain_weight)
-        with
-        | Sched.Quiescent -> (
-            match inst.Explore.check () with
-            | Ok () -> go rest
-            | Error e -> Error (Printf.sprintf "seed %d: %s" seed e))
-        | Sched.Deadlock -> Error (Printf.sprintf "seed %d: deadlock" seed)
-        | Sched.Max_steps -> Error (Printf.sprintf "seed %d: step budget" seed))
+        (* A deadlocked or cut run leaves threads paused: release the
+           instance before the next seed builds one. *)
+        let verdict =
+          Fun.protect
+            ~finally:(fun () -> Machine.release inst.Explore.machine)
+            (fun () ->
+              match
+                Sched.run ~max_steps:500_000 inst.Explore.machine
+                  (Sched.weighted rng ~drain_weight)
+              with
+              | Sched.Quiescent -> inst.Explore.check ()
+              | Sched.Deadlock -> Error "deadlock"
+              | Sched.Max_steps -> Error "step budget")
+        in
+        match verdict with
+        | Ok () -> go rest
+        | Error e -> Error (Printf.sprintf "seed %d: %s" seed e))
   in
   go seeds
 

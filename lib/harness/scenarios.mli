@@ -26,10 +26,12 @@ val spec_json : spec -> (string * Telemetry.Json.value) list
     [config] object. Deterministic field order. *)
 
 val instance : spec -> unit -> Tso.Explore.instance
-(** Fresh machine + threads + safety check. The check verifies, at
-    quiescence: no task extracted twice (unless the queue is idempotent), no
-    task lost (worker drains to Empty), and no Abort from queues that must
-    not abort. *)
+(** [instance spec] looks the queue up and does the rest of the per-spec
+    work once (@raise Not_found for a queue not in the registry), and
+    returns the builder: each call makes a fresh machine + threads + safety
+    check. The check verifies, at quiescence: no task extracted twice
+    (unless the queue is idempotent), no task lost (worker drains to
+    Empty), and no Abort from queues that must not abort. *)
 
 val random_check :
   spec -> seeds:int list -> ?drain_weight:float -> unit -> (unit, string) result

@@ -421,13 +421,20 @@ module Prefix = struct
 
   (* Incremental replay: re-apply the recorded transitions on a fresh
      instance. The path was valid when recorded and the machine is
-     deterministic, so no enabledness recomputation is needed. *)
+     deterministic, so no enabledness recomputation is needed. The caller
+     owns the returned instance and must release it; if the replay
+     raises, the instance is released here. *)
   let replay ~mk p =
     let inst = mk () in
-    for k = 0 to p.len - 1 do
-      Machine.apply inst.machine p.trs.(k)
-    done;
-    inst
+    match
+      for k = 0 to p.len - 1 do
+        Machine.apply inst.machine p.trs.(k)
+      done
+    with
+    | () -> inst
+    | exception e ->
+        Machine.release inst.machine;
+        raise e
 end
 
 (* Mutable per-search accumulators. Failures are prepended (newest first)
@@ -563,8 +570,10 @@ let preemption_cost_buf ~last_unit buf tr =
    the prefix for the CHESS bound; [sleep] is the sleep set this node
    inherited (always [[]] unless [ctx.por]). Siblings of the choices made
    here are explored on a fresh instance — restored from a snapshot of this
-   node when [ctx.use_snapshots], replayed from the root otherwise. On
-   return the prefix is restored to its entry length. *)
+   node when [ctx.use_snapshots], replayed from the root otherwise — which
+   the node releases once the child's subtree is done, also when {!Stop}
+   or another exception unwinds through it. On return the prefix is
+   restored to its entry length. *)
 let rec extend ctx inst prefix depth last_unit preemptions sleep =
   let m = inst.machine in
   (* This node's subtree mass, staged by the caller (1.0 at the root). The
@@ -778,29 +787,10 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
                      and memo0 = ctx.acc.memo_hits in
                      Prefix.push prefix i tr;
                      dpor_push ds depth fps.(i);
-                     let inst' =
-                       if not !in_place then begin
-                         in_place := true;
-                         Machine.apply m tr;
-                         inst
-                       end
-                       else
-                         match snap with
-                         | Some s ->
-                             let inst' = ctx.mk () in
-                             Machine.restore_into s inst'.machine;
-                             Machine.apply inst'.machine tr;
-                             inst'
-                         | None -> Prefix.replay ~mk:ctx.mk prefix
-                     in
-                     let last_unit' =
-                       match unit_of tr with
-                       | U_memory -> last_unit
-                       | u -> Some u
-                     in
-                     ctx.mass <- cmass;
-                     extend ctx inst' prefix (depth + 1) last_unit'
-                       (preemptions + cost) child_sleep;
+                     let fresh = !in_place in
+                     in_place := true;
+                     child ctx inst snap prefix ~fresh ~mass:cmass tr
+                       (depth + 1) last_unit (preemptions + cost) child_sleep;
                      Prefix.pop prefix;
                      dpor_pop ds depth;
                      let clean =
@@ -854,26 +844,8 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
                 in
                 let pruned0 = ctx.acc.pruned and memo0 = ctx.acc.memo_hits in
                 Prefix.push prefix i tr;
-                let inst' =
-                  if i = 0 then begin
-                    Machine.apply m tr;
-                    inst
-                  end
-                  else
-                    match snap with
-                    | Some s ->
-                        let inst' = ctx.mk () in
-                        Machine.restore_into s inst'.machine;
-                        Machine.apply inst'.machine tr;
-                        inst'
-                    | None -> Prefix.replay ~mk:ctx.mk prefix
-                in
-                let last_unit' =
-                  match unit_of tr with U_memory -> last_unit | u -> Some u
-                in
-                ctx.mass <- cmass;
-                extend ctx inst' prefix (depth + 1) last_unit'
-                  (preemptions + cost) child_sleep;
+                child ctx inst snap prefix ~fresh:(i > 0) ~mass:cmass tr
+                  (depth + 1) last_unit (preemptions + cost) child_sleep;
                 Prefix.pop prefix;
                 if ctx.por then begin
                   let clean =
@@ -889,6 +861,44 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
             end
           done
     end
+  end
+
+(* Enter child [tr] of a branch node whose choice is already on [prefix]:
+   in place on [inst] unless [fresh], else on a new instance — restored
+   from the node's snapshot [snap] and advanced by [tr], or replayed from
+   the root — that is released on every exit from the child's subtree.
+   [last_unit] is the node's; the child's follows from [tr]. *)
+and child ctx inst snap prefix ~fresh ~mass tr depth last_unit preemptions
+    sleep =
+  let last_unit =
+    match unit_of tr with U_memory -> last_unit | u -> Some u
+  in
+  if not fresh then begin
+    Machine.apply inst.machine tr;
+    ctx.mass <- mass;
+    extend ctx inst prefix depth last_unit preemptions sleep
+  end
+  else begin
+    let sib =
+      match snap with
+      | Some s -> (
+          let sib = ctx.mk () in
+          match
+            Machine.restore_into s sib.machine;
+            Machine.apply sib.machine tr
+          with
+          | () -> sib
+          | exception e ->
+              Machine.release sib.machine;
+              raise e)
+      | None -> Prefix.replay ~mk:ctx.mk prefix
+    in
+    ctx.mass <- mass;
+    match extend ctx sib prefix depth last_unit preemptions sleep with
+    | () -> Machine.release sib.machine
+    | exception e ->
+        Machine.release sib.machine;
+        raise e
   end
 
 (* Every instance the snapshot-based search touches must record responses
@@ -947,11 +957,15 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
       mass = 1.0;
     }
   in
+  (* The root is built here, so it is released here, also when [Stop] (or
+     any other exception) unwinds the tree. *)
   let completed =
-    try
-      extend ctx root (Prefix.create ()) 0 None 0 [];
-      true
-    with Stop -> false
+    Fun.protect
+      ~finally:(fun () -> Machine.release root.machine)
+      (fun () ->
+        match extend ctx root (Prefix.create ()) 0 None 0 [] with
+        | () -> true
+        | exception Stop -> false)
   in
   (* A completed search covered the whole tree by construction; snap the
      float accumulation to the exact answer. *)
@@ -984,27 +998,33 @@ let replay_choices ?(max_steps = max_int) ~mk steps =
      step is O(enabled set) instead of the former List.nth/List.length
      O(n²)-over-the-run pattern. *)
   let buf = Machine.tbuf_create () in
-  List.iter
-    (fun i ->
-      let n = choices_into m buf in
-      if n = 0 then invalid_arg "Explore.replay_choices: run ended early";
-      if i < 0 || i >= n then
-        invalid_arg "Explore.replay_choices: bad choice index";
-      Machine.apply m (Machine.tbuf_get buf i))
-    steps;
-  (* Drive any forced suffix to quiescence. The greedy always-transition-0
-     policy can livelock from states only a truncated candidate reaches
-     (spin loop on a never-scheduled peer), hence the budget. *)
-  let rec finish budget =
-    if Machine.enabled_into m buf > 0 then begin
-      if budget = 0 then
-        invalid_arg "Explore.replay_choices: suffix exceeded max_steps";
-      Machine.apply m (Machine.tbuf_get buf 0);
-      finish (budget - 1)
-    end
+  let run () =
+    List.iter
+      (fun i ->
+        let n = choices_into m buf in
+        if n = 0 then invalid_arg "Explore.replay_choices: run ended early";
+        if i < 0 || i >= n then
+          invalid_arg "Explore.replay_choices: bad choice index";
+        Machine.apply m (Machine.tbuf_get buf i))
+      steps;
+    (* Drive any forced suffix to quiescence. The greedy
+       always-transition-0 policy can livelock from states only a
+       truncated candidate reaches (spin loop on a never-scheduled peer),
+       hence the budget. *)
+    let rec finish budget =
+      if Machine.enabled_into m buf > 0 then begin
+        if budget = 0 then
+          invalid_arg "Explore.replay_choices: suffix exceeded max_steps";
+        Machine.apply m (Machine.tbuf_get buf 0);
+        finish (budget - 1)
+      end
+    in
+    finish max_steps;
+    inst.check ()
   in
-  finish max_steps;
-  inst.check ()
+  (* Released on every exit: the shrinker replays many truncated
+     candidates, and most of them raise with threads still paused. *)
+  Fun.protect ~finally:(fun () -> Machine.release m) run
 
 module Internal = struct
   type nonrec acc = acc = {

@@ -94,12 +94,12 @@ let skip_one (acc : acc) m =
   | Some s ->
       s.Telemetry.Sink.por_sleep_skips <- s.Telemetry.Sink.por_sleep_skips + 1
 
-(* Expand one task by one branching level: replay its prefix, walk forced
-   (singleton-choice) steps in place, and split at the first node with a
-   real choice. Terminal nodes are settled through [extend] itself so their
-   accounting (check, fail, run counting) is exactly the sequential one. *)
-let expand cfg task =
-  let inst = Prefix.replay ~mk:cfg.mk task.prefix in
+(* Expand one task by one branching level, on [inst], the task's replayed
+   prefix: walk forced (singleton-choice) steps in place, and split at the
+   first node with a real choice. Terminal nodes are settled through
+   [extend] itself so their accounting (check, fail, run counting) is
+   exactly the sequential one. *)
+let split cfg task inst =
   let prefix = task.prefix in
   let terminal depth last_unit sleep =
     let acc = make_acc () in
@@ -218,15 +218,26 @@ let expand cfg task =
   in
   walk task.depth task.last_unit task.sleep
 
+(* The task's root is built here, so it is released here on every exit;
+   each child task replays its own. *)
+let expand cfg task =
+  let inst = Prefix.replay ~mk:cfg.mk task.prefix in
+  Fun.protect
+    ~finally:(fun () -> Machine.release inst.Explore.machine)
+    (fun () -> split cfg task inst)
+
 let run_task cfg task =
   let acc = make_acc () in
-  (try
-     let inst = Prefix.replay ~mk:cfg.mk task.prefix in
-     let ctx = make_ctx cfg acc inst in
-     ctx.mass <- task.mass;
-     extend ctx inst task.prefix task.depth task.last_unit task.preemptions
-       task.sleep
-   with Explore.Stop -> ());
+  let inst = Prefix.replay ~mk:cfg.mk task.prefix in
+  let ctx = make_ctx cfg acc inst in
+  ctx.mass <- task.mass;
+  Fun.protect
+    ~finally:(fun () -> Machine.release inst.Explore.machine)
+    (fun () ->
+      try
+        extend ctx inst task.prefix task.depth task.last_unit
+          task.preemptions task.sleep
+      with Explore.Stop -> ());
   acc
 
 let merge ~max_failures accs =

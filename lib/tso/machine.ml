@@ -169,6 +169,21 @@ let all_done t =
   in
   go 0
 
+(* Every paused thread is set [Done] before its continuation is
+   discontinued, so a body that raises while unwinding still leaves the
+   machine released; the first such exception is re-raised once every
+   thread has been handled. *)
+let release t =
+  let first = ref None in
+  for i = 0 to t.n_threads - 1 do
+    let th = t.threads.(i) in
+    let st = th.status in
+    th.status <- Program.Done;
+    try Program.release st
+    with e -> if Option.is_none !first then first := Some e
+  done;
+  Option.iter raise !first
+
 let buffered_stores t tid = Store_buffer.pending (thread t tid).buf
 let buffered_entries t tid = Store_buffer.to_list (thread t tid).buf
 
@@ -735,7 +750,10 @@ let restore_into snap t =
     if status_done th.status <> ts.s_done then
       invalid_arg "Machine.restore_into: thread diverged from snapshot";
     th.hist <- ts.s_hist;
-    th.resp_log <- ensure_int_array th.resp_log ts.s_resp_len;
+    (* Sized as [log_response] would grow it, so the restored thread's next
+       steps append without regrowing the log. *)
+    if Array.length th.resp_log <= ts.s_resp_len then
+      th.resp_log <- Array.make (max 64 (2 * ts.s_resp_len)) 0;
     Array.blit ts.s_resp 0 th.resp_log 0 ts.s_resp_len;
     th.resp_len <- ts.s_resp_len;
     Store_buffer.clear th.buf;

@@ -39,6 +39,27 @@ let start body =
 
 let resume k v = Effect.Deep.continue k v
 
+(* Private, so no thread body can name it: a body sees it only through a
+   catch-all handler. *)
+exception Released
+
+(* A body that catches [Released] and reaches another instruction is
+   discontinued there too, but only [release_rounds] times in all, so one
+   that swallows every exception in a loop cannot hang its caller. *)
+let release_rounds = 2
+
+let release st =
+  let rec go rounds = function
+    | Done -> ()
+    | Paused_at (_, k) ->
+        if rounds = 0 then
+          invalid_arg "Program.release: thread body kept running after release";
+        (match Effect.Deep.discontinue k Released with
+        | st -> go (rounds - 1) st
+        | exception Released -> ())
+  in
+  go release_rounds st
+
 let describe_named (type a) name (req : a request) =
   match req with
   | Req_load a -> Printf.sprintf "load %s" (name a)

@@ -70,6 +70,25 @@ val resume : ('a, status) Effect.Deep.continuation -> 'a -> status
 (** Resume a paused program with its request's result, running it up to
     its next instruction (or completion). Each continuation is one-shot. *)
 
+val release : status -> unit
+(** Unwind a paused program without running it further: its continuation
+    is discontinued with an exception private to this module, raised at
+    the pending instruction. The body's exception handlers and
+    [Fun.protect ~finally] run (once, as for any exception), and the
+    fiber's stack goes back to the domain's stack cache. A continuation
+    that is dropped instead keeps its stack: on OCaml 5.1.1, 200,000
+    dropped one-instruction programs hold ~124 MB of RSS that
+    [Gc.full_major] does not return; discontinued, RSS stays at ~5 MB.
+
+    Outcomes: a body that lets the exception escape, or catches it and
+    returns, is finished. A body that catches it and performs another
+    instruction is discontinued again there; if it performs yet another,
+    [release] gives up, drops that continuation and raises
+    [Invalid_argument] — it never loops. Any other exception the body
+    raises while unwinding (e.g. [Fun.Finally_raised]) propagates.
+    [release Done] does nothing. The status must not be resumed after it
+    was released. *)
+
 val describe : 'a request -> string
 (** Human-readable rendering of a request, for traces. *)
 

@@ -2009,6 +2009,103 @@ let test_round_robin_policy_covers () =
   | Sched.Quiescent -> ()
   | _ -> Alcotest.fail "round robin must finish"
 
+(* ------------------------------------------------------------------ *)
+(* Release: unwinding paused threads                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One thread running [body] on a fresh machine, paused at its first
+   instruction. *)
+let one_thread body =
+  let m = Machine.create (Machine.abstract_config ~sb_capacity:2) in
+  ignore (Machine.spawn m ~name:"t" body);
+  m
+
+let test_release_finally_once () =
+  let finally = ref 0 in
+  let m =
+    one_thread (fun () ->
+        Fun.protect
+          ~finally:(fun () -> incr finally)
+          (fun () ->
+            Program.fence ();
+            Program.fence ()))
+  in
+  ignore (Machine.apply m (Machine.Step 0));
+  checkb "paused before the release" false (Machine.all_done m);
+  Machine.release m;
+  checki "finally ran exactly once" 1 !finally;
+  checkb "released thread is done" true (Machine.all_done m);
+  Machine.release m;
+  checki "releasing twice is a no-op" 1 !finally
+
+let test_release_caught_returns () =
+  let caught = ref 0 in
+  let m =
+    one_thread (fun () -> try Program.fence () with _ -> incr caught)
+  in
+  Machine.release m;
+  checki "the body saw the release once" 1 !caught;
+  checkb "a body that returns ends done" true (Machine.all_done m)
+
+let test_release_caught_performs_again () =
+  (* caught once, then another instruction: that one is released too *)
+  let caught = ref 0 in
+  let m =
+    one_thread (fun () ->
+        try Program.fence ()
+        with _ ->
+          incr caught;
+          Program.fence ())
+  in
+  Machine.release m;
+  checki "caught once" 1 !caught;
+  checkb "second instruction released, thread done" true (Machine.all_done m);
+  (* a body that swallows every release and performs again: bounded, it
+     ends in Invalid_argument, never a hang, and the thread reads done *)
+  let rounds = ref 0 in
+  let rec stubborn () =
+    try Program.fence ()
+    with _ ->
+      incr rounds;
+      stubborn ()
+  in
+  let m = one_thread stubborn in
+  (match Machine.release m with
+  | () -> Alcotest.fail "a body that never stops must not release cleanly"
+  | exception Invalid_argument _ -> ());
+  checki "released twice, then gave up" 2 !rounds;
+  checkb "the thread reads done" true (Machine.all_done m);
+  Machine.release m;
+  checki "releasing again is a no-op" 2 !rounds
+
+let test_release_finished_and_mixed () =
+  (* a finished machine: nothing to unwind *)
+  let finally = ref 0 in
+  let m =
+    one_thread (fun () ->
+        Fun.protect ~finally:(fun () -> incr finally) Program.fence)
+  in
+  (match Sched.run m (Sched.round_robin ()) with
+  | Sched.Quiescent -> ()
+  | _ -> Alcotest.fail "one fence must run to quiescence");
+  checki "finally ran on the normal exit" 1 !finally;
+  Machine.release m;
+  checki "releasing a finished machine is a no-op" 1 !finally;
+  (* one thread raising while it unwinds does not keep the others paused *)
+  let others = ref 0 in
+  let m = Machine.create (Machine.abstract_config ~sb_capacity:2) in
+  ignore
+    (Machine.spawn m ~name:"bad" (fun () ->
+         Fun.protect ~finally:(fun () -> failwith "cleanup") Program.fence));
+  ignore
+    (Machine.spawn m ~name:"good" (fun () ->
+         Fun.protect ~finally:(fun () -> incr others) Program.fence));
+  (match Machine.release m with
+  | () -> Alcotest.fail "the raising cleanup must surface"
+  | exception Fun.Finally_raised (Failure _) -> ());
+  checki "the other thread was still released" 1 !others;
+  checkb "every thread reads done" true (Machine.all_done m)
+
 let () =
   Alcotest.run "tso"
     [
@@ -2103,6 +2200,17 @@ let () =
             test_snapshot_preconditions;
           Alcotest.test_case "listeners survive, fast-forward is silent"
             `Quick test_snapshot_restore_listeners;
+        ] );
+      ( "release",
+        [
+          Alcotest.test_case "finally runs once, twice is a no-op" `Quick
+            test_release_finally_once;
+          Alcotest.test_case "caught and returned ends done" `Quick
+            test_release_caught_returns;
+          Alcotest.test_case "caught and performed again is bounded" `Quick
+            test_release_caught_performs_again;
+          Alcotest.test_case "finished machine, raising cleanup" `Quick
+            test_release_finished_and_mixed;
         ] );
       ( "api-corners",
         [
