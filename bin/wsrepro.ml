@@ -228,15 +228,6 @@ let scaling_cmd =
     (Cmd.info "scaling" ~doc:"Worker-count speedup curves (THE vs THEP)")
     Term.(const run $ machine_arg $ bench $ fig_jobs_arg)
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Explore with N domains in parallel. Results are byte-identical \
-           to the sequential search unless the run budget is exhausted or \
-           $(b,--memo) is also set (verdicts agree in all cases).")
-
 let memo_arg =
   Arg.(
     value & flag
@@ -293,13 +284,13 @@ let snapshots_arg =
 
 (* classic x86-TSO litmus suite *)
 let tso_litmus_cmd =
-  let run jobs memo por dpor memo_file snapshots =
+  let run memo por dpor memo_file snapshots =
     print_endline
       "== Classic x86-TSO litmus tests against the abstract machine ==";
     let memo = memo || memo_file <> None in
     let results =
       try
-        Ws_litmus.Classic.run_all ~jobs ~memo ~por ~dpor ?memo_dir:memo_file
+        Ws_litmus.Classic.run_all ~memo ~por ~dpor ?memo_dir:memo_file
           ~snapshots ()
       with Failure e ->
         (* keep stdout (the banner, any completed rows) ahead of the error
@@ -339,8 +330,7 @@ let tso_litmus_cmd =
     (Cmd.info "tso-litmus"
        ~doc:"Validate the machine against the classic x86-TSO litmus tests")
     Term.(
-      const run $ jobs_arg $ memo_arg $ por_arg $ dpor_arg $ memo_file
-      $ snapshots_arg)
+      const run $ memo_arg $ por_arg $ dpor_arg $ memo_file $ snapshots_arg)
 
 (* ablation *)
 let ablation_cmd =
@@ -496,9 +486,8 @@ let trace_cmd =
 
 (* explore: bounded exhaustive model checking *)
 let explore_cmd =
-  let run qname sb delta preloaded steals client_stores max_runs pb fence jobs
-      memo por dpor memo_file metrics snapshots progress forensics
-      trace_failure =
+  let run qname sb delta preloaded steals client_stores max_runs pb fence memo
+      por dpor memo_file metrics snapshots progress forensics trace_failure =
     let spec =
       {
         Ws_harness.Scenarios.default_spec with
@@ -534,11 +523,10 @@ let explore_cmd =
               Printf.eprintf "memo store: %s\n" e;
               exit 2)
     in
-    let sink = Telemetry.Sink.create () in
-    let st, frontier, _clean =
+    let st, clean =
       Ws_harness.Scenarios.explore_check spec ~max_runs
-        ~preemption_bound:(Some pb) ~jobs ~memo ~por ~dpor ?memo_store ~sink
-        ~snapshots ~progress ()
+        ~preemption_bound:(Some pb) ~memo ~por ~dpor ?memo_store ~snapshots
+        ~progress ()
     in
     Printf.printf
       "%s: %d complete runs, %d truncated, %d deadlocks, %d pruned branches%s%s%s, \
@@ -564,14 +552,13 @@ let explore_cmd =
         let doc =
           J.Obj
             [
-              ("schema", J.Str "wsrepro-explore/v1");
+              ("schema", J.Str "wsrepro-explore/v2");
               ("scenario", J.Obj (Ws_harness.Scenarios.spec_json spec));
               ( "bounds",
                 J.Obj
                   [
                     ("max_runs", J.Int max_runs);
                     ("preemption_bound", J.Int pb);
-                    ("jobs", J.Int jobs);
                     ("memo", J.Bool memo);
                     ("por", J.Bool (por || dpor));
                     ("dpor", J.Bool dpor);
@@ -588,25 +575,7 @@ let explore_cmd =
                     ("sleep_skips", J.Int st.sleep_skips);
                     ("peak_depth", J.Int st.peak_depth);
                     ("failures", J.Int (List.length st.failures));
-                  ] );
-              ( "frontier",
-                J.Obj
-                  [
-                    ("domains", J.Int frontier.Tso.Explore_par.fr_domains);
-                    ("tasks", J.Int frontier.fr_tasks);
-                    ("splits", J.Int frontier.fr_splits);
-                    ("steals", J.Int frontier.fr_steals);
-                    ("steal_attempts", J.Int frontier.fr_steal_attempts);
-                    ( "runs_per_domain",
-                      J.List
-                        (Array.to_list
-                           (Array.map (fun n -> J.Int n)
-                              frontier.fr_runs_per_domain)) );
-                    ( "tasks_per_domain",
-                      J.List
-                        (Array.to_list
-                           (Array.map (fun n -> J.Int n)
-                              frontier.fr_tasks_per_domain)) );
+                    ("complete", J.Bool st.complete);
                   ] );
               ( "memo_store",
                 match memo_store with
@@ -627,14 +596,29 @@ let explore_cmd =
                             (if lookups = 0 then 0.0
                              else float_of_int hits /. float_of_int lookups) );
                       ] );
-              ("counters", Telemetry.Sink.to_json sink);
             ]
         in
         J.write_file file doc;
         Printf.printf "metrics: %s\n" file)
       metrics;
     match Tso.Explore.failures_in_replay_order st with
-    | [] -> print_endline "no safety violation found"
+    | [] when clean -> print_endline "no safety violation found"
+    | [] ->
+        let why =
+          (if st.complete then []
+           else [ Printf.sprintf "the run budget of %d runs stopped it" max_runs ])
+          @
+          if st.truncated = 0 then []
+          else
+            [
+              Printf.sprintf "%d runs were cut at the depth bound (%d)"
+                st.truncated Tso.Explore.default_max_depth;
+            ]
+        in
+        Printf.printf
+          "search not exhaustive: %s; no violation in the runs checked\n"
+          (String.concat " and " why);
+        exit 3
     | (choices, msg) :: _ ->
         Printf.printf "VIOLATION: %s\nreplayable choice prefix: [%s]\n" msg
           (String.concat "; " (List.map string_of_int choices));
@@ -721,19 +705,34 @@ let explore_cmd =
       & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
-            "Write a machine-readable $(b,wsrepro-explore/v1) JSON sidecar: \
-             the scenario and bounds, explorer statistics, the \
-             work-stealing frontier distribution (per-domain run/task \
-             counts, steal counters), persistent memo-store counters when \
-             $(b,--memo-file) is set, and the merged telemetry counters.")
+            "Write a machine-readable $(b,wsrepro-explore/v2) JSON sidecar: \
+             the scenario and bounds, the explorer statistics (with \
+             $(b,complete), false when the run budget stopped the search) \
+             and the persistent memo-store counters when $(b,--memo-file) \
+             is set.")
+  in
+  let exits =
+    Cmd.Exit.info 0
+      ~doc:"the search was exhaustive within its bounds and found no violation."
+    :: Cmd.Exit.info 1 ~doc:"the search found a safety violation."
+    :: Cmd.Exit.info 2 ~doc:"the $(b,--memo-file) store could not be used."
+    :: Cmd.Exit.info 3
+         ~doc:
+           "no violation was found, but the search was not exhaustive: the \
+            run budget ($(b,--max-runs)) stopped it, or some runs were cut \
+            at the depth bound."
+    :: List.filter
+         (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.ok)
+         Cmd.Exit.defaults
   in
   Cmd.v
-    (Cmd.info "explore" ~doc:"Bounded exhaustive model checking of a queue")
+    (Cmd.info "explore" ~exits
+       ~doc:"Bounded exhaustive model checking of a queue")
     Term.(
       const run $ queue_arg $ sb $ delta $ preloaded $ steals $ client_stores
-      $ max_runs $ pb $ fence $ jobs_arg $ memo_arg $ por_arg $ dpor_arg
-      $ memo_file_arg $ explore_metrics $ snapshots_arg $ progress_arg
-      $ forensics_arg $ trace_failure_arg)
+      $ max_runs $ pb $ fence $ memo_arg $ por_arg $ dpor_arg $ memo_file_arg
+      $ explore_metrics $ snapshots_arg $ progress_arg $ forensics_arg
+      $ trace_failure_arg)
 
 (* native: the pool on real silicon — sim-vs-native parity or a scenario replay *)
 let backend_conv =

@@ -151,81 +151,32 @@ let random_check spec ~seeds ?(drain_weight = 0.1) () =
   in
   go seeds
 
-(* Knuth covered-mass clause for the explorer progress lines: estimated
-   fraction of the choice tree explored plus a remaining-time projection
-   (ETA = elapsed * (1 - c) / c). Blank until any mass is credited, so
-   early lines stay short rather than wrong. *)
-let estimate_clause rep covered =
-  if covered <= 0.0 then ""
-  else if covered >= 1.0 then ", ~100% of tree"
-  else begin
-    let eta =
-      Telemetry.Progress.elapsed rep *. (1.0 -. covered) /. covered
-    in
-    let eta_str =
-      if eta >= 5940.0 then Printf.sprintf "%.1fh" (eta /. 3600.0)
-      else if eta >= 99.0 then Printf.sprintf "%.1fm" (eta /. 60.0)
-      else Printf.sprintf "%.0fs" eta
-    in
-    Printf.sprintf ", ~%.1f%% of tree, ETA %s" (100.0 *. covered) eta_str
-  end
-
-let explore_check spec ?max_runs ?max_depth ?preemption_bound ?(jobs = 1)
-    ?(memo = false) ?(por = false) ?(dpor = false) ?memo_store ?sink
-    ?(snapshots = true) ?(progress = false) () =
+let explore_check spec ?max_runs ?max_depth ?preemption_bound ?(memo = false)
+    ?(por = false) ?(dpor = false) ?memo_store ?(snapshots = true)
+    ?(progress = false) () =
   let reporter =
     if progress then Some (Telemetry.Progress.create ~label:"explore" ())
     else None
   in
-  let st, frontier =
-    if jobs > 1 then
-      let on_progress =
-        Option.map
-          (fun rep (p : Explore_par.progress) ->
-            Telemetry.Progress.sample rep ~count:p.Explore_par.total_runs
-              (fun ~rate ->
-                Printf.sprintf "%d runs (%.0f/s), subtree %d/%d, %d domains%s"
-                  p.Explore_par.total_runs rate p.Explore_par.tasks_done
-                  p.Explore_par.tasks_total p.Explore_par.domains
-                  (estimate_clause rep p.Explore_par.covered)))
-          reporter
-      in
-      Explore_par.search_with_frontier ?max_runs ?max_depth ?preemption_bound
-        ~memo ~por ~dpor ?memo_store ~snapshots ~jobs ?on_progress
-        ~mk:(instance spec) ()
-    else
-      let on_progress =
-        Option.map
-          (fun rep (s : Explore.stats) ->
-            Telemetry.Progress.sample rep ~count:s.Explore.runs (fun ~rate ->
-                Printf.sprintf
-                  "%d runs (%.0f/s), depth frontier %d, %d memo hits \
-                   (%.1f%% hit rate)%s"
-                  s.Explore.runs rate s.Explore.peak_depth s.Explore.memo_hits
-                  (100.0 *. Explore.memo_hit_rate s)
-                  (estimate_clause rep s.Explore.covered)))
-          reporter
-      in
-      let st =
-        Explore.search ?max_runs ?max_depth ?preemption_bound ~memo ~por ~dpor
-          ?memo_store ~snapshots ?on_progress ~mk:(instance spec) ()
-      in
-      ( st,
-        {
-          Explore_par.fr_domains = 1;
-          fr_tasks = 1;
-          fr_splits = 0;
-          fr_steals = 0;
-          fr_steal_attempts = 0;
-          fr_runs_per_domain = [| st.Explore.runs |];
-          fr_tasks_per_domain = [| 1 |];
-        } )
+  let on_progress =
+    Option.map
+      (fun rep (s : Explore.stats) ->
+        Telemetry.Progress.sample rep ~count:s.Explore.runs (fun ~rate ->
+            Printf.sprintf
+              "%d runs (%.0f/s), depth frontier %d, %d memo hits (%.1f%% hit \
+               rate)"
+              s.Explore.runs rate s.Explore.peak_depth s.Explore.memo_hits
+              (100.0 *. Explore.memo_hit_rate s)))
+      reporter
+  in
+  let st =
+    Explore.search ?max_runs ?max_depth ?preemption_bound ~memo ~por ~dpor
+      ?memo_store ~snapshots ?on_progress ~mk:(instance spec) ()
   in
   Option.iter (fun rep -> Telemetry.Progress.finish rep) reporter;
-  (match sink with
-  | None -> ()
-  | Some s -> Explore_par.frontier_to_sink frontier s);
-  (st, frontier, st.Explore.failures = [] && st.Explore.truncated = 0)
+  ( st,
+    st.Explore.complete && st.Explore.failures = [] && st.Explore.truncated = 0
+  )
 
 (* ------------------------------------------------------------------ *)
 (* Open-system scenario DSL (wsrepro-scenario/v1)                      *)

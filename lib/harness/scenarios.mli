@@ -43,31 +43,26 @@ val explore_check :
   ?max_runs:int ->
   ?max_depth:int ->
   ?preemption_bound:int option ->
-  ?jobs:int ->
   ?memo:bool ->
   ?por:bool ->
   ?dpor:bool ->
   ?memo_store:Tso.Memo_store.t ->
-  ?sink:Telemetry.Sink.t ->
   ?snapshots:bool ->
   ?progress:bool ->
   unit ->
-  Tso.Explore.stats * Tso.Explore_par.frontier_stats * bool
-(** Bounded exhaustive exploration of the scenario. [jobs > 1] fans the
-    search out across domains ({!Tso.Explore_par}); [memo] enables the
+  Tso.Explore.stats * bool
+(** Bounded exhaustive exploration of the scenario. [memo] enables the
     visited-state cache; [por] enables sleep-set partial-order reduction
     (same verdicts and failure prefixes, far fewer runs); [dpor] adds
     source-DPOR race reversal on top ([dpor] implies [por]); [memo_store]
-    backs the memo cache with a persistent on-disk store; [sink] receives
-    the frontier counters; [snapshots] selects snapshot-based sibling
-    exploration (default) vs replay-from-root. With [progress] a live
-    status line (runs/s, depth frontier, memo hit rate; per-domain subtree
-    balance when parallel) is maintained on stderr. Defaults: [jobs = 1],
+    backs the memo cache with a persistent on-disk store; [snapshots]
+    selects snapshot-based sibling exploration (default) vs
+    replay-from-root. With [progress] a live status line (runs/s, depth
+    frontier, memo hit rate) is maintained on stderr. Defaults:
     [memo = false], [por = false], [dpor = false], [snapshots = true],
-    [progress = false]. Returns the explorer statistics, the
-    work-stealing frontier distribution (a trivial single-domain record
-    when [jobs = 1]) and a clean-verdict flag: no failure found and no run
-    truncated by the depth bound. *)
+    [progress = false]. Returns the explorer statistics and a clean-verdict
+    flag, true iff the search completed within its run budget, found no
+    failure and cut no run at the depth bound. *)
 
 (** {1 Open-system scenarios}
 

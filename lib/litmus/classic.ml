@@ -241,7 +241,7 @@ type result = {
   memo_hits : int;
 }
 
-let run ?(max_runs = 400_000) ?(jobs = 1) ?(memo = false) ?(por = false)
+let run ?(max_runs = 400_000) ?(memo = false) ?(por = false)
     ?(dpor = false) ?memo_dir ?(snapshots = true) test =
   let memo_store =
     match memo_dir with
@@ -259,15 +259,11 @@ let run ?(max_runs = 400_000) ?(jobs = 1) ?(memo = false) ?(por = false)
         | Error e -> failwith e)
   in
   let st =
-    if jobs > 1 then
-      Explore_par.search ~max_runs ~memo ~por ~dpor ?memo_store ~snapshots
-        ~jobs ~mk:test.mk ()
-    else
-      Explore.search ~max_runs ~memo ~por ~dpor ?memo_store ~snapshots
-        ~mk:test.mk ()
+    Explore.search ~max_runs ~memo ~por ~dpor ?memo_store ~snapshots
+      ~mk:test.mk ()
   in
   let observed = st.Explore.failures <> [] in
-  let exhausted = st.Explore.runs < max_runs && st.Explore.truncated = 0 in
+  let exhausted = st.Explore.complete && st.Explore.truncated = 0 in
   let ok =
     match test.verdict with
     | Allowed -> observed
@@ -280,10 +276,8 @@ let run ?(max_runs = 400_000) ?(jobs = 1) ?(memo = false) ?(por = false)
   in
   { test; observed; runs = st.Explore.runs; exhausted; ok; memo_lookups; memo_hits }
 
-let run_all ?max_runs ?jobs ?memo ?por ?dpor ?memo_dir ?snapshots () =
-  List.map
-    (fun t -> run ?max_runs ?jobs ?memo ?por ?dpor ?memo_dir ?snapshots t)
-    all
+let run_all ?max_runs ?memo ?por ?dpor ?memo_dir ?snapshots () =
+  List.map (fun t -> run ?max_runs ?memo ?por ?dpor ?memo_dir ?snapshots t) all
 
 let pp_result ppf r =
   Format.fprintf ppf "%-18s %-9s %-12s %7d runs%s  %s" r.test.name

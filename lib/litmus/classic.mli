@@ -31,7 +31,9 @@ type result = {
   test : t;
   observed : bool;
   runs : int;
-  exhausted : bool;  (** the schedule space was fully explored *)
+  exhausted : bool;
+      (** the search completed within its run budget and no run was cut
+          by the depth bound *)
   ok : bool;  (** observed matches the verdict (for Forbidden outcomes,
                   only meaningful when [exhausted]) *)
   memo_lookups : int;
@@ -43,7 +45,6 @@ type result = {
 
 val run :
   ?max_runs:int ->
-  ?jobs:int ->
   ?memo:bool ->
   ?por:bool ->
   ?dpor:bool ->
@@ -51,8 +52,7 @@ val run :
   ?snapshots:bool ->
   t ->
   result
-(** Decide one test's verdict by bounded exhaustive search. [jobs > 1] uses
-    the multicore explorer (byte-identical results); [memo] prunes
+(** Decide one test's verdict by bounded exhaustive search. [memo] prunes
     converged interleavings, shrinking [runs] without changing [observed];
     [por] applies sleep-set partial-order reduction (same verdicts, far
     fewer [runs]); [dpor] upgrades to source-DPOR (implies [por], fewer
@@ -60,12 +60,11 @@ val run :
     [memo_dir/<test name>] across invocations ({!Tso.Memo_store}; raises
     [Failure] with the store's diagnostic on a header mismatch);
     [snapshots] selects snapshot-based sibling exploration (default) vs
-    replay-from-root. Defaults: [jobs = 1], [memo = false], [por = false],
+    replay-from-root. Defaults: [memo = false], [por = false],
     [dpor = false], [snapshots = true]. *)
 
 val run_all :
   ?max_runs:int ->
-  ?jobs:int ->
   ?memo:bool ->
   ?por:bool ->
   ?dpor:bool ->

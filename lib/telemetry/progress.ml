@@ -29,8 +29,6 @@ let create ?(interval = 0.5) ?(out = stderr) ~label () =
     last_lines = 0;
   }
 
-let elapsed t = Unix.gettimeofday () -. t.started
-
 let emit t line =
   let line = Printf.sprintf "%s: %s" t.label line in
   (* Pad with spaces to erase the previous (possibly longer) line. *)

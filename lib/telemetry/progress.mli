@@ -16,8 +16,6 @@ val sample : t -> count:int -> (rate:float -> string) -> unit
 (** Maybe emit a status line. [count] is the monotone progress measure;
     [rate] passed to the formatter is [count] per second since creation. *)
 
-val elapsed : t -> float
-
 val redraw : t -> string list -> unit
 (** Throttled multi-line block redraw (for dashboards like [wsrepro top]):
     rewrites the previously drawn block in place with ANSI cursor movement,

@@ -43,9 +43,6 @@ type t = {
   (* explorer layer *)
   mutable por_sleep_skips : int;  (* transitions skipped by sleep-set POR *)
   mutable snapshot_restores : int;  (* Machine.restore_into calls *)
-  mutable frontier_tasks : int;  (* frontier tasks processed (Explore_par) *)
-  mutable frontier_steals : int;  (* successful frontier deque steals *)
-  mutable frontier_steal_attempts : int;  (* frontier steal probes *)
   (* forensics layer *)
   mutable shrink_iterations : int;  (* ddmin oracle replays *)
   mutable witness_events : int;  (* reorder witnesses extracted *)
@@ -80,9 +77,6 @@ let create () =
     parks = 0;
     por_sleep_skips = 0;
     snapshot_restores = 0;
-    frontier_tasks = 0;
-    frontier_steals = 0;
-    frontier_steal_attempts = 0;
     shrink_iterations = 0;
     witness_events = 0;
     forensics_report_bytes = 0;
@@ -115,9 +109,6 @@ let reset t =
   t.parks <- 0;
   t.por_sleep_skips <- 0;
   t.snapshot_restores <- 0;
-  t.frontier_tasks <- 0;
-  t.frontier_steals <- 0;
-  t.frontier_steal_attempts <- 0;
   t.shrink_iterations <- 0;
   t.witness_events <- 0;
   t.forensics_report_bytes <- 0
@@ -149,10 +140,6 @@ let merge ~into src =
   into.parks <- into.parks + src.parks;
   into.por_sleep_skips <- into.por_sleep_skips + src.por_sleep_skips;
   into.snapshot_restores <- into.snapshot_restores + src.snapshot_restores;
-  into.frontier_tasks <- into.frontier_tasks + src.frontier_tasks;
-  into.frontier_steals <- into.frontier_steals + src.frontier_steals;
-  into.frontier_steal_attempts <-
-    into.frontier_steal_attempts + src.frontier_steal_attempts;
   into.shrink_iterations <- into.shrink_iterations + src.shrink_iterations;
   into.witness_events <- into.witness_events + src.witness_events;
   into.forensics_report_bytes <-
@@ -186,9 +173,6 @@ let fields t =
     ("parks", t.parks);
     ("por_sleep_skips", t.por_sleep_skips);
     ("snapshot_restores", t.snapshot_restores);
-    ("frontier_tasks", t.frontier_tasks);
-    ("frontier_steals", t.frontier_steals);
-    ("frontier_steal_attempts", t.frontier_steal_attempts);
     ("shrink_iterations", t.shrink_iterations);
     ("witness_events", t.witness_events);
     ("forensics_report_bytes", t.forensics_report_bytes);

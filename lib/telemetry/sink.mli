@@ -44,12 +44,6 @@ type t = {
       (** transitions the explorer's sleep-set POR refused to explore *)
   mutable snapshot_restores : int;
       (** {!Machine.restore_into} calls (snapshot-based sibling exploration) *)
-  mutable frontier_tasks : int;
-      (** work-stealing frontier tasks processed by the parallel explorer *)
-  mutable frontier_steals : int;
-      (** successful steals between the explorer's frontier deques *)
-  mutable frontier_steal_attempts : int;
-      (** frontier steal probes, successful or not *)
   mutable shrink_iterations : int;
       (** oracle replays performed by the forensics ddmin shrinker *)
   mutable witness_events : int;

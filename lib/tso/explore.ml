@@ -11,7 +11,7 @@ type stats = {
   memo_hits : int;
   sleep_skips : int;
   peak_depth : int;
-  covered : float;
+  complete : bool;
   failures : (int list * string) list;
 }
 
@@ -32,6 +32,7 @@ let unit_of = function
   | Machine.Step t -> U_thread t
   | Machine.Drain _ | Machine.Flush _ -> U_memory
 
+(* Raised by the run-budget callback to abort a search. *)
 exception Stop
 
 (* Partial-order reduction for busy-wait loops: a pause/label step is a pure
@@ -394,11 +395,6 @@ module Prefix = struct
   let dummy = Machine.Step (-1)
   let create () = { idx = Array.make 64 0; trs = Array.make 64 dummy; len = 0 }
 
-  let copy p =
-    { idx = Array.copy p.idx; trs = Array.copy p.trs; len = p.len }
-
-  let length p = p.len
-
   let push p i tr =
     let n = p.len in
     if n = Array.length p.idx then begin
@@ -448,7 +444,6 @@ type acc = {
   mutable memo_hits : int;
   mutable sleep_skips : int;
   mutable peak_depth : int;
-  mutable covered : float;
   mutable failures_rev : (int list * string) list;
   mutable failure_count : int;
 }
@@ -462,12 +457,11 @@ let make_acc () =
     memo_hits = 0;
     sleep_skips = 0;
     peak_depth = 0;
-    covered = 0.0;
     failures_rev = [];
     failure_count = 0;
   }
 
-let stats_of_acc a =
+let stats_of_acc ~complete a =
   {
     runs = a.runs;
     truncated = a.truncated;
@@ -476,7 +470,7 @@ let stats_of_acc a =
     memo_hits = a.memo_hits;
     sleep_skips = a.sleep_skips;
     peak_depth = a.peak_depth;
-    covered = min 1.0 a.covered;
+    complete;
     failures = List.rev a.failures_rev;
   }
 
@@ -485,25 +479,22 @@ let stats_of_acc a =
    preemptions), so each fingerprint maps to the Pareto frontier of
    (depth remaining, preemptions remaining) pairs already explored. With the
    default unbounded settings the frontier is a single entry and this
-   degenerates to a plain visited set. The cache is abstracted as a closure
-   so {!Explore_par} can substitute a sharded, lock-protected table shared
-   across domains. *)
-type memo = { seen : int -> depth_rem:int -> preempt_rem:int -> bool }
-
-(* The frontier rule itself lives in {!Memo_store} so the persistent store
-   and the in-memory table cannot drift. *)
-let memo_tbl_check = Memo_store.tbl_check
-
+   degenerates to a plain visited set. [seen fp ~depth_rem ~preempt_rem] is
+   true (prune) iff [fp] was already explored with at least that budget,
+   and records the visit otherwise. The persistent {!Memo_store.seen} can
+   stand in for this table; the frontier rule itself lives in
+   {!Memo_store.tbl_check}, so the two cannot drift. *)
 let memo_create () =
-  let tbl : (int, (int * int) list) Hashtbl.t = Hashtbl.create 4096 in
-  { seen = (fun fp ~depth_rem ~preempt_rem -> memo_tbl_check tbl fp ~depth_rem ~preempt_rem) }
+  let tbl = Hashtbl.create 4096 in
+  fun fp ~depth_rem ~preempt_rem ->
+    Memo_store.tbl_check tbl fp ~depth_rem ~preempt_rem
 
 type ctx = {
   mk : unit -> instance;
   max_depth : int;
   preemption_bound : int option;
   max_failures : int;
-  memo : memo option;
+  memo : (int -> depth_rem:int -> preempt_rem:int -> bool) option;
   acc : acc;
   on_run : acc -> unit;  (** called once per completed run; may raise {!Stop} *)
   pool : pool;  (** per-depth enabled-set buffers for the in-place DFS *)
@@ -514,22 +505,7 @@ type ctx = {
       (** sibling exploration by snapshot/restore; [false] falls back to
           prefix replay (the differential oracle) *)
   spool : spool;  (** per-depth snapshot scratch *)
-  mutable mass : float;
-      (** Knuth-style tree-mass register: the probability mass of the
-          subtree [extend] is about to enter. The root carries 1.0; an
-          n-ary branch splits its mass evenly among its children. Every
-          way a subtree is disposed of without recursing — leaf, deadlock,
-          depth truncation, memo hit, sleep skip, bound prune, DPOR
-          never-demanded sibling — credits its mass to [acc.covered], so
-          covered sums to exactly 1.0 over a completed search and the
-          covered fraction of an interrupted one estimates the fraction of
-          the tree explored (and [runs /. covered] its total size). The
-          caller sets this field immediately before each [extend] call;
-          [extend] reads it once on entry. *)
 }
-
-(* Account a disposed-of subtree's mass as covered. *)
-let credit ctx mass = ctx.acc.covered <- ctx.acc.covered +. mass
 
 let sleep_skip ctx m =
   ctx.acc.sleep_skips <- ctx.acc.sleep_skips + 1;
@@ -544,13 +520,8 @@ let fail ctx prefix msg =
     ctx.acc.failure_count <- ctx.acc.failure_count + 1
   end
 
-let preemption_cost ~last_unit ~choices:ts tr =
-  match (last_unit, unit_of tr) with
-  | Some (U_thread a), U_thread b when a <> b ->
-      if List.exists (fun t -> unit_of t = U_thread a) ts then 1 else 0
-  | _ -> 0
-
-(* The same CHESS accounting over the buffer the choices live in. *)
+(* CHESS accounting over the buffer the choices live in: switching away
+   from a thread that could still run costs one preemption. *)
 let preemption_cost_buf ~last_unit buf tr =
   match (last_unit, unit_of tr) with
   | Some (U_thread a), U_thread b when a <> b ->
@@ -576,15 +547,11 @@ let preemption_cost_buf ~last_unit buf tr =
    restored to its entry length. *)
 let rec extend ctx inst prefix depth last_unit preemptions sleep =
   let m = inst.machine in
-  (* This node's subtree mass, staged by the caller (1.0 at the root). The
-     register is clobbered by deeper recursion, so it is read exactly once,
-     here. *)
-  let mass = ctx.mass in
   if depth > ctx.acc.peak_depth then ctx.acc.peak_depth <- depth;
   let memo_hit =
     match ctx.memo with
     | None -> false
-    | Some memo ->
+    | Some seen ->
         let preempt_rem =
           match ctx.preemption_bound with
           | None -> max_int
@@ -596,19 +563,15 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
              sleep set explores a different reduced subtree. *)
           if ctx.por then mix fp (sleep_hash sleep) else fp
         in
-        memo.seen key ~depth_rem:(ctx.max_depth - depth) ~preempt_rem
+        seen key ~depth_rem:(ctx.max_depth - depth) ~preempt_rem
   in
-  if memo_hit then begin
-    ctx.acc.memo_hits <- ctx.acc.memo_hits + 1;
-    credit ctx mass
-  end
+  if memo_hit then ctx.acc.memo_hits <- ctx.acc.memo_hits + 1
   else begin
     (* Depth [depth]'s buffer stays live while this node iterates its
        children; the recursion below only touches deeper buffers. *)
     let buf = pool_get ctx.pool depth in
     let n = choices_into m buf in
     if n = 0 then begin
-      credit ctx mass;
       if Machine.quiescent m then begin
         (match inst.check () with
         | Ok () -> ()
@@ -622,19 +585,16 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
       end
     end
     else if depth >= ctx.max_depth then begin
-      credit ctx mass;
       ctx.acc.truncated <- ctx.acc.truncated + 1;
       ctx.on_run ctx.acc
     end
     else if n = 1 then begin
       let tr = Machine.tbuf_get buf 0 in
-      if ctx.por && sleep_mem sleep tr then begin
+      if ctx.por && sleep_mem sleep tr then
         (* The whole continuation is a commuted copy of an explored one:
            backtrack without completing (or counting) a run — this silent
            cut is where the run reduction comes from. *)
-        credit ctx mass;
         sleep_skip ctx m
-      end
       else begin
         let fp_opt =
           if ctx.dpor <> None || (ctx.por && sleep <> []) then
@@ -660,7 +620,6 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
           match unit_of tr with U_memory -> last_unit | u -> Some u
         in
         Prefix.push prefix 0 tr;
-        ctx.mass <- mass;
         extend ctx inst prefix (depth + 1) last_unit preemptions sleep';
         Prefix.pop prefix;
         match ctx.dpor with Some ds -> dpor_pop ds depth | None -> ()
@@ -672,10 +631,6 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
         | None -> true
         | Some b -> preemptions + cost <= b
       in
-      (* Knuth split: each of the n children carries an equal share of this
-         node's mass, however it is disposed of (explored, slept, pruned,
-         or never demanded). *)
-      let cmass = mass /. float_of_int n in
       (* Footprints are a function of the machine state at this node (a
          drain's target address is the current buffer head), so they are
          taken for every child before child 0 advances the machine. *)
@@ -742,7 +697,6 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
           (if !init < 0 then
              (* every choice is a commuted copy of an explored execution *)
              for _ = 1 to n do
-               credit ctx cmass;
                sleep_skip ctx m
              done
            else begin
@@ -768,14 +722,10 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
                  let i = !next in
                  node.nd_done.(i) <- true;
                  let tr = Machine.tbuf_get buf i in
-                 if sleep_mem !sleep_now tr then begin
-                   credit ctx cmass;
-                   sleep_skip ctx m
-                 end
+                 if sleep_mem !sleep_now tr then sleep_skip ctx m
                  else begin
                    let cost = preemption_cost_buf ~last_unit buf tr in
                    if not (within cost) then begin
-                     credit ctx cmass;
                      ctx.acc.pruned <- ctx.acc.pruned + 1;
                      (* the bound cut a demanded child; races below it are
                         unknown, so enumerate as the bounded search does *)
@@ -789,7 +739,7 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
                      dpor_push ds depth fps.(i);
                      let fresh = !in_place in
                      in_place := true;
-                     child ctx inst snap prefix ~fresh ~mass:cmass tr
+                     child ctx inst snap prefix ~fresh tr
                        (depth + 1) last_unit (preemptions + cost) child_sleep;
                      Prefix.pop prefix;
                      dpor_pop ds depth;
@@ -811,12 +761,6 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
                    end
                  end
                end
-             done;
-             (* Siblings no race ever demanded are covered by the source-set
-                reduction — their subtrees are commuted copies of explored
-                ones. Credit their share so [covered] still sums to 1. *)
-             for j = 0 to n - 1 do
-               if not node.nd_done.(j) then credit ctx cmass
              done
            end);
           ds.d_nodes.(depth) <- None
@@ -828,23 +772,17 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
           let sleep_now = ref sleep in
           for i = 0 to n - 1 do
             let tr = Machine.tbuf_get buf i in
-            if ctx.por && sleep_mem !sleep_now tr then begin
-              credit ctx cmass;
-              sleep_skip ctx m
-            end
+            if ctx.por && sleep_mem !sleep_now tr then sleep_skip ctx m
             else begin
               let cost = preemption_cost_buf ~last_unit buf tr in
-              if not (within cost) then begin
-                credit ctx cmass;
-                ctx.acc.pruned <- ctx.acc.pruned + 1
-              end
+              if not (within cost) then ctx.acc.pruned <- ctx.acc.pruned + 1
               else begin
                 let child_sleep =
                   if ctx.por then sleep_filter !sleep_now fps.(i) else []
                 in
                 let pruned0 = ctx.acc.pruned and memo0 = ctx.acc.memo_hits in
                 Prefix.push prefix i tr;
-                child ctx inst snap prefix ~fresh:(i > 0) ~mass:cmass tr
+                child ctx inst snap prefix ~fresh:(i > 0) tr
                   (depth + 1) last_unit (preemptions + cost) child_sleep;
                 Prefix.pop prefix;
                 if ctx.por then begin
@@ -868,14 +806,12 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
    from the node's snapshot [snap] and advanced by [tr], or replayed from
    the root — that is released on every exit from the child's subtree.
    [last_unit] is the node's; the child's follows from [tr]. *)
-and child ctx inst snap prefix ~fresh ~mass tr depth last_unit preemptions
-    sleep =
+and child ctx inst snap prefix ~fresh tr depth last_unit preemptions sleep =
   let last_unit =
     match unit_of tr with U_memory -> last_unit | u -> Some u
   in
   if not fresh then begin
     Machine.apply inst.machine tr;
-    ctx.mass <- mass;
     extend ctx inst prefix depth last_unit preemptions sleep
   end
   else begin
@@ -893,7 +829,6 @@ and child ctx inst snap prefix ~fresh ~mass tr depth last_unit preemptions
               raise e)
       | None -> Prefix.replay ~mk:ctx.mk prefix
     in
-    ctx.mass <- mass;
     match extend ctx sib prefix depth last_unit preemptions sleep with
     | () -> Machine.release sib.machine
     | exception e ->
@@ -921,13 +856,7 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
   let progress_every = max 1 progress_every in
   let memo_impl =
     match memo_store with
-    | Some store ->
-        Some
-          {
-            seen =
-              (fun fp ~depth_rem ~preempt_rem ->
-                Memo_store.seen store fp ~depth_rem ~preempt_rem);
-          }
+    | Some store -> Some (Memo_store.seen store)
     | None -> if memo then Some (memo_create ()) else None
   in
   let root = mk () in
@@ -943,7 +872,8 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
         (fun a ->
           a.runs <- a.runs + 1;
           (match on_progress with
-          | Some f when a.runs mod progress_every = 0 -> f (stats_of_acc a)
+          | Some f when a.runs mod progress_every = 0 ->
+              f (stats_of_acc ~complete:false a)
           | _ -> ());
           if a.runs >= max_runs then raise Stop);
       pool = pool_create ();
@@ -954,12 +884,11 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
          else None);
       use_snapshots = snapshots;
       spool = spool_create ();
-      mass = 1.0;
     }
   in
   (* The root is built here, so it is released here, also when [Stop] (or
      any other exception) unwinds the tree. *)
-  let completed =
+  let complete =
     Fun.protect
       ~finally:(fun () -> Machine.release root.machine)
       (fun () ->
@@ -967,10 +896,7 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
         | () -> true
         | exception Stop -> false)
   in
-  (* A completed search covered the whole tree by construction; snap the
-     float accumulation to the exact answer. *)
-  if completed then acc.covered <- 1.0;
-  let st = stats_of_acc acc in
+  let st = stats_of_acc ~complete acc in
   match memo_store with
   | None -> st
   | Some store ->
@@ -981,7 +907,7 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
       let failures =
         Memo_store.merge_failures store ~max_failures st.failures
       in
-      if completed then begin
+      if complete then begin
         match Memo_store.commit store ~failures with
         | Ok () -> ()
         | Error e -> failwith ("memo store commit failed: " ^ e)
@@ -1027,71 +953,5 @@ let replay_choices ?(max_steps = max_int) ~mk steps =
   Fun.protect ~finally:(fun () -> Machine.release m) run
 
 module Internal = struct
-  type nonrec acc = acc = {
-    mutable runs : int;
-    mutable truncated : int;
-    mutable deadlocks : int;
-    mutable pruned : int;
-    mutable memo_hits : int;
-    mutable sleep_skips : int;
-    mutable peak_depth : int;
-    mutable covered : float;
-    mutable failures_rev : (int list * string) list;
-    mutable failure_count : int;
-  }
-
-  let make_acc = make_acc
-  let stats_of_acc = stats_of_acc
-
-  module Prefix = Prefix
-
-  type nonrec memo = memo = {
-    seen : int -> depth_rem:int -> preempt_rem:int -> bool;
-  }
-
-  let memo_create = memo_create
-  let memo_tbl_check = memo_tbl_check
-
-  type nonrec pool = pool
-
-  let pool_create = pool_create
-
-  type nonrec spool = spool
-
-  let spool_create = spool_create
-
-  type nonrec sleep_entry = sleep_entry = {
-    sl_tr : Machine.transition;
-    sl_fp : Machine.footprint;
-  }
-
-  let sleep_mem = sleep_mem
-  let sleep_filter = sleep_filter
-  let sleep_hash = sleep_hash
-
-  type nonrec dpor = dpor
-
-  let dpor_create = dpor_create
-
-  type nonrec ctx = ctx = {
-    mk : unit -> instance;
-    max_depth : int;
-    preemption_bound : int option;
-    max_failures : int;
-    memo : memo option;
-    acc : acc;
-    on_run : acc -> unit;
-    pool : pool;
-    por : bool;
-    dpor : dpor option;
-    use_snapshots : bool;
-    spool : spool;
-    mutable mass : float;
-  }
-
   let recording_mk = recording_mk
-  let extend = extend
-  let fail = fail
-  let preemption_cost = preemption_cost
-  let sleep_skip = sleep_skip
 end

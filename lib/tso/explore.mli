@@ -87,20 +87,12 @@ type stats = {
       (** transitions refused by sleep-set POR (0 unless [por]) *)
   peak_depth : int;
       (** deepest node reached by the search (the depth frontier) *)
-  covered : float;
-      (** Knuth-style covered tree-mass estimate in [0, 1]. The root of
-          the choice tree carries mass 1; an n-ary branch splits its mass
-          evenly among its children; every subtree disposed of without
-          further recursion — completed run, deadlock, depth truncation,
-          memo hit, sleep skip, bound prune, DPOR never-demanded sibling —
-          credits its mass. A search that ran to completion reports exactly
-          [1.0]; an interrupted one ([max_runs], {!Stop}) reports the
-          fraction of the tree it got through, making
-          [runs /. covered] an unbiased-flavoured estimate of the total
-          run count and [elapsed *. (1 -. covered) /. covered] an ETA.
-          The estimate assumes sibling subtrees have comparable mass
-          (the classic Knuth estimator assumption); skewed trees make it
-          noisy early and self-correcting as coverage grows. *)
+  complete : bool;
+      (** [false] iff the run budget ([max_runs]) stopped the search. The
+          budget stops it as the [max_runs]-th run completes, before the
+          search can tell whether anything is left, so a tree of exactly
+          [max_runs] runs also reads [false]. Only a complete search with
+          no failure and no depth-truncated run is a proof. *)
   failures : (int list * string) list;
       (** Failing runs, in sighting order (first-sighted first, at most
           [max_failures]). Each failure is a choice sequence plus the
@@ -159,8 +151,9 @@ val search :
     @raise Failure if that commit fails at the filesystem level.
 
     [on_progress], if given, receives a snapshot of the running statistics
-    every [progress_every] completed runs (default 4096) — the hook for
-    live progress reporting. It must not mutate the search. *)
+    (with [complete = false]) every [progress_every] completed runs
+    (default 4096) — the hook for live progress reporting. It must not
+    mutate the search. *)
 
 val replay_choices :
   ?max_steps:int -> mk:(unit -> instance) -> int list -> (unit, string) result
@@ -182,139 +175,11 @@ val next_choices : Machine.t -> Machine.transition list
     Recorded choice indices index into this list — use it to replay a
     failure step by step (e.g. with a {!Trace} attached). *)
 
-type unit_id = U_thread of int | U_memory
-    (** The unit performing a transition: a thread, or the memory subsystem
-        (drains/flushes), which never costs a preemption. *)
-
-val unit_of : Machine.transition -> unit_id
-
-exception Stop
-(** Raised by the run-budget callback to abort a search. *)
-
 (**/**)
 
-(** The search core, exposed for {!Explore_par}. The parallel driver must
-    explore each subtree {e exactly} as the sequential search would (so
-    merged results are byte-identical); sharing the recursion is what
-    guarantees that. Not a stable API. *)
+(** For the benchmark's snapshot probes; not a stable API. *)
 module Internal : sig
-  type nonrec acc = {
-    mutable runs : int;
-    mutable truncated : int;
-    mutable deadlocks : int;
-    mutable pruned : int;
-    mutable memo_hits : int;
-    mutable sleep_skips : int;
-    mutable peak_depth : int;
-    mutable covered : float;  (** see {!stats.covered} *)
-    mutable failures_rev : (int list * string) list;
-    mutable failure_count : int;
-  }
-
-  val make_acc : unit -> acc
-  val stats_of_acc : acc -> stats
-
-  module Prefix : sig
-    type t
-
-    val create : unit -> t
-    val copy : t -> t
-    val length : t -> int
-    val push : t -> int -> Machine.transition -> unit
-    val pop : t -> unit
-    val to_list : t -> int list
-    val replay : mk:(unit -> instance) -> t -> instance
-  end
-
-  type memo = { seen : int -> depth_rem:int -> preempt_rem:int -> bool }
-      (** Visited-state cache keyed by the structural {!Machine.fingerprint}:
-          [seen fp ~depth_rem ~preempt_rem] returns [true] (prune) iff [fp]
-          was already explored with at least as much remaining budget,
-          recording the visit otherwise. *)
-
-  val memo_create : unit -> memo
-
-  val memo_tbl_check :
-    (int, (int * int) list) Hashtbl.t ->
-    int ->
-    depth_rem:int ->
-    preempt_rem:int ->
-    bool
-  (** The Pareto-dominance check over one table; building block for sharded
-      caches. *)
-
-  type pool
-  (** Per-depth reusable enabled-set buffers for the in-place DFS. *)
-
-  val pool_create : unit -> pool
-
-  type spool
-  (** Per-depth reusable machine-snapshot scratch. *)
-
-  val spool_create : unit -> spool
-
-  type sleep_entry = {
-    sl_tr : Machine.transition;
-    sl_fp : Machine.footprint;
-        (** taken when the transition went to sleep; stays valid while it
-            sleeps, because any same-thread transition is dependent and
-            would have woken it *)
-  }
-
-  val sleep_mem : sleep_entry list -> Machine.transition -> bool
-  val sleep_filter : sleep_entry list -> Machine.footprint -> sleep_entry list
-  (** Keep only the entries independent of the footprint of the transition
-      being executed. *)
-
-  val sleep_hash : sleep_entry list -> int
-  (** Order-independent, for the memoization key. *)
-
-  type dpor
-  (** Per-search source-DPOR state: vector clocks, per-address access
-      records, and the stack of branch nodes with their backtrack sets. *)
-
-  val dpor_create : nthreads:int -> dpor
-
-  type ctx = {
-    mk : unit -> instance;
-    max_depth : int;
-    preemption_bound : int option;
-    max_failures : int;
-    memo : memo option;
-    acc : acc;
-    on_run : acc -> unit;
-    pool : pool;
-    por : bool;
-    dpor : dpor option;
-    use_snapshots : bool;
-    spool : spool;
-    mutable mass : float;
-        (** subtree mass for the next [extend] call; set it to the task's
-            mass before entering a frontier subtree (see {!stats.covered}) *)
-  }
-
   val recording_mk : (unit -> instance) -> unit -> instance
   (** Wrap an instance builder so every instance records responses (the
       precondition of {!Machine.snapshot}). *)
-
-  val extend :
-    ctx ->
-    instance ->
-    Prefix.t ->
-    int ->
-    unit_id option ->
-    int ->
-    sleep_entry list ->
-    unit
-
-  val fail : ctx -> Prefix.t -> string -> unit
-
-  val preemption_cost :
-    last_unit:unit_id option ->
-    choices:Machine.transition list ->
-    Machine.transition ->
-    int
-
-  val sleep_skip : ctx -> Machine.t -> unit
-  (** Account one sleeping transition skipped (stats + sink). *)
 end

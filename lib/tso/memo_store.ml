@@ -43,9 +43,9 @@ type t = {
   hits : int Atomic.t;
 }
 
-(* The Pareto-frontier membership/insertion shared with the in-memory memo
-   (re-exported there as [Explore.Internal.memo_tbl_check]): a fingerprint
-   maps to the maximal (depth_rem, preempt_rem) pairs already explored. *)
+(* The Pareto-frontier membership/insertion shared with the explorer's
+   in-memory memo: a fingerprint maps to the maximal (depth_rem,
+   preempt_rem) pairs already explored. *)
 let tbl_check tbl fp ~depth_rem ~preempt_rem =
   let entries = Option.value ~default:[] (Hashtbl.find_opt tbl fp) in
   if List.exists (fun (d, p) -> d >= depth_rem && p >= preempt_rem) entries

@@ -65,4 +65,4 @@ val tbl_check :
   preempt_rem:int ->
   bool
 (** The Pareto-frontier membership/insert both memo implementations share
-    (exposed for the in-memory memo and the benchmark probes). *)
+    (exposed for the explorer's in-memory memo). *)

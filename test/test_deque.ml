@@ -314,16 +314,31 @@ let explore_spec qname =
     steal_attempts = 1;
   }
 
+(* Depth-truncated runs of each completed search; 0 for every other queue.
+   Each THEP and THEP-sep one is the same unfair schedule. The thief holds
+   the queue lock in its echo-wait loop, and its next step is the
+   [spin_pause] there. The worker's take spins on that lock: a failed cas,
+   then a pause. The search offers a pause only when every thread is at
+   one, and there it takes the worker's (DPOR never demands the thief's: a
+   pause touches no memory). So the thief never runs again, and the run
+   goes on until the depth bound cuts it. The counts are the same at
+   max_depth 400, 800 and 1600. A fair scheduler would run the thief,
+   which then leaves its loop and unlocks, so no fair execution does this;
+   but these runs leave the search short of a proof for both queues. *)
+let explore_truncated = function "thep" -> 9 | "thep-sep" -> 21 | _ -> 0
+
 let test_explore_safety qname () =
-  let st, _, _ =
-    Ws_harness.Scenarios.explore_check (explore_spec qname) ~max_runs:120_000
-      ~preemption_bound:(Some 2) ()
+  let st, _ =
+    Ws_harness.Scenarios.explore_check (explore_spec qname)
+      ~preemption_bound:(Some 2) ~memo:true ~dpor:true ()
   in
   (match st.Tso.Explore.failures with
   | [] -> ()
   | (_, msg) :: _ -> Alcotest.fail msg);
+  checkb "the search completed" true st.Tso.Explore.complete;
   checki "no deadlocks" 0 st.Tso.Explore.deadlocks;
-  checki "no truncation" 0 st.Tso.Explore.truncated
+  checki "depth-truncated runs" (explore_truncated qname)
+    st.Tso.Explore.truncated
 
 (* ------------------------------------------------------------------ *)
 (* Broken variants MUST fail                                           *)
@@ -331,7 +346,7 @@ let test_explore_safety qname () =
 
 let test_the_without_fence_fails () =
   let spec = { (explore_spec "the") with worker_fence = false } in
-  let st, _, _ =
+  let st, _ =
     Ws_harness.Scenarios.explore_check spec ~max_runs:500_000
       ~preemption_bound:(Some 3) ()
   in
@@ -348,7 +363,7 @@ let test_chase_lev_without_fence_fails () =
       client_stores = 0;
     }
   in
-  let st, _, _ =
+  let st, _ =
     Ws_harness.Scenarios.explore_check spec ~max_runs:500_000
       ~preemption_bound:(Some 3) ()
   in
@@ -370,7 +385,7 @@ let test_ff_cl_undersized_delta_fails () =
       client_stores = 0;
     }
   in
-  let st, _, _ =
+  let st, _ =
     Ws_harness.Scenarios.explore_check spec ~max_runs:1_000_000
       ~preemption_bound:(Some 3) ()
   in

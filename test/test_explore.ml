@@ -1,10 +1,11 @@
-(* Regression tests for the memoized + multicore exploration layer:
-   - parallel search must return byte-identical statistics and failure
-     traces to the sequential search (classic x86-TSO litmus suite);
+(* Regression tests for the explorer's reductions and bookkeeping:
+   - independent searches fanned out over several domains must return
+     byte-identical statistics to the same searches run one after another;
    - memoized search must report the same verdicts while exploring fewer
      runs;
    - memoized exploration turns queue scenarios that blow the run budget
-     into full proofs. *)
+     into full proofs;
+   - [complete] says whether the search finished within its run budget. *)
 
 open Tso
 
@@ -13,8 +14,8 @@ let checkb = Alcotest.check Alcotest.bool
 let pp_stats ppf (s : Explore.stats) =
   Format.fprintf ppf
     "{runs=%d; truncated=%d; deadlocks=%d; pruned=%d; memo_hits=%d; \
-     failures=[%a]}"
-    s.Explore.runs s.truncated s.deadlocks s.pruned s.memo_hits
+     complete=%b; failures=[%a]}"
+    s.Explore.runs s.truncated s.deadlocks s.pruned s.memo_hits s.complete
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
        (fun ppf (tr, msg) ->
@@ -26,21 +27,61 @@ let pp_stats ppf (s : Explore.stats) =
 let stats = Alcotest.testable pp_stats ( = )
 let max_runs = 400_000
 
-let test_parallel_byte_identical () =
-  List.iter
-    (fun (t : Ws_litmus.Classic.t) ->
-      let seq = Explore.search ~max_runs ~mk:t.mk () in
-      let par = Explore_par.search ~max_runs ~jobs:4 ~mk:t.mk () in
-      Alcotest.check stats (t.name ^ ": jobs=4 equals sequential") seq par)
-    Ws_litmus.Classic.all
+(* --- independent searches on several domains --------------------------- *)
 
-let test_parallel_more_jobs_than_work () =
-  (* a single-thread test whose whole space fits inside the frontier
-     expansion: domains must cope with an empty/short task queue *)
-  let t = Ws_litmus.Classic.find "store-forwarding" in
-  let seq = Explore.search ~max_runs ~mk:t.mk () in
-  let par = Explore_par.search ~max_runs ~jobs:8 ~mk:t.mk () in
-  Alcotest.check stats "jobs=8 on a 5-run space" seq par
+(* The explorer runs one search on one domain; what runs in parallel is
+   independent searches, fanned out by [Par_runner] behind the figure
+   commands' [--jobs]. Each search owns its machines, memo table and DPOR
+   state, so no result may depend on how many domains ran the searches. *)
+let fan_out ~jobs f = Ws_harness.Par_runner.map ~jobs f Ws_litmus.Classic.all
+
+let check_fanned_out ~label f =
+  let seq = fan_out ~jobs:1 f and par = fan_out ~jobs:4 f in
+  List.iter2
+    (fun (t : Ws_litmus.Classic.t) (s, p) ->
+      Alcotest.check stats (t.name ^ ": " ^ label) s p)
+    Ws_litmus.Classic.all (List.combine seq par)
+
+let test_parallel_byte_identical () =
+  check_fanned_out ~label:"jobs=4 equals sequential" (fun t ->
+      Explore.search ~max_runs ~mk:t.Ws_litmus.Classic.mk ())
+
+let delta_spec queue delta =
+  {
+    Ws_harness.Scenarios.default_spec with
+    queue;
+    sb_capacity = 2;
+    delta;
+    worker_fence = false;
+    preloaded = 3;
+    puts = 0;
+    steal_attempts = 2;
+    client_stores = 0;
+  }
+
+let test_parallel_delta_grid () =
+  (* a small δ grid of memoized DPOR proofs and sightings, on two domains
+     as the Fig. 8 grid runs them: every cell equals its sequential twin *)
+  let cells =
+    List.concat_map
+      (fun q -> [ delta_spec q 1; delta_spec q 2 ])
+      [ "ff-the"; "ff-cl" ]
+  in
+  let go spec =
+    Ws_harness.Scenarios.explore_check spec ~preemption_bound:(Some 3)
+      ~memo:true ~dpor:true ()
+  in
+  let seq = Ws_harness.Par_runner.map ~jobs:1 go cells in
+  let par = Ws_harness.Par_runner.map ~jobs:2 go cells in
+  List.iter2
+    (fun (spec : Ws_harness.Scenarios.spec) ((s, s_clean), (p, p_clean)) ->
+      let cell = Printf.sprintf "%s delta=%d" spec.queue spec.delta in
+      Alcotest.check stats (cell ^ ": jobs=2 equals sequential") s p;
+      checkb (cell ^ ": same clean verdict") s_clean p_clean)
+    cells (List.combine seq par);
+  checkb "the grid holds a sighting and a proof" true
+    (List.exists (fun (s, _) -> s.Explore.failures <> []) seq
+    && List.exists snd seq)
 
 let test_memo_same_verdicts () =
   let reduced = ref false in
@@ -58,39 +99,39 @@ let test_memo_same_verdicts () =
   checkb "memoization reduced runs on at least one litmus case" true !reduced
 
 let test_memo_parallel_verdicts () =
-  List.iter
-    (fun (t : Ws_litmus.Classic.t) ->
-      let seq = Ws_litmus.Classic.run ~memo:true t in
-      let par = Ws_litmus.Classic.run ~memo:true ~jobs:4 t in
-      checkb (t.name ^ ": memo+jobs verdict unchanged") seq.observed
-        par.observed;
-      checkb (t.name ^ ": memo+jobs ok unchanged") seq.ok par.ok)
-    Ws_litmus.Classic.all
+  let run jobs =
+    Ws_harness.Par_runner.map ~jobs
+      (fun t -> Ws_litmus.Classic.run ~memo:true t)
+      Ws_litmus.Classic.all
+  in
+  List.iter2
+    (fun (seq : Ws_litmus.Classic.result) (par : Ws_litmus.Classic.result) ->
+      let name = seq.test.name in
+      checkb (name ^ ": memo+jobs verdict unchanged") seq.observed par.observed;
+      checkb (name ^ ": memo+jobs ok unchanged") seq.ok par.ok;
+      checkb (name ^ ": memo+jobs exhausted unchanged") seq.exhausted
+        par.exhausted;
+      Alcotest.(check int) (name ^ ": memo+jobs runs unchanged") seq.runs
+        par.runs)
+    (run 1) (run 4)
 
 let test_scenario_memo_completes () =
   (* the default ff-the scenario blows the 200k-run budget unmemoized;
      memoization collapses it to a complete (exhaustive) proof *)
   let spec = Ws_harness.Scenarios.default_spec in
-  let st, _, clean =
+  let st, clean =
     Ws_harness.Scenarios.explore_check spec ~preemption_bound:(Some 3)
       ~memo:true ()
   in
   checkb "no violation" true clean;
   checkb "memo hits reported" true (st.Explore.memo_hits > 0);
-  checkb "well under the run budget" true (st.Explore.runs < 10_000);
-  let par, _, par_clean =
-    Ws_harness.Scenarios.explore_check spec ~preemption_bound:(Some 3)
-      ~memo:true ~jobs:4 ()
-  in
-  checkb "parallel memoized verdict agrees" true (par_clean = clean);
-  checkb "parallel memoized also completes" true (par.Explore.runs < 10_000)
+  checkb "well under the run budget" true (st.Explore.runs < 10_000)
 
 (* --- sleep-set partial-order reduction -------------------------------- *)
 
 let test_por_classic_differential () =
   (* POR must preserve every verdict and every recorded failure prefix
-     while exploring (in aggregate, substantially) fewer runs; without a
-     preemption bound, parallel POR is byte-identical to sequential *)
+     while exploring (in aggregate, substantially) fewer runs *)
   let total_plain = ref 0 and total_por = ref 0 in
   List.iter
     (fun (t : Ws_litmus.Classic.t) ->
@@ -110,9 +151,7 @@ let test_por_classic_differential () =
           | Error _ -> () (* the reduced search's sighting reproduces *)
           | Ok () ->
               Alcotest.failf "%s: POR failure prefix did not replay" t.name)
-        por.Explore.failures;
-      let par = Explore_par.search ~max_runs ~por:true ~jobs:4 ~mk:t.mk () in
-      Alcotest.check stats (t.name ^ ": POR jobs=4 equals sequential") por par)
+        por.Explore.failures)
     Ws_litmus.Classic.all;
   checkb "POR cuts the classic suite by at least 5x" true
     (!total_por * 5 <= !total_plain)
@@ -131,50 +170,32 @@ let test_por_capacity_sweep () =
           steal_attempts = 1;
         }
       in
-      let go ?(jobs = 1) por =
+      let go por =
         Ws_harness.Scenarios.explore_check spec ~max_runs:40_000
-          ~preemption_bound:(Some 3) ~jobs ~por ()
+          ~preemption_bound:(Some 3) ~por ()
       in
-      let plain, _, plain_clean = go false in
-      let por, _, por_clean = go true in
+      let plain, plain_clean = go false in
+      let por, por_clean = go true in
       checkb
         (Printf.sprintf "sb=%d: clean verdict agrees" sb_capacity)
         plain_clean por_clean;
       checkb
         (Printf.sprintf "sb=%d: POR never explores more" sb_capacity)
         true
-        (por.Explore.runs <= plain.Explore.runs);
-      let _, _, par_clean = go ~jobs:4 true in
-      checkb
-        (Printf.sprintf "sb=%d: parallel POR verdict agrees" sb_capacity)
-        plain_clean par_clean)
+        (por.Explore.runs <= plain.Explore.runs))
     [ 1; 2; 3 ]
 
 let test_por_delta_scenarios () =
   (* the §4 delta-soundness pair: POR must still sight the delta=1
      duplication (with a replayable prefix) and still prove delta=2 clean *)
-  let spec delta =
-    {
-      Ws_harness.Scenarios.default_spec with
-      queue = "ff-cl";
-      sb_capacity = 2;
-      delta;
-      worker_fence = false;
-      preloaded = 3;
-      puts = 0;
-      steal_attempts = 2;
-      client_stores = 0;
-    }
-  in
+  let spec = delta_spec "ff-cl" in
   (* the unmemoized space is ~800k runs with the duplication deep in DFS
      order; memoization collapses it to ~100 runs and memoized failure
      prefixes stay replayable, so sight through the cache *)
   let sight por =
-    let st, _, _ =
-      Ws_harness.Scenarios.explore_check (spec 1) ~preemption_bound:(Some 3)
-        ~memo:true ~por ()
-    in
-    st
+    fst
+      (Ws_harness.Scenarios.explore_check (spec 1) ~preemption_bound:(Some 3)
+         ~memo:true ~por ())
   in
   let plain = sight false and por = sight true in
   checkb "delta=1: unreduced search sights the duplication" true
@@ -190,17 +211,15 @@ let test_por_delta_scenarios () =
   | [] -> ());
   (* delta=2 is a proof, so it must exhaust: memoization makes that cheap,
      and POR must compose with it (the sleep set is part of the memo key) *)
-  let prove ?(jobs = 1) por =
+  let prove por =
     Ws_harness.Scenarios.explore_check (spec 2) ~preemption_bound:(Some 3)
-      ~memo:true ~jobs ~por ()
+      ~memo:true ~por ()
   in
-  let p, _, p_clean = prove false in
-  let q, _, q_clean = prove true in
+  let p, p_clean = prove false in
+  let q, q_clean = prove true in
   checkb "delta=2: both memoized proofs are clean" true (p_clean && q_clean);
   checkb "delta=2: both proofs complete under budget" true
-    (p.Explore.runs < 200_000 && q.Explore.runs < 200_000);
-  let _, _, par_clean = prove ~jobs:4 true in
-  checkb "delta=2: parallel POR+memo proof agrees" true par_clean
+    (p.Explore.runs < 200_000 && q.Explore.runs < 200_000)
 
 (* --- failure orientation ----------------------------------------------- *)
 
@@ -235,10 +254,7 @@ let test_failures_replay_order () =
       fs
   in
   exercise "seq"
-    (Explore.search ~max_runs ~preemption_bound:(Some 3) ~memo:true ~mk ());
-  exercise "par jobs=4"
-    (Explore_par.search ~max_runs ~preemption_bound:(Some 3) ~memo:true
-       ~jobs:4 ~mk ())
+    (Explore.search ~max_runs ~preemption_bound:(Some 3) ~memo:true ~mk ())
 
 (* --- snapshot-based sibling exploration -------------------------------- *)
 
@@ -253,11 +269,9 @@ let test_snapshot_replay_oracle () =
     Ws_litmus.Classic.all;
   (* and on a queue scenario with memo + POR + preemption bound stacked *)
   let go snapshots =
-    let st, _, _ =
-      Ws_harness.Scenarios.explore_check Ws_harness.Scenarios.default_spec
-        ~preemption_bound:(Some 3) ~memo:true ~por:true ~snapshots ()
-    in
-    st
+    fst
+      (Ws_harness.Scenarios.explore_check Ws_harness.Scenarios.default_spec
+         ~preemption_bound:(Some 3) ~memo:true ~por:true ~snapshots ())
   in
   Alcotest.check stats "scenario: snapshots equal replay under memo+POR"
     (go false) (go true)
@@ -301,36 +315,14 @@ let test_dpor_classic_differential () =
     (!total_dpor <= !total_por)
 
 let test_dpor_parallel_verdicts () =
-  (* frontier split nodes enumerate all children (they give up their share
-     of the reduction), so only the verdict/failure contract carries over *)
-  List.iter
-    (fun (t : Ws_litmus.Classic.t) ->
-      let seq = Explore.search ~max_runs ~dpor:true ~mk:t.mk () in
-      let par = Explore_par.search ~max_runs ~dpor:true ~jobs:4 ~mk:t.mk () in
-      checkb (t.name ^ ": DPOR jobs=4 verdict agrees")
-        (seq.Explore.failures <> [])
-        (par.Explore.failures <> []);
-      checkb (t.name ^ ": DPOR jobs=4 still exhausts") true
-        (par.Explore.truncated = 0))
-    Ws_litmus.Classic.all
+  check_fanned_out ~label:"DPOR jobs=4 equals sequential" (fun t ->
+      Explore.search ~max_runs ~dpor:true ~mk:t.Ws_litmus.Classic.mk ())
 
 let test_dpor_delta_scenarios () =
   (* the §4 delta-soundness pair under DPOR: the delta=1 duplication is
      still sighted (with a replayable prefix), delta=2 still proves clean *)
-  let spec delta =
-    {
-      Ws_harness.Scenarios.default_spec with
-      queue = "ff-cl";
-      sb_capacity = 2;
-      delta;
-      worker_fence = false;
-      preloaded = 3;
-      puts = 0;
-      steal_attempts = 2;
-      client_stores = 0;
-    }
-  in
-  let sighted, _, _ =
+  let spec = delta_spec "ff-cl" in
+  let sighted, _ =
     Ws_harness.Scenarios.explore_check (spec 1) ~preemption_bound:(Some 3)
       ~memo:true ~dpor:true ()
   in
@@ -346,7 +338,7 @@ let test_dpor_delta_scenarios () =
       | Error _ -> ()
       | Ok () -> Alcotest.fail "DPOR duplication prefix did not replay")
   | [] -> ());
-  let proof, _, clean =
+  let proof, clean =
     Ws_harness.Scenarios.explore_check (spec 2) ~preemption_bound:(Some 3)
       ~memo:true ~dpor:true ()
   in
@@ -483,79 +475,85 @@ let test_memo_store_corruption () =
       checkb ("corruption diagnosed: " ^ e) true
         (contains ~needle:"malformed entry" e)
 
-(* --- Knuth covered-mass estimate ---------------------------------------- *)
+(* --- complete ----------------------------------------------------------- *)
 
-let test_covered_estimate () =
-  (* a completed search reports exactly 1.0; an interrupted one reports the
-     fraction it got through, and runs/covered estimates the total size *)
+let test_complete () =
+  (* [complete] is false iff the run budget stopped the search *)
   let t = Ws_litmus.Classic.find "SB" in
   let full = Explore.search ~max_runs ~mk:t.mk () in
-  Alcotest.(check (float 0.0))
-    "complete search covers 1.0" 1.0 full.Explore.covered;
-  let partial =
-    Explore.search ~max_runs:(max 1 (full.Explore.runs / 2)) ~mk:t.mk ()
-  in
-  checkb "interrupted search covers a proper fraction" true
-    (partial.Explore.covered > 0.0 && partial.Explore.covered < 1.0);
-  let est = float_of_int partial.Explore.runs /. partial.Explore.covered in
-  let actual = float_of_int full.Explore.runs in
-  checkb "size estimate lands within 10x of the truth" true
-    (est > actual /. 10.0 && est < actual *. 10.0);
-  (* every disposal path must conserve mass: reduced, memoized, bounded and
-     parallel searches that run to completion all still sum to 1.0 *)
+  checkb "plain search completes" true full.Explore.complete;
+  let half = max 1 (full.Explore.runs / 2) in
+  let partial = Explore.search ~max_runs:half ~mk:t.mk () in
+  checkb "a binding budget leaves it incomplete" false partial.Explore.complete;
+  Alcotest.(check int) "stopped at the budget" half partial.Explore.runs;
+  (* the budget stops the search at its last run, before it can tell that
+     nothing is left *)
+  checkb "a budget met exactly still binds" false
+    (Explore.search ~max_runs:full.Explore.runs ~mk:t.mk ()).Explore.complete;
   let dpor = Explore.search ~max_runs ~dpor:true ~mk:t.mk () in
-  Alcotest.(check (float 0.0)) "DPOR covers 1.0" 1.0 dpor.Explore.covered;
+  checkb "DPOR search completes" true dpor.Explore.complete;
   let memo = Explore.search ~max_runs ~memo:true ~mk:t.mk () in
-  Alcotest.(check (float 0.0)) "memoized covers 1.0" 1.0 memo.Explore.covered;
+  checkb "memoized search completes" true memo.Explore.complete;
   let bounded =
     Explore.search ~max_runs ~preemption_bound:(Some 2) ~mk:t.mk ()
   in
-  Alcotest.(check (float 0.0)) "bounded covers 1.0" 1.0 bounded.Explore.covered;
-  let par = Explore_par.search ~max_runs ~jobs:4 ~mk:t.mk () in
-  Alcotest.(check (float 0.0)) "parallel covers 1.0" 1.0 par.Explore.covered
+  checkb "bounded search completes" true bounded.Explore.complete
 
-(* --- work-stealing frontier --------------------------------------------- *)
-
-let test_frontier_accounting () =
-  (* the frontier record must account for every run and every task, and the
-     steal counters must be consistent *)
+let test_cut_never_clean () =
+  (* a budget-cut search is never a clean verdict, even with no failure:
+     THE without its fence duplicates a task, but not in the first 5 runs *)
   let spec =
     {
       Ws_harness.Scenarios.default_spec with
-      sb_capacity = 2;
+      queue = "the";
+      worker_fence = false;
       preloaded = 2;
       steal_attempts = 1;
     }
   in
-  let st, fr, clean =
-    Ws_harness.Scenarios.explore_check spec ~preemption_bound:(Some 3)
-      ~jobs:4 ()
+  let cut, cut_clean =
+    Ws_harness.Scenarios.explore_check spec ~max_runs:5
+      ~preemption_bound:(Some 3) ()
   in
-  checkb "scenario is clean" true clean;
-  Alcotest.(check int) "four domains" 4 fr.Explore_par.fr_domains;
-  Alcotest.(check int)
-    "per-domain runs sum to the total" st.Explore.runs
-    (Array.fold_left ( + ) 0 fr.Explore_par.fr_runs_per_domain);
-  Alcotest.(check int)
-    "per-domain tasks sum to the total" fr.Explore_par.fr_tasks
-    (Array.fold_left ( + ) 0 fr.Explore_par.fr_tasks_per_domain);
-  checkb "the root split happened" true (fr.Explore_par.fr_splits > 0);
-  checkb "attempts bound steals" true
-    (fr.Explore_par.fr_steals <= fr.Explore_par.fr_steal_attempts)
+  checkb "the first 5 runs find nothing" true (cut.Explore.failures = []);
+  checkb "so the cut search is not clean" false cut_clean;
+  let whole, _ =
+    Ws_harness.Scenarios.explore_check spec ~preemption_bound:(Some 3)
+      ~memo:true ~dpor:true ()
+  in
+  checkb "the completed search finds the duplicate" true
+    (whole.Explore.complete && whole.Explore.failures <> [])
 
-let test_frontier_trivial_when_sequential () =
-  let spec = Ws_harness.Scenarios.default_spec in
-  let st, fr, _ =
-    Ws_harness.Scenarios.explore_check spec ~preemption_bound:(Some 3)
-      ~memo:true ~jobs:1 ()
+let test_truncated_never_clean () =
+  (* a search that finishes without a failure but cut runs at its depth
+     bound is not a clean verdict either; the same search at the default
+     depth bound is *)
+  let go ?max_depth () =
+    Ws_harness.Scenarios.explore_check Ws_harness.Scenarios.default_spec
+      ?max_depth ~preemption_bound:(Some 3) ~memo:true ~dpor:true ()
   in
-  Alcotest.(check int) "one domain" 1 fr.Explore_par.fr_domains;
-  Alcotest.(check int) "one task" 1 fr.Explore_par.fr_tasks;
-  Alcotest.(check int) "no splits" 0 fr.Explore_par.fr_splits;
-  Alcotest.(check int) "no steals" 0 fr.Explore_par.fr_steals;
-  Alcotest.(check int)
-    "the single domain owns every run" st.Explore.runs
-    fr.Explore_par.fr_runs_per_domain.(0)
+  let shallow, shallow_clean = go ~max_depth:20 () in
+  checkb "the shallow search completes" true shallow.Explore.complete;
+  checkb "with no failure" true (shallow.Explore.failures = []);
+  checkb "but cuts runs at the depth bound" true
+    (shallow.Explore.truncated > 0);
+  checkb "so it is not clean" false shallow_clean;
+  let deep, deep_clean = go () in
+  Alcotest.(check int) "the default bound cuts none" 0 deep.Explore.truncated;
+  checkb "and that search is clean" true deep_clean
+
+let test_classic_exhausted () =
+  (* [Classic.run]'s [exhausted] is [complete] (with no depth cut), and a
+     forbidden outcome is only [ok] once the search exhausted *)
+  let t = Ws_litmus.Classic.find "SB+fences" in
+  let full = Ws_litmus.Classic.run t in
+  checkb "the full search is exhaustive" true full.exhausted;
+  checkb "and decides the forbidden outcome" true
+    ((not full.observed) && full.ok);
+  let cut = Ws_litmus.Classic.run ~max_runs:(full.runs / 2) t in
+  checkb "a binding budget is not exhaustive" false cut.exhausted;
+  checkb "nor observes the outcome" false cut.observed;
+  checkb "so it decides nothing" false cut.ok
 
 (* --- instance lifecycle ---------------------------------------------- *)
 
@@ -563,11 +561,10 @@ let test_instances_released () =
   (* whoever builds an instance releases it: after every kind of search,
      no machine the builder handed out may still hold a paused thread (its
      fiber stack would never be freed) *)
-  let lock = Mutex.create () in
   let kept = ref [] in
   let keeping mk () =
     let inst = mk () in
-    Mutex.protect lock (fun () -> kept := inst.Explore.machine :: !kept);
+    kept := inst.Explore.machine :: !kept;
     inst
   in
   let expect label f =
@@ -605,13 +602,6 @@ let test_instances_released () =
   expect "Stop at a truncated leaf" (search ~max_runs:40 ~max_depth:12 ());
   expect "Stop at a truncated leaf, no snapshots"
     (search ~max_runs:40 ~max_depth:12 ~snapshots:false ~dpor:true ());
-  expect "parallel jobs=2" (fun () ->
-      ignore
-        (Explore_par.search ~max_runs ~preemption_bound:pb ~jobs:2 ~mk ()));
-  expect "parallel jobs=2 memo dpor" (fun () ->
-      ignore
-        (Explore_par.search ~preemption_bound:pb ~memo:true ~dpor:true
-           ~jobs:2 ~mk ()));
   (* forensics' ddmin replays many truncated candidates that raise *)
   let choices =
     match
@@ -899,8 +889,8 @@ let () =
         [
           Alcotest.test_case "classic suite byte-identical" `Quick
             test_parallel_byte_identical;
-          Alcotest.test_case "more jobs than work" `Quick
-            test_parallel_more_jobs_than_work;
+          Alcotest.test_case "delta grid on two domains" `Quick
+            test_parallel_delta_grid;
         ] );
       ( "memo",
         [
@@ -950,17 +940,16 @@ let () =
           Alcotest.test_case "corruption rejected" `Quick
             test_memo_store_corruption;
         ] );
-      ( "covered",
+      ( "complete",
         [
-          Alcotest.test_case "estimate and conservation" `Quick
-            test_covered_estimate;
-        ] );
-      ( "frontier",
-        [
-          Alcotest.test_case "parallel accounting" `Quick
-            test_frontier_accounting;
-          Alcotest.test_case "trivial when sequential" `Quick
-            test_frontier_trivial_when_sequential;
+          Alcotest.test_case "set iff the search finished" `Quick
+            test_complete;
+          Alcotest.test_case "a budget-cut search is never clean" `Quick
+            test_cut_never_clean;
+          Alcotest.test_case "a depth-cut search is never clean" `Quick
+            test_truncated_never_clean;
+          Alcotest.test_case "classic exhausted follows complete" `Quick
+            test_classic_exhausted;
         ] );
       ( "failures",
         [

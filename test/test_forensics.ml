@@ -26,7 +26,7 @@ let mk = Ws_harness.Scenarios.instance violating_spec
    deterministic, so the recorded failure is too). *)
 let failure =
   lazy
-    (let st, _, _ =
+    (let st, _ =
        Ws_harness.Scenarios.explore_check violating_spec
          ~preemption_bound:(Some 3) ~memo:true ()
      in
@@ -37,7 +37,7 @@ let failure =
 let test_delta_pairing () =
   (* the violation really is the delta argument's edge: the same scenario
      with delta = 2 explores clean *)
-  let _, _, clean =
+  let _, clean =
     Ws_harness.Scenarios.explore_check
       { violating_spec with delta = 2 }
       ~preemption_bound:(Some 3) ~memo:true ()
