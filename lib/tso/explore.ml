@@ -24,13 +24,18 @@ let memo_hit_rate s =
   let visits = s.runs + s.memo_hits in
   if visits = 0 then 0.0 else float_of_int s.memo_hits /. float_of_int visits
 
-(* The unit performing a transition, for preemption accounting. Drains and
-   flushes belong to the memory subsystem and never count as preemptions. *)
-type unit_id = U_thread of int | U_memory
+(* The thread a transition runs, for preemption accounting, or -1: drains
+   and flushes belong to the memory subsystem and never count as
+   preemptions. *)
+let thread_of = function
+  | Machine.Step t -> t
+  | Machine.Drain _ | Machine.Flush _ -> -1
 
-let unit_of = function
-  | Machine.Step t -> U_thread t
-  | Machine.Drain _ | Machine.Flush _ -> U_memory
+(* Whose turn it is after [tr], given [last] before it: a memory-subsystem
+   transition does not change it. *)
+let next_last last = function
+  | Machine.Step t -> t
+  | Machine.Drain _ | Machine.Flush _ -> last
 
 (* Raised by the run-budget callback to abort a search. *)
 exception Stop
@@ -108,9 +113,28 @@ let[@inline] mix h k = (h lxor k) * fnv_prime
      reductions applied. *)
 type sleep_entry = { sl_tr : Machine.transition; sl_fp : Machine.footprint }
 
-let sleep_mem sleep tr = List.exists (fun e -> e.sl_tr = tr) sleep
-let sleep_filter sleep fp =
-  List.filter (fun e -> Machine.independent e.sl_fp fp) sleep
+(* Structural equality on transitions, without the polymorphic compare. *)
+let tr_equal a b =
+  match (a, b) with
+  | Machine.Step t, Machine.Step u | Machine.Flush t, Machine.Flush u -> t = u
+  | Machine.Drain (t, l), Machine.Drain (u, k) -> t = u && l = k
+  | (Machine.Step _ | Machine.Drain _ | Machine.Flush _), _ -> false
+
+let rec sleep_mem sleep tr =
+  match sleep with
+  | [] -> false
+  | e :: rest -> tr_equal e.sl_tr tr || sleep_mem rest tr
+
+(* The sleepers independent of [fp], in order; an unchanged tail is
+   shared, not copied. *)
+let rec sleep_filter sleep fp =
+  match sleep with
+  | [] -> sleep
+  | e :: rest ->
+      let rest' = sleep_filter rest fp in
+      if not (Machine.independent e.sl_fp fp) then rest'
+      else if rest' == rest then sleep
+      else e :: rest'
 
 let tr_hash = function
   | Machine.Step t -> mix 0x57 t
@@ -163,221 +187,281 @@ let sleep_hash sleep =
      accounting, and explored children enter the running sleep set under
      the usual clean-subtree rule. *)
 
-type dpor_node = {
-  nd_units : int array;  (** footprint thread of each choice index *)
-  nd_backtrack : bool array;
-  nd_done : bool array;
-  mutable nd_all : bool;
+(* The branch-node scratch of one spine depth, reused by every branch node
+   that depth sees: its arrays only grow. *)
+type dnode = {
+  mutable n : int;
+      (** choices of the branch node at this depth; 0 when the depth holds
+          a forced step (its only choice already runs) *)
+  mutable all : bool;
       (** degraded to full enumeration (bound prune / memo hit below, or no
           backtrack-set member was available for a demanded reversal) *)
+  mutable units : int array;  (** footprint thread of each choice index *)
+  mutable backtrack : bool array;
+  mutable explored : bool array;
 }
 
-(* Per-address access summary: the last write (its event index and clock)
-   and the reads since it (their indices and joined clock). Records are
-   immutable so backtracking restores by keeping the old record. *)
-type dpor_addr = {
-  a_widx : int;
-  a_wclock : int array;
-  a_reads : int list;
-  a_rclock : int array;
-}
-
-type dpor_undo = {
-  u_proc : int;
-  u_pclock : int array;
-  u_read : (int * dpor_addr) option;
-  u_write : (int * dpor_addr) option;
-}
-
+(* The happens-before state of the events along the DFS spine, in int
+   arrays that only grow. The event at depth [d] owns row [d] of [clocks]
+   ([nt] ints, its vector clock), and a thread's clock is the row of its
+   last event. Each address keeps the depth of its last write and of its
+   newest read since that write; older reads since the write hang off that
+   one through [read_link], newest first. The per-depth fields double as
+   the event's undo record, one int per field, so popping an event is a
+   handful of stores and nothing on this path allocates once the arrays
+   have grown. *)
 type dpor = {
-  d_bottom : int array;  (** all -1; shared and never mutated *)
-  d_pclock : int array array;  (** clock of each thread's last event *)
-  d_addrs : (int, dpor_addr) Hashtbl.t;
-  mutable d_units : int array;  (** executing thread of the event at depth *)
-  mutable d_nodes : dpor_node option array;  (** branch node at depth *)
-  mutable d_undo : dpor_undo option array;
+  nt : int;  (** clock width: one slot per footprint thread *)
+  last : int array;  (** per thread: depth of its last event, or -1 *)
+  mutable clocks : int array;
+  mutable unit_at : int array;  (** per depth: the executing thread *)
+  mutable last_before : int array;  (** per depth: its [last] before *)
+  mutable read_at : int array;
+      (** per depth: the address whose read chain the event joined, or -1 *)
+  mutable read_link : int array;
+      (** per depth: the next older read of [read_at]'s address *)
+  mutable write_at : int array;  (** per depth: the address written, or -1 *)
+  mutable write_before : int array;
+      (** per depth: [a_write] of [write_at] before the event *)
+  mutable reads_before : int array;
+      (** per depth: [a_read] of [write_at] before the event *)
+  mutable a_write : int array;  (** per address: depth of the last write *)
+  mutable a_read : int array;
+      (** per address: depth of the newest read since that write *)
+  mutable nodes : dnode array;  (** per depth: branch-node scratch *)
 }
+
+let dnode_create () =
+  { n = 0; all = false; units = [||]; backtrack = [||]; explored = [||] }
 
 let dpor_create ~nthreads =
-  let n = max nthreads 1 in
-  let bottom = Array.make n (-1) in
+  let nt = max nthreads 1 in
   {
-    d_bottom = bottom;
-    d_pclock = Array.make n bottom;
-    d_addrs = Hashtbl.create 64;
-    d_units = [||];
-    d_nodes = [||];
-    d_undo = [||];
+    nt;
+    last = Array.make nt (-1);
+    clocks = [||];
+    unit_at = [||];
+    last_before = [||];
+    read_at = [||];
+    read_link = [||];
+    write_at = [||];
+    write_before = [||];
+    reads_before = [||];
+    a_write = Array.make 64 (-1);
+    a_read = Array.make 64 (-1);
+    nodes = [||];
   }
 
+(* [a] copied into a fresh array of [m] slots, the rest [-1]. *)
+let extend_ints a m =
+  let b = Array.make m (-1) in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let dpor_depth_room ds depth =
-  let n = Array.length ds.d_units in
+  let n = Array.length ds.unit_at in
   if depth >= n then begin
     let m = max (depth + 1) (max 16 (2 * n)) in
-    let units = Array.make m (-1) in
-    Array.blit ds.d_units 0 units 0 n;
-    ds.d_units <- units;
-    let nodes = Array.make m None in
-    Array.blit ds.d_nodes 0 nodes 0 n;
-    ds.d_nodes <- nodes;
-    let undo = Array.make m None in
-    Array.blit ds.d_undo 0 undo 0 n;
-    ds.d_undo <- undo
+    ds.clocks <- extend_ints ds.clocks (m * ds.nt);
+    ds.unit_at <- extend_ints ds.unit_at m;
+    ds.last_before <- extend_ints ds.last_before m;
+    ds.read_at <- extend_ints ds.read_at m;
+    ds.read_link <- extend_ints ds.read_link m;
+    ds.write_at <- extend_ints ds.write_at m;
+    ds.write_before <- extend_ints ds.write_before m;
+    ds.reads_before <- extend_ints ds.reads_before m;
+    let nodes = ds.nodes in
+    ds.nodes <-
+      Array.init m (fun d -> if d < n then nodes.(d) else dnode_create ())
   end
 
-let dpor_addr ds a =
-  match Hashtbl.find_opt ds.d_addrs a with
-  | Some e -> e
-  | None ->
-      { a_widx = -1; a_wclock = ds.d_bottom; a_reads = []; a_rclock = ds.d_bottom }
+let dpor_addr_room ds a =
+  let n = Array.length ds.a_write in
+  if a >= n then begin
+    let m = max (a + 1) (2 * n) in
+    ds.a_write <- extend_ints ds.a_write m;
+    ds.a_read <- extend_ints ds.a_read m
+  end
 
-let[@inline] dpor_join dst src =
-  for i = 0 to Array.length dst - 1 do
-    if src.(i) > dst.(i) then dst.(i) <- src.(i)
-  done
+(* Open the branch node at [depth] with [n] choices, all unexplored and
+   none demanded; [n = 0] marks a forced step. The caller fills [units]. *)
+let dpor_node ds depth n =
+  dpor_depth_room ds depth;
+  let nd = ds.nodes.(depth) in
+  if Array.length nd.units < n then begin
+    let m = max n (2 * Array.length nd.units) in
+    nd.units <- Array.make m 0;
+    nd.backtrack <- Array.make m false;
+    nd.explored <- Array.make m false
+  end;
+  for j = 0 to n - 1 do
+    nd.backtrack.(j) <- false;
+    nd.explored.(j) <- false
+  done;
+  nd.n <- n;
+  nd.all <- false;
+  nd
+
+(* Component [q] of the clock in row [row] ([-1] = the bottom clock). *)
+let[@inline] clock ds row q = if row < 0 then -1 else ds.clocks.((row * ds.nt) + q)
+
+(* Join the clock of row [src] (nothing when [src < 0]) into row [dst]. *)
+let join_row ds dst src =
+  if src >= 0 then begin
+    let nt = ds.nt and c = ds.clocks in
+    let d = dst * nt and s = src * nt in
+    for q = 0 to nt - 1 do
+      let v = c.(s + q) in
+      if v > c.(d + q) then c.(d + q) <- v
+    done
+  end
+
+(* Thread [q] is in E for a race reversed at node [i] against thread [p],
+   whose clock before its event is row [pc]. *)
+let[@inline] in_e ds pc p i q = q = p || clock ds pc q > i
 
 (* Request the reversal of a race between the event at branch node [i] and
-   the event thread [p] is about to execute ([pc] = p's clock BEFORE it).
-   E is the set of threads with a choice at [i] that either are [p] or ran
-   an event after [i] that happens-before p's event (any of them reaches
-   the race from node [i]); if a member of E is already scheduled there,
-   nothing is needed; else one member's choices are planted (all of its
-   indices — internal nondeterminism); else nothing in the node's choice
-   universe can reach the race and the node degrades to full enumeration. *)
+   the event thread [p] is about to execute ([pc] = the row of p's clock
+   BEFORE it). E is the set of threads with a choice at [i] that either are
+   [p] or ran an event after [i] that happens-before p's event (any of them
+   reaches the race from node [i]); if a member of E is already scheduled
+   there, nothing is needed; else one member's choices are planted (all of
+   its indices — internal nondeterminism); else nothing in the node's
+   choice universe can reach the race and the node degrades to full
+   enumeration. *)
 let dpor_plant ds i ~p ~pc =
-  match ds.d_nodes.(i) with
-  | None -> () (* singleton node: its only choice already runs *)
-  | Some node ->
-      if not node.nd_all then begin
-        let n = Array.length node.nd_units in
-        let in_e q = q = p || pc.(q) > i in
-        let covered = ref false in
+  let nd = ds.nodes.(i) in
+  (* [n = 0]: a forced step, whose only choice already runs *)
+  if nd.n > 0 && not nd.all then begin
+    let n = nd.n in
+    let covered = ref false in
+    for j = 0 to n - 1 do
+      if
+        (nd.backtrack.(j) || nd.explored.(j)) && in_e ds pc p i nd.units.(j)
+      then covered := true
+    done;
+    if not !covered then begin
+      let chosen = ref (-1) in
+      for j = n - 1 downto 0 do
+        let q = nd.units.(j) in
+        if q = p || (!chosen < 0 && in_e ds pc p i q) then chosen := q
+      done;
+      if !chosen >= 0 then begin
+        let c = !chosen in
         for j = 0 to n - 1 do
-          if
-            (node.nd_backtrack.(j) || node.nd_done.(j))
-            && in_e node.nd_units.(j)
-          then covered := true
-        done;
-        if not !covered then begin
-          let chosen = ref (-1) in
-          for j = n - 1 downto 0 do
-            let q = node.nd_units.(j) in
-            if q = p || (!chosen < 0 && in_e q) then chosen := q
-          done;
-          if !chosen >= 0 then begin
-            let c = !chosen in
-            Array.iteri
-              (fun j q -> if q = c then node.nd_backtrack.(j) <- true)
-              node.nd_units
-          end
-          else node.nd_all <- true
-        end
+          if nd.units.(j) = c then nd.backtrack.(j) <- true
+        done
       end
+      else nd.all <- true
+    end
+  end
 
-(* Record the event at [depth] with footprint [fp]: detect races against
-   the per-address indices (planting reversals), advance the executing
-   thread's clock, and update the address records — remembering enough to
-   undo on backtrack. Must run on the pre-state footprint, before
+(* Plant the reversal of the race between [p]'s event and the event at
+   depth [i], if [i] is an event of another thread that does not already
+   happen-before [p]'s. *)
+let[@inline] plant ds p pc i =
+  if i >= 0 then begin
+    let q = ds.unit_at.(i) in
+    if q <> p && clock ds pc q < i then dpor_plant ds i ~p ~pc
+  end
+
+(* Record the event at [depth] of thread [p], reading address [r] and
+   writing [w] (-1 = none): detect races against the per-address indices
+   (planting reversals), give the event its clock, and update the address
+   indices — the old values stay in the depth's undo fields. Each race
+   plants at the node of a different event, so the order of the checks
+   ([r]'s last write, [w]'s last write, [w]'s reads newest first) does not
+   change what is planted. Must run on the pre-state footprint, before
    [Machine.apply]. *)
-let dpor_push ds depth fp =
+let dpor_event ds depth p r w =
   dpor_depth_room ds depth;
-  let p = Machine.footprint_tid fp in
-  let r = Machine.footprint_read fp and w = Machine.footprint_write fp in
-  let pc = ds.d_pclock.(p) in
-  let plant i =
-    if i >= 0 && ds.d_units.(i) <> p && pc.(ds.d_units.(i)) < i then
-      dpor_plant ds i ~p ~pc
-  in
-  let er = if r >= 0 then Some (dpor_addr ds r) else None in
-  let ew = if w >= 0 then Some (dpor_addr ds w) else None in
-  (match er with Some e -> plant e.a_widx | None -> ());
-  (match ew with
-  | Some e ->
-      if w <> r then plant e.a_widx;
-      List.iter plant e.a_reads
-  | None -> ());
-  let c = Array.copy pc in
-  c.(p) <- depth;
-  (match er with Some e -> dpor_join c e.a_wclock | None -> ());
-  (match ew with
-  | Some e ->
-      dpor_join c e.a_wclock;
-      dpor_join c e.a_rclock
-  | None -> ());
-  let u_read =
-    match er with
-    | Some e when r <> w ->
-        let rc = Array.copy e.a_rclock in
-        dpor_join rc c;
-        Hashtbl.replace ds.d_addrs r
-          { e with a_reads = depth :: e.a_reads; a_rclock = rc };
-        Some (r, e)
-    | _ -> None
-  in
-  let u_write =
-    match ew with
-    | Some e ->
-        Hashtbl.replace ds.d_addrs w
-          { a_widx = depth; a_wclock = c; a_reads = []; a_rclock = ds.d_bottom };
-        Some (w, e)
-    | None -> None
-  in
-  ds.d_undo.(depth) <- Some { u_proc = p; u_pclock = pc; u_read; u_write };
-  ds.d_units.(depth) <- p;
-  ds.d_pclock.(p) <- c
+  dpor_addr_room ds (max r w);
+  let pc = ds.last.(p) in
+  if r >= 0 then plant ds p pc ds.a_write.(r);
+  if w >= 0 then begin
+    if w <> r then plant ds p pc ds.a_write.(w);
+    let j = ref ds.a_read.(w) in
+    while !j >= 0 do
+      plant ds p pc !j;
+      j := ds.read_link.(!j)
+    done
+  end;
+  (* The event's clock: p's, ticked at [depth], joined with the last write
+     of each address it touches and, for a write, with every read since. *)
+  let nt = ds.nt and c = ds.clocks in
+  let row = depth * nt in
+  for q = 0 to nt - 1 do
+    c.(row + q) <- (if pc < 0 then -1 else c.((pc * nt) + q))
+  done;
+  c.(row + p) <- depth;
+  if r >= 0 then join_row ds depth ds.a_write.(r);
+  if w >= 0 then begin
+    join_row ds depth ds.a_write.(w);
+    let j = ref ds.a_read.(w) in
+    while !j >= 0 do
+      join_row ds depth !j;
+      j := ds.read_link.(!j)
+    done
+  end;
+  ds.unit_at.(depth) <- p;
+  ds.last_before.(depth) <- pc;
+  if r >= 0 && r <> w then begin
+    ds.read_at.(depth) <- r;
+    ds.read_link.(depth) <- ds.a_read.(r);
+    ds.a_read.(r) <- depth
+  end
+  else ds.read_at.(depth) <- -1;
+  ds.write_at.(depth) <- w;
+  if w >= 0 then begin
+    ds.write_before.(depth) <- ds.a_write.(w);
+    ds.reads_before.(depth) <- ds.a_read.(w);
+    ds.a_write.(w) <- depth;
+    ds.a_read.(w) <- -1
+  end;
+  ds.last.(p) <- depth
 
+let dpor_push ds depth fp =
+  dpor_event ds depth (Machine.footprint_tid fp) (Machine.footprint_read fp)
+    (Machine.footprint_write fp)
+
+(* Undo the event at [depth], which must be the newest one pushed. *)
 let dpor_pop ds depth =
-  match ds.d_undo.(depth) with
-  | None -> ()
-  | Some u ->
-      ds.d_undo.(depth) <- None;
-      ds.d_pclock.(u.u_proc) <- u.u_pclock;
-      (match u.u_read with
-      | Some (a, e) -> Hashtbl.replace ds.d_addrs a e
-      | None -> ());
-      (match u.u_write with
-      | Some (a, e) -> Hashtbl.replace ds.d_addrs a e
-      | None -> ())
-
-(* One enabled-set buffer per search depth, grown on demand: the DFS at
-   depth [d] iterates its siblings from buffer [d] while the recursion
-   below uses deeper buffers, so no buffer is ever clobbered while live. *)
-type pool = { mutable bufs : Machine.tbuf array }
-
-let pool_create () = { bufs = [||] }
-
-let pool_get pool depth =
-  let n = Array.length pool.bufs in
-  if depth >= n then begin
-    let grown = Array.make (max (depth + 1) (max 16 (2 * n))) (Machine.tbuf_create ()) in
-    Array.blit pool.bufs 0 grown 0 n;
-    for i = n to Array.length grown - 1 do
-      grown.(i) <- Machine.tbuf_create ()
-    done;
-    pool.bufs <- grown
+  let w = ds.write_at.(depth) in
+  if w >= 0 then begin
+    ds.a_write.(w) <- ds.write_before.(depth);
+    ds.a_read.(w) <- ds.reads_before.(depth)
   end;
-  pool.bufs.(depth)
+  let r = ds.read_at.(depth) in
+  if r >= 0 then ds.a_read.(r) <- ds.read_link.(depth);
+  ds.last.(ds.unit_at.(depth)) <- ds.last_before.(depth)
 
-(* Likewise one machine snapshot per branch depth: the scratch stays live
-   while the node iterates its siblings, and deeper branch nodes use deeper
-   slots. Reusing the slots means steady-state capture allocates nothing. *)
-type spool = { mutable snaps : Machine.snapshot array }
+(* The scratch of one search depth, grown on demand: the DFS at depth [d]
+   iterates its siblings from frame [d] while the recursion below uses
+   deeper frames, so no frame is ever clobbered while live, and reusing the
+   frames means steady-state visits allocate none of it. *)
+type frame = {
+  buf : Machine.tbuf;  (** the node's choices *)
+  snap : Machine.snapshot;  (** its state, for restoring siblings *)
+  mutable fps : Machine.footprint array;  (** each choice's footprint *)
+}
 
-let spool_create () = { snaps = [||] }
+type frames = { mutable frames : frame array }
 
-let spool_get spool depth =
-  let n = Array.length spool.snaps in
+let frames_create () = { frames = [||] }
+
+let frame_create () =
+  { buf = Machine.tbuf_create (); snap = Machine.snapshot_create (); fps = [||] }
+
+let frame_get fs depth =
+  let n = Array.length fs.frames in
   if depth >= n then begin
-    let grown =
-      Array.make (max (depth + 1) (max 16 (2 * n))) (Machine.snapshot_create ())
-    in
-    Array.blit spool.snaps 0 grown 0 n;
-    for i = n to Array.length grown - 1 do
-      grown.(i) <- Machine.snapshot_create ()
-    done;
-    spool.snaps <- grown
+    let old = fs.frames in
+    fs.frames <-
+      Array.init
+        (max (depth + 1) (max 16 (2 * n)))
+        (fun d -> if d < n then old.(d) else frame_create ())
   end;
-  spool.snaps.(depth)
+  fs.frames.(depth)
 
 (* Growable array-backed choice prefix. Alongside each choice index we keep
    the chosen transition itself: transitions are plain values (thread ids
@@ -497,14 +581,13 @@ type ctx = {
   memo : (int -> depth_rem:int -> preempt_rem:int -> bool) option;
   acc : acc;
   on_run : acc -> unit;  (** called once per completed run; may raise {!Stop} *)
-  pool : pool;  (** per-depth enabled-set buffers for the in-place DFS *)
+  frames : frames;  (** per-depth scratch for the in-place DFS *)
   por : bool;  (** sleep-set partial-order reduction *)
   dpor : dpor option;
       (** source-DPOR state; implies [por] (sleep sets stay composed) *)
   use_snapshots : bool;
       (** sibling exploration by snapshot/restore; [false] falls back to
           prefix replay (the differential oracle) *)
-  spool : spool;  (** per-depth snapshot scratch *)
 }
 
 let sleep_skip ctx m =
@@ -520,32 +603,38 @@ let fail ctx prefix msg =
     ctx.acc.failure_count <- ctx.acc.failure_count + 1
   end
 
+(* Some choice [i..n) of [buf] is a [Step] of thread [a]. *)
+let rec steps_thread buf n a i =
+  i < n
+  && ((match Machine.tbuf_get buf i with
+      | Machine.Step t -> t = a
+      | Machine.Drain _ | Machine.Flush _ -> false)
+     || steps_thread buf n a (i + 1))
+
 (* CHESS accounting over the buffer the choices live in: switching away
-   from a thread that could still run costs one preemption. *)
-let preemption_cost_buf ~last_unit buf tr =
-  match (last_unit, unit_of tr) with
-  | Some (U_thread a), U_thread b when a <> b ->
-      let n = Machine.tbuf_length buf in
-      let rec still_enabled i =
-        i < n
-        && ((match Machine.tbuf_get buf i with
-            | Machine.Step t -> t = a
-            | Machine.Drain _ | Machine.Flush _ -> false)
-           || still_enabled (i + 1))
-      in
-      if still_enabled 0 then 1 else 0
-  | _ -> 0
+   from a thread that could still run costs one preemption. [last] is the
+   thread that ran last (-1 before any). *)
+let preemption_cost_buf ~last buf tr =
+  let b = thread_of tr in
+  if last >= 0 && b >= 0 && b <> last
+     && steps_thread buf (Machine.tbuf_length buf) last 0
+  then 1
+  else 0
+
+
+let within ctx preemptions cost =
+  match ctx.preemption_bound with None -> true | Some b -> preemptions + cost <= b
 
 (* Continue a run in-place from the current machine state. [prefix] holds
-   the choices that reached this state; [last_unit]/[preemptions] summarise
-   the prefix for the CHESS bound; [sleep] is the sleep set this node
+   the choices that reached this state; [last]/[preemptions] summarise the
+   prefix for the CHESS bound; [sleep] is the sleep set this node
    inherited (always [[]] unless [ctx.por]). Siblings of the choices made
    here are explored on a fresh instance — restored from a snapshot of this
    node when [ctx.use_snapshots], replayed from the root otherwise — which
    the node releases once the child's subtree is done, also when {!Stop}
    or another exception unwinds through it. On return the prefix is
    restored to its entry length. *)
-let rec extend ctx inst prefix depth last_unit preemptions sleep =
+let rec extend ctx inst prefix depth last preemptions sleep =
   let m = inst.machine in
   if depth > ctx.acc.peak_depth then ctx.acc.peak_depth <- depth;
   let memo_hit =
@@ -567,9 +656,10 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
   in
   if memo_hit then ctx.acc.memo_hits <- ctx.acc.memo_hits + 1
   else begin
-    (* Depth [depth]'s buffer stays live while this node iterates its
-       children; the recursion below only touches deeper buffers. *)
-    let buf = pool_get ctx.pool depth in
+    (* Depth [depth]'s frame stays live while this node iterates its
+       children; the recursion below only touches deeper frames. *)
+    let fr = frame_get ctx.frames depth in
+    let buf = fr.buf in
     let n = choices_into m buf in
     if n = 0 then begin
       if Machine.quiescent m then begin
@@ -596,100 +686,85 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
            cut is where the run reduction comes from. *)
         sleep_skip ctx m
       else begin
-        let fp_opt =
-          if ctx.dpor <> None || (ctx.por && sleep <> []) then
-            Some (Machine.footprint m tr)
-          else None
-        in
+        (* The footprint is needed to wake sleepers and for DPOR, whose
+           forced steps still take part in race detection and
+           happens-before; the node itself offers no reversal. *)
         let sleep' =
-          match fp_opt with
-          | Some fp when sleep <> [] -> sleep_filter sleep fp
-          | _ -> sleep
+          match (ctx.dpor, sleep) with
+          | None, [] -> sleep
+          | dpor, _ -> (
+              let fp = Machine.footprint m tr in
+              (match dpor with
+              | Some ds ->
+                  ignore (dpor_node ds depth 0);
+                  dpor_push ds depth fp
+              | None -> ());
+              match sleep with [] -> sleep | _ -> sleep_filter sleep fp)
         in
-        (match (ctx.dpor, fp_opt) with
-        | Some ds, Some fp ->
-            (* A forced step still participates in race detection and
-               happens-before; the node itself offers no reversal. *)
-            dpor_depth_room ds depth;
-            ds.d_nodes.(depth) <- None;
-            dpor_push ds depth fp
-        | _ -> ());
         Machine.apply m tr;
-        let last_unit =
-          (* memory-subsystem transitions do not change whose turn it is *)
-          match unit_of tr with U_memory -> last_unit | u -> Some u
-        in
         Prefix.push prefix 0 tr;
-        extend ctx inst prefix (depth + 1) last_unit preemptions sleep';
+        extend ctx inst prefix (depth + 1) (next_last last tr) preemptions
+          sleep';
         Prefix.pop prefix;
         match ctx.dpor with Some ds -> dpor_pop ds depth | None -> ()
       end
     end
     else begin
-      let within cost =
-        match ctx.preemption_bound with
-        | None -> true
-        | Some b -> preemptions + cost <= b
-      in
       (* Footprints are a function of the machine state at this node (a
          drain's target address is the current buffer head), so they are
          taken for every child before child 0 advances the machine. *)
-      let fps =
-        if ctx.por then
-          Array.init n (fun i -> Machine.footprint m (Machine.tbuf_get buf i))
-        else [||]
-      in
+      if ctx.por then begin
+        if Array.length fr.fps < n then
+          fr.fps <-
+            Array.make
+              (max n (2 * Array.length fr.fps))
+              (Machine.footprint m (Machine.tbuf_get buf 0));
+        for i = 0 to n - 1 do
+          fr.fps.(i) <- Machine.footprint m (Machine.tbuf_get buf i)
+        done
+      end;
+      let fps = fr.fps in
       (* Capture this node's state once, before child 0 mutates it — but
          only if some sibling (i > 0) will actually be explored. Additions
          to the sleep set during the loop only remove that need. *)
-      let snap =
-        if not ctx.use_snapshots then None
-        else begin
-          let need = ref false in
-          (if ctx.dpor <> None then begin
-             (* Which siblings will be demanded is only known as races are
-                sighted; capture whenever more than one child could run. *)
-             let awake = ref 0 in
-             for i = 0 to n - 1 do
-               if not (sleep_mem sleep (Machine.tbuf_get buf i)) then
-                 incr awake
-             done;
-             need := !awake > 1
+      let snapped =
+        ctx.use_snapshots
+        && begin
+             let need = ref false in
+             (match ctx.dpor with
+             | Some _ ->
+                 (* Which siblings will be demanded is only known as races
+                    are sighted; capture whenever more than one child could
+                    run. *)
+                 let awake = ref 0 in
+                 for i = 0 to n - 1 do
+                   if not (sleep_mem sleep (Machine.tbuf_get buf i)) then
+                     incr awake
+                 done;
+                 need := !awake > 1
+             | None ->
+                 let i = ref 1 in
+                 while (not !need) && !i < n do
+                   let tr = Machine.tbuf_get buf !i in
+                   if
+                     (not (ctx.por && sleep_mem sleep tr))
+                     && within ctx preemptions (preemption_cost_buf ~last buf tr)
+                   then need := true;
+                   incr i
+                 done);
+             if !need then Machine.snapshot m fr.snap;
+             !need
            end
-           else begin
-             let i = ref 1 in
-             while (not !need) && !i < n do
-               let tr = Machine.tbuf_get buf !i in
-               if
-                 (not (ctx.por && sleep_mem sleep tr))
-                 && within (preemption_cost_buf ~last_unit buf tr)
-               then need := true;
-               incr i
-             done
-           end);
-          if !need then begin
-            let s = spool_get ctx.spool depth in
-            Machine.snapshot m s;
-            Some s
-          end
-          else None
-        end
       in
       match ctx.dpor with
       | Some ds ->
           (* Source-DPOR node: explore one unit's choices, then whatever
              the races observed below demand. The first explored child
              advances [m] in place; later demanded children restore. *)
-          dpor_depth_room ds depth;
-          let node =
-            {
-              nd_units = Array.map Machine.footprint_tid fps;
-              nd_backtrack = Array.make n false;
-              nd_done = Array.make n false;
-              nd_all = false;
-            }
-          in
-          ds.d_nodes.(depth) <- Some node;
+          let nd = dpor_node ds depth n in
+          for i = 0 to n - 1 do
+            nd.units.(i) <- Machine.footprint_tid fps.(i)
+          done;
           let init = ref (-1) in
           for i = n - 1 downto 0 do
             if not (sleep_mem sleep (Machine.tbuf_get buf i)) then init := i
@@ -700,10 +775,10 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
                sleep_skip ctx m
              done
            else begin
-             let u0 = node.nd_units.(!init) in
-             Array.iteri
-               (fun j q -> if q = u0 then node.nd_backtrack.(j) <- true)
-               node.nd_units;
+             let u0 = nd.units.(!init) in
+             for j = 0 to n - 1 do
+               if nd.units.(j) = u0 then nd.backtrack.(j) <- true
+             done;
              let sleep_now = ref sleep in
              let in_place = ref false in
              let running = ref true in
@@ -711,25 +786,23 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
                let next = ref (-1) in
                let j = ref 0 in
                while !next < 0 && !j < n do
-                 if
-                   (not node.nd_done.(!j))
-                   && (node.nd_all || node.nd_backtrack.(!j))
+                 if (not nd.explored.(!j)) && (nd.all || nd.backtrack.(!j))
                  then next := !j;
                  incr j
                done;
                if !next < 0 then running := false
                else begin
                  let i = !next in
-                 node.nd_done.(i) <- true;
+                 nd.explored.(i) <- true;
                  let tr = Machine.tbuf_get buf i in
                  if sleep_mem !sleep_now tr then sleep_skip ctx m
                  else begin
-                   let cost = preemption_cost_buf ~last_unit buf tr in
-                   if not (within cost) then begin
+                   let cost = preemption_cost_buf ~last buf tr in
+                   if not (within ctx preemptions cost) then begin
                      ctx.acc.pruned <- ctx.acc.pruned + 1;
                      (* the bound cut a demanded child; races below it are
                         unknown, so enumerate as the bounded search does *)
-                     node.nd_all <- true
+                     nd.all <- true
                    end
                    else begin
                      let child_sleep = sleep_filter !sleep_now fps.(i) in
@@ -739,8 +812,8 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
                      dpor_push ds depth fps.(i);
                      let fresh = !in_place in
                      in_place := true;
-                     child ctx inst snap prefix ~fresh tr
-                       (depth + 1) last_unit (preemptions + cost) child_sleep;
+                     child ctx inst fr ~snapped prefix ~fresh tr (depth + 1)
+                       last (preemptions + cost) child_sleep;
                      Prefix.pop prefix;
                      dpor_pop ds depth;
                      let clean =
@@ -757,13 +830,13 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
                      then
                        sleep_now :=
                          { sl_tr = tr; sl_fp = fps.(i) } :: !sleep_now;
-                     if not clean then node.nd_all <- true
+                     if not clean then nd.all <- true
                    end
                  end
                end
              done
            end);
-          ds.d_nodes.(depth) <- None
+          nd.n <- 0
       | None ->
           (* Child 0 is explored in-place; siblings restore (or replay).
              As children complete, they enter the running sleep set for
@@ -774,16 +847,17 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
             let tr = Machine.tbuf_get buf i in
             if ctx.por && sleep_mem !sleep_now tr then sleep_skip ctx m
             else begin
-              let cost = preemption_cost_buf ~last_unit buf tr in
-              if not (within cost) then ctx.acc.pruned <- ctx.acc.pruned + 1
+              let cost = preemption_cost_buf ~last buf tr in
+              if not (within ctx preemptions cost) then
+                ctx.acc.pruned <- ctx.acc.pruned + 1
               else begin
                 let child_sleep =
                   if ctx.por then sleep_filter !sleep_now fps.(i) else []
                 in
                 let pruned0 = ctx.acc.pruned and memo0 = ctx.acc.memo_hits in
                 Prefix.push prefix i tr;
-                child ctx inst snap prefix ~fresh:(i > 0) tr
-                  (depth + 1) last_unit (preemptions + cost) child_sleep;
+                child ctx inst fr ~snapped prefix ~fresh:(i > 0) tr
+                  (depth + 1) last (preemptions + cost) child_sleep;
                 Prefix.pop prefix;
                 if ctx.por then begin
                   let clean =
@@ -803,33 +877,32 @@ let rec extend ctx inst prefix depth last_unit preemptions sleep =
 
 (* Enter child [tr] of a branch node whose choice is already on [prefix]:
    in place on [inst] unless [fresh], else on a new instance — restored
-   from the node's snapshot [snap] and advanced by [tr], or replayed from
-   the root — that is released on every exit from the child's subtree.
-   [last_unit] is the node's; the child's follows from [tr]. *)
-and child ctx inst snap prefix ~fresh tr depth last_unit preemptions sleep =
-  let last_unit =
-    match unit_of tr with U_memory -> last_unit | u -> Some u
-  in
+   from the node's snapshot in frame [fr] when [snapped] and advanced by
+   [tr], or replayed from the root — that is released on every exit from
+   the child's subtree. [last] is the node's; the child's follows from
+   [tr]. *)
+and child ctx inst fr ~snapped prefix ~fresh tr depth last preemptions sleep =
+  let last = next_last last tr in
   if not fresh then begin
     Machine.apply inst.machine tr;
-    extend ctx inst prefix depth last_unit preemptions sleep
+    extend ctx inst prefix depth last preemptions sleep
   end
   else begin
     let sib =
-      match snap with
-      | Some s -> (
-          let sib = ctx.mk () in
-          match
-            Machine.restore_into s sib.machine;
-            Machine.apply sib.machine tr
-          with
-          | () -> sib
-          | exception e ->
-              Machine.release sib.machine;
-              raise e)
-      | None -> Prefix.replay ~mk:ctx.mk prefix
+      if snapped then begin
+        let sib = ctx.mk () in
+        match
+          Machine.restore_into fr.snap sib.machine;
+          Machine.apply sib.machine tr
+        with
+        | () -> sib
+        | exception e ->
+            Machine.release sib.machine;
+            raise e
+      end
+      else Prefix.replay ~mk:ctx.mk prefix
     in
-    match extend ctx sib prefix depth last_unit preemptions sleep with
+    match extend ctx sib prefix depth last preemptions sleep with
     | () -> Machine.release sib.machine
     | exception e ->
         Machine.release sib.machine;
@@ -876,14 +949,13 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
               f (stats_of_acc ~complete:false a)
           | _ -> ());
           if a.runs >= max_runs then raise Stop);
-      pool = pool_create ();
+      frames = frames_create ();
       por;
       dpor =
         (if dpor then
            Some (dpor_create ~nthreads:(Machine.thread_count root.machine))
          else None);
       use_snapshots = snapshots;
-      spool = spool_create ();
     }
   in
   (* The root is built here, so it is released here, also when [Stop] (or
@@ -892,7 +964,7 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
     Fun.protect
       ~finally:(fun () -> Machine.release root.machine)
       (fun () ->
-        match extend ctx root (Prefix.create ()) 0 None 0 [] with
+        match extend ctx root (Prefix.create ()) 0 (-1) 0 [] with
         | () -> true
         | exception Stop -> false)
   in
@@ -954,4 +1026,20 @@ let replay_choices ?(max_steps = max_int) ~mk steps =
 
 module Internal = struct
   let recording_mk = recording_mk
+
+  type nonrec dpor = dpor
+
+  let dpor_create = dpor_create
+
+  let dpor_open ds depth units =
+    let nd = dpor_node ds depth (Array.length units) in
+    for j = 0 to Array.length units - 1 do
+      nd.units.(j) <- units.(j)
+    done
+
+  let dpor_explore ds depth j = ds.nodes.(depth).explored.(j) <- true
+  let dpor_push ds depth ~tid ~read ~write = dpor_event ds depth tid read write
+  let dpor_pop = dpor_pop
+  let dpor_backtrack ds depth j = ds.nodes.(depth).backtrack.(j)
+  let dpor_all ds depth = ds.nodes.(depth).all
 end

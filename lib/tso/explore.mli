@@ -177,9 +177,41 @@ val next_choices : Machine.t -> Machine.transition list
 
 (**/**)
 
-(** For the benchmark's snapshot probes; not a stable API. *)
+(** For the benchmark's snapshot probes and the explorer's own tests; not a
+    stable API. *)
 module Internal : sig
   val recording_mk : (unit -> instance) -> unit -> instance
   (** Wrap an instance builder so every instance records responses (the
       precondition of {!Machine.snapshot}). *)
+
+  (** The source-DPOR bookkeeping {!search} keeps along its DFS spine:
+      vector clocks, per-address access indices and per-depth branch
+      nodes, in int arrays that only grow. Once they have grown, none of
+      these operations allocates. *)
+
+  type dpor
+
+  val dpor_create : nthreads:int -> dpor
+
+  val dpor_open : dpor -> int -> int array -> unit
+  (** [dpor_open ds depth units] opens the branch node at [depth]: choice
+      [j] belongs to thread [units.(j)], and none is explored or demanded
+      yet. [[||]] marks a forced step, and closes the depth's node. *)
+
+  val dpor_explore : dpor -> int -> int -> unit
+  (** Mark choice [j] of the node at [depth] explored. *)
+
+  val dpor_push : dpor -> int -> tid:int -> read:int -> write:int -> unit
+  (** Record the event at [depth] (the spine's next) of thread [tid],
+      reading and writing the given address indices ([-1] = none): plant
+      the reversals of the races it completes, then give it its clock. *)
+
+  val dpor_pop : dpor -> int -> unit
+  (** Undo the event at [depth], the newest one pushed. *)
+
+  val dpor_backtrack : dpor -> int -> int -> bool
+  (** Choice [j] of the node at [depth] has been demanded. *)
+
+  val dpor_all : dpor -> int -> bool
+  (** The node at [depth] has degraded to full enumeration. *)
 end

@@ -439,11 +439,20 @@ let set_record_responses t b =
 
 let record_responses t = t.record
 
+(* [dst.(i) <- src.(i)] for [i < n], as a typed loop. [Array.blit] would
+   call [caml_modify] per element whenever [dst] is outside the minor heap
+   (OCaml 5.1's [caml_array_blit]), which every grown log past 256 words
+   and every long-lived snapshot is. *)
+let copy_ints src dst n =
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
 let log_response th r =
   let n = th.resp_len in
   if n = Array.length th.resp_log then begin
     let grown = Array.make (max 64 (2 * n)) 0 in
-    Array.blit th.resp_log 0 grown 0 n;
+    copy_ints th.resp_log grown n;
     th.resp_log <- grown
   end;
   th.resp_log.(n) <- r;
@@ -522,19 +531,23 @@ let apply t tr =
          s.Telemetry.Sink.flushes <- s.Telemetry.Sink.flushes + 1);
       if t.n_listeners > 0 then emit t (Ev_flush { tid; addr; value })
 
+(* One buffered store (egress slot or buffer-proper entry) folded into a
+   fingerprint. *)
+let[@inline] mix_entry h a v = mix (mix h (a + 2)) v
+
+(* The running hash is a local [ref] that no closure captures, so it lives
+   in a register, and the buffers are read through index accessors: the
+   fold allocates nothing. *)
 let fingerprint t =
-  let h = ref 0x811c9dc5 in
   let mem = t.mem in
   let n_cells = Memory.size mem in
-  h := mix !h n_cells;
+  let h = ref (mix 0x811c9dc5 n_cells) in
   for i = 0 to n_cells - 1 do
     h := mix !h (Memory.cell mem i)
   done;
-  (* One closure shared by the egress slot and the buffer-proper walk, which
-     passes each entry's address and value unboxed. *)
-  let add_entry a v = h := mix (mix !h (Addr.to_index a + 2)) v in
   for i = 0 to t.n_threads - 1 do
     let th = t.threads.(i) in
+    let buf = th.buf in
     (* Control state: done/paused, the pending instruction, and the
        response-history hash (program position). *)
     (match th.status with
@@ -545,28 +558,41 @@ let fingerprint t =
     (* The egress slot B is hashed separately from the buffer proper: a
        store staged in B and the same store still queued are different
        states (they enable different transitions). *)
-    (match Store_buffer.egress_entry th.buf with
-    | None -> h := mix !h 0x0E
-    | Some (a, v) ->
-        h := mix !h 0x1E;
-        add_entry a v);
-    h := mix !h (Store_buffer.entries th.buf);
-    Store_buffer.iter_entries th.buf add_entry
+    let eg = Store_buffer.egress_addr buf in
+    if eg < 0 then h := mix !h 0x0E
+    else h := mix_entry (mix !h 0x1E) eg (Store_buffer.egress_value buf);
+    let n = Store_buffer.entries buf in
+    h := mix !h n;
+    for k = 0 to n - 1 do
+      h :=
+        mix_entry !h (Store_buffer.entry_addr buf k)
+          (Store_buffer.entry_value buf k)
+    done
   done;
   !h
 
 (* {1 Transition footprints} *)
 
-type footprint = {
-  f_tid : tid;
-  f_read : int;  (* address index read from memory, or [no_addr] *)
-  f_write : int;  (* address index written to memory, or [no_addr] *)
-}
+(* An immediate int, so taking a footprint allocates nothing: the thread
+   in the bits from [tid_shift] up, and the written and read address
+   indices plus one ([no_addr] = -1 becomes 0) in two [addr_bits] fields
+   below it. *)
+type footprint = int
 
 let no_addr = -1
-let footprint_tid f = f.f_tid
-let footprint_read f = f.f_read
-let footprint_write f = f.f_write
+let addr_bits = 24
+let addr_mask = (1 lsl addr_bits) - 1
+let tid_shift = 2 * addr_bits
+let max_tid = (1 lsl (Sys.int_size - 1 - tid_shift)) - 1
+
+let make_footprint tid r w =
+  if tid > max_tid || r >= addr_mask || w >= addr_mask then
+    invalid_arg "Machine.footprint: thread or address out of range";
+  (tid lsl tid_shift) lor ((w + 1) lsl addr_bits) lor (r + 1)
+
+let footprint_tid f = f lsr tid_shift
+let footprint_read f = (f land addr_mask) - 1
+let footprint_write f = ((f lsr addr_bits) land addr_mask) - 1
 
 (* Every machine transition touches at most one shared address, so a
    footprint is two optional address indices. The TSO-specific leverage: a
@@ -582,45 +608,36 @@ let footprint t tr =
   | Step tid -> (
       let th = thread t tid in
       match th.status with
-      | Program.Done -> { f_tid = tid; f_read = no_addr; f_write = no_addr }
+      | Program.Done -> make_footprint tid no_addr no_addr
       | Program.Paused_at (req, _) -> (
           match req with
-          | Program.Req_load a ->
-              { f_tid = tid; f_read = Addr.to_index a; f_write = no_addr }
-          | Program.Req_cas (a, _, _) ->
+          | Program.Req_load a -> make_footprint tid (Addr.to_index a) no_addr
+          | Program.Req_cas (a, _, _) | Program.Req_fetch_add (a, _) ->
               let i = Addr.to_index a in
-              { f_tid = tid; f_read = i; f_write = i }
-          | Program.Req_fetch_add (a, _) ->
-              let i = Addr.to_index a in
-              { f_tid = tid; f_read = i; f_write = i }
+              make_footprint tid i i
           | Program.Req_store _ | Program.Req_fence | Program.Req_work _
           | Program.Req_label _ | Program.Req_pause ->
-              { f_tid = tid; f_read = no_addr; f_write = no_addr }))
+              make_footprint tid no_addr no_addr))
   | Drain (tid, lane) ->
       let th = thread t tid in
       let w =
         match t.cfg.buffer_model with
         | Store_buffer.Pso -> lane (* PSO lanes are address indices *)
-        | Store_buffer.Abstract | Store_buffer.Realistic _ -> (
-            match Store_buffer.oldest th.buf with
-            | Some (a, _) -> Addr.to_index a
-            | None -> no_addr)
+        | Store_buffer.Abstract | Store_buffer.Realistic _ ->
+            Store_buffer.head_addr th.buf
       in
-      { f_tid = tid; f_read = no_addr; f_write = w }
-  | Flush tid -> (
-      let th = thread t tid in
-      match Store_buffer.egress_entry th.buf with
-      | Some (a, _) ->
-          { f_tid = tid; f_read = no_addr; f_write = Addr.to_index a }
-      | None -> { f_tid = tid; f_read = no_addr; f_write = no_addr })
+      make_footprint tid no_addr w
+  | Flush tid ->
+      make_footprint tid no_addr (Store_buffer.egress_addr (thread t tid).buf)
 
 let[@inline] conflict x y = x >= 0 && x = y
 
 let independent f1 f2 =
-  f1.f_tid <> f2.f_tid
-  && (not (conflict f1.f_write f2.f_read))
-  && (not (conflict f1.f_write f2.f_write))
-  && not (conflict f1.f_read f2.f_write)
+  let w1 = footprint_write f1 and w2 = footprint_write f2 in
+  footprint_tid f1 <> footprint_tid f2
+  && (not (conflict w1 (footprint_read f2)))
+  && (not (conflict w1 w2))
+  && not (conflict (footprint_read f1) w2)
 
 (* {1 Snapshot / restore}
 
@@ -668,13 +685,17 @@ let thread_snap_create () =
     s_egress_v = 0;
   }
 
-let ensure_int_array a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+(* A larger scratch array, for the callers that found [a] shorter than [n].
+   Scratch fields are only written when they grow: even an unchanged
+   pointer store into a major-heap record goes through [caml_modify]. *)
+let grow_ints a n = Array.make (max n (2 * Array.length a)) 0
 
 let snapshot t snap =
   if not t.record then
     invalid_arg "Machine.snapshot: machine is not recording responses";
   let n_cells = Memory.size t.mem in
-  snap.s_mem <- ensure_int_array snap.s_mem n_cells;
+  if Array.length snap.s_mem < n_cells then
+    snap.s_mem <- grow_ints snap.s_mem n_cells;
   Memory.blit_to t.mem snap.s_mem;
   snap.s_mem_len <- n_cells;
   snap.s_steps <- t.steps;
@@ -692,24 +713,23 @@ let snapshot t snap =
     let ts = snap.s_threads.(i) in
     ts.s_hist <- th.hist;
     ts.s_done <- status_done th.status;
-    ts.s_resp <- ensure_int_array ts.s_resp th.resp_len;
-    Array.blit th.resp_log 0 ts.s_resp 0 th.resp_len;
+    if Array.length ts.s_resp < th.resp_len then
+      ts.s_resp <- grow_ints ts.s_resp th.resp_len;
+    copy_ints th.resp_log ts.s_resp th.resp_len;
     ts.s_resp_len <- th.resp_len;
-    let n_entries = Store_buffer.entries th.buf in
-    ts.s_entries <- ensure_int_array ts.s_entries (2 * n_entries);
-    let k = ref 0 in
-    Store_buffer.iter_entries th.buf (fun a v ->
-        ts.s_entries.(2 * !k) <- Addr.to_index a;
-        ts.s_entries.((2 * !k) + 1) <- v;
-        incr k);
+    let buf = th.buf in
+    let n_entries = Store_buffer.entries buf in
+    if Array.length ts.s_entries < 2 * n_entries then
+      ts.s_entries <- grow_ints ts.s_entries (2 * n_entries);
+    let entries = ts.s_entries in
+    for k = 0 to n_entries - 1 do
+      entries.(2 * k) <- Store_buffer.entry_addr buf k;
+      entries.((2 * k) + 1) <- Store_buffer.entry_value buf k
+    done;
     ts.s_n_entries <- n_entries;
-    (match Store_buffer.egress_entry th.buf with
-    | None ->
-        ts.s_egress_a <- no_addr;
-        ts.s_egress_v <- 0
-    | Some (a, v) ->
-        ts.s_egress_a <- Addr.to_index a;
-        ts.s_egress_v <- v)
+    let eg = Store_buffer.egress_addr buf in
+    ts.s_egress_a <- eg;
+    ts.s_egress_v <- (if eg < 0 then 0 else Store_buffer.egress_value buf)
   done
 
 (* Decode a recorded response back to the value the request's continuation
@@ -754,7 +774,7 @@ let restore_into snap t =
        steps append without regrowing the log. *)
     if Array.length th.resp_log <= ts.s_resp_len then
       th.resp_log <- Array.make (max 64 (2 * ts.s_resp_len)) 0;
-    Array.blit ts.s_resp 0 th.resp_log 0 ts.s_resp_len;
+    copy_ints ts.s_resp th.resp_log ts.s_resp_len;
     th.resp_len <- ts.s_resp_len;
     Store_buffer.clear th.buf;
     for k = 0 to ts.s_n_entries - 1 do

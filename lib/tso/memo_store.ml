@@ -16,19 +16,20 @@
    against a mismatched header is rejected with a descriptive error rather
    than silently poisoning verdicts.
 
-   Concurrency: [seen] is safe from any domain — the table is sharded by
-   fingerprint with one mutex per shard, and novel entries are buffered
-   per shard (write-back) until [commit] appends them. [commit] must be
-   called from one domain, after the search quiesces, and only for
-   searches that ran to completion: entries from a [max_runs]-interrupted
-   search are real visits, but the failure set of a partial search is not
-   the configuration's failure set, so partial searches are not merged. *)
+   One domain: a store belongs to the one search that opened it
+   ([Classic.run] opens one per litmus test, [wsrepro explore] one per
+   search), so it has no locks and plain counters. The table is sharded by
+   fingerprint only to match the shard files, and novel entries are
+   buffered per shard (write-back) until [commit] appends them. [commit]
+   runs after the search returns, and only for searches that ran to
+   completion: entries from a [max_runs]-interrupted search are real
+   visits, but the failure set of a partial search is not the
+   configuration's failure set, so partial searches are not merged. *)
 
 let schema = "wsrepro-memo/v1"
 let n_shards = 16
 
 type shard = {
-  lock : Mutex.t;
   tbl : (int, (int * int) list) Hashtbl.t;
   mutable pending : (int * int * int) list;  (** newest first *)
 }
@@ -39,8 +40,8 @@ type t = {
   shards : shard array;
   mutable stored_failures : (int list * string) list;
   mutable loaded : int;
-  lookups : int Atomic.t;
-  hits : int Atomic.t;
+  mutable lookups : int;
+  mutable hits : int;
 }
 
 (* The Pareto-frontier membership/insertion shared with the explorer's
@@ -80,12 +81,11 @@ let fresh ~path ~header =
     path;
     header;
     shards =
-      Array.init n_shards (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 1024; pending = [] });
+      Array.init n_shards (fun _ -> { tbl = Hashtbl.create 1024; pending = [] });
     stored_failures = [];
     loaded = 0;
-    lookups = Atomic.make 0;
-    hits = Atomic.make 0;
+    lookups = 0;
+    hits = 0;
   }
 
 let shard_file path k = Filename.concat path (Printf.sprintf "shard-%d.dat" k)
@@ -212,17 +212,15 @@ let open_ ~path ~config ~max_depth ~preemption_bound ~por ~dpor () =
                     Ok t)))
 
 let seen t fp ~depth_rem ~preempt_rem =
-  Atomic.incr t.lookups;
+  t.lookups <- t.lookups + 1;
   let sh = t.shards.((fp land max_int) mod n_shards) in
-  Mutex.lock sh.lock;
   let hit = tbl_check sh.tbl fp ~depth_rem ~preempt_rem in
-  if hit then Atomic.incr t.hits
+  if hit then t.hits <- t.hits + 1
   else sh.pending <- (fp, depth_rem, preempt_rem) :: sh.pending;
-  Mutex.unlock sh.lock;
   hit
 
-let lookups t = Atomic.get t.lookups
-let hits t = Atomic.get t.hits
+let lookups t = t.lookups
+let hits t = t.hits
 let loaded_entries t = t.loaded
 
 let pending_entries t =
@@ -267,7 +265,7 @@ let rec mkdir_p path =
   if not (Sys.file_exists path) then begin
     let parent = Filename.dirname path in
     if parent <> path then mkdir_p parent;
-    (* tolerate a concurrent creator (e.g. sibling stores under one root) *)
+    (* tolerate another creator (e.g. sibling stores under one root) *)
     try Sys.mkdir path 0o755 with Sys_error _ when Sys.is_directory path -> ()
   end
 

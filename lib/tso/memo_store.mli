@@ -12,7 +12,10 @@
     at least as much budget (the same Pareto-frontier rule as the in-memory
     memo). Everything else that shapes the reduced tree — machine
     configuration, bounds, [por]/[dpor] — is pinned by the header, and
-    {!open_} rejects a store whose header does not match. *)
+    {!open_} rejects a store whose header does not match.
+
+    A store is single-domain: it belongs to the one search that opened it
+    and has no locks. Do not share one across domains. *)
 
 type t
 
@@ -35,14 +38,14 @@ val open_ :
     entries. *)
 
 val seen : t -> int -> depth_rem:int -> preempt_rem:int -> bool
-(** Memo lookup-and-insert, safe from any domain (mutex per shard). [true]
-    means the state was already explored with at least this much budget;
-    [false] records the visit (buffered in memory until {!commit}). *)
+(** Memo lookup-and-insert. [true] means the state was already explored
+    with at least this much budget; [false] records the visit (buffered in
+    memory until {!commit}). *)
 
 val commit : t -> failures:(int list * string) list -> (unit, string) result
 (** Append the buffered novel entries to the shard files, write the header
-    and the given failure set. Call from one domain, only after a search
-    that ran to completion (a partial search's failure set is not the
+    and the given failure set. Call only after a search that ran to
+    completion (a partial search's failure set is not the
     configuration's). *)
 
 val merge_failures :

@@ -84,16 +84,28 @@ let name_of_index t i =
 let name t a = name_of_index t (check t a)
 let snapshot t = Array.sub t.cells 0 t.used
 
+(* Typed loops, not [Array.blit]: OCaml 5.1's [caml_array_blit] pays
+   [caml_modify] per element whenever the destination is outside the minor
+   heap, as the explorer's long-lived scratch always is, while an [int
+   array] store in a loop has no write barrier. *)
 let blit_to t dst =
   if Array.length dst < t.used then
     invalid_arg "Memory.blit_to: destination too small";
-  Array.blit t.cells 0 dst 0 t.used
+  let cells = t.cells in
+  for i = 0 to t.used - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get cells i)
+  done
 
 let restore_from t src ~len =
   if len <> t.used then invalid_arg "Memory.restore_from: size mismatch";
-  Array.blit src 0 t.cells 0 len
+  if Array.length src < len then
+    invalid_arg "Memory.restore_from: source too small";
+  let cells = t.cells in
+  for i = 0 to len - 1 do
+    Array.unsafe_set cells i (Array.unsafe_get src i)
+  done
 
-let cell t i =
+let[@inline] cell t i =
   if i < 0 || i >= t.used then invalid_arg "Memory.cell: index out of bounds";
   t.cells.(i)
 

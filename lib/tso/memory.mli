@@ -38,13 +38,18 @@ val snapshot : t -> int array
 
 val blit_to : t -> int array -> unit
 (** Copy the contents into the first {!size} slots of an existing array
-    (the allocation-free capture {!Machine.snapshot} uses).
-    @raise Invalid_argument if the destination is shorter than {!size}. *)
+    (the allocation-free capture {!Machine.snapshot} uses). The copy is a
+    typed [int] loop, not [Array.blit]: OCaml 5.1's [caml_array_blit]
+    calls [caml_modify] for every element when the destination lives in
+    the major heap, as long-lived scratch does (about 150 ns against
+    about 40 ns for 70 cells). @raise Invalid_argument if the destination is shorter
+    than {!size}. *)
 
 val restore_from : t -> int array -> len:int -> unit
-(** Overwrite the contents with the first [len] values of [src]; the cell
-    layout (names, allocation order) is untouched. Used by
-    {!Machine.restore_into}. @raise Invalid_argument if [len <> size t]. *)
+(** Overwrite the contents with the first [len] values of [src] (a typed
+    loop, like {!blit_to}); the cell layout (names, allocation order) is
+    untouched. Used by {!Machine.restore_into}.
+    @raise Invalid_argument if [len <> size t] or [src] is shorter. *)
 
 val cell : t -> int -> int
 (** Contents of cell [i] (0 ≤ i < {!size}) without copying — the

@@ -73,9 +73,15 @@ type drain_result =
   | Staged of Addr.t * int
   | Coalesced of Addr.t * int
 
-let oldest t =
-  if t.len = 0 then None
-  else Some (Addr.of_index t.addrs.(t.head), t.vals.(t.head))
+let[@inline] head_addr t = if t.len = 0 then no_addr else t.addrs.(t.head)
+
+let[@inline] entry_addr t k =
+  if k < 0 || k >= t.len then invalid_arg "Store_buffer.entry_addr: no such entry";
+  t.addrs.(slot t k)
+
+let[@inline] entry_value t k =
+  if k < 0 || k >= t.len then invalid_arg "Store_buffer.entry_value: no such entry";
+  t.vals.(slot t k)
 
 let can_drain t =
   t.len > 0
@@ -153,6 +159,9 @@ let flush_egress t mem =
 let egress_entry t =
   if can_flush_egress t then Some (Addr.of_index t.eg_addr, t.eg_val) else None
 
+let[@inline] egress_addr t = t.eg_addr
+let[@inline] egress_value t = t.eg_val
+
 let clear t =
   t.head <- 0;
   t.len <- 0;
@@ -168,12 +177,6 @@ let buffered t =
   List.init t.len (fun k ->
       let s = slot t k in
       (Addr.of_index t.addrs.(s), t.vals.(s)))
-
-let iter_entries t f =
-  for k = 0 to t.len - 1 do
-    let s = slot t k in
-    f (Addr.of_index t.addrs.(s)) t.vals.(s)
-  done
 
 let to_list t =
   let tail = buffered t in

@@ -18,9 +18,12 @@
     The buffer proper is a ring of [capacity] slots held in two int arrays
     (address index, value), and B is two ints. Pushing, draining, flushing
     and forwarding change only those ints: the buffer's state operations
-    allocate nothing. What allocates is what a caller asks to see —
-    {!drain}'s and {!flush_egress}'s results, and the option/list views
-    ({!lookup}, {!oldest}, {!egress_entry}, {!to_list}, {!buffered},
+    allocate nothing, and neither do the index accessors ({!head_addr},
+    {!entry_addr}, {!entry_value}, {!egress_addr}, {!egress_value}) that
+    {!Machine.fingerprint}, {!Machine.snapshot} and {!Machine.footprint}
+    read the buffer through. What allocates is what a caller asks to
+    see — {!drain}'s and {!flush_egress}'s results, and the option/list
+    views ({!lookup}, {!egress_entry}, {!to_list}, {!buffered},
     {!drain_lanes}) kept for tests, traces and forensics. *)
 
 type model =
@@ -104,10 +107,26 @@ val egress_entry : t -> (Addr.t * int) option
     proper matters for state fingerprints: a store staged in B and the same
     store still queued enable different transitions. *)
 
-val oldest : t -> (Addr.t * int) option
-(** The oldest entry of the buffer proper — the store the next FIFO drain
-    will propagate. The explorer's transition footprints use it to name the
-    address a [Drain] writes. *)
+val egress_addr : t -> int
+(** The address index held in B, or [-1] when B is empty: the
+    allocation-free form of {!egress_entry}. *)
+
+val egress_value : t -> int
+(** The value held in B; meaningful only when {!egress_addr} is not [-1]. *)
+
+val head_addr : t -> int
+(** The address index of the oldest entry of the buffer proper — the store
+    the next FIFO drain will propagate — or [-1] when it is empty. The
+    explorer's transition footprints use it to name the address a [Drain]
+    writes. *)
+
+val entry_addr : t -> int -> int
+(** [entry_addr t k] is the address index of entry [k] of the buffer
+    proper (0 = oldest, [k < entries t]).
+    @raise Invalid_argument for any other [k]. *)
+
+val entry_value : t -> int -> int
+(** [entry_value t k] is the value of entry [k], as {!entry_addr}. *)
 
 val clear : t -> unit
 (** Empty the buffer proper and B. Snapshot-restore support for the
@@ -119,10 +138,5 @@ val set_egress : t -> (Addr.t * int) option -> unit
 
 val buffered : t -> (Addr.t * int) list
 (** The buffer proper only, oldest-first (excludes B). *)
-
-val iter_entries : t -> (Addr.t -> int -> unit) -> unit
-(** Iterate the buffer proper oldest-first without building a list; the
-    callback receives each entry's address and value (no per-entry
-    allocation). Used by {!Machine.fingerprint}'s hot path. *)
 
 val pp : Memory.t -> Format.formatter -> t -> unit

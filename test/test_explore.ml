@@ -882,6 +882,531 @@ let test_dpor_golden () =
       Alcotest.failf "%d of %d rows differ from the recording; now:\n%s"
         (List.length rows) (List.length dpor_golden) (String.concat "\n" rows)
 
+(* --- allocation-free hot path ------------------------------------------- *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let check_words label expected f =
+  f ();
+  Alcotest.(check (float 0.)) label expected (minor_words f)
+
+let test_hot_path_allocates_nothing () =
+  (* A recording ff-the instance on TSO[2], stopped with one store
+     buffered, so that a drain is enabled. *)
+  let spec = Ws_harness.Scenarios.default_spec in
+  let mk = Explore.Internal.recording_mk (Ws_harness.Scenarios.instance spec) in
+  let m = (mk ()).Explore.machine in
+  let one_buffered () =
+    List.exists
+      (fun tid -> Machine.buffered_stores m tid = 1)
+      (List.init (Machine.thread_count m) Fun.id)
+  in
+  let rec advance budget =
+    if budget = 0 then Alcotest.fail "no store was ever buffered"
+    else if not (one_buffered ()) then begin
+      Machine.apply m (List.hd (Explore.next_choices m));
+      advance (budget - 1)
+    end
+  in
+  advance 200;
+  let trs = Machine.enabled m in
+  checkb "a drain is enabled" true
+    (List.exists (function Machine.Drain _ -> true | _ -> false) trs);
+  check_words "the harness itself" 0. (fun () -> ());
+  let snap = Machine.snapshot_create () in
+  check_words "Machine.snapshot into sized scratch" 0. (fun () ->
+      Machine.snapshot m snap);
+  check_words "Machine.fingerprint" 0. (fun () ->
+      ignore (Sys.opaque_identity (Machine.fingerprint m)));
+  let footprint tr = ignore (Sys.opaque_identity (Machine.footprint m tr)) in
+  check_words "Machine.footprint of every enabled transition" 0. (fun () ->
+      List.iter footprint trs);
+  Machine.release m;
+  (* The DPOR bookkeeping on a synthetic stream: 3 threads, 12 addresses,
+     a spine 60 events deep with a 3-choice node every fourth event, then
+     unwound; once its arrays have grown, a pass allocates nothing. *)
+  let ds = Explore.Internal.dpor_create ~nthreads:3 in
+  let node = [| 0; 1; 2 |] and forced = [||] in
+  let pass () =
+    for d = 0 to 59 do
+      let p = d mod 3 and a = (d * 7) mod 12 in
+      if d mod 4 = 0 then begin
+        Explore.Internal.dpor_open ds d node;
+        Explore.Internal.dpor_explore ds d p
+      end
+      else Explore.Internal.dpor_open ds d forced;
+      match d mod 3 with
+      | 0 -> Explore.Internal.dpor_push ds d ~tid:p ~read:a ~write:(-1)
+      | 1 -> Explore.Internal.dpor_push ds d ~tid:p ~read:(-1) ~write:a
+      | _ -> Explore.Internal.dpor_push ds d ~tid:p ~read:a ~write:a
+    done;
+    for d = 59 downto 0 do
+      Explore.Internal.dpor_pop ds d
+    done
+  in
+  check_words "DPOR push/pop over 60 events" 0. pass
+
+(* --- pinned fingerprint values ------------------------------------------ *)
+
+(* Memo keys, and the fingerprints [wsrepro-memo/v1] shards keep on disk,
+   stay valid only while {!Machine.fingerprint} computes the same values,
+   so a set of them is pinned here. *)
+
+(* perfbench's fingerprint probe: a single-worker THEP machine stopped 200
+   round-robin steps into its run. *)
+let probe_machine () =
+  let m = Machine.create (Machine.abstract_config ~sb_capacity:8) in
+  let params =
+    { Ws_core.Queue_intf.capacity = 128; delta = 4; worker_fence = false; tag = "q" }
+  in
+  let q = Ws_core.Registry.create (Ws_core.Registry.find "thep") m params in
+  let scratch = Memory.alloc (Machine.memory m) ~name:"scratch" ~init:0 in
+  ignore
+    (Machine.spawn m ~name:"w" (fun () ->
+         for i = 1 to 64 do
+           Ws_core.Queue_intf.put q i
+         done;
+         let rec drain () =
+           match Ws_core.Queue_intf.take q with
+           | `Task t ->
+               Program.store scratch t;
+               drain ()
+           | `Empty -> ()
+         in
+         drain ()));
+  (match Sched.run ~max_steps:200 m (Sched.round_robin ()) with
+  | Sched.Max_steps -> ()
+  | _ -> Alcotest.fail "the probe machine quiesced before 200 steps");
+  m
+
+(* The fingerprint of every state along one schedule: the last choice at
+   every node, which runs the highest thread ahead and leaves stores
+   buffered. *)
+let last_choice_fingerprints m =
+  let rec go acc =
+    match Explore.next_choices m with
+    | [] -> List.rev acc
+    | cs ->
+        Machine.apply m (List.nth cs (List.length cs - 1));
+        go (Machine.fingerprint m :: acc)
+  in
+  go [ Machine.fingerprint m ]
+
+(* Stores staged in and flushed from the egress slot B. *)
+let realistic_machine () =
+  let m = Machine.create (Machine.realistic_config ~sb_capacity:2 ~coalesce:true) in
+  let mem = Machine.memory m in
+  let x = Memory.alloc mem ~name:"x" ~init:0 in
+  let y = Memory.alloc mem ~name:"y" ~init:0 in
+  ignore
+    (Machine.spawn m ~name:"t0" (fun () ->
+         Program.store x 1;
+         Program.store x 2;
+         Program.store y 3;
+         ignore (Program.load y)));
+  ignore
+    (Machine.spawn m ~name:"t1" (fun () ->
+         Program.store y 1;
+         ignore (Program.load x)));
+  m
+
+let pinned_fingerprints =
+  [
+    ( "SB",
+      [
+        0x64bf8da60a10e04a; 0x3881df5bc044052a; 0x108ccf8af7b1f3ce;
+        0x5361eb5fd392e008; 0x748f1ee678fb2a4; 0x2884bc5e4682abcb;
+        0x12891a1d17fa7a80;
+      ] );
+    ( "SB+fences",
+      [
+        0x64bf8da60a10e04a; 0x7fc15a9ef0b80b34; 0x5777d6bc4780da30;
+        0x7b5a4360c5b30bc9; 0x45d8446182393863; 0x388dfba7ec6a082a;
+        0x27aa0a6fe6c8a02f; 0x4a2410bfe0dc4699; 0x435e21b9c9371b80;
+      ] );
+    ( "SB+rmw",
+      [
+        0x3b18941a63bb818; 0x3fbb7909dfb82c00; 0x6e097c89d5e75930;
+        0x5b98c4648d1a86eb; 0x461acc68c0e3b23f; 0x78c77b30346b22a3;
+        0x6bed3c9e9b447dce; 0x106c7c68337b1790; 0x3eba9556ed14fb1d;
+      ] );
+    ( "MP",
+      [
+        0x5f0187f853c11202; 0x7c7f99156945dd31; 0x3a6678a9531fff75;
+        0x574f700e0bc736fd; 0x843bd063a905ce4; 0x507181f097d01cfd;
+        0x65b263ec62e45b0d;
+      ] );
+    ( "LB",
+      [
+        0x43716d34904589f8; 0x6d872383b85202fd; 0x2310445bf60f8fe7;
+        0x6011028e94c81786; 0x384a0b58739d7e55; 0x3f4ed93ba271d3b4;
+        0x5446f7beabd0e94c;
+      ] );
+    ( "n6",
+      [
+        0x51ea805750d40a83; 0x67e79b6d8cc3e38b; 0x61d9300144326670;
+        0x332d196307a3543e; 0x1e7b5b7f5c59f79b; 0x32fb209ee203cc68;
+        0x6e87d7a2558611d7; 0x6ffef0f14278d45; 0x38bef924b250f9c4;
+      ] );
+    ( "n5",
+      [
+        0x2af90f2ae5af2073; 0x6eb3d68a1f8e3333; 0x4c2bb06e87a73ca7;
+        0x4b3538d433f2e4aa; 0x34c7fbeea1b7795d; 0x786e1bffb834f1f0;
+        0x1807972859d00f07;
+      ] );
+    ( "IRIW",
+      [
+        0x18fe971cf87ab3fb; 0x6b34e1e093c4ba28; 0x2086b07e205df04a;
+        0x13e22a35056ad434; 0x706780c19027ed46; 0x54a6e5098a91b7f;
+        0xeec43ee5a4f7d11; 0x1f2e62163b72ae3b; 0x6adef64bd37a071c;
+      ] );
+    ( "store-forwarding",
+      [
+        0x2032c6b7f2291f01; 0x4fb6cf9d6e2b8d9d; 0x22319a5eb58ad73f;
+        0x7d1ddbc44df8a3f5; 0x78f629ef167c91f6; 0x2b3fcc08d0c01cf0;
+      ] );
+    ( "rmw-atomic",
+      [
+        0x72e8085ef2bb3eba; 0x3a81a7b439fcc34e; 0x565c473a7183d472;
+        0x4c8802d1250e5283; 0x5ac24bd336600d9f;
+      ] );
+    ( "realistic",
+      [
+        0x64bf8da60a10e04a; 0x3881df5bc044052a; 0x108ccf8af7b1f3ce;
+        0x7eeb67105143878d; 0x5361eb5fd392e008; 0x16c1d64829aa4b18;
+        0x342c4ffab5b25287; 0x381438907c069bcc; 0x5382d1cdcdf5db87;
+        0x62880b62c10b502a; 0x6790245e3a608154; 0x27845c349d382d2;
+        0x74de056057ce6f4d; 0x724263ea3ed15521;
+      ] );
+  ]
+
+let test_fingerprints_pinned () =
+  let probe = probe_machine () in
+  Alcotest.(check int)
+    "perfbench's probe machine at 200 steps" 0x6606d30e9de0585a
+    (Machine.fingerprint probe);
+  Machine.release probe;
+  List.iter
+    (fun (name, expected) ->
+      let m =
+        if name = "realistic" then realistic_machine ()
+        else ((Ws_litmus.Classic.find name).mk ()).Explore.machine
+      in
+      Alcotest.(check (list int))
+        (name ^ ": every state of the last-choice schedule")
+        expected (last_choice_fingerprints m))
+    pinned_fingerprints
+
+(* --- source-DPOR bookkeeping against its record-based reference --------- *)
+
+(* The record-and-Hashtbl DPOR state that the flat arrays of
+   [Explore.Internal] replaced, verbatim, as the oracle of
+   [dpor_differential_prop]. It reads footprints only through the three
+   accessors, so a record stands in for [Machine.footprint] here. *)
+module Reference_dpor = struct
+  module Machine = struct
+    type footprint = { tid : int; read : int; write : int }
+
+    let footprint_tid f = f.tid
+    let footprint_read f = f.read
+    let footprint_write f = f.write
+  end
+
+  type dpor_node = {
+    nd_units : int array;  (** footprint thread of each choice index *)
+    nd_backtrack : bool array;
+    nd_done : bool array;
+    mutable nd_all : bool;
+        (** degraded to full enumeration (bound prune / memo hit below, or no
+            backtrack-set member was available for a demanded reversal) *)
+  }
+
+  (* Per-address access summary: the last write (its event index and clock)
+     and the reads since it (their indices and joined clock). Records are
+     immutable so backtracking restores by keeping the old record. *)
+  type dpor_addr = {
+    a_widx : int;
+    a_wclock : int array;
+    a_reads : int list;
+    a_rclock : int array;
+  }
+
+  type dpor_undo = {
+    u_proc : int;
+    u_pclock : int array;
+    u_read : (int * dpor_addr) option;
+    u_write : (int * dpor_addr) option;
+  }
+
+  type dpor = {
+    d_bottom : int array;  (** all -1; shared and never mutated *)
+    d_pclock : int array array;  (** clock of each thread's last event *)
+    d_addrs : (int, dpor_addr) Hashtbl.t;
+    mutable d_units : int array;  (** executing thread of the event at depth *)
+    mutable d_nodes : dpor_node option array;  (** branch node at depth *)
+    mutable d_undo : dpor_undo option array;
+  }
+
+  let dpor_create ~nthreads =
+    let n = max nthreads 1 in
+    let bottom = Array.make n (-1) in
+    {
+      d_bottom = bottom;
+      d_pclock = Array.make n bottom;
+      d_addrs = Hashtbl.create 64;
+      d_units = [||];
+      d_nodes = [||];
+      d_undo = [||];
+    }
+
+  let dpor_depth_room ds depth =
+    let n = Array.length ds.d_units in
+    if depth >= n then begin
+      let m = max (depth + 1) (max 16 (2 * n)) in
+      let units = Array.make m (-1) in
+      Array.blit ds.d_units 0 units 0 n;
+      ds.d_units <- units;
+      let nodes = Array.make m None in
+      Array.blit ds.d_nodes 0 nodes 0 n;
+      ds.d_nodes <- nodes;
+      let undo = Array.make m None in
+      Array.blit ds.d_undo 0 undo 0 n;
+      ds.d_undo <- undo
+    end
+
+  let dpor_addr ds a =
+    match Hashtbl.find_opt ds.d_addrs a with
+    | Some e -> e
+    | None ->
+        { a_widx = -1; a_wclock = ds.d_bottom; a_reads = []; a_rclock = ds.d_bottom }
+
+  let[@inline] dpor_join dst src =
+    for i = 0 to Array.length dst - 1 do
+      if src.(i) > dst.(i) then dst.(i) <- src.(i)
+    done
+
+  (* Request the reversal of a race between the event at branch node [i] and
+     the event thread [p] is about to execute ([pc] = p's clock BEFORE it).
+     E is the set of threads with a choice at [i] that either are [p] or ran
+     an event after [i] that happens-before p's event (any of them reaches
+     the race from node [i]); if a member of E is already scheduled there,
+     nothing is needed; else one member's choices are planted (all of its
+     indices — internal nondeterminism); else nothing in the node's choice
+     universe can reach the race and the node degrades to full enumeration. *)
+  let dpor_plant ds i ~p ~pc =
+    match ds.d_nodes.(i) with
+    | None -> () (* singleton node: its only choice already runs *)
+    | Some node ->
+        if not node.nd_all then begin
+          let n = Array.length node.nd_units in
+          let in_e q = q = p || pc.(q) > i in
+          let covered = ref false in
+          for j = 0 to n - 1 do
+            if
+              (node.nd_backtrack.(j) || node.nd_done.(j))
+              && in_e node.nd_units.(j)
+            then covered := true
+          done;
+          if not !covered then begin
+            let chosen = ref (-1) in
+            for j = n - 1 downto 0 do
+              let q = node.nd_units.(j) in
+              if q = p || (!chosen < 0 && in_e q) then chosen := q
+            done;
+            if !chosen >= 0 then begin
+              let c = !chosen in
+              Array.iteri
+                (fun j q -> if q = c then node.nd_backtrack.(j) <- true)
+                node.nd_units
+            end
+            else node.nd_all <- true
+          end
+        end
+
+  (* Record the event at [depth] with footprint [fp]: detect races against
+     the per-address indices (planting reversals), advance the executing
+     thread's clock, and update the address records — remembering enough to
+     undo on backtrack. Must run on the pre-state footprint, before
+     [Machine.apply]. *)
+  let dpor_push ds depth fp =
+    dpor_depth_room ds depth;
+    let p = Machine.footprint_tid fp in
+    let r = Machine.footprint_read fp and w = Machine.footprint_write fp in
+    let pc = ds.d_pclock.(p) in
+    let plant i =
+      if i >= 0 && ds.d_units.(i) <> p && pc.(ds.d_units.(i)) < i then
+        dpor_plant ds i ~p ~pc
+    in
+    let er = if r >= 0 then Some (dpor_addr ds r) else None in
+    let ew = if w >= 0 then Some (dpor_addr ds w) else None in
+    (match er with Some e -> plant e.a_widx | None -> ());
+    (match ew with
+    | Some e ->
+        if w <> r then plant e.a_widx;
+        List.iter plant e.a_reads
+    | None -> ());
+    let c = Array.copy pc in
+    c.(p) <- depth;
+    (match er with Some e -> dpor_join c e.a_wclock | None -> ());
+    (match ew with
+    | Some e ->
+        dpor_join c e.a_wclock;
+        dpor_join c e.a_rclock
+    | None -> ());
+    let u_read =
+      match er with
+      | Some e when r <> w ->
+          let rc = Array.copy e.a_rclock in
+          dpor_join rc c;
+          Hashtbl.replace ds.d_addrs r
+            { e with a_reads = depth :: e.a_reads; a_rclock = rc };
+          Some (r, e)
+      | _ -> None
+    in
+    let u_write =
+      match ew with
+      | Some e ->
+          Hashtbl.replace ds.d_addrs w
+            { a_widx = depth; a_wclock = c; a_reads = []; a_rclock = ds.d_bottom };
+          Some (w, e)
+      | None -> None
+    in
+    ds.d_undo.(depth) <- Some { u_proc = p; u_pclock = pc; u_read; u_write };
+    ds.d_units.(depth) <- p;
+    ds.d_pclock.(p) <- c
+
+  let dpor_pop ds depth =
+    match ds.d_undo.(depth) with
+    | None -> ()
+    | Some u ->
+        ds.d_undo.(depth) <- None;
+        ds.d_pclock.(u.u_proc) <- u.u_pclock;
+        (match u.u_read with
+        | Some (a, e) -> Hashtbl.replace ds.d_addrs a e
+        | None -> ());
+        (match u.u_write with
+        | Some (a, e) -> Hashtbl.replace ds.d_addrs a e
+        | None -> ())
+end
+
+(* One step of a random walk along a DFS spine. Each operation acts at the
+   top depth (the number of events pushed); one that does not apply there
+   is skipped. *)
+type dpor_op =
+  | D_open of int array  (** open a branch node: the thread of each choice *)
+  | D_forced  (** a forced step: no node at this depth *)
+  | D_explore of int  (** mark a choice of the open node explored *)
+  | D_push of int * int * int  (** an event: thread, read, write *)
+  | D_pop  (** close the node above the spine and undo the newest event *)
+
+let print_dpor_case (nt, ops) =
+  let op = function
+    | D_open us ->
+        Printf.sprintf "open [%s]"
+          (String.concat "," (Array.to_list (Array.map string_of_int us)))
+    | D_forced -> "forced"
+    | D_explore j -> Printf.sprintf "explore %d" j
+    | D_push (p, r, w) -> Printf.sprintf "push t%d r%d w%d" p r w
+    | D_pop -> "pop"
+  in
+  Printf.sprintf "threads=%d\n%s" nt (String.concat "\n" (List.map op ops))
+
+let dpor_case_gen =
+  let open QCheck.Gen in
+  let* nt = int_range 1 4 and* na = int_range 1 4 in
+  let thread = int_bound (nt - 1) and addr = int_range (-1) (na - 1) in
+  let op =
+    frequency
+      [
+        (2, map (fun us -> D_open us) (array_size (int_range 1 5) thread));
+        (1, return D_forced);
+        (2, map (fun j -> D_explore j) (int_bound 4));
+        (6, map3 (fun p r w -> D_push (p, r, w)) thread addr addr);
+        (3, return D_pop);
+      ]
+  in
+  let+ ops = list_size (int_range 0 120) op in
+  (nt, ops)
+
+(* Drive both versions through the same walk and compare every open node's
+   backtrack bits and [nd_all] after every operation. *)
+let dpor_matches_reference (nt, ops) =
+  let module R = Reference_dpor in
+  let module F = Explore.Internal in
+  let r = R.dpor_create ~nthreads:nt and f = F.dpor_create ~nthreads:nt in
+  let width = List.length ops + 1 in
+  let open_n = Array.make width 0 in
+  let top = ref 0 in
+  let set_node d units =
+    R.dpor_depth_room r d;
+    let n = Array.length units in
+    r.R.d_nodes.(d) <-
+      (if n = 0 then None
+       else
+         Some
+           {
+             R.nd_units = Array.copy units;
+             nd_backtrack = Array.make n false;
+             nd_done = Array.make n false;
+             nd_all = false;
+           });
+    F.dpor_open f d units;
+    open_n.(d) <- n
+  in
+  let agree () =
+    let ok = ref true in
+    for d = 0 to !top do
+      let node =
+        if d < Array.length r.R.d_nodes then r.R.d_nodes.(d) else None
+      in
+      match node with
+      | None -> if open_n.(d) > 0 then ok := false
+      | Some nd ->
+          if open_n.(d) = 0 || nd.R.nd_all <> F.dpor_all f d then ok := false
+          else
+            for j = 0 to open_n.(d) - 1 do
+              if nd.R.nd_backtrack.(j) <> F.dpor_backtrack f d j then
+                ok := false
+            done
+    done;
+    !ok
+  in
+  List.for_all
+    (fun op ->
+      let d = !top in
+      (match op with
+      | D_open units -> if open_n.(d) = 0 then set_node d units
+      | D_forced -> set_node d [||]
+      | D_explore j -> (
+          if open_n.(d) > 0 then
+            match r.R.d_nodes.(d) with
+            | Some nd ->
+                let j = j mod open_n.(d) in
+                nd.R.nd_done.(j) <- true;
+                F.dpor_explore f d j
+            | None -> ())
+      | D_push (p, rd, wr) ->
+          R.dpor_push r d { R.Machine.tid = p; read = rd; write = wr };
+          F.dpor_push f d ~tid:p ~read:rd ~write:wr;
+          top := d + 1
+      | D_pop ->
+          if d > 0 then begin
+            set_node d [||];
+            R.dpor_pop r (d - 1);
+            F.dpor_pop f (d - 1);
+            top := d - 1
+          end);
+      agree ())
+    ops
+
+let dpor_differential_prop =
+  QCheck.Test.make ~name:"flat DPOR state = record-based reference" ~count:500
+    (QCheck.make ~print:print_dpor_case dpor_case_gen)
+    dpor_matches_reference
+
 let () =
   Alcotest.run "explore"
     [
@@ -960,4 +1485,16 @@ let () =
         [
           Alcotest.test_case "replay oracle" `Quick test_snapshot_replay_oracle;
         ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "snapshot, fingerprint, footprint and DPOR"
+            `Quick test_hot_path_allocates_nothing;
+        ] );
+      ( "fingerprint",
+        [
+          Alcotest.test_case "probe and litmus-state values pinned" `Quick
+            test_fingerprints_pinned;
+        ] );
+      ( "dpor-differential",
+        [ QCheck_alcotest.to_alcotest dpor_differential_prop ] );
     ]
