@@ -742,13 +742,6 @@ let backend_conv =
       ("the", Ws_native.Pool.The_deques);
     ]
 
-let policy_conv =
-  Arg.enum
-    [
-      ("random", Ws_native.Pool.Random_victim);
-      ("round-robin", Ws_native.Pool.Round_robin_victim);
-    ]
-
 (* Load a wsrepro-scenario/v1 file, with --seed (when given) overriding
    the scenario's own seed — the one knob that threads through every
    arrival and service draw, sim and native alike. *)
@@ -773,20 +766,37 @@ let seed_override_arg =
            sim and native).")
 
 let native_cmd =
-  let run machine domains backend policy steal_half smoke fib_n graph_nodes
-      serve_metrics flight scenario seed_opt =
+  let run machine domains backend smoke fib_n graph_nodes flight scenario
+      seed_opt =
     match scenario with
     | Some file ->
-        let spec = load_scenario_or_die file seed_opt in
-        (* exit nonzero when the replay violated the scenario's SLO *)
-        if not (Ws_harness.Exp_native.replay ?serve_metrics spec) then exit 1
-    | None ->
-        if serve_metrics <> None then begin
-          prerr_endline
-            "wsrepro native: --serve-metrics scrapes the scenario replay's \
-             pool; it needs --scenario FILE";
+        (* the scenario file fixes the pool and the load; a parity flag
+           would be silently ignored, so it is refused *)
+        let parity_flags =
+          List.filter_map
+            (fun (set, flag) -> if set then Some flag else None)
+            [
+              (domains <> None, "--domains");
+              (backend <> None, "--backend");
+              (smoke, "--smoke");
+              (fib_n <> None, "--fib");
+              (graph_nodes <> None, "--graph-nodes");
+            ]
+        in
+        if parity_flags <> [] then begin
+          Printf.eprintf
+            "wsrepro native: --scenario takes the pool and the load from its \
+             file, so it cannot be combined with %s\n"
+            (String.concat ", " parity_flags);
           exit 2
         end;
+        let spec = load_scenario_or_die file seed_opt in
+        (* exit nonzero when the replay violated the scenario's SLO *)
+        if not (Ws_harness.Exp_native.replay ?flight_file:flight spec) then
+          exit 1
+    | None ->
+        let fib_n = Option.value fib_n ~default:24 in
+        let graph_nodes = Option.value graph_nodes ~default:2000 in
         if graph_nodes < 2 then begin
           Printf.eprintf
             "wsrepro native: --graph-nodes must be at least 2 (got %d)\n"
@@ -795,8 +805,7 @@ let native_cmd =
         end;
         (* smoke shrinks every knob so CI finishes in seconds *)
         let pick full small = if smoke then small else full in
-        Ws_harness.Exp_native.run ~machine ?domains ~backend ~policy
-          ~steal_half
+        Ws_harness.Exp_native.run ~machine ?domains ?backend
           ~fib_n:(pick fib_n (min fib_n 16))
           ~graph_nodes:(pick graph_nodes (min graph_nodes 400))
           ?flight_file:flight
@@ -813,24 +822,11 @@ let native_cmd =
   let backend =
     Arg.(
       value
-      & opt backend_conv Ws_native.Pool.Chase_lev_deques
+      & opt (some backend_conv) None
       & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Deque backend: $(b,cl) (Chase-Lev) or $(b,the) (THE).")
-  in
-  let policy =
-    Arg.(
-      value
-      & opt policy_conv Ws_native.Pool.Random_victim
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"Victim selection: $(b,random) or $(b,round-robin).")
-  in
-  let steal_half =
-    Arg.(
-      value & flag
-      & info [ "steal-half" ]
           ~doc:
-            "Thieves take up to half the victim's queue per steal (requires \
-             $(b,--backend the)).")
+            "Deque backend: $(b,cl) (Chase-Lev, the default) or $(b,the) \
+             (THE).")
   in
   let smoke =
     Arg.(
@@ -839,24 +835,18 @@ let native_cmd =
           ~doc:"Shrink all sizes for a seconds-long CI smoke run.")
   in
   let fib_n =
-    Arg.(value & opt int 24 & info [ "fib" ] ~docv:"N" ~doc:"Fib input.")
-  in
-  let graph_nodes =
-    Arg.(
-      value & opt int 2000
-      & info [ "graph-nodes" ] ~docv:"N"
-          ~doc:"Graph nodes, at least 2 (edges default to 4x).")
-  in
-  let serve_metrics =
     Arg.(
       value
       & opt (some int) None
-      & info [ "serve-metrics" ] ~docv:"PORT"
+      & info [ "fib" ] ~docv:"N" ~doc:"Fib input (default 24).")
+  in
+  let graph_nodes =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "graph-nodes" ] ~docv:"N"
           ~doc:
-            "With $(b,--scenario): serve live OpenMetrics scrapes of the \
-             replay's pool on http://127.0.0.1:PORT/metrics for the \
-             duration of the replay (0 picks a free port; the endpoint is \
-             printed to stderr).")
+            "Graph nodes, at least 2 (default 2000; edges default to 4x).")
   in
   let flight =
     Arg.(
@@ -864,9 +854,10 @@ let native_cmd =
       & opt ~vopt:(Some "flight.json") (some string) None
       & info [ "flight" ] ~docv:"FILE"
           ~doc:
-            "Run the steal-forcing flight-recorder probe and write its \
-             wsrepro-flight/v1 report to $(docv) (default flight.json), \
-             plus a Chrome trace alongside.")
+            "Write a wsrepro-flight/v1 report to $(docv) (default \
+             flight.json), plus a Chrome trace alongside: the steal-forcing \
+             flight-recorder probe's after the parity table, or with \
+             $(b,--scenario) the replay's own recording.")
   in
   let scenario =
     Arg.(
@@ -877,7 +868,9 @@ let native_cmd =
             "Replay a wsrepro-scenario/v1 JSON file on the native pool \
              (replaces the parity section): same pre-drawn arrival gaps and \
              service demands the simulator replays, ticks mapped to wall \
-             time via the scenario's tick_ns.")
+             time via the scenario's tick_ns. The file sets the pool and the \
+             load, so $(b,--domains), $(b,--backend), $(b,--smoke), \
+             $(b,--fib) and $(b,--graph-nodes) are refused with it.")
   in
   Cmd.v
     (Cmd.info "native"
@@ -886,47 +879,8 @@ let native_cmd =
           pool and cross-check against the simulator, or replay an \
           open-system scenario on it with sojourn-latency percentiles")
     Term.(
-      const run $ machine_arg $ domains $ backend $ policy $ steal_half
-      $ smoke $ fib_n $ graph_nodes $ serve_metrics $ flight $ scenario
-      $ seed_override_arg)
-
-(* top: a scenario replay under a live per-slot dashboard *)
-let top_cmd =
-  let run file serve_metrics interval seed_opt =
-    Ws_harness.Exp_native.top ?serve_metrics ~interval
-      (load_scenario_or_die file seed_opt)
-  in
-  let scenario =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "scenario" ] ~docv:"FILE"
-          ~doc:"wsrepro-scenario/v1 JSON file to replay on the native pool.")
-  in
-  let serve_metrics =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "serve-metrics" ] ~docv:"PORT"
-          ~doc:
-            "Also serve OpenMetrics scrapes on \
-             http://127.0.0.1:PORT/metrics while the dashboard runs.")
-  in
-  let interval =
-    Arg.(
-      value & opt float 0.25
-      & info [ "interval" ] ~docv:"SECONDS"
-          ~doc:"Dashboard refresh interval.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Replay a scenario on the native pool under a live, refreshing \
-          per-slot dashboard (tasks run/stolen/injected, steal attempts \
-          and aborts, parks, queue gauges, stage latencies) drawn on \
-          stderr; stdout gets the final summary only")
-    Term.(
-      const run $ scenario $ serve_metrics $ interval $ seed_override_arg)
+      const run $ machine_arg $ domains $ backend $ smoke $ fib_n $ graph_nodes
+      $ flight $ scenario $ seed_override_arg)
 
 (* scenario: the heavy-traffic overload sweep over a scenario file *)
 let scenario_cmd =
@@ -1033,7 +987,7 @@ let main =
     [
       fig1_cmd; fig7_cmd; fig8_cmd; fig10_cmd; fig11_cmd; table1_cmd; all_cmd;
       ablation_cmd; scaling_cmd; litmus_cmd; tso_litmus_cmd; check_cmd;
-      explore_cmd; trace_cmd; delta_cmd; native_cmd; top_cmd; scenario_cmd;
+      explore_cmd; trace_cmd; delta_cmd; native_cmd; scenario_cmd;
       json_check_cmd;
     ]
 

@@ -9,7 +9,7 @@
    architecture: injector, parking, exception safety.) *)
 
 let () =
-  let pool = Ws_native.Pool.create ~domains:3 ~telemetry:true () in
+  let pool = Ws_native.Pool.create ~domains:3 () in
 
   (* parallel naive fib on real domains *)
   let n = 30 in

@@ -36,8 +36,8 @@ let timed_point pool f =
   let seconds = if seconds <= 0. then 1e-9 else seconds in
   { tasks; seconds; tasks_per_sec = float_of_int tasks /. seconds }
 
-let native_fib ?domains ?backend ?policy ?steal_half ~n () =
-  let pool = Ws_native.Pool.create ?domains ?backend ?policy ?steal_half () in
+let native_fib ?domains ?backend ~n () =
+  let pool = Ws_native.Pool.create ?domains ?backend () in
   let point =
     timed_point pool (fun () -> ignore (Ws_native.Pool.fib pool n))
   in
@@ -47,10 +47,9 @@ let native_fib ?domains ?backend ?policy ?steal_half ~n () =
 (* Native single-source reachability, the pool-side twin of the simulated
    transitive-closure workload: "visit u" CASes each neighbour's visited
    flag and spawns the winners, so each node is visited exactly once. *)
-let native_graph ?domains ?backend ?policy ?steal_half ~nodes ~edges ~seed ()
-    =
+let native_graph ?domains ?backend ~nodes ~edges ~seed () =
   let g = Ws_workloads.Graph.random_graph ~nodes ~edges ~seed in
-  let pool = Ws_native.Pool.create ?domains ?backend ?policy ?steal_half () in
+  let pool = Ws_native.Pool.create ?domains ?backend () in
   let visited = Array.init nodes (fun _ -> Atomic.make false) in
   let rec visit u () =
     Array.iter
@@ -111,20 +110,19 @@ let parity_row ~workload ~sim:(sim_tasks, sim_makespan) ~native =
     native;
   }
 
-let parity ?(machine = Machine_config.westmere_ex) ?domains ?backend ?policy
-    ?steal_half ?(fib_n = 20) ?(graph_nodes = 2000) ?graph_edges ?(seed = 23)
-    () =
+let parity ?(machine = Machine_config.westmere_ex) ?domains ?backend
+    ?(fib_n = 20) ?(graph_nodes = 2000) ?graph_edges ?(seed = 23) () =
   let graph_edges = Option.value graph_edges ~default:(4 * graph_nodes) in
   [
     parity_row ~workload:(Printf.sprintf "fib(%d)" fib_n)
       ~sim:(sim_fib ~machine ~n:fib_n ~seed)
-      ~native:(native_fib ?domains ?backend ?policy ?steal_half ~n:fib_n ());
+      ~native:(native_fib ?domains ?backend ~n:fib_n ());
     parity_row
       ~workload:(Printf.sprintf "graph(%d,%d)" graph_nodes graph_edges)
       ~sim:(sim_graph ~machine ~nodes:graph_nodes ~edges:graph_edges ~seed)
       ~native:
-        (native_graph ?domains ?backend ?policy ?steal_half ~nodes:graph_nodes
-           ~edges:graph_edges ~seed ());
+        (native_graph ?domains ?backend ~nodes:graph_nodes ~edges:graph_edges
+           ~seed ());
   ]
 
 let render_parity rows =
@@ -208,9 +206,7 @@ type scenario_result = {
   sn_sojourn : Telemetry.Histogram.t;
   sn_late : Telemetry.Histogram.t;  (* submission minus due time, ns *)
   sn_peak_injector : int;  (* max injector depth seen at submission *)
-  sn_steals : int;
-  sn_injector_runs : int;
-  sn_parks : int;
+  sn_slots : Ws_native.Pool.worker_stats array;  (* after the join *)
   (* per-cell stage attribution from the pool (ns) *)
   sn_qwait : Telemetry.Histogram.t;
   sn_dispatch : Telemetry.Histogram.t;
@@ -220,6 +216,7 @@ type scenario_result = {
   (* request-level rotating sojourn windows, width = slo window (or the
      default) converted to ns through sc_tick_ns *)
   sn_windows : Telemetry.Windowed.t;
+  sn_flight : Telemetry.Flight_recorder.t;
 }
 
 (* The simulated queue picks the native backend: Chase-Lev-family queues
@@ -252,7 +249,18 @@ let rec sleep_until t =
     sleep_until t
   end
 
-let scenario_native ?monitor (spec : Scenarios.open_spec) =
+(* Flight-ring capacity per slot that holds a whole replay. Per cell, a
+   slot records at most a run, a steal, a spawn of the next stage and a
+   steal abort (each abort loses a cell to another taker). It parks at
+   most once per wake-up broadcast, and each park is a park/unpark pair:
+   one broadcast per enqueued cell, one per request whose last stage
+   leaves nothing in flight, one at shutdown. That is
+   requests x (6 x chain + 2) + 2 events; the report's per-ring [dropped]
+   counts confirm it. *)
+let replay_flight_capacity (spec : Scenarios.open_spec) =
+  (spec.Scenarios.sc_requests * ((6 * spec.Scenarios.sc_chain) + 2)) + 2
+
+let scenario_native (spec : Scenarios.open_spec) =
   let open Ws_runtime in
   let plan =
     Open_load.plan ~seed:spec.Scenarios.sc_seed
@@ -272,13 +280,8 @@ let scenario_native ?monitor (spec : Scenarios.open_spec) =
     Ws_native.Pool.create ~domains:spec.Scenarios.sc_workers
       ~backend:(backend_of_queue spec.Scenarios.sc_queue)
       ~injector_capacity:spec.Scenarios.sc_capacity ~attribution:true
-      ~window_ns ~window_slots ~flight:true ()
-  in
-  (* The monitor (metrics server, live dashboard) attaches to the running
-     pool and returns its own teardown, invoked after the last request
-     completes but before the pool shuts down. *)
-  let stop_monitor =
-    match monitor with Some m -> m pool | None -> fun () -> ()
+      ~window_ns ~window_slots ~flight:true
+      ~flight_capacity:(replay_flight_capacity spec) ()
   in
   let sojourn = Telemetry.Histogram.create () in
   let late = Telemetry.Histogram.create () in
@@ -325,13 +328,11 @@ let scenario_native ?monitor (spec : Scenarios.open_spec) =
     Domain.cpu_relax ()
   done;
   let elapsed = float_of_int (Telemetry.Clock.now_ns () - t0) *. 1e-9 in
-  stop_monitor ();
-  let stats = Ws_native.Pool.worker_stats pool in
   let recorder = Option.get (Ws_native.Pool.flight pool) in
   Ws_native.Pool.shutdown pool;
-  (* read the stage planes after the join: every worker has flushed *)
+  (* read the counters and stage planes after the join: every worker has
+     flushed *)
   let sn_qwait, sn_dispatch, sn_service = Ws_native.Pool.stage_hists pool in
-  let sum f = Array.fold_left (fun acc st -> acc + f st) 0 stats in
   {
     sn_injected = !injected;
     sn_dropped = !dropped;
@@ -343,18 +344,18 @@ let scenario_native ?monitor (spec : Scenarios.open_spec) =
     sn_sojourn = sojourn;
     sn_late = late;
     sn_peak_injector = !peak_injector;
-    sn_steals = sum (fun st -> st.Ws_native.Pool.steals);
-    sn_injector_runs = sum (fun st -> st.Ws_native.Pool.injector_runs);
-    sn_parks = sum (fun st -> st.Ws_native.Pool.parks);
+    sn_slots = Ws_native.Pool.worker_stats pool;
     sn_qwait;
     sn_dispatch;
     sn_service;
     sn_steal_delay = steal_delay_of_flight recorder;
     sn_windows = windows;
+    sn_flight = recorder;
   }
 
 let render_scenario_native (spec : Scenarios.open_spec) r =
   let module H = Telemetry.Histogram in
+  let sum f = Array.fold_left (fun acc st -> acc + f st) 0 r.sn_slots in
   let base =
     Printf.sprintf
       "scenario=%s injected=%d dropped=%d completed=%d elapsed=%.3fs\n\
@@ -366,7 +367,10 @@ let render_scenario_native (spec : Scenarios.open_spec) r =
       (H.percentile r.sn_qwait 0.99)
       (H.percentile r.sn_dispatch 0.99)
       (H.percentile r.sn_service 0.99)
-      r.sn_peak_injector r.sn_steals r.sn_injector_runs r.sn_parks
+      r.sn_peak_injector
+      (sum (fun st -> st.Ws_native.Pool.steals))
+      (sum (fun st -> st.Ws_native.Pool.injector_runs))
+      (sum (fun st -> st.Ws_native.Pool.parks))
   in
   let late =
     Printf.sprintf "generator: late p99=%dns\n" (H.percentile r.sn_late 0.99)
@@ -451,101 +455,6 @@ let native_verdicts (spec : Scenarios.open_spec) (slo : Scenarios.slo) r =
   @ drop_row
 
 (* ------------------------------------------------------------------ *)
-(* Live metrics plane: scrape -> OpenMetrics                           *)
-(* ------------------------------------------------------------------ *)
-
-let pool_metrics pool =
-  let open Telemetry.Openmetrics in
-  let snap = Ws_native.Pool.scrape pool in
-  let stats = snap.Ws_native.Pool.slot_stats in
-  let per_slot f =
-    Array.to_list
-      (Array.mapi
-         (fun i st ->
-           sample ~labels:[ ("slot", string_of_int i) ] (float_of_int (f st)))
-         stats)
-  in
-  let g name help v =
-    gauge ~name ~help [ sample (float_of_int v) ]
-  in
-  let counters =
-    [
-      counter ~name:"ws_pool_spawns" ~help:"Tasks pushed by each slot"
-        (per_slot (fun st -> st.Ws_native.Pool.spawns));
-      counter ~name:"ws_pool_tasks_run" ~help:"Tasks executed by each slot"
-        (per_slot (fun st -> st.Ws_native.Pool.tasks_run));
-      counter ~name:"ws_pool_tasks_stolen"
-        ~help:"Executed tasks that arrived by steal"
-        (per_slot (fun st -> st.Ws_native.Pool.tasks_stolen));
-      counter ~name:"ws_pool_injector_runs"
-        ~help:"Executed tasks that arrived through the injector"
-        (per_slot (fun st -> st.Ws_native.Pool.injector_runs));
-      counter ~name:"ws_pool_steal_attempts" ~help:"Steal probes"
-        (per_slot (fun st -> st.Ws_native.Pool.steal_attempts));
-      counter ~name:"ws_pool_steals" ~help:"Successful steal operations"
-        (per_slot (fun st -> st.Ws_native.Pool.steals));
-      counter ~name:"ws_pool_take_empties"
-        ~help:"Own-deque pops that found nothing"
-        (per_slot (fun st -> st.Ws_native.Pool.take_empties));
-      counter ~name:"ws_pool_steal_empties"
-        ~help:"Steal attempts on an empty victim"
-        (per_slot (fun st -> st.Ws_native.Pool.steal_empties));
-      counter ~name:"ws_pool_steal_aborts"
-        ~help:"Steal attempts that lost a live race"
-        (per_slot (fun st -> st.Ws_native.Pool.steal_aborts));
-      counter ~name:"ws_pool_parks" ~help:"Worker park episodes"
-        (per_slot (fun st -> st.Ws_native.Pool.parks));
-      g "ws_pool_pending" "Cells enqueued and not yet dequeued"
-        snap.Ws_native.Pool.snap_pending;
-      g "ws_pool_in_flight" "Tasks spawned and not yet finished"
-        snap.Ws_native.Pool.snap_in_flight;
-      g "ws_pool_sleepers" "Workers parked at the instant of the scrape"
-        snap.Ws_native.Pool.snap_sleepers;
-      g "ws_pool_injector_queue"
-        "Cells waiting in the external-submission FIFO"
-        snap.Ws_native.Pool.snap_injector;
-      counter ~name:"ws_pool_injector_drops"
-        ~help:"Submissions refused at a full injector (Drop policy)"
-        [ sample (float_of_int snap.Ws_native.Pool.snap_injector_drops) ];
-    ]
-  in
-  (* Stage-attribution families (attribution pools): proper OpenMetrics
-     histograms with cumulative buckets, one family per stage. *)
-  let merged a =
-    let h = Telemetry.Histogram.create () in
-    Array.iter (fun x -> Telemetry.Histogram.merge ~into:h x) a;
-    h
-  in
-  let stage_families =
-    let qw = merged snap.Ws_native.Pool.slot_qwait in
-    if Telemetry.Histogram.total qw = 0 then []
-    else
-      [
-        histogram ~name:"ws_pool_stage_qwait_ns"
-          ~help:"Arrival-to-inject latency (submit backpressure included)"
-          qw;
-        histogram ~name:"ws_pool_stage_dispatch_ns"
-          ~help:"Inject-to-dequeue queue residency"
-          (merged snap.Ws_native.Pool.slot_dispatch);
-        histogram ~name:"ws_pool_stage_service_ns"
-          ~help:"Dequeue-to-completion execution time"
-          (merged snap.Ws_native.Pool.slot_service);
-      ]
-  in
-  counters @ stage_families
-
-let metrics_body pool () = Telemetry.Openmetrics.render (pool_metrics pool)
-
-let serve_metrics_monitor ?(quiet = false) ~port pool =
-  let srv =
-    Telemetry.Metrics_server.start ~port ~body:(metrics_body pool) ()
-  in
-  if not quiet then
-    Printf.eprintf "serving OpenMetrics on http://127.0.0.1:%d/metrics\n%!"
-      (Telemetry.Metrics_server.port srv);
-  fun () -> Telemetry.Metrics_server.stop srv
-
-(* ------------------------------------------------------------------ *)
 (* Flight recorder probe                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -554,16 +463,8 @@ let serve_metrics_monitor ?(quiet = false) ~port pool =
    flag only the child sets. The probe's slot never pops (it is spinning),
    so the child can only ever run by being stolen — every round yields at
    least one Steal event with a reconstructable victim/thief pair. *)
-let flight_probe ?domains ?backend ?(rounds = 8) ?(flight_capacity = 16384)
-    () =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  let pool =
-    Ws_native.Pool.create ~domains ?backend ~flight:true ~flight_capacity ()
-  in
+let flight_probe ?domains ?backend ?(rounds = 8) () =
+  let pool = Ws_native.Pool.create ?domains ?backend ~flight:true () in
   let probe () =
     for _ = 1 to rounds do
       let flag = Atomic.make false in
@@ -578,8 +479,9 @@ let flight_probe ?domains ?backend ?(rounds = 8) ?(flight_capacity = 16384)
   Ws_native.Pool.shutdown pool;
   recorder
 
-let flight_section ~file ?domains ?backend ?rounds () =
-  let recorder = flight_probe ?domains ?backend ?rounds () in
+(* The recorder's wsrepro-flight/v1 report to [file], a Chrome trace next
+   to it, and a one-line lineage summary on stdout. *)
+let write_flight ~file recorder =
   Telemetry.Flight_recorder.write_report recorder file;
   let trace_file = Filename.remove_extension file ^ ".trace.json" in
   Telemetry.Chrome_trace.write
@@ -601,118 +503,15 @@ let flight_section ~file ?domains ?backend ?rounds () =
     (List.length lineages) stolen unresolved file trace_file
 
 (* ------------------------------------------------------------------ *)
-(* Live dashboard (`wsrepro top`)                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* One glyph per window, scaled against the series max — the classic
-   eight-level block sparkline. *)
-let spark values =
-  let glyphs = [| "▁"; "▂"; "▃"; "▄"; "▅"; "▆"; "▇"; "█" |] in
-  match values with
-  | [] -> ""
-  | vs ->
-      let hi = List.fold_left max 1 vs in
-      String.concat ""
-        (List.map (fun v -> glyphs.(min 7 (max 0 (v * 7 / hi)))) vs)
-
-let dashboard_lines pool =
-  let snap = Ws_native.Pool.scrape pool in
-  let header =
-    Printf.sprintf "%4s %8s %8s %8s %8s %8s %8s %8s %6s" "slot" "run"
-      "stolen" "inject" "steals" "attempt" "empty" "abort" "parks"
-  in
-  let rows =
-    Array.to_list
-      (Array.mapi
-         (fun i st ->
-           Printf.sprintf "%4d %8d %8d %8d %8d %8d %8d %8d %6d" i
-             st.Ws_native.Pool.tasks_run st.Ws_native.Pool.tasks_stolen
-             st.Ws_native.Pool.injector_runs st.Ws_native.Pool.steals
-             st.Ws_native.Pool.steal_attempts
-             (st.Ws_native.Pool.take_empties
-             + st.Ws_native.Pool.steal_empties)
-             st.Ws_native.Pool.steal_aborts st.Ws_native.Pool.parks)
-         snap.Ws_native.Pool.slot_stats)
-  in
-  let gauges =
-    Printf.sprintf
-      "pending %d | in-flight %d | sleepers %d | injector %d | drops %d"
-      snap.Ws_native.Pool.snap_pending snap.Ws_native.Pool.snap_in_flight
-      snap.Ws_native.Pool.snap_sleepers snap.Ws_native.Pool.snap_injector
-      snap.Ws_native.Pool.snap_injector_drops
-  in
-  (* Stage-attribution rows (attribution pools only): whole-run stage
-     percentiles plus a per-window p99 sparkline from the rotating ring. *)
-  let module H = Telemetry.Histogram in
-  let module W = Telemetry.Windowed in
-  let merged a =
-    let h = H.create () in
-    Array.iter (fun x -> H.merge ~into:h x) a;
-    h
-  in
-  let stage_rows =
-    let qw = merged snap.Ws_native.Pool.slot_qwait in
-    if H.total qw = 0 then []
-    else
-      let line name h =
-        Printf.sprintf "%-9s p50 %9dns  p99 %9dns  n %d" name
-          (H.percentile h 0.5) (H.percentile h 0.99) (H.total h)
-      in
-      let series =
-        List.map snd (W.series snap.Ws_native.Pool.snap_windows ~q:0.99)
-      in
-      [
-        line "qwait" qw;
-        line "dispatch" (merged snap.Ws_native.Pool.slot_dispatch);
-        line "service" (merged snap.Ws_native.Pool.slot_service);
-        Printf.sprintf "sojourn p99/window %s (%d windows of %dms)"
-          (spark series) (List.length series)
-          (W.width snap.Ws_native.Pool.snap_windows / 1_000_000);
-      ]
-  in
-  (header :: rows) @ [ gauges ] @ stage_rows
-
-let top ?serve_metrics ?(interval = 0.25) spec =
-  let rep = Telemetry.Progress.create ~interval ~label:"top" () in
-  let monitor pool =
-    let stop_serving =
-      match serve_metrics with
-      | Some port -> serve_metrics_monitor ~port pool
-      | None -> fun () -> ()
-    in
-    let stop = Atomic.make false in
-    let t =
-      Thread.create
-        (fun () ->
-          Telemetry.Progress.redraw_now rep (dashboard_lines pool);
-          while not (Atomic.get stop) do
-            Telemetry.Progress.redraw rep (dashboard_lines pool);
-            Thread.delay (interval /. 2.)
-          done)
-        ()
-    in
-    fun () ->
-      Atomic.set stop true;
-      Thread.join t;
-      Telemetry.Progress.redraw_now rep (dashboard_lines pool);
-      stop_serving ()
-  in
-  let r = scenario_native ~monitor spec in
-  Telemetry.Progress.finish rep;
-  print_string (render_scenario_native spec r)
-
-(* ------------------------------------------------------------------ *)
 (* Entry points (the `wsrepro native` subcommand bodies)               *)
 (* ------------------------------------------------------------------ *)
 
-let replay ?serve_metrics (spec : Scenarios.open_spec) =
+let replay ?flight_file (spec : Scenarios.open_spec) =
   Printf.printf "== Native scenario replay: %s (%d worker domains) ==\n"
     spec.Scenarios.sc_name spec.Scenarios.sc_workers;
-  let monitor =
-    Option.map (fun port pool -> serve_metrics_monitor ~port pool) serve_metrics
-  in
-  let r = scenario_native ?monitor spec in
+  let r = scenario_native spec in
   print_string (render_scenario_native spec r);
+  Option.iter (fun file -> write_flight ~file r.sn_flight) flight_file;
   match spec.Scenarios.sc_slo with
   | None -> true
   | Some slo ->
@@ -721,9 +520,8 @@ let replay ?serve_metrics (spec : Scenarios.open_spec) =
         (Scenarios.render_verdicts ~name:spec.Scenarios.sc_name ~units:"ns" vs);
       Scenarios.verdicts_ok vs
 
-let run ?(machine = Machine_config.westmere_ex) ?domains ?backend ?policy
-    ?steal_half ?fib_n ?graph_nodes ?graph_edges ?flight_file ?(seed = 23) ()
-    =
+let run ?(machine = Machine_config.westmere_ex) ?domains ?backend ?fib_n
+    ?graph_nodes ?graph_edges ?flight_file ?(seed = 23) () =
   let d =
     match domains with
     | Some d -> d
@@ -735,10 +533,10 @@ let run ?(machine = Machine_config.westmere_ex) ?domains ?backend ?policy
     d;
   print_string
     (render_parity
-       (parity ~machine ~domains:d ?backend ?policy ?steal_half ?fib_n
-          ?graph_nodes ?graph_edges ~seed ()));
+       (parity ~machine ~domains:d ?backend ?fib_n ?graph_nodes ?graph_edges
+          ~seed ()));
   match flight_file with
   | None -> ()
   | Some file ->
       Printf.printf "== Flight recorder: steal-forcing probe ==\n";
-      flight_section ~file ~domains:d ?backend ()
+      write_flight ~file (flight_probe ~domains:d ?backend ())

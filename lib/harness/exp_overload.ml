@@ -109,6 +109,25 @@ let sim_json (r : Ws_runtime.Open_system.report) =
       ("achieved_per_ktick", J.Float r.Ws_runtime.Open_system.achieved_rate);
     ]
 
+(* The pool's per-slot counters, in [Ws_native.Pool.worker_stats] field
+   order; index 0 is the coordinator, which a replay never runs on. *)
+let slot_fields =
+  Ws_native.Pool.
+    [
+      ("spawns", fun st -> st.spawns);
+      ("tasks_run", fun st -> st.tasks_run);
+      ("tasks_stolen", fun st -> st.tasks_stolen);
+      ("injector_runs", fun st -> st.injector_runs);
+      ("steal_attempts", fun st -> st.steal_attempts);
+      ("steals", fun st -> st.steals);
+      ("take_empties", fun st -> st.take_empties);
+      ("steal_empties", fun st -> st.steal_empties);
+      ("steal_aborts", fun st -> st.steal_aborts);
+      ("parks", fun st -> st.parks);
+    ]
+
+let slot_json st = J.Obj (List.map (fun (k, f) -> (k, J.Int (f st))) slot_fields)
+
 let native_json (r : Exp_native.scenario_result) =
   let module H = Telemetry.Histogram in
   J.Obj
@@ -124,9 +143,14 @@ let native_json (r : Exp_native.scenario_result) =
       ("qwait_p99_ns", J.Int (H.percentile r.Exp_native.sn_qwait 0.99));
       ("dispatch_p99_ns", J.Int (H.percentile r.Exp_native.sn_dispatch 0.99));
       ("service_p99_ns", J.Int (H.percentile r.Exp_native.sn_service 0.99));
+      ("qwait_ns", H.to_json r.Exp_native.sn_qwait);
+      ("dispatch_ns", H.to_json r.Exp_native.sn_dispatch);
+      ("service_ns", H.to_json r.Exp_native.sn_service);
       ( "sojourn_windows",
         Telemetry.Windowed.to_json r.Exp_native.sn_windows );
       ("peak_injector", J.Int r.Exp_native.sn_peak_injector);
+      ( "slots",
+        J.List (Array.to_list (Array.map slot_json r.Exp_native.sn_slots)) );
     ]
 
 let point_json p =
@@ -214,6 +238,40 @@ let check_windows ctx obj k =
       | _ -> Error (Printf.sprintf "%s.%s: missing array \"windows\"" ctx k))
   | _ -> Error (Printf.sprintf "%s: missing object %S" ctx k)
 
+(* A [Histogram.to_json] object: a non-negative total and a bucket
+   array. *)
+let check_hist ctx obj k =
+  let ctx = ctx ^ "." ^ k in
+  match J.member k obj with
+  | Some (J.Obj _ as h) -> (
+      let* total = need_int ctx h "total" in
+      match J.member "buckets" h with
+      | Some (J.List _) when total >= 0 -> Ok ()
+      | _ -> Error (ctx ^ ": needs a non-negative total and a bucket array"))
+  | _ -> Error (Printf.sprintf "%s: missing object" ctx)
+
+let rec iter_ok f = function
+  | [] -> Ok ()
+  | x :: rest ->
+      let* () = f x in
+      iter_ok f rest
+
+(* One object per pool slot, each carrying every counter, none negative. *)
+let check_slots ctx obj =
+  match J.member "slots" obj with
+  | Some (J.List (_ :: _ as slots)) ->
+      iter_ok
+        (fun (i, st) ->
+          let sctx = Printf.sprintf "%s.slots[%d]" ctx i in
+          iter_ok
+            (fun (k, _) ->
+              let* v = need_int sctx st k in
+              if v >= 0 then Ok ()
+              else Error (Printf.sprintf "%s: negative %S" sctx k))
+            slot_fields)
+        (List.mapi (fun i st -> (i, st)) slots)
+  | _ -> Error (ctx ^ ": missing non-empty array \"slots\"")
+
 let check_stages ctx obj =
   let* q = need_int ctx obj "qwait_p99_ticks" in
   let* d = need_int ctx obj "dispatch_p99_ticks" in
@@ -257,6 +315,10 @@ let validate_point i p =
         if q >= 0 && d >= 0 && s >= 0 then Ok ()
         else Error (nctx ^ ": negative stage percentile")
       in
+      let* () = check_hist nctx n "qwait_ns" in
+      let* () = check_hist nctx n "dispatch_ns" in
+      let* () = check_hist nctx n "service_ns" in
+      let* () = check_slots nctx n in
       check_windows nctx n "sojourn_windows"
   | Some _ -> Error (ctx ^ ": \"native\" must be an object")
 

@@ -50,15 +50,19 @@ val report_json :
   Telemetry.Json.value
 (** Byte-stable report: schema tag, the scenario (round-trippable through
     {!Scenarios.open_spec_of_json}), per-point sim/native blocks (the sim
-    block carries stage p99s and the sojourn/qwait window series), the SLO
+    block carries stage p99s and the sojourn/qwait window series; the
+    native block also carries the three stage histograms in full and
+    every pool slot's {!Ws_native.Pool.worker_stats} counters), the SLO
     outcome when one was judged, and — with [sink] — the merged queue
     counters. *)
 
 val validate : Telemetry.Json.value -> (unit, string) result
 (** Structural check for [wsrepro json-check]: schema tag, valid embedded
     scenario, non-empty points, per-point completed = injected, monotone
-    p50 <= p99 <= p999 (sim and native), non-negative stage p99s, and
-    window series with strictly increasing window indices. *)
+    p50 <= p99 <= p999 (sim and native), non-negative stage p99s,
+    window series with strictly increasing window indices, and in a
+    native block the three stage histograms and one object per pool slot
+    carrying every counter. *)
 
 val verdicts : Scenarios.slo -> point list -> Scenarios.verdict list
 (** Judge every sweep point: the per-window sojourn p99 budget against

@@ -4,9 +4,10 @@
    low-synchronization scheduler): a worker's own spawn, push, pop and
    execute touch only state that no other domain writes, and all
    coordination lives on the cold paths: the steal path (CAS / the THE
-   conflict lock), the external-submission injector (mutex FIFO), the
-   parking lot (mutex + condition, entered only after a full failed
-   hunt) and the termination check (run only when a hunt fails).
+   conflict lock, one random victim per probe), the external-submission
+   injector (mutex FIFO), the parking lot (mutex + condition, entered
+   only after a full failed hunt) and the termination check (run only
+   when a hunt fails).
 
    Bookkeeping. Each slot (0 is the coordinator, 1..n the workers) owns a
    [slot] record: its [worker_stats], the id of the task it is running,
@@ -65,7 +66,6 @@
 type task = unit -> unit
 
 type backend = Chase_lev_deques | The_deques
-type victim_policy = Random_victim | Round_robin_victim
 
 (* What [submit] does when the injector already holds [injector_capacity]
    cells: refuse the task (open-system loss) or spin until a worker makes
@@ -124,9 +124,7 @@ let stats_equal a b =
   && a.steal_aborts = b.steal_aborts
   && a.parks = b.parks
 
-(* [born] is a wallclock timestamp taken at spawn when telemetry is on
-   (0. when off), so completion can observe the spawn-to-finish latency.
-   [id]/[parent] are flight-recorder task identities (-1 when the recorder
+(* [id]/[parent] are flight-recorder task identities (-1 when the recorder
    is off): [parent] is the id of the task whose body called [spawn], which
    is what lets the reconstructor walk steal ancestries.
 
@@ -140,16 +138,54 @@ type cell = {
   f : task;
   id : int;
   parent : int;
-  born : float;
   arr_ns : int;
   inj_ns : int;
 }
 
 type deque = Cl of cell Chase_lev.t | The of cell The_queue.t
 
+(* Multi-producer multi-consumer FIFO for work entering from outside the
+   worker domains. Chase-Lev's push is single-owner, so external
+   submitters cannot be handed a deque: they enqueue here, and workers
+   drain this queue when their own deque is empty. It is the pool's front
+   door, not its hot loop, so a mutex around a plain FIFO is the right
+   trade, exactly as the paper keeps the owner path synchronization-free
+   by pushing coordination onto the thieves. [size] is an atomic outside
+   the lock, so "is there anything to drain?" and a parked worker's wake-up
+   predicate are a single load. *)
+module Injector = struct
+  type 'a t = { lock : Mutex.t; q : 'a Queue.t; size : int Atomic.t }
+
+  let create () =
+    { lock = Mutex.create (); q = Queue.create (); size = Atomic.make 0 }
+
+  let push t v =
+    Mutex.lock t.lock;
+    Queue.push v t.q;
+    Atomic.incr t.size;
+    Mutex.unlock t.lock
+
+  let pop t =
+    if Atomic.get t.size = 0 then None
+    else begin
+      Mutex.lock t.lock;
+      let r =
+        if Queue.is_empty t.q then None
+        else begin
+          Atomic.decr t.size;
+          Some (Queue.pop t.q)
+        end
+      in
+      Mutex.unlock t.lock;
+      r
+    end
+
+  let size t = Atomic.get t.size
+end
+
 (* Everything a slot's owner writes on the task path. Only the owner
    writes these blocks; other domains read [spawned]/[finished] when they
-   sum, and [stats] when they scrape. *)
+   sum, and [stats] in [worker_stats]. *)
 type slot = {
   stats : worker_stats;
   mutable current : int;  (* id of the task being executed, -1 idle *)
@@ -181,17 +217,13 @@ type t = {
   error : (exn * Printexc.raw_backtrace) option Atomic.t;
   mutable domains : unit Domain.t list;
   worker_id : int option Domain.DLS.key;
-  policy : victim_policy;
-  steal_half : bool;
   debug : bool;
-  telemetry : bool;
   attribution : bool;
   window_ns : int;  (* windowed-ring geometry, attribution only *)
   window_slots : int;
   lock : Mutex.t;
   cond : Condition.t;
   sleepers : int Atomic.t;
-  latencies : Telemetry.Histogram.t array;  (* per worker, telemetry only *)
   (* per-slot stage histograms (ns) and rotating sojourn windows, written
      only by the owning domain (attribution only) *)
   stage_qwait : Telemetry.Histogram.t array;
@@ -206,27 +238,21 @@ type t = {
 
 let spin_rounds = 32
 
-let now () = Unix.gettimeofday ()
+(* Capacity of each fixed-size THE deque; a push beyond it spills to the
+   injector. *)
+let the_capacity = 1 lsl 13
 
 module FR = Telemetry.Flight_recorder
 
 (* [arrived] backdates the arrival stamp for submissions that waited out
    a backpressure spin; 0 (the default) means "arrived right now". *)
 let make_cell pool ~parent ?(arrived = 0) f =
-  let born = if pool.telemetry then now () else 0. in
   let inj_ns = if pool.attribution then Telemetry.Clock.now_ns () else 0 in
   let arr_ns = if arrived > 0 then arrived else inj_ns in
   match pool.recorder with
-  | None -> { f; id = -1; parent = -1; born; arr_ns; inj_ns }
+  | None -> { f; id = -1; parent = -1; arr_ns; inj_ns }
   | Some _ ->
-      {
-        f;
-        id = Atomic.fetch_and_add pool.next_task_id 1;
-        parent;
-        born;
-        arr_ns;
-        inj_ns;
-      }
+      { f; id = Atomic.fetch_and_add pool.next_task_id 1; parent; arr_ns; inj_ns }
 
 (* ------------------------------------------------------------------ *)
 (* Counts                                                              *)
@@ -235,7 +261,7 @@ let make_cell pool ~parent ?(arrived = 0) f =
 (* Tasks spawned and not yet finished: every [finished] read first, every
    [spawned] second, so a zero is exact (see the header). Costs two reads
    per slot, so it is taken only when a hunt fails, when a finisher sees a
-   sleeper, and in [scrape]. *)
+   sleeper, and when a caller asks at quiescence. *)
 let in_flight pool =
   let fin = ref (Atomic.get pool.ext_finished) in
   for i = 0 to Array.length pool.slots - 1 do
@@ -327,23 +353,12 @@ let pop_own pool me =
   | Cl q -> Chase_lev.pop q
   | The q -> The_queue.pop q
 
-(* [me < 0] means the caller owns no deque (shutdown's drain): batched
-   steals are disabled because the surplus could not be re-pushed
-   anywhere the caller owns. The detailed outcome feeds the contention
-   counters: [`Empty] is a mistargeted hunt, [`Abort] a live conflict. *)
-let steal_from pool me victim =
+(* The detailed outcome feeds the contention counters: [`Empty] is a
+   mistargeted hunt, [`Abort] a live conflict. *)
+let steal_from pool victim =
   match pool.deques.(victim) with
   | Cl q -> Chase_lev.steal_detail q
-  | The q ->
-      if pool.steal_half && me >= 0 then
-        match The_queue.steal_half q with
-        | [] -> `Empty
-        | c :: rest ->
-            (* the surplus stays queued — it just moves to our own
-               deque, whose owner is awake to run it *)
-            List.iter (fun c -> push_own pool me c) rest;
-            `Task c
-      else The_queue.steal_detail q
+  | The q -> The_queue.steal_detail q
 
 (* ------------------------------------------------------------------ *)
 (* Task execution                                                      *)
@@ -387,21 +402,12 @@ let exec_cell pool me cell =
     Telemetry.Windowed.observe pool.sojourn_windows.(me) ~now:fin
       (fin - cell.arr_ns)
   end;
-  if pool.telemetry && cell.born > 0. then
-    Telemetry.Histogram.observe pool.latencies.(me)
-      (int_of_float ((now () -. cell.born) *. 1e9));
   finish pool s.finished
 
-let pick_victim pool me rng rr =
-  let n = Array.length pool.deques in
-  match pool.policy with
-  | Random_victim ->
-      let v = Random.State.int rng (n - 1) in
-      if v >= me then v + 1 else v
-  | Round_robin_victim ->
-      rr := (!rr + 1) mod n;
-      if !rr = me then rr := (!rr + 1) mod n;
-      !rr
+(* A uniformly random slot other than [me]. *)
+let pick_victim pool me rng =
+  let v = Random.State.int rng (Array.length pool.deques - 1) in
+  if v >= me then v + 1 else v
 
 (* A Run event is recorded at dequeue time (execution follows immediately
    in the worker loop), with the provenance in [arg] — that pairing with
@@ -413,7 +419,7 @@ let record_run pool me cell ~arg =
 
 (* One full hunt: own deque, then the injector, then one steal attempt
    per other deque. *)
-let find_task pool me rng rr =
+let find_task pool me rng =
   let st = pool.slots.(me).stats in
   match pop_own pool me with
   | Some c ->
@@ -433,8 +439,8 @@ let find_task pool me rng rr =
           while Option.is_none !found && !attempts < n - 1 do
             incr attempts;
             st.steal_attempts <- st.steal_attempts + 1;
-            let victim = pick_victim pool me rng rr in
-            (match steal_from pool me victim with
+            let victim = pick_victim pool me rng in
+            (match steal_from pool victim with
             | `Task c ->
                 st.steals <- st.steals + 1;
                 st.tasks_stolen <- st.tasks_stolen + 1;
@@ -466,10 +472,9 @@ let worker_loop pool me =
   Domain.DLS.set pool.worker_id (Some me);
   pool.owners.(me) <- (Domain.self () :> int);
   let rng = Random.State.make [| 0x9e3779b9; me |] in
-  let rr = ref me in
   let spins = ref 0 in
   while not (Atomic.get pool.stop) do
-    match find_task pool me rng rr with
+    match find_task pool me rng with
     | Some cell ->
         spins := 0;
         exec_cell pool me cell
@@ -487,17 +492,14 @@ let worker_loop pool me =
 (* API                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
-    ?(steal_half = false) ?(telemetry = false) ?(attribution = false)
+let create ?domains ?(backend = Chase_lev_deques) ?(attribution = false)
     ?(window_ns = 100_000_000) ?(window_slots = 16) ?(debug = false)
-    ?(queue_capacity = 1 lsl 13) ?(injector_capacity = max_int)
-    ?(flight = false) ?(flight_capacity = 16384) () =
+    ?(injector_capacity = max_int) ?(flight = false) ?(flight_capacity = 16384)
+    () =
   if injector_capacity < 1 then
     invalid_arg "Pool.create: injector_capacity must be >= 1";
   if attribution && window_ns < 1 then
     invalid_arg "Pool.create: window_ns must be >= 1";
-  if steal_half && backend <> The_deques then
-    invalid_arg "Pool.create: steal_half requires the THE backend";
   let n =
     match domains with
     | Some d -> max 1 d
@@ -506,7 +508,7 @@ let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
   let mk_deque () =
     match backend with
     | Chase_lev_deques -> Cl (Chase_lev.create ~capacity:64 ())
-    | The_deques -> The (The_queue.create ~capacity:queue_capacity ())
+    | The_deques -> The (The_queue.create ~capacity:the_capacity ())
   in
   let worker_id = Domain.DLS.new_key (fun () -> None) in
   (* One record, created once and shared with every worker: [domains] is a
@@ -527,17 +529,13 @@ let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
       error = Atomic.make None;
       domains = [];
       worker_id;
-      policy;
-      steal_half;
       debug;
-      telemetry;
       attribution;
       window_ns;
       window_slots;
       lock = Mutex.create ();
       cond = Condition.create ();
       sleepers = Atomic.make 0;
-      latencies = Array.init (n + 1) (fun _ -> Telemetry.Histogram.create ());
       stage_qwait = Array.init (n + 1) (fun _ -> Telemetry.Histogram.create ());
       stage_dispatch =
         Array.init (n + 1) (fun _ -> Telemetry.Histogram.create ());
@@ -655,10 +653,9 @@ let parallel_run pool tasks =
   pool.owners.(0) <- (Domain.self () :> int);
   List.iter (fun f -> spawn pool f) tasks;
   let rng = Random.State.make [| 0xab1e |] in
-  let rr = ref 0 in
   (* the sums are taken only when a hunt fails *)
   let rec loop spins =
-    match find_task pool 0 rng rr with
+    match find_task pool 0 rng with
     | Some cell ->
         exec_cell pool 0 cell;
         loop 0
@@ -680,7 +677,8 @@ let parallel_run pool tasks =
   raise_pending_error pool
 
 (* Shutdown's drain: the caller owns no deque, so it may only consume the
-   injector and steal — both safe from any domain. *)
+   injector and steal — both safe from any domain. It sweeps the deques in
+   order, so every queued cell is found. *)
 let drain_find pool rr =
   match Injector.pop pool.injector with
   | Some c ->
@@ -695,7 +693,7 @@ let drain_find pool rr =
       while Option.is_none !found && !attempts < n do
         incr attempts;
         rr := (!rr + 1) mod n;
-        (match steal_from pool (-1) !rr with
+        (match steal_from pool !rr with
         | `Task c ->
             (match pool.recorder with
             | Some r -> FR.record_external r FR.Run ~task:c.id ~arg:!rr
@@ -737,14 +735,14 @@ let injector_depth pool = Injector.size pool.injector
 let sleeper_count pool = Atomic.get pool.sleepers
 let injector_drops pool = Atomic.get pool.injector_drops
 
-(* Stable-read snapshot of one slot's counters: copy, re-copy, and accept
+(* Stable-read copy of one slot's counters: copy, re-copy, and accept
    only when two successive copies agree (the writer was quiet in between,
    so the copy is a consistent cut of that slot's history). The writer is
    never slowed down — all the cost is on the reader, bounded by [tries]:
    under sustained writes the last copy is returned, torn by at most the
    events in flight during the final copy. See pool.mli for the precise
    tolerance statement. *)
-let scrape_slot pool i =
+let stable_stats pool i =
   let st = pool.slots.(i).stats in
   let rec go prev tries =
     let cur = stats_copy st in
@@ -752,69 +750,13 @@ let scrape_slot pool i =
   in
   go (stats_copy st) 3
 
-type snapshot = {
-  slot_stats : worker_stats array;
-  slot_latencies : Telemetry.Histogram.t array;
-  slot_qwait : Telemetry.Histogram.t array;
-  slot_dispatch : Telemetry.Histogram.t array;
-  slot_service : Telemetry.Histogram.t array;
-  snap_windows : Telemetry.Windowed.t;
-  snap_pending : int;
-  snap_in_flight : int;
-  snap_sleepers : int;
-  snap_injector : int;
-  snap_injector_drops : int;
-}
-
-let copy_hists a =
-  Array.map
-    (fun l ->
-      let h = Telemetry.Histogram.create () in
-      Telemetry.Histogram.merge ~into:h l;
-      h)
-    a
-
-(* Merged non-draining view of the per-slot sojourn rings: snapshot each
-   slot's ring (safe against its writer), then fold the copies — the
-   claim rule makes the fold independent of slot order. *)
-let merged_windows pool =
-  let acc =
-    Telemetry.Windowed.create ~slots:pool.window_slots ~width:pool.window_ns
-      ()
-  in
-  Array.iter
-    (fun w ->
-      Telemetry.Windowed.merge ~into:acc (Telemetry.Windowed.snapshot w))
-    pool.sojourn_windows;
-  acc
-
-let scrape pool =
-  {
-    slot_stats = Array.init (Array.length pool.slots) (scrape_slot pool);
-    slot_latencies = copy_hists pool.latencies;
-    slot_qwait = copy_hists pool.stage_qwait;
-    slot_dispatch = copy_hists pool.stage_dispatch;
-    slot_service = copy_hists pool.stage_service;
-    snap_windows = merged_windows pool;
-    snap_pending = pending pool;
-    snap_in_flight = in_flight pool;
-    snap_sleepers = Atomic.get pool.sleepers;
-    snap_injector = Injector.size pool.injector;
-    snap_injector_drops = Atomic.get pool.injector_drops;
-  }
-
 let worker_stats pool =
-  Array.init (Array.length pool.slots) (scrape_slot pool)
+  Array.init (Array.length pool.slots) (stable_stats pool)
 
 let flight pool = pool.recorder
 
 let tasks_run pool =
   Array.fold_left (fun acc s -> acc + s.stats.tasks_run) 0 pool.slots
-
-let latency pool =
-  let h = Telemetry.Histogram.create () in
-  Array.iter (fun l -> Telemetry.Histogram.merge ~into:h l) pool.latencies;
-  h
 
 let merge_all a =
   let h = Telemetry.Histogram.create () in
@@ -826,27 +768,19 @@ let stage_hists pool =
     merge_all pool.stage_dispatch,
     merge_all pool.stage_service )
 
-let windowed_sojourn pool = merged_windows pool
-
-let fold_into_sink pool sink =
+(* Merged non-draining view of the per-slot sojourn rings: snapshot each
+   slot's ring (safe against its writer), then fold the copies — the
+   claim rule makes the fold independent of slot order. *)
+let windowed_sojourn pool =
+  let acc =
+    Telemetry.Windowed.create ~slots:pool.window_slots ~width:pool.window_ns
+      ()
+  in
   Array.iter
-    (fun { stats = st; _ } ->
-      sink.Telemetry.Sink.puts <- sink.Telemetry.Sink.puts + st.spawns;
-      sink.Telemetry.Sink.tasks_run <-
-        sink.Telemetry.Sink.tasks_run + st.tasks_run;
-      sink.Telemetry.Sink.tasks_stolen <-
-        sink.Telemetry.Sink.tasks_stolen + st.tasks_stolen;
-      sink.Telemetry.Sink.steal_attempts <-
-        sink.Telemetry.Sink.steal_attempts + st.steal_attempts;
-      sink.Telemetry.Sink.steals <- sink.Telemetry.Sink.steals + st.steals;
-      sink.Telemetry.Sink.take_empties <-
-        sink.Telemetry.Sink.take_empties + st.take_empties;
-      sink.Telemetry.Sink.steal_empties <-
-        sink.Telemetry.Sink.steal_empties + st.steal_empties;
-      sink.Telemetry.Sink.steal_aborts <-
-        sink.Telemetry.Sink.steal_aborts + st.steal_aborts;
-      sink.Telemetry.Sink.parks <- sink.Telemetry.Sink.parks + st.parks)
-    pool.slots
+    (fun w ->
+      Telemetry.Windowed.merge ~into:acc (Telemetry.Windowed.snapshot w))
+    pool.sojourn_windows;
+  acc
 
 let fib pool n =
   let acc = Atomic.make 0 in

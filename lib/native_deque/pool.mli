@@ -1,20 +1,21 @@
 (** A work-stealing pool over the native deques: each domain owns a
     {!Chase_lev} (or {!The_queue}) deque of thunks, pops locally, steals
-    when empty, and parks on a condition variable when the whole pool runs
-    dry. External domains submit through an {!Injector} queue, preserving
-    the deques' single-owner push discipline. Tasks that raise do not kill
+    when empty (one uniformly random victim per probe), and parks on a
+    condition variable when the whole pool runs dry. External domains
+    submit through a mutex-protected injector FIFO, preserving the deques'
+    single-owner push discipline. Tasks that raise do not kill
     their worker: the first failure is re-raised at the join point. *)
 
 type t
 
 type backend =
   | Chase_lev_deques  (** CAS-based steals, growing deques (default) *)
-  | The_deques  (** THE/Cilk-5 mutex conflict path; enables [steal_half] *)
-
-type victim_policy = Random_victim | Round_robin_victim
+  | The_deques
+      (** THE/Cilk-5 mutex conflict path, fixed capacity 8192 per deque;
+          a push beyond it spills to the injector *)
 
 type backpressure =
-  | Drop  (** refuse the task; counted in [snap_injector_drops] *)
+  | Drop  (** refuse the task; counted in {!injector_drops} *)
   | Block  (** spin until a worker makes room in the injector *)
       (** What {!submit} does when the injector already holds
           [injector_capacity] cells. *)
@@ -35,44 +36,32 @@ type worker_stats = {
 val create :
   ?domains:int ->
   ?backend:backend ->
-  ?policy:victim_policy ->
-  ?steal_half:bool ->
-  ?telemetry:bool ->
   ?attribution:bool ->
   ?window_ns:int ->
   ?window_slots:int ->
   ?debug:bool ->
-  ?queue_capacity:int ->
   ?injector_capacity:int ->
   ?flight:bool ->
   ?flight_capacity:int ->
   unit ->
   t
 (** [domains] defaults to [Domain.recommended_domain_count () - 1] worker
-    domains plus the caller. [steal_half] (THE backend only; [Invalid_argument]
-    otherwise) makes thieves take up to half a victim's queue per steal.
-    [telemetry] enables per-task latency timestamps (see {!latency}).
-    [attribution] additionally stamps every cell with monotonic-ns stage
-    timestamps — arrival (before any {!submit} backpressure spin), inject,
-    dequeue, completion — feeding per-slot qwait / dispatch / service
-    histograms ({!stage_hists}, [slot_qwait] etc. in {!scrape}) and a
-    rotating per-slot sojourn window ring of [window_slots] windows of
-    [window_ns] nanoseconds each ({!windowed_sojourn}, [snap_windows]).
-    Stages are per {e cell}: a worker-spawned continuation arrives the
-    instant it is pushed, so its qwait is ~0, while externally submitted
-    cells charge backpressure delay to qwait.
-    [debug] asserts the single-owner push discipline on every push.
-    [queue_capacity] bounds the fixed-size THE deques (overflow spills to
-    the injector). [injector_capacity] (default unbounded) is the soft
-    bound {!submit} enforces with its backpressure policy; {!spawn} and
-    THE overflow spills ignore it, so a worker can always make progress.
-    [flight] attaches a {!Telemetry.Flight_recorder} — one
-    ring of [flight_capacity] events per slot (default 16384) — recording
+    domains plus the caller. [attribution] stamps every cell with
+    monotonic-ns stage timestamps — arrival (before any {!submit}
+    backpressure spin), inject, dequeue, completion — feeding per-slot
+    qwait / dispatch / service histograms ({!stage_hists}) and a rotating
+    per-slot sojourn window ring of [window_slots] windows of [window_ns]
+    nanoseconds each ({!windowed_sojourn}). Stages are per {e cell}: a
+    worker-spawned continuation arrives the instant it is pushed, so its
+    qwait is ~0, while externally submitted cells charge backpressure
+    delay to qwait. [debug] asserts the single-owner push discipline on
+    every push. [injector_capacity] (default unbounded) is the soft bound
+    {!submit} enforces with its backpressure policy; {!spawn} and THE
+    overflow spills ignore it, so a worker can always make progress.
+    [flight] attaches a {!Telemetry.Flight_recorder} — one ring of
+    [flight_capacity] events per slot (default 16384) — recording
     spawn/run/steal/steal-abort/inject/park/unpark events with task
-    lineage; retrieve it with {!flight}. With [steal_half], only the first
-    task of a stolen batch records a [Steal] event; the surplus moves to
-    the thief's own deque and its later runs record as own pops (their
-    lineage still shows the original spawner slot). *)
+    lineage; retrieve it with {!flight}. *)
 
 val parallel_run : t -> (unit -> unit) list -> unit
 (** Execute the thunks to completion; each may {!spawn} more work. Returns
@@ -92,15 +81,14 @@ val submit : ?policy:backpressure -> t -> (unit -> unit) -> bool
 (** Open-system front door: enqueue an externally arriving task through
     the injector, honoring [injector_capacity]. Returns [true] when the
     task was accepted. With [Drop] (and the injector full) the task is
-    refused, [false] is returned and [snap_injector_drops] is bumped;
+    refused, [false] is returned and {!injector_drops} is bumped;
     with [Block] (the default) the caller spins until a worker makes
     room, so it returns [true]. A submit after, or racing, {!shutdown}
     raises [Invalid_argument] (a [Block] spin stops when shutdown begins);
     a task it accepted is always run, by a worker or by the drain. The
-    bound is soft — concurrent
-    submitters race the size check, so the depth can transiently exceed
-    capacity by the number of racing callers; backpressure needs a dam,
-    not an exact high-water mark. *)
+    bound is soft — concurrent submitters race the size check, so the
+    depth can transiently exceed capacity by the number of racing
+    callers; backpressure needs a dam, not an exact high-water mark. *)
 
 val shutdown : t -> unit
 (** Drain all queued work (executing it, not dropping it), then stop and
@@ -122,31 +110,8 @@ val injector_drops : t -> int
 (** Submissions refused so far under the [Drop] policy. *)
 
 val worker_stats : t -> worker_stats array
-(** Snapshot of per-slot counters; index 0 is the coordinator, 1..n the
-    workers. Values are copies, taken with the stable-read protocol of
-    {!scrape} — see the consistency model there. *)
-
-type snapshot = {
-  slot_stats : worker_stats array;  (** per-slot counter copies *)
-  slot_latencies : Telemetry.Histogram.t array;
-      (** per-slot latency histogram copies (empty unless [~telemetry]) *)
-  slot_qwait : Telemetry.Histogram.t array;
-      (** per-slot arrival-to-inject ns (empty unless [~attribution]) *)
-  slot_dispatch : Telemetry.Histogram.t array;
-      (** per-slot inject-to-dequeue ns (empty unless [~attribution]) *)
-  slot_service : Telemetry.Histogram.t array;
-      (** per-slot dequeue-to-completion ns (empty unless [~attribution]) *)
-  snap_windows : Telemetry.Windowed.t;
-      (** merged rotating sojourn windows (empty unless [~attribution]) *)
-  snap_pending : int;  (** cells enqueued and not yet dequeued (a sum) *)
-  snap_in_flight : int;  (** tasks spawned and not yet finished (a sum) *)
-  snap_sleepers : int;  (** workers parked at the instant of the scrape *)
-  snap_injector : int;  (** cells waiting in the external-submission FIFO *)
-  snap_injector_drops : int;  (** {!submit} refusals under [Drop], ever *)
-}
-
-val scrape : t -> snapshot
-(** Live scrape without stopping workers.
+(** Copies of the per-slot counters; index 0 is the coordinator, 1..n the
+    workers. Taken without stopping workers.
 
     {b Consistency model.} Writers are never slowed: each slot's counters
     are copied and re-copied until two successive copies agree (at most 4
@@ -159,13 +124,19 @@ val scrape : t -> snapshot
     single word written by one domain, so a field read is never torn,
     and all counters are monotone. No consistency holds {e between}
     slots — slot A's copy and slot B's copy are taken at different
-    instants. [snap_sleepers] and [snap_injector] are single atomic
-    reads, each exact at its own instant. [snap_pending] and
-    [snap_in_flight] are sums of per-slot reads taken one after another
-    (the deque sizes plus the injector's; spawned counts minus finished
-    counts, finished read first), so they are exact only at quiescence:
-    while tasks run, [snap_pending] may be off by the cells moved during
-    the reads, and [snap_in_flight] may over-count, never under-count. *)
+    instants. After {!shutdown} every copy is exact. After {!parallel_run}
+    returns, the task counts ([spawns], [tasks_run], [tasks_stolen],
+    [injector_runs], [steals]) are exact; idle workers keep counting
+    failed hunts until they park. *)
+
+val in_flight : t -> int
+(** Tasks spawned and not yet finished: every slot's finished count read
+    first, every spawned count second. Exact at quiescence; while tasks
+    run it may over-count, never under-count. *)
+
+val pending : t -> int
+(** Cells enqueued and not yet dequeued: the deques' sizes plus the
+    injector's, read one after another. Exact at quiescence only. *)
 
 val flight : t -> Telemetry.Flight_recorder.t option
 (** The flight recorder attached at creation ([?flight:true]), for
@@ -173,10 +144,6 @@ val flight : t -> Telemetry.Flight_recorder.t option
 
 val tasks_run : t -> int
 (** Total tasks executed across all slots. *)
-
-val latency : t -> Telemetry.Histogram.t
-(** Merged spawn-to-completion latency histogram (nanoseconds). Empty
-    unless the pool was created with [~telemetry:true]. *)
 
 val stage_hists : t -> Telemetry.Histogram.t * Telemetry.Histogram.t * Telemetry.Histogram.t
 (** Merged (qwait, dispatch, service) stage histograms in nanoseconds,
@@ -186,12 +153,6 @@ val windowed_sojourn : t -> Telemetry.Windowed.t
 (** Merged non-draining snapshot of the per-slot rotating sojourn window
     rings (arrival-to-completion ns keyed by completion time). Empty
     unless [~attribution:true]. *)
-
-val fold_into_sink : t -> Telemetry.Sink.t -> unit
-(** Accumulate pool counters into a telemetry sink: spawns into [puts],
-    plus [tasks_run], [tasks_stolen], [steal_attempts], [steals],
-    [take_empties], [steal_empties], [steal_aborts] and [parks] — the
-    full contention picture, not just the happy path. *)
 
 val fib : t -> int -> int
 (** The inevitable demo: parallel naive Fibonacci on the pool (used by

@@ -86,31 +86,3 @@ let steal_detail q =
   in
   Mutex.unlock q.lock;
   r
-
-(* Batched steal: take up to half the queue (at least one) in one lock
-   acquisition. Same protocol as [steal] — advance the head first, then
-   re-read the tail and shrink if the owner popped concurrently. While we
-   hold the lock the owner's conflict path is blocked, so once the range
-   [h, h+k) is certified against the re-read tail it is exclusively ours:
-   an unfenced owner pop takes only indices strictly above the head it
-   reads, which is at least [h + want] from the moment we advanced it.
-   This is the THE-side analogue of ebsl-style batched steals; Chase-Lev
-   gets no such operation because its unfenced owner pop assumes thieves
-   take exactly one element at the head. *)
-let steal_half ?(max_batch = max_int) q =
-  Mutex.lock q.lock;
-  let h = Atomic.get q.head in
-  let n = Atomic.get q.tail - h in
-  let want = min max_batch (if n <= 0 then 0 else (n + 1) / 2) in
-  let r =
-    if want <= 0 then []
-    else begin
-      Atomic.set q.head (h + want);
-      let t = Atomic.get q.tail in
-      let k = if h + want <= t then want else max 0 (t - h) in
-      if k <> want then Atomic.set q.head (h + k);
-      List.init k (fun i -> Option.get q.elems.((h + i) land q.mask))
-    end
-  in
-  Mutex.unlock q.lock;
-  r

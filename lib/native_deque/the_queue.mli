@@ -20,11 +20,4 @@ val steal_detail : 'a t -> [ `Task of 'a | `Empty | `Abort ]
     queue held nothing on entry, [`Abort] when the post-advance tail read
     failed to certify the element (the owner's conflict path won it). *)
 
-val steal_half : ?max_batch:int -> 'a t -> 'a list
-(** Any domain: take up to half the queue (at least one element when
-    non-empty, at most [max_batch]) in one lock acquisition, oldest first.
-    The THE conflict lock makes a multi-element reservation safe here; the
-    Chase-Lev deque deliberately has no such operation (its unfenced owner
-    pop assumes thieves take exactly one element at the head). *)
-
 val size : 'a t -> int

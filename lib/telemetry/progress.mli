@@ -16,15 +16,6 @@ val sample : t -> count:int -> (rate:float -> string) -> unit
 (** Maybe emit a status line. [count] is the monotone progress measure;
     [rate] passed to the formatter is [count] per second since creation. *)
 
-val redraw : t -> string list -> unit
-(** Throttled multi-line block redraw (for dashboards like [wsrepro top]):
-    rewrites the previously drawn block in place with ANSI cursor movement,
-    clearing each line first so a shrinking block leaves no stale rows.
-    Mixing {!sample} and {!redraw} on one reporter is unsupported. *)
-
-val redraw_now : t -> string list -> unit
-(** {!redraw} without the interval throttle (first paint, final frame). *)
-
 val finish : ?detail:string -> t -> unit
 (** Emit a final line ([detail]) if given, then terminate the status line
     with a newline — only if anything was ever emitted. *)

@@ -32,7 +32,6 @@ let create ?(slots = 16) ~width () =
     starts = Array.make slots (-1);
   }
 
-let width t = t.width
 let slots t = Array.length t.hists
 
 let observe t ~now v =
@@ -96,9 +95,6 @@ let windows t =
   List.sort (fun (a, _) (b, _) -> compare a b) !acc
 
 let latest t = Array.fold_left max (-1) t.starts
-
-let series t ~q =
-  List.map (fun (w, h) -> (w, Histogram.percentile h q)) (windows t)
 
 let to_json t =
   Json.Obj

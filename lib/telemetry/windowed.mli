@@ -19,7 +19,6 @@ val create : ?slots:int -> width:int -> unit -> t
     [slots] (default 16, [> 0]) windows retained.
     @raise Invalid_argument on a non-positive [width] or [slots]. *)
 
-val width : t -> int
 val slots : t -> int
 
 val observe : t -> now:int -> int -> unit
@@ -36,9 +35,9 @@ val merge : into:t -> t -> unit
     @raise Invalid_argument if [width] or [slots] differ. *)
 
 val snapshot : t -> t
-(** Non-draining deep copy, for live scrapers. Safe to take while the
-    owner writes, with the same torn-free-per-field / no-cross-field
-    consistency model as {!Shards}. *)
+(** Non-draining deep copy. Safe to take while the owner writes, with
+    the same torn-free-per-field / no-cross-field consistency model as
+    {!Shards}. *)
 
 val reset : t -> unit
 
@@ -48,8 +47,5 @@ val windows : t -> (int * Histogram.t) list
 
 val latest : t -> int
 (** Largest window index seen, [-1] when empty. *)
-
-val series : t -> q:float -> (int * int) list
-(** [(window index, q-quantile)] per occupied window, oldest first. *)
 
 val to_json : t -> Json.value

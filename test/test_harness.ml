@@ -690,14 +690,13 @@ let test_native_verdicts () =
       sn_sojourn = h 800;
       sn_late = h 1;
       sn_peak_injector = 1;
-      sn_steals = 0;
-      sn_injector_runs = 9;
-      sn_parks = 0;
+      sn_slots = [||];
       sn_qwait = h 200 (* p99 255 <= 500: ok *);
       sn_dispatch = h 1;
       sn_service = h 1;
       sn_steal_delay = H.create ();
       sn_windows = windows;
+      sn_flight = Telemetry.Flight_recorder.create ~capacity:1 ~slots:1 ();
     }
   in
   let vs = Exp_native.native_verdicts spec slo r in
@@ -756,6 +755,211 @@ let test_scenario_native_live () =
   checki "one sojourn sample per completion" r.Exp_native.sn_completed
     (H.total r.Exp_native.sn_sojourn);
   checki "no negative sojourn" 0 (H.negative r.Exp_native.sn_sojourn)
+
+(* The native block of a wsrepro-overload/v1 report carries what a live
+   view of the replay's pool used to show: every slot's counters and the
+   three stage histograms. Every request of a Block-policy replay is
+   injected and completes, so its chain x requests cells are each run
+   once, by some slot, and timed once per stage. One replay serves both
+   the positive and the rejection test. *)
+let native_overload_report =
+  lazy
+    (let spec =
+       {
+         Scenarios.default_open_spec with
+         Scenarios.sc_name = "mini-native";
+         sc_workers = 2;
+         sc_requests = 40;
+         sc_chain = 2;
+       }
+     in
+     Exp_overload.report_json spec
+       (Exp_overload.run ~factors:[ 1.0 ] ~native:true spec))
+
+let test_overload_native_block () =
+  let report = Lazy.force native_overload_report in
+  (match Exp_overload.validate report with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("native report failed validation: " ^ e));
+  let native =
+    match J.member "points" report with
+    | Some (J.List [ p ]) -> (
+        match J.member "native" p with
+        | Some n -> n
+        | None -> Alcotest.fail "point has no native block")
+    | _ -> Alcotest.fail "expected one point"
+  in
+  let int_of obj k =
+    match J.member k obj with
+    | Some (J.Int i) -> i
+    | _ -> Alcotest.failf "missing integer %S" k
+  in
+  checki "every request injected" 40 (int_of native "injected");
+  let cells = 40 * 2 in
+  let slots =
+    match J.member "slots" native with
+    | Some (J.List l) -> l
+    | _ -> Alcotest.fail "missing slots"
+  in
+  checki "one entry per slot, coordinator included" 3 (List.length slots);
+  checki "the slots' tasks_run sum to the executed cells" cells
+    (List.fold_left (fun a st -> a + int_of st "tasks_run") 0 slots);
+  List.iter
+    (fun stage ->
+      match J.member stage native with
+      | Some h -> checki (stage ^ " n = cells") cells (int_of h "total")
+      | None -> Alcotest.failf "missing %s" stage)
+    [ "qwait_ns"; "dispatch_ns"; "service_ns" ]
+
+(* Each shape the validator checks in the native block, broken one at a
+   time in an otherwise valid report, must fail validation. *)
+let test_overload_native_block_rejects () =
+  let report = Lazy.force native_overload_report in
+  let on_native f =
+    let rec go = function
+      | J.Obj fs ->
+          J.Obj
+            (List.map
+               (function "native", n -> ("native", f n) | k, v -> (k, go v))
+               fs)
+      | J.List l -> J.List (List.map go l)
+      | j -> j
+    in
+    go report
+  in
+  let set k v = function
+    | J.Obj fs ->
+        J.Obj (List.map (fun (k', v') -> (k', if k' = k then v else v')) fs)
+    | j -> j
+  in
+  let remove k = function
+    | J.Obj fs -> J.Obj (List.filter (fun (k', _) -> k' <> k) fs)
+    | j -> j
+  in
+  let get k obj =
+    match J.member k obj with
+    | Some v -> v
+    | None -> Alcotest.failf "native block has no %S" k
+  in
+  let on_first_slot f native =
+    match get "slots" native with
+    | J.List (st :: rest) -> set "slots" (J.List (f st :: rest)) native
+    | _ -> Alcotest.fail "native block has no slot"
+  in
+  let on_hist k f native = set k (f (get k native)) native in
+  checkb "the unedited report validates" true
+    (Result.is_ok (Exp_overload.validate (on_native Fun.id)));
+  List.iter
+    (fun (what, edit) ->
+      checkb (what ^ " is rejected") true
+        (Result.is_error (Exp_overload.validate (on_native edit))))
+    [
+      ("a slot without its parks counter", on_first_slot (remove "parks"));
+      ("a negative slot counter", on_first_slot (set "steals" (J.Int (-1))));
+      ("an empty slot array", set "slots" (J.List []));
+      ("a missing stage histogram", remove "dispatch_ns");
+      ( "a stage histogram without buckets",
+        on_hist "service_ns" (remove "buckets") );
+      ( "a negative histogram total",
+        on_hist "qwait_ns" (set "total" (J.Int (-1))) );
+    ]
+
+(* The replay sizes its flight rings from its plan, so the recording
+   covers the whole run: no ring overwrites an event, every executed cell
+   pairs with its spawn or inject record, the steal-delay join sees every
+   stolen cell, and the report validates. *)
+let test_replay_flight_whole_run () =
+  let module FR = Telemetry.Flight_recorder in
+  let module H = Telemetry.Histogram in
+  let requests = 60 and chain = 3 in
+  let spec =
+    {
+      Scenarios.default_open_spec with
+      Scenarios.sc_name = "mini-flight";
+      sc_workers = 2;
+      sc_requests = requests;
+      sc_chain = chain;
+    }
+  in
+  let r = Exp_native.scenario_native spec in
+  let fl = r.Exp_native.sn_flight in
+  let cap = FR.capacity fl in
+  checkb "ring capacity is a power of two" true (cap land (cap - 1) = 0);
+  checkb "a ring holds requests x (6 x chain + 2) + 2 events" true
+    (cap >= (requests * ((6 * chain) + 2)) + 2);
+  Array.iteri
+    (fun i d -> checki (Printf.sprintf "ring %d overwrote nothing" i) 0 d)
+    (FR.dropped fl);
+  checki "every request completed" requests r.Exp_native.sn_completed;
+  let lineages, unresolved = FR.reconstruct fl in
+  checki "every run resolved to its spawn or inject" 0 unresolved;
+  checki "every cell reconstructed" (requests * chain) (List.length lineages);
+  let stolen =
+    List.length
+      (List.filter
+         (fun (l : FR.lineage) ->
+           match l.origin with FR.Stolen _ -> true | _ -> false)
+         lineages)
+  in
+  checki "the slots' tasks_stolen count the stolen lineages" stolen
+    (Array.fold_left
+       (fun a st -> a + st.Ws_native.Pool.tasks_stolen)
+       0 r.Exp_native.sn_slots);
+  checki "one steal-delay sample per stolen cell" stolen
+    (H.total r.Exp_native.sn_steal_delay);
+  match FR.validate (FR.report fl) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "replay flight report failed validation: %s" e
+
+(* [replay ~flight_file] writes the replay's own wsrepro-flight/v1 report
+   and a Chrome trace next to it: both parse, the report validates, has a
+   drop count of 0 for every ring (the slots and the external one) and a
+   lineage for every cell. *)
+let test_replay_flight_file () =
+  let module FR = Telemetry.Flight_recorder in
+  let requests = 20 and chain = 2 and workers = 1 in
+  let spec =
+    {
+      Scenarios.default_open_spec with
+      Scenarios.sc_name = "mini-flight-file";
+      sc_workers = workers;
+      sc_requests = requests;
+      sc_chain = chain;
+    }
+  in
+  let file = Filename.temp_file "replay-flight" ".json" in
+  let trace_file = Filename.remove_extension file ^ ".trace.json" in
+  let parse f =
+    match J.parse_file f with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%s does not parse: %s" f e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ file; trace_file ])
+    (fun () ->
+      checkb "no SLO block, so no budget violated" true
+        (Exp_native.replay ~flight_file:file spec);
+      let report = parse file in
+      (match FR.validate report with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "written report failed validation: %s" e);
+      (match J.member "dropped" report with
+      | Some (J.List ds) ->
+          checki "a drop count per ring, external included" (workers + 2)
+            (List.length ds);
+          checkb "every drop count is 0" true
+            (List.for_all (fun d -> d = J.Int 0) ds)
+      | _ -> Alcotest.fail "report has no dropped array");
+      (match J.member "tasks" report with
+      | Some (J.List ts) ->
+          checki "a lineage per cell" (requests * chain) (List.length ts)
+      | _ -> Alcotest.fail "report has no tasks array");
+      match J.member "traceEvents" (parse trace_file) with
+      | Some (J.List (_ :: _)) -> ()
+      | _ -> Alcotest.fail "chrome trace has no events")
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
@@ -879,6 +1083,14 @@ let () =
             test_steal_delay_join;
           Alcotest.test_case "live scenario replay" `Quick
             test_scenario_native_live;
+          Alcotest.test_case "overload report's native block" `Quick
+            test_overload_native_block;
+          Alcotest.test_case "malformed native block is rejected" `Quick
+            test_overload_native_block_rejects;
+          Alcotest.test_case "replay rings hold the whole run" `Quick
+            test_replay_flight_whole_run;
+          Alcotest.test_case "replay writes its flight report and trace"
+            `Quick test_replay_flight_file;
         ] );
       ( "delta-analysis",
         [

@@ -184,59 +184,6 @@ let test_the_concurrent_conservation () =
   checki "no duplicates" 0 dups;
   checki "no losses" 0 lost
 
-let test_the_steal_half () =
-  let q = The_queue.create ~capacity:16 () in
-  List.iter (The_queue.push q) [ 1; 2; 3; 4; 5; 6 ];
-  Alcotest.(check (list int))
-    "takes ceil(n/2), oldest first" [ 1; 2; 3 ] (The_queue.steal_half q);
-  Alcotest.(check (list int)) "then half the rest" [ 4; 5 ] (The_queue.steal_half q);
-  Alcotest.(check (list int)) "then the last" [ 6 ] (The_queue.steal_half q);
-  Alcotest.(check (list int)) "then nothing" [] (The_queue.steal_half q);
-  List.iter (The_queue.push q) [ 7; 8; 9; 10 ];
-  Alcotest.(check (list int))
-    "max_batch caps the bite" [ 7 ] (The_queue.steal_half ~max_batch:1 q);
-  checki "rest still queued" 3 (The_queue.size q)
-
-let test_the_steal_half_concurrent () =
-  (* owner pushes and pops; one thief uses only steal_half; conservation *)
-  let n = 20_000 in
-  let q = The_queue.create ~capacity:(1 lsl 15) () in
-  let counts = Array.make n 0 in
-  let stop = Atomic.make false in
-  let thief =
-    Domain.spawn (fun () ->
-        let acc = ref [] in
-        while not (Atomic.get stop) do
-          match The_queue.steal_half ~max_batch:8 q with
-          | [] -> Domain.cpu_relax ()
-          | batch -> acc := List.rev_append batch !acc
-        done;
-        !acc)
-  in
-  let mine = ref [] in
-  for i = 0 to n - 1 do
-    The_queue.push q i;
-    if i land 1 = 0 then
-      match The_queue.pop q with Some v -> mine := v :: !mine | None -> ()
-  done;
-  let rec drain () =
-    match The_queue.pop q with
-    | Some v ->
-        mine := v :: !mine;
-        drain ()
-    | None -> if The_queue.size q > 0 then drain ()
-  in
-  drain ();
-  Unix.sleepf 0.05;
-  Atomic.set stop true;
-  let stolen = Domain.join thief in
-  List.iter (fun v -> counts.(v) <- counts.(v) + 1) !mine;
-  List.iter (fun v -> counts.(v) <- counts.(v) + 1) stolen;
-  let dups = Array.fold_left (fun a c -> if c > 1 then a + 1 else a) 0 counts in
-  let lost = Array.fold_left (fun a c -> if c = 0 then a + 1 else a) 0 counts in
-  checki "no duplicates" 0 dups;
-  checki "no losses" 0 lost
-
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -347,39 +294,143 @@ let test_pool_shutdown_drains () =
   | () -> Alcotest.fail "spawn after shutdown should raise"
   | exception Invalid_argument _ -> ())
 
-let test_pool_the_backend_steal_half () =
-  let pool =
-    Pool.create ~domains:3 ~backend:Pool.The_deques ~steal_half:true ()
+(* The THE deques have a fixed capacity (8192). Each worker's first
+   steal holds it on the gate, so the root's 10,000 pushes overflow its
+   deque: the surplus spills to the injector instead of raising, and every
+   cell still runs. *)
+let test_pool_the_backend () =
+  let pool = Pool.create ~domains:3 ~backend:Pool.The_deques () in
+  let gate = Atomic.make false and ran = Atomic.make 0 in
+  let cell () =
+    while not (Atomic.get gate) do
+      Domain.cpu_relax ()
+    done;
+    Atomic.incr ran
   in
-  checki "fib on THE + steal-half" 6765 (Pool.fib pool 20);
-  Pool.shutdown pool;
-  match Pool.create ~domains:1 ~steal_half:true () with
-  | _ -> Alcotest.fail "steal_half without THE backend should be rejected"
-  | exception Invalid_argument _ -> ()
-
-let test_pool_round_robin () =
-  let pool = Pool.create ~domains:2 ~policy:Pool.Round_robin_victim () in
-  checki "fib under round-robin victims" 6765 (Pool.fib pool 20);
-  Pool.shutdown pool
-
-let test_pool_stats_and_latency () =
-  let pool = Pool.create ~domains:2 ~telemetry:true () in
-  ignore (Pool.fib pool 18);
-  let total = Pool.tasks_run pool in
-  let stats = Pool.worker_stats pool in
-  checki "stats length = workers + coordinator" (Pool.worker_count pool + 1)
-    (Array.length stats);
-  checki "per-slot counters sum to tasks_run" total
-    (Array.fold_left (fun a st -> a + st.Pool.tasks_run) 0 stats);
-  let h = Pool.latency pool in
-  checki "latency histogram saw every task" total (Telemetry.Histogram.total h);
+  Pool.parallel_run pool
+    [
+      (fun () ->
+        for _ = 1 to 10_000 do
+          Pool.spawn pool cell
+        done;
+        Atomic.set gate true);
+    ];
+  checki "every cell ran" 10_000 (Atomic.get ran);
   Alcotest.(check bool)
-    "p99 is a positive latency" true
-    (Telemetry.Histogram.percentile h 0.99 > 0);
-  let sink = Telemetry.Sink.create () in
-  Pool.fold_into_sink pool sink;
-  checki "sink tasks_run" total sink.Telemetry.Sink.tasks_run;
+    "the overflow ran from the injector" true
+    (Array.exists (fun st -> st.Pool.injector_runs > 0) (Pool.worker_stats pool));
+  checki "fib on THE" 6765 (Pool.fib pool 20);
   Pool.shutdown pool
+
+(* At quiescence the per-slot counters are exact: Pool.fib 16 runs the
+   whole call tree, 2 * fib 17 - 1 = 3193 tasks, each spawned once (the
+   root by parallel_run on the coordinator slot) and run once. *)
+let test_pool_stats_at_quiescence () =
+  let pool = Pool.create ~domains:2 () in
+  ignore (Pool.fib pool 16);
+  let sum f = Array.fold_left (fun a st -> a + f st) 0 in
+  let check_exact what stats =
+    checki (what ^ ": one copy per slot, coordinator included")
+      (Pool.worker_count pool + 1)
+      (Array.length stats);
+    checki (what ^ ": tasks run") 3193 (sum (fun st -> st.Pool.tasks_run) stats);
+    checki (what ^ ": tasks spawned") 3193 (sum (fun st -> st.Pool.spawns) stats);
+    checki (what ^ ": no injector runs") 0
+      (sum (fun st -> st.Pool.injector_runs) stats)
+  in
+  checki "tasks_run agrees" 3193 (Pool.tasks_run pool);
+  check_exact "after parallel_run" (Pool.worker_stats pool);
+  checki "nothing in flight" 0 (Pool.in_flight pool);
+  checki "nothing pending" 0 (Pool.pending pool);
+  Pool.shutdown pool;
+  check_exact "after shutdown" (Pool.worker_stats pool)
+
+(* The termination sums mid-run: the only worker holds the first
+   submission on a gate, so the next four wait in the injector. In flight
+   counts all five, pending exactly the four queued cells; once the gate
+   opens and they finish, both are 0 again. *)
+let test_pool_in_flight_and_pending () =
+  let pool = Pool.create ~domains:1 () in
+  let gate = Atomic.make false and started = Atomic.make false in
+  let ran = Atomic.make 0 in
+  ignore
+    (Pool.submit pool (fun () ->
+         Atomic.set started true;
+         while not (Atomic.get gate) do
+           Domain.cpu_relax ()
+         done;
+         Atomic.incr ran));
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (Atomic.get started)) && Unix.gettimeofday () < deadline do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check bool)
+    "the worker holds the first cell" true (Atomic.get started);
+  for _ = 1 to 4 do
+    ignore (Pool.submit pool (fun () -> Atomic.incr ran))
+  done;
+  checki "the backlog waits in the injector" 4 (Pool.injector_depth pool);
+  checki "pending counts the queued cells" 4 (Pool.pending pool);
+  checki "in flight counts the running cell too" 5 (Pool.in_flight pool);
+  Atomic.set gate true;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Pool.in_flight pool > 0 && Unix.gettimeofday () < deadline do
+    Domain.cpu_relax ()
+  done;
+  checki "every cell ran" 5 (Atomic.get ran);
+  checki "nothing in flight once they finish" 0 (Pool.in_flight pool);
+  checki "nothing pending" 0 (Pool.pending pool);
+  Pool.shutdown pool
+
+(* The flight recording and the slot counters are two accounts of one
+   run. With no ring overwritten, each slot's ring holds one Spawn per
+   spawn, one Run per task run, one Steal per steal, one Steal_abort per
+   lost race and a Park/Unpark pair per park; the external ring holds one
+   Inject per submission, and every submitted cell ran once, either from
+   the injector on a slot or in shutdown's drain (an external Run). *)
+let test_pool_flight_matches_stats () =
+  let module FR = Telemetry.Flight_recorder in
+  let pool =
+    Pool.create ~domains:2 ~flight:true ~flight_capacity:(1 lsl 15) ()
+  in
+  checki "fib on a recording pool" 610 (Pool.fib pool 15);
+  let ran = Atomic.make 0 in
+  for _ = 1 to 20 do
+    ignore (Pool.submit pool (fun () -> Atomic.incr ran))
+  done;
+  Pool.shutdown pool;
+  checki "every submission ran" 20 (Atomic.get ran);
+  let r =
+    match Pool.flight pool with
+    | Some r -> r
+    | None -> Alcotest.fail "flight pool returned no recorder"
+  in
+  Array.iteri
+    (fun i d -> checki (Printf.sprintf "ring %d overwrote nothing" i) 0 d)
+    (FR.dropped r);
+  let count slot kind =
+    List.length
+      (List.filter
+         (fun (e : FR.event) -> e.kind = kind)
+         (FR.events_of_slot r slot))
+  in
+  let stats = Pool.worker_stats pool in
+  Array.iteri
+    (fun slot (st : Pool.worker_stats) ->
+      let agree what kind n =
+        checki (Printf.sprintf "slot %d: %s" slot what) n (count slot kind)
+      in
+      agree "spawns" FR.Spawn st.spawns;
+      agree "runs" FR.Run st.tasks_run;
+      agree "steals" FR.Steal st.steals;
+      agree "steal aborts" FR.Steal_abort st.steal_aborts;
+      agree "parks" FR.Park st.parks;
+      agree "unparks" FR.Unpark st.parks)
+    stats;
+  checki "one Inject per submission" 20 (count (-1) FR.Inject);
+  checki "each submission ran from the injector or in the drain" 20
+    (count (-1) FR.Run
+    + Array.fold_left (fun a st -> a + st.Pool.injector_runs) 0 stats)
 
 (* Forced-steal schedule on the live pool: each round the probe task spawns
    a child onto its own deque and spins (never popping) until the child
@@ -431,29 +482,6 @@ let test_pool_flight_lineage () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "live-pool report failed validation: %s" e
 
-(* Post-quiescence scrape: with no writers left, the stable-read protocol
-   must return exact totals that agree with the pool's own accounting. *)
-let test_pool_scrape () =
-  let pool = Pool.create ~domains:2 ~telemetry:true () in
-  ignore (Pool.fib pool 16);
-  let snap = Pool.scrape pool in
-  let total = Pool.tasks_run pool in
-  checki "slot stats cover coordinator + workers"
-    (Pool.worker_count pool + 1)
-    (Array.length snap.Pool.slot_stats);
-  checki "scrape totals agree with tasks_run" total
-    (Array.fold_left
-       (fun a st -> a + st.Pool.tasks_run)
-       0 snap.Pool.slot_stats);
-  checki "quiescent pool has nothing in flight" 0 snap.Pool.snap_in_flight;
-  checki "quiescent pool has nothing pending" 0 snap.Pool.snap_pending;
-  checki "quiescent pool has an empty injector" 0 snap.Pool.snap_injector;
-  checki "per-slot latency histograms saw every task" total
-    (Array.fold_left
-       (fun a h -> a + Telemetry.Histogram.total h)
-       0 snap.Pool.slot_latencies);
-  Pool.shutdown pool
-
 (* Stage attribution: every cell executed by a worker contributes exactly
    one observation to each of the three stage histograms (qwait, dispatch,
    service), the rotating sojourn ring carries the same mass, and no stage
@@ -486,14 +514,6 @@ let test_pool_stage_attribution () =
     List.fold_left (fun a (_, h) -> a + H.total h) 0 (W.windows ring)
   in
   checki "windowed ring carries every completion" 50 mass;
-  let snap = Pool.scrape pool in
-  checki "scrape exports the stage plane" 50
-    (Array.fold_left (fun a h -> a + H.total h) 0 snap.Pool.slot_qwait);
-  checki "scrape exports the window ring" 50
-    (List.fold_left
-       (fun a (_, h) -> a + H.total h)
-       0
-       (W.windows snap.Pool.snap_windows));
   (* a plain pool keeps the whole plane empty — the off-path is free *)
   let plain = Pool.create ~domains:1 () in
   ignore (Pool.submit plain (fun () -> ()));
@@ -529,8 +549,6 @@ let test_pool_submit_backpressure () =
     "third refused at the full injector" false
     (Pool.submit ~policy:Pool.Drop pool (fun () -> Atomic.incr ran));
   checki "refusal counted" 1 (Pool.injector_drops pool);
-  let snap = Pool.scrape pool in
-  checki "scrape exports the drop counter" 1 snap.Pool.snap_injector_drops;
   Atomic.set gate true;
   let deadline = Unix.gettimeofday () +. 5.0 in
   while Atomic.get ran < 2 && Unix.gettimeofday () < deadline do
@@ -646,7 +664,6 @@ let test_pool_exact_termination backend () =
     in
     Atomic.incr spawned;
     Pool.parallel_run pool roots;
-    let snap = Pool.scrape pool in
     checki
       (Printf.sprintf "run %d: every task finished before the return" run)
       !expected (Atomic.get finished);
@@ -654,9 +671,8 @@ let test_pool_exact_termination backend () =
       (Printf.sprintf "run %d: tasks run = tasks spawned" run)
       (Atomic.get spawned) (Atomic.get finished);
     checki (Printf.sprintf "run %d: nothing in flight" run) 0
-      snap.Pool.snap_in_flight;
-    checki (Printf.sprintf "run %d: nothing pending" run) 0
-      snap.Pool.snap_pending
+      (Pool.in_flight pool);
+    checki (Printf.sprintf "run %d: nothing pending" run) 0 (Pool.pending pool)
   done;
   Pool.shutdown pool
 
@@ -712,10 +728,6 @@ let () =
           Alcotest.test_case "sequential" `Quick test_the_sequential;
           Alcotest.test_case "concurrent conservation" `Slow
             test_the_concurrent_conservation;
-          Alcotest.test_case "steal-half sequential" `Quick
-            test_the_steal_half;
-          Alcotest.test_case "steal-half concurrent conservation" `Slow
-            test_the_steal_half_concurrent;
         ] );
       ( "pool",
         [
@@ -730,16 +742,16 @@ let () =
             test_pool_external_spawns;
           Alcotest.test_case "shutdown drains and is idempotent" `Quick
             test_pool_shutdown_drains;
-          Alcotest.test_case "THE backend with steal-half" `Slow
-            test_pool_the_backend_steal_half;
-          Alcotest.test_case "round-robin victims" `Quick
-            test_pool_round_robin;
-          Alcotest.test_case "stats and latency histogram" `Quick
-            test_pool_stats_and_latency;
+          Alcotest.test_case "THE backend and its overflow spill" `Slow
+            test_pool_the_backend;
+          Alcotest.test_case "stats exact at quiescence" `Quick
+            test_pool_stats_at_quiescence;
+          Alcotest.test_case "in flight and pending count a held backlog"
+            `Quick test_pool_in_flight_and_pending;
+          Alcotest.test_case "flight recording agrees with the slot counters"
+            `Quick test_pool_flight_matches_stats;
           Alcotest.test_case "flight recorder stolen lineage" `Quick
             test_pool_flight_lineage;
-          Alcotest.test_case "live scrape is exact at quiescence" `Quick
-            test_pool_scrape;
           Alcotest.test_case "stage attribution covers every cell" `Quick
             test_pool_stage_attribution;
           Alcotest.test_case "bounded injector backpressure" `Quick

@@ -133,6 +133,25 @@ let test_histogram_percentile_edges () =
   check bool "single observation percentile_opt" true
     (H.percentile_opt one 0.99 = Some 37)
 
+(* [to_json] is the on-disk form of the native stage histograms in a
+   wsrepro-overload/v1 report: exact and byte-stable, with each occupied
+   power-of-two bucket's bounds and count (3 zeros in [0,0], the 5 in
+   [4,7], the 20 in [16,31]), and a negative sample counted apart from
+   the total. *)
+let test_histogram_to_json () =
+  let h = H.create () in
+  List.iter (H.observe h) [ 0; 0; 0; 5; 20; -3 ];
+  let render () = J.to_string ~indent:false (H.to_json h) in
+  let s = render () in
+  check string "byte-stable across renders" s (render ());
+  check string "exact form"
+    "{\"total\": 5, \"sum\": 25, \"max\": 20, \"negative\": 1, \"buckets\": \
+     [{\"lo\": 0, \"hi\": 0, \"count\": 3}, {\"lo\": 4, \"hi\": 7, \"count\": \
+     1}, {\"lo\": 16, \"hi\": 31, \"count\": 1}]}"
+    s;
+  check bool "parses back to the same value" true
+    (J.parse s = Ok (H.to_json h))
+
 (* --- sink ------------------------------------------------------------- *)
 
 let filled_sink () =
@@ -361,7 +380,6 @@ let test_trace_limit () =
 (* --- flight recorder -------------------------------------------------- *)
 
 module FR = Telemetry.Flight_recorder
-module OM = Telemetry.Openmetrics
 
 let test_flight_wraparound () =
   let r = FR.create ~capacity:8 ~slots:1 () in
@@ -446,72 +464,6 @@ let test_flight_report_validate_reject () =
     (Result.is_error (FR.validate drifted));
   check bool "structurally empty document rejected" true
     (Result.is_error (FR.validate (J.Obj [ ("schema", J.Str FR.schema_id) ])))
-
-(* --- openmetrics ------------------------------------------------------ *)
-
-let test_openmetrics_render () =
-  let doc () =
-    OM.render
-      [
-        OM.counter ~name:"ws_pool_tasks_run" ~help:"tasks executed"
-          [
-            OM.sample ~labels:[ ("slot", "0") ] 12.;
-            OM.sample ~labels:[ ("slot", "1") ] 30.;
-          ];
-        OM.gauge ~name:"ws_pool_sleepers" ~help:"parked workers"
-          [ OM.sample 2. ];
-      ]
-  in
-  let s = doc () in
-  check string "byte-stable across renders" s (doc ());
-  check string "exact exposition format"
-    "# TYPE ws_pool_tasks_run counter\n\
-     # HELP ws_pool_tasks_run tasks executed\n\
-     ws_pool_tasks_run_total{slot=\"0\"} 12\n\
-     ws_pool_tasks_run_total{slot=\"1\"} 30\n\
-     # TYPE ws_pool_sleepers gauge\n\
-     # HELP ws_pool_sleepers parked workers\n\
-     ws_pool_sleepers 2\n\
-     # EOF\n"
-    s
-
-let test_openmetrics_histogram () =
-  (* 3 zeros, one 5 ([4,8) bucket), one 20 ([16,32) bucket): cumulative
-     _bucket counts at each occupied power-of-two bound, +Inf closes at
-     the total, _count/_sum follow *)
-  let h = H.create () in
-  List.iter (H.observe h) [ 0; 0; 0; 5; 20 ];
-  let doc () =
-    OM.render
-      [ OM.histogram ~name:"ws_stage_qwait_ns" ~help:"queue wait" h ]
-  in
-  let s = doc () in
-  check string "byte-stable across renders" s (doc ());
-  check string "exact histogram exposition"
-    "# TYPE ws_stage_qwait_ns histogram\n\
-     # HELP ws_stage_qwait_ns queue wait\n\
-     ws_stage_qwait_ns_bucket{le=\"0\"} 3\n\
-     ws_stage_qwait_ns_bucket{le=\"7\"} 4\n\
-     ws_stage_qwait_ns_bucket{le=\"31\"} 5\n\
-     ws_stage_qwait_ns_bucket{le=\"+Inf\"} 5\n\
-     ws_stage_qwait_ns_count 5\n\
-     ws_stage_qwait_ns_sum 25\n\
-     # EOF\n"
-    s;
-  (* extra labels prefix le on bucket samples and ride _count/_sum too *)
-  let labelled =
-    OM.render
-      [ OM.histogram ~name:"h" ~help:"x" ~labels:[ ("slot", "2") ] h ]
-  in
-  check bool "labels prefix le" true
-    (let has needle =
-       let rec go i =
-         i + String.length needle <= String.length labelled
-         && (String.sub labelled i (String.length needle) = needle || go (i + 1))
-       in
-       go 0
-     in
-     has "h_bucket{slot=\"2\",le=\"0\"} 3" && has "h_count{slot=\"2\"} 5")
 
 (* --- sharded counter plane ------------------------------------------- *)
 
@@ -605,7 +557,8 @@ let test_windowed_rotation () =
   check int "evicting slot starts fresh" 1
     (H.total (List.assoc 4 (W.windows t)));
   (* per-window percentiles: window 1 saw only 3 *)
-  check bool "series q=0.5" true (W.series t ~q:0.5 = [ (1, 3); (4, 9) ]);
+  check int "window 1 p50" 3 (H.percentile (List.assoc 1 (W.windows t)) 0.5);
+  check int "window 4 p50" 9 (H.percentile (List.assoc 4 (W.windows t)) 0.5);
   (* negative now clamps to window 0 *)
   let n = W.create ~slots:2 ~width:10 () in
   W.observe n ~now:(-5) 7;
@@ -702,6 +655,8 @@ let () =
           Alcotest.test_case "percentile" `Quick test_histogram_percentile;
           Alcotest.test_case "percentile empty/single edges" `Quick
             test_histogram_percentile_edges;
+          Alcotest.test_case "to_json exact form" `Quick
+            test_histogram_to_json;
         ] );
       ( "sink",
         [
@@ -731,13 +686,6 @@ let () =
             test_flight_lineage_reconstruct;
           Alcotest.test_case "report validate/reject" `Quick
             test_flight_report_validate_reject;
-        ] );
-      ( "openmetrics",
-        [
-          Alcotest.test_case "byte-stable exposition" `Quick
-            test_openmetrics_render;
-          Alcotest.test_case "histogram cumulative buckets" `Quick
-            test_openmetrics_histogram;
         ] );
       ( "shards",
         [
