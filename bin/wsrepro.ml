@@ -776,6 +776,7 @@ let native_cmd =
           List.filter_map
             (fun (set, flag) -> if set then Some flag else None)
             [
+              (Option.is_some machine, "--machine");
               (domains <> None, "--domains");
               (backend <> None, "--backend");
               (smoke, "--smoke");
@@ -803,6 +804,9 @@ let native_cmd =
             graph_nodes;
           exit 2
         end;
+        let machine =
+          Option.value machine ~default:Ws_harness.Machine_config.haswell
+        in
         (* smoke shrinks every knob so CI finishes in seconds *)
         let pick full small = if smoke then small else full in
         Ws_harness.Exp_native.run ~machine ?domains ?backend
@@ -811,6 +815,15 @@ let native_cmd =
           ?flight_file:flight
           ~seed:(Option.value seed_opt ~default:1)
           ()
+  in
+  let machine =
+    Arg.(
+      value
+      & opt (some machine_conv) None
+      & info [ "machine"; "m" ] ~docv:"MACHINE"
+          ~doc:
+            "Simulated machine of the parity run: westmere-ex or haswell \
+             (the default).")
   in
   let domains =
     Arg.(
@@ -869,8 +882,9 @@ let native_cmd =
              (replaces the parity section): same pre-drawn arrival gaps and \
              service demands the simulator replays, ticks mapped to wall \
              time via the scenario's tick_ns. The file sets the pool and the \
-             load, so $(b,--domains), $(b,--backend), $(b,--smoke), \
-             $(b,--fib) and $(b,--graph-nodes) are refused with it.")
+             load, so $(b,--machine), $(b,--domains), $(b,--backend), \
+             $(b,--smoke), $(b,--fib) and $(b,--graph-nodes) are refused \
+             with it.")
   in
   Cmd.v
     (Cmd.info "native"
@@ -879,7 +893,7 @@ let native_cmd =
           pool and cross-check against the simulator, or replay an \
           open-system scenario on it with sojourn-latency percentiles")
     Term.(
-      const run $ machine_arg $ domains $ backend $ smoke $ fib_n $ graph_nodes
+      const run $ machine $ domains $ backend $ smoke $ fib_n $ graph_nodes
       $ flight $ scenario $ seed_override_arg)
 
 (* scenario: the heavy-traffic overload sweep over a scenario file *)

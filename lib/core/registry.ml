@@ -20,77 +20,58 @@ let find name =
   List.find (fun (module Q : Queue_intf.S) -> String.equal Q.name name) all
 
 (* Telemetry shim: forward every operation and account its outcome against
-   the machine's counter plane, when one is attached. Put around queues
+   the machine's counter sink, when one is attached. Put around queues
    created through {!create} (the runtime and harness path); the
    litmus/exhaustive checks instantiate the raw modules and stay
-   unobserved. With no sink attached each operation pays one length test.
-
-   Routing is per queue: each wrapped queue carries a shard index (its
-   owner's worker id under the runtime engines), so with a sharded plane
-   attached ({!Tso.Machine.set_sharded_sink}) the accounting for different
-   workers' queues lands in different shards — zero cross-domain or
-   cross-worker writes on the hot path. With a plain sink the routing
-   table has one entry and every index resolves to it. *)
-type counted_state = { machine : Tso.Machine.t; mutable shard : int }
-
-module Counted (Q : Queue_intf.S) : sig
-  include Queue_intf.S with type t = counted_state * Q.t
-
-  val set_shard : t -> int -> unit
-end = struct
-  type t = counted_state * Q.t
+   unobserved. With no sink attached each operation pays one option
+   test. *)
+module Counted (Q : Queue_intf.S) :
+  Queue_intf.S with type t = Tso.Machine.t * Q.t = struct
+  type t = Tso.Machine.t * Q.t
 
   let name = Q.name
   let may_abort = Q.may_abort
   let may_duplicate = Q.may_duplicate
   let worker_fence_free = Q.worker_fence_free
-  let create m params = ({ machine = m; shard = 0 }, Q.create m params)
-  let set_shard (c, _) i = c.shard <- i
+  let create m params = (m, Q.create m params)
   let preload (_, q) items = Q.preload q items
 
-  let put (c, q) task =
+  let put (m, q) task =
     Q.put q task;
-    let r = Tso.Machine.counters c.machine in
-    let n = Array.length r in
-    if n > 0 then begin
-      let s = Array.unsafe_get r (c.shard mod n) in
-      s.Telemetry.Sink.puts <- s.Telemetry.Sink.puts + 1
-    end
+    match Tso.Machine.sink m with
+    | None -> ()
+    | Some s -> s.Telemetry.Sink.puts <- s.Telemetry.Sink.puts + 1
 
-  let take (c, q) =
+  let take (m, q) =
     let r = Q.take q in
-    let tbl = Tso.Machine.counters c.machine in
-    let n = Array.length tbl in
-    if n > 0 then begin
-      let s = Array.unsafe_get tbl (c.shard mod n) in
-      match r with
-      | `Task _ -> s.Telemetry.Sink.takes <- s.Telemetry.Sink.takes + 1
-      | `Empty ->
-          s.Telemetry.Sink.take_empties <- s.Telemetry.Sink.take_empties + 1
-    end;
+    (match Tso.Machine.sink m with
+    | None -> ()
+    | Some s -> (
+        match r with
+        | `Task _ -> s.Telemetry.Sink.takes <- s.Telemetry.Sink.takes + 1
+        | `Empty ->
+            s.Telemetry.Sink.take_empties <-
+              s.Telemetry.Sink.take_empties + 1));
     r
 
-  let steal (c, q) =
+  let steal (m, q) =
     let r = Q.steal q in
-    let tbl = Tso.Machine.counters c.machine in
-    let n = Array.length tbl in
-    if n > 0 then begin
-      let s = Array.unsafe_get tbl (c.shard mod n) in
-      s.Telemetry.Sink.steal_attempts <- s.Telemetry.Sink.steal_attempts + 1;
-      match r with
-      | `Task _ -> s.Telemetry.Sink.steals <- s.Telemetry.Sink.steals + 1
-      | `Empty ->
-          s.Telemetry.Sink.steal_empties <- s.Telemetry.Sink.steal_empties + 1
-      | `Abort ->
-          s.Telemetry.Sink.steal_aborts <- s.Telemetry.Sink.steal_aborts + 1
-    end;
+    (match Tso.Machine.sink m with
+    | None -> ()
+    | Some s -> (
+        s.Telemetry.Sink.steal_attempts <- s.Telemetry.Sink.steal_attempts + 1;
+        match r with
+        | `Task _ -> s.Telemetry.Sink.steals <- s.Telemetry.Sink.steals + 1
+        | `Empty ->
+            s.Telemetry.Sink.steal_empties <- s.Telemetry.Sink.steal_empties + 1
+        | `Abort ->
+            s.Telemetry.Sink.steal_aborts <-
+              s.Telemetry.Sink.steal_aborts + 1));
     r
 end
 
-let create ?(shard = 0) (module Q : Queue_intf.S) m params =
+let create (module Q : Queue_intf.S) m params =
   let module C = Counted (Q) in
-  let c = C.create m params in
-  C.set_shard c shard;
-  Queue_intf.Packed ((module C), c)
+  Queue_intf.Packed ((module C), C.create m params)
 
 let strict (module Q : Queue_intf.S) = (not Q.may_abort) && not Q.may_duplicate

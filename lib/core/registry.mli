@@ -12,17 +12,12 @@ val names : string list
 val find : string -> impl
 (** @raise Not_found on unknown names. *)
 
-val create :
-  ?shard:int -> impl -> Tso.Machine.t -> Queue_intf.params -> Queue_intf.packed
+val create : impl -> Tso.Machine.t -> Queue_intf.params -> Queue_intf.packed
 (** Instantiate a queue and pack it with its module, wrapped in a telemetry
-    shim: while a counter plane is attached to the machine, every
+    shim: while a sink is attached to the machine, every
     [put]/[take]/[steal] through the packed value is accounted in the
     queue-operation counters (puts, takes, take-empties, steal
-    attempts/successes/empties/aborts). [shard] (default 0) selects which
-    shard of a sharded plane ({!Tso.Machine.set_sharded_sink}) this
-    queue's operations are charged to — the runtime passes the owning
-    worker's id, so per-worker accounting shares no cache line. With a
-    plain sink every shard index resolves to it. Costs one length test per
+    attempts/successes/empties/aborts). Costs one option test per
     operation when no sink is attached. *)
 
 val strict : impl -> bool

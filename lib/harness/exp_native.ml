@@ -280,8 +280,7 @@ let scenario_native (spec : Scenarios.open_spec) =
     Ws_native.Pool.create ~domains:spec.Scenarios.sc_workers
       ~backend:(backend_of_queue spec.Scenarios.sc_queue)
       ~injector_capacity:spec.Scenarios.sc_capacity ~attribution:true
-      ~window_ns ~window_slots ~flight:true
-      ~flight_capacity:(replay_flight_capacity spec) ()
+      ~flight:true ~flight_capacity:(replay_flight_capacity spec) ()
   in
   let sojourn = Telemetry.Histogram.create () in
   let late = Telemetry.Histogram.create () in

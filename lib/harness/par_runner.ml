@@ -70,8 +70,8 @@ let map ?(jobs = 1) ?on_progress f xs =
 (* [map] with a sharded measurement plane: each domain gets its own
    private Sink shard to accumulate into (zero cross-domain counter
    writes while the grid runs), and the shards are batch-merged into
-   [into] at the join — one of the quiescence points of the sharded
-   plane. Sink merging is field-wise addition, so the merged totals are
+   [into] at the join, the sharded plane's only quiescence point. Sink
+   merging is field-wise addition, so the merged totals are
    identical to what a sequential run accumulating straight into [into]
    would produce, whatever the grid-point partition. *)
 let map_sharded ?(jobs = 1) ?on_progress ~into f xs =

@@ -219,17 +219,14 @@ type t = {
   worker_id : int option Domain.DLS.key;
   debug : bool;
   attribution : bool;
-  window_ns : int;  (* windowed-ring geometry, attribution only *)
-  window_slots : int;
   lock : Mutex.t;
   cond : Condition.t;
   sleepers : int Atomic.t;
-  (* per-slot stage histograms (ns) and rotating sojourn windows, written
-     only by the owning domain (attribution only) *)
+  (* per-slot stage histograms (ns), written only by the owning domain
+     (attribution only) *)
   stage_qwait : Telemetry.Histogram.t array;
   stage_dispatch : Telemetry.Histogram.t array;
   stage_service : Telemetry.Histogram.t array;
-  sojourn_windows : Telemetry.Windowed.t array;
   recorder : Telemetry.Flight_recorder.t option;
   next_task_id : int Atomic.t;
   running : bool Atomic.t;  (* a parallel_run is in progress *)
@@ -392,15 +389,13 @@ let exec_cell pool me cell =
   st.tasks_run <- st.tasks_run + 1;
   if deq_ns > 0 then begin
     (* all four stamps read the same monotonic clock, and this slot's
-       histograms/ring are single-writer, so no lock is needed *)
+       histograms are single-writer, so no lock is needed *)
     let fin = Telemetry.Clock.now_ns () in
     Telemetry.Histogram.observe pool.stage_qwait.(me)
       (cell.inj_ns - cell.arr_ns);
     Telemetry.Histogram.observe pool.stage_dispatch.(me)
       (deq_ns - cell.inj_ns);
-    Telemetry.Histogram.observe pool.stage_service.(me) (fin - deq_ns);
-    Telemetry.Windowed.observe pool.sojourn_windows.(me) ~now:fin
-      (fin - cell.arr_ns)
+    Telemetry.Histogram.observe pool.stage_service.(me) (fin - deq_ns)
   end;
   finish pool s.finished
 
@@ -493,13 +488,10 @@ let worker_loop pool me =
 (* ------------------------------------------------------------------ *)
 
 let create ?domains ?(backend = Chase_lev_deques) ?(attribution = false)
-    ?(window_ns = 100_000_000) ?(window_slots = 16) ?(debug = false)
-    ?(injector_capacity = max_int) ?(flight = false) ?(flight_capacity = 16384)
-    () =
+    ?(debug = false) ?(injector_capacity = max_int) ?(flight = false)
+    ?(flight_capacity = 16384) () =
   if injector_capacity < 1 then
     invalid_arg "Pool.create: injector_capacity must be >= 1";
-  if attribution && window_ns < 1 then
-    invalid_arg "Pool.create: window_ns must be >= 1";
   let n =
     match domains with
     | Some d -> max 1 d
@@ -531,8 +523,6 @@ let create ?domains ?(backend = Chase_lev_deques) ?(attribution = false)
       worker_id;
       debug;
       attribution;
-      window_ns;
-      window_slots;
       lock = Mutex.create ();
       cond = Condition.create ();
       sleepers = Atomic.make 0;
@@ -541,9 +531,6 @@ let create ?domains ?(backend = Chase_lev_deques) ?(attribution = false)
         Array.init (n + 1) (fun _ -> Telemetry.Histogram.create ());
       stage_service =
         Array.init (n + 1) (fun _ -> Telemetry.Histogram.create ());
-      sojourn_windows =
-        Array.init (n + 1) (fun _ ->
-            Telemetry.Windowed.create ~slots:window_slots ~width:window_ns ());
       recorder =
         (if flight then
            Some (FR.create ~capacity:flight_capacity ~slots:(n + 1) ())
@@ -767,20 +754,6 @@ let stage_hists pool =
   ( merge_all pool.stage_qwait,
     merge_all pool.stage_dispatch,
     merge_all pool.stage_service )
-
-(* Merged non-draining view of the per-slot sojourn rings: snapshot each
-   slot's ring (safe against its writer), then fold the copies — the
-   claim rule makes the fold independent of slot order. *)
-let windowed_sojourn pool =
-  let acc =
-    Telemetry.Windowed.create ~slots:pool.window_slots ~width:pool.window_ns
-      ()
-  in
-  Array.iter
-    (fun w ->
-      Telemetry.Windowed.merge ~into:acc (Telemetry.Windowed.snapshot w))
-    pool.sojourn_windows;
-  acc
 
 let fib pool n =
   let acc = Atomic.make 0 in

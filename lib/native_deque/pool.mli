@@ -37,8 +37,6 @@ val create :
   ?domains:int ->
   ?backend:backend ->
   ?attribution:bool ->
-  ?window_ns:int ->
-  ?window_slots:int ->
   ?debug:bool ->
   ?injector_capacity:int ->
   ?flight:bool ->
@@ -49,15 +47,14 @@ val create :
     domains plus the caller. [attribution] stamps every cell with
     monotonic-ns stage timestamps — arrival (before any {!submit}
     backpressure spin), inject, dequeue, completion — feeding per-slot
-    qwait / dispatch / service histograms ({!stage_hists}) and a rotating
-    per-slot sojourn window ring of [window_slots] windows of [window_ns]
-    nanoseconds each ({!windowed_sojourn}). Stages are per {e cell}: a
-    worker-spawned continuation arrives the instant it is pushed, so its
-    qwait is ~0, while externally submitted cells charge backpressure
-    delay to qwait. [debug] asserts the single-owner push discipline on
-    every push. [injector_capacity] (default unbounded) is the soft bound
-    {!submit} enforces with its backpressure policy; {!spawn} and THE
-    overflow spills ignore it, so a worker can always make progress.
+    qwait / dispatch / service histograms ({!stage_hists}). Stages are
+    per {e cell}: a worker-spawned continuation arrives the instant it is
+    pushed, so its qwait is ~0, while externally submitted cells charge
+    backpressure delay to qwait. [debug] asserts the single-owner push
+    discipline on every push. [injector_capacity] (default unbounded) is
+    the soft bound {!submit} enforces with its backpressure policy;
+    {!spawn} and THE overflow spills ignore it, so a worker can always
+    make progress.
     [flight] attaches a {!Telemetry.Flight_recorder} — one ring of
     [flight_capacity] events per slot (default 16384) — recording
     spawn/run/steal/steal-abort/inject/park/unpark events with task
@@ -148,11 +145,6 @@ val tasks_run : t -> int
 val stage_hists : t -> Telemetry.Histogram.t * Telemetry.Histogram.t * Telemetry.Histogram.t
 (** Merged (qwait, dispatch, service) stage histograms in nanoseconds,
     non-draining copies. All empty unless [~attribution:true]. *)
-
-val windowed_sojourn : t -> Telemetry.Windowed.t
-(** Merged non-draining snapshot of the per-slot rotating sojourn window
-    rings (arrival-to-completion ns keyed by completion time). Empty
-    unless [~attribution:true]. *)
 
 val fib : t -> int -> int
 (** The inevitable demo: parallel naive Fibonacci on the pool (used by

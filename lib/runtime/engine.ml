@@ -44,6 +44,76 @@ type result = {
   lost : int;
 }
 
+type source = {
+  live : unit -> bool;
+  victim : int -> int;
+  run : int -> from:int -> int -> unit;
+}
+
+let no_victim = -1
+
+let machine_and_deques ~sb_capacity ~workers impl params =
+  let machine = Machine.create (Machine.abstract_config ~sb_capacity) in
+  let deques =
+    Array.init workers (fun w ->
+        Ws_core.Registry.create impl machine
+          { params with Ws_core.Queue_intf.tag = Printf.sprintf "q%d" w })
+  in
+  (machine, deques)
+
+(* The CilkPlus worker loop (§8): drain the own deque with [take]; when it
+   is empty, hunt — probe the queue the source names, backing off
+   [idle_backoff] cycles after each failed probe — until a task turns up
+   or no work is live. *)
+let schedule metrics queues ~idle_backoff src w =
+  let m = metrics.Metrics.workers.(w) in
+  let workers = Array.length metrics.Metrics.workers in
+  let run ~from t =
+    m.Metrics.tasks_run <- m.Metrics.tasks_run + 1;
+    (* Only a task taken from another worker's deque is a stolen run; a
+       queue no worker owns (the open system's front door) is not. *)
+    if from <> w && from < workers then
+      m.Metrics.tasks_run_stolen <- m.Metrics.tasks_run_stolen + 1;
+    src.run w ~from t
+  in
+  let rec own_loop () =
+    if src.live () then begin
+      m.Metrics.takes <- m.Metrics.takes + 1;
+      match Ws_core.Queue_intf.take queues.(w) with
+      | `Task t ->
+          run ~from:w t;
+          own_loop ()
+      | `Empty ->
+          m.Metrics.take_empties <- m.Metrics.take_empties + 1;
+          hunt ()
+    end
+  and hunt () =
+    if src.live () then begin
+      let v = src.victim w in
+      if v = no_victim then begin
+        Program.spin_pause ();
+        own_loop ()
+      end
+      else begin
+        m.Metrics.steal_attempts <- m.Metrics.steal_attempts + 1;
+        match Ws_core.Queue_intf.steal queues.(v) with
+        | `Task t ->
+            m.Metrics.steals <- m.Metrics.steals + 1;
+            run ~from:v t;
+            own_loop ()
+        | `Empty ->
+            m.Metrics.steal_empties <- m.Metrics.steal_empties + 1;
+            Program.work idle_backoff;
+            hunt ()
+        | `Abort ->
+            m.Metrics.steal_aborts <- m.Metrics.steal_aborts + 1;
+            Program.work idle_backoff;
+            hunt ()
+      end
+    end
+  in
+  own_loop ()
+
 type shared = {
   cfg : config;
   wl : Workload.t;
@@ -72,10 +142,7 @@ let enqueue st w id =
   m.Metrics.puts <- m.Metrics.puts + 1;
   Ws_core.Queue_intf.put st.queues.(w) id
 
-let exec_task st w ~stolen id =
-  let m = st.metrics.Metrics.workers.(w) in
-  m.Metrics.tasks_run <- m.Metrics.tasks_run + 1;
-  if stolen then m.Metrics.tasks_run_stolen <- m.Metrics.tasks_run_stolen + 1;
+let exec_task st w id =
   (* The client store(s) CilkPlus does after removing a task (§4, §7.3). *)
   for i = 1 to st.cfg.client_stores do
     Program.store st.scratch.(w) (id + i)
@@ -86,85 +153,38 @@ let exec_task st w ~stolen id =
   let put_count = Option.value ~default:0 (Hashtbl.find_opt st.enqueued id) in
   if done_count <= put_count then st.in_flight <- st.in_flight - 1
 
-let worker_body st w () =
-  let cfg = st.cfg in
-  let m = st.metrics.Metrics.workers.(w) in
-  let rng = Random.State.make [| cfg.seed; w; 0x5eed |] in
-  let rr = ref w in
-  (* Roots were pre-counted at setup (so workers that start first do not see
-     in_flight = 0 and exit); worker 0 only performs the puts. *)
-  if w = 0 then
-    List.iter
-      (fun t ->
-        m.Metrics.puts <- m.Metrics.puts + 1;
-        Ws_core.Queue_intf.put st.queues.(0) t)
-      st.wl.Workload.roots;
-  let rec own_loop () =
-    if st.in_flight > 0 then begin
-      m.Metrics.takes <- m.Metrics.takes + 1;
-      match Ws_core.Queue_intf.take st.queues.(w) with
-      | `Task id ->
-          exec_task st w ~stolen:false id;
-          own_loop ()
-      | `Empty ->
-          m.Metrics.take_empties <- m.Metrics.take_empties + 1;
-          hunt ()
-    end
-  and hunt () =
-    if st.in_flight > 0 then
-      if cfg.workers = 1 then begin
-        (* No victims; wait for our own (already-extracted) work to finish —
-           with one worker this only happens at termination. *)
-        Program.spin_pause ();
-        own_loop ()
-      end
-      else begin
-        let victim =
-          match cfg.victim with
-          | Random_victim ->
-              let v = Random.State.int rng (cfg.workers - 1) in
-              if v >= w then v + 1 else v
-          | Round_robin_victim ->
-              rr := (!rr + 1) mod cfg.workers;
-              if !rr = w then rr := (!rr + 1) mod cfg.workers;
-              !rr
-        in
-        m.Metrics.steal_attempts <- m.Metrics.steal_attempts + 1;
-        match Ws_core.Queue_intf.steal st.queues.(victim) with
-        | `Task id ->
-            m.Metrics.steals <- m.Metrics.steals + 1;
-            exec_task st w ~stolen:true id;
-            own_loop ()
-        | `Empty ->
-            m.Metrics.steal_empties <- m.Metrics.steal_empties + 1;
-            Program.work cfg.idle_backoff;
-            hunt ()
-        | `Abort ->
-            m.Metrics.steal_aborts <- m.Metrics.steal_aborts + 1;
-            Program.work cfg.idle_backoff;
-            hunt ()
-      end
+(* A worker's next victim, never itself. A lone worker has none: it
+   pauses until its own (already-extracted) last task completes. *)
+let victims cfg =
+  let n = cfg.workers in
+  let rngs =
+    Array.init n (fun w -> Random.State.make [| cfg.seed; w; 0x5eed |])
   in
-  own_loop ()
+  let last = Array.init n Fun.id in
+  fun w ->
+    if n = 1 then no_victim
+    else
+      match cfg.victim with
+      | Random_victim ->
+          let v = Random.State.int rngs.(w) (n - 1) in
+          if v >= w then v + 1 else v
+      | Round_robin_victim ->
+          let v = (last.(w) + 1) mod n in
+          last.(w) <- (if v = w then (v + 1) mod n else v);
+          last.(w)
 
-let setup cfg wl ~buffer_model =
-  let machine_cfg =
-    { Machine.sb_capacity = cfg.sb_capacity; buffer_model }
+let setup cfg wl =
+  let machine, queues =
+    machine_and_deques ~sb_capacity:cfg.sb_capacity ~workers:cfg.workers
+      cfg.queue
+      {
+        Ws_core.Queue_intf.capacity = cfg.queue_capacity;
+        delta = cfg.delta;
+        worker_fence = cfg.worker_fence;
+        tag = "";
+      }
   in
-  let machine = Machine.create machine_cfg in
   let mem = Machine.memory machine in
-  let queues =
-    Array.init cfg.workers (fun w ->
-        let params =
-          {
-            Ws_core.Queue_intf.capacity = cfg.queue_capacity;
-            delta = cfg.delta;
-            worker_fence = cfg.worker_fence;
-            tag = Printf.sprintf "q%d" w;
-          }
-        in
-        Ws_core.Registry.create ~shard:w cfg.queue machine params)
-  in
   let scratch =
     Array.init cfg.workers (fun w ->
         Memory.alloc mem ~name:(Printf.sprintf "scratch%d" w) ~init:0)
@@ -183,11 +203,26 @@ let setup cfg wl ~buffer_model =
     }
   in
   List.iter (fun t -> ignore (bump st.enqueued t)) wl.Workload.roots;
+  let src =
+    {
+      live = (fun () -> st.in_flight > 0);
+      victim = victims cfg;
+      run = (fun w ~from:_ id -> exec_task st w id);
+    }
+  in
+  let m0 = st.metrics.Metrics.workers.(0) in
   for w = 0 to cfg.workers - 1 do
     ignore
-      (Machine.spawn machine
-         ~name:(Printf.sprintf "worker%d" w)
-         (worker_body st w))
+      (Machine.spawn machine ~name:(Printf.sprintf "worker%d" w) (fun () ->
+           (* Roots were pre-counted above (so workers that start first do
+              not see in_flight = 0 and exit); worker 0 only puts them. *)
+           if w = 0 then
+             List.iter
+               (fun t ->
+                 m0.Metrics.puts <- m0.Metrics.puts + 1;
+                 Ws_core.Queue_intf.put queues.(0) t)
+               wl.Workload.roots;
+           schedule st.metrics queues ~idle_backoff:cfg.idle_backoff src w))
   done;
   (machine, st)
 
@@ -215,25 +250,16 @@ let summarize st outcome timing =
   }
 
 let run_timed ?sink ?tracer ?trace_pid cfg wl =
-  let machine, st = setup cfg wl ~buffer_model:Store_buffer.Abstract in
-  (* Per-worker shards (worker w = simulated thread w = queue w), merged by
-     the timing engine at this run's quiescence point. *)
-  let shards =
-    match sink with
-    | Some _ -> Some (Telemetry.Shards.create ~n:cfg.workers)
-    | None -> None
-  in
+  let machine, st = setup cfg wl in
   let report =
-    Timing.run ~max_steps:cfg.max_steps ?sink ?shards ?tracer ?trace_pid
-      machine cfg.costs
+    Timing.run ~max_steps:cfg.max_steps ?sink ?tracer ?trace_pid machine
+      cfg.costs
   in
-  (match sink with
-  | None -> ()
-  | Some s -> Metrics.fold_into_sink st.metrics s);
+  Option.iter (Metrics.fold_into_sink st.metrics) sink;
   summarize st report.Timing.outcome (Some report)
 
 let run_random ?(drain_weight = 0.1) cfg wl =
-  let machine, st = setup cfg wl ~buffer_model:Store_buffer.Abstract in
+  let machine, st = setup cfg wl in
   let rng = Random.State.make [| cfg.seed; 0xca5e |] in
   let outcome =
     Sched.run ~max_steps:cfg.max_steps machine (Sched.weighted rng ~drain_weight)

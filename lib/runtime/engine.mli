@@ -9,7 +9,11 @@
 
     Termination uses host-level completion counting: workers exit once every
     spawned task has completed at least once. Duplicate extractions (possible
-    with the idempotent queues) are recorded and do not double-count. *)
+    with the idempotent queues) are recorded and do not double-count.
+
+    The worker loop itself ({!schedule}) is the only one in the simulator:
+    {!Open_system} runs its workers on it too, with a different
+    {!source}. *)
 
 type victim_policy =
   | Random_victim  (** uniformly random victim ≠ self (ABP's policy) *)
@@ -57,3 +61,42 @@ val run_timed :
 val run_random : ?drain_weight:float -> config -> Workload.t -> result
 (** Adversarially scheduled run on the abstract machine (drains delayed with
     [drain_weight], default 0.1); this is what the correctness tests use. *)
+
+(** {1 The scheduler loop} *)
+
+type source = {
+  live : unit -> bool;  (** some task is still outstanding *)
+  victim : int -> int;
+      (** [victim w]: the queue worker [w] probes when its own deque is
+          empty, or {!no_victim} to pause instead *)
+  run : int -> from:int -> int -> unit;
+      (** [run w ~from t]: worker [w] executes task [t], taken from its own
+          deque ([from = w]) or stolen from queue [from] *)
+}
+
+val no_victim : int
+
+val machine_and_deques :
+  sb_capacity:int ->
+  workers:int ->
+  Ws_core.Registry.impl ->
+  Ws_core.Queue_intf.params ->
+  Tso.Machine.t * Ws_core.Queue_intf.packed array
+(** A fresh abstract-buffer machine and one deque per worker on it, tagged
+    [q0], [q1], … in worker order ([params]' own tag is not used). *)
+
+val schedule :
+  Metrics.t ->
+  Ws_core.Queue_intf.packed array ->
+  idle_backoff:int ->
+  source ->
+  int ->
+  unit
+(** [schedule metrics queues ~idle_backoff src w]: worker [w]'s loop, run
+    inside its simulated thread until [src.live ()] is false. It takes
+    from [queues.(w)]; when that is empty it steals from
+    [queues.(src.victim w)], working [idle_backoff] cycles after each
+    failed steal. It counts its takes, steals and runs in [metrics]; a run
+    is stolen only when it came from another worker's deque, not from a
+    queue past the workers' (the open system's front door). Puts are the
+    source's to count. *)

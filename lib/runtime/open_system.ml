@@ -14,7 +14,9 @@ open Tso
 
    Each request is a chain of [chain] dependent stages; non-final stages
    re-[put] onto the executing worker's own deque, so the closed-system
-   put/take/steal hot paths stay exercised under open load.
+   put/take/steal hot paths stay exercised under open load. The workers
+   run the DAG engine's loop ({!Engine.schedule}); this module is only
+   its task source, the injector, backpressure and the stage stamps.
 
    Backpressure: the injector tracks the depth of its deque host-side
    (puts minus successful steals — exact, because the simulator
@@ -110,56 +112,44 @@ let run ?sink cfg =
     Open_load.plan ~seed:cfg.seed ~requests:cfg.requests cfg.arrival
       cfg.service
   in
-  let machine =
-    Machine.create
-      { Machine.sb_capacity = cfg.sb_capacity;
-        buffer_model = Store_buffer.Abstract }
+  (* The front door (queue [inj], past the worker deques) is always the
+     plain lock-based THE queue, like the native pool's mutex FIFO
+     injector — NOT the scenario's worker queue. The δ-relaxed queues
+     (ff-the, thep) can never certify the last item to a thief (ABORT
+     subsumes EMPTY, §4), which is fine for worker deques (the owner's
+     take drains them) but would strand the final arrival forever in a
+     deque whose owner only ever puts. *)
+  let params =
+    {
+      Ws_core.Queue_intf.capacity = cfg.queue_capacity;
+      delta = cfg.delta;
+      worker_fence = cfg.worker_fence;
+      tag = "inj";
+    }
   in
-  let inj = cfg.workers (* thread/queue/shard index of the injector *) in
+  let machine, deques =
+    Engine.machine_and_deques ~sb_capacity:cfg.sb_capacity
+      ~workers:cfg.workers cfg.queue params
+  in
+  let inj = cfg.workers in
   let queues =
-    Array.init (cfg.workers + 1) (fun w ->
-        let params =
-          {
-            Ws_core.Queue_intf.capacity = cfg.queue_capacity;
-            delta = cfg.delta;
-            worker_fence = cfg.worker_fence;
-            tag = (if w = inj then "inj" else Printf.sprintf "q%d" w);
-          }
-        in
-        (* The front door is always the plain lock-based THE queue, like
-           the native pool's mutex FIFO injector — NOT the scenario's
-           worker queue. The δ-relaxed queues (ff-the, thep) can never
-           certify the last item to a thief (ABORT subsumes EMPTY, §4),
-           which is fine for worker deques (the owner's take drains them)
-           but would strand the final arrival forever in a deque whose
-           owner only ever puts. *)
-        let impl = if w = inj then Ws_core.Registry.find "the" else cfg.queue in
-        Ws_core.Registry.create ~shard:w impl machine params)
+    Array.append deques
+      [| Ws_core.Registry.create (Ws_core.Registry.find "the") machine params |]
   in
   let clk = Timing.clock () in
   let metrics = Metrics.create cfg.workers in
-  (* Sojourn latency through the sharded histogram plane: one histogram
-     per worker, written only by its owner, merged at the quiescent end of
-     the run. *)
-  let sojourn_shards =
-    Array.init cfg.workers (fun _ -> Telemetry.Histogram.create ())
+  (* Every simulated thread runs on this one host thread, so one histogram
+     and one ring per series take every observation. *)
+  let sojourn = Telemetry.Histogram.create () in
+  let qwait = Telemetry.Histogram.create () in
+  let dispatch = Telemetry.Histogram.create () in
+  let service = Telemetry.Histogram.create () in
+  let sojourn_windows =
+    Telemetry.Windowed.create ~slots:cfg.window_slots ~width:cfg.window ()
   in
-  (* Stage attribution rides the same discipline: per-worker histograms
-     and rotating-window rings, single-writer during the run, merged at
-     the quiescent end — so the merged series are independent of which
-     worker executed which request (Windowed's claim rule). *)
-  let hist_shards () =
-    Array.init cfg.workers (fun _ -> Telemetry.Histogram.create ())
+  let qwait_windows =
+    Telemetry.Windowed.create ~slots:cfg.window_slots ~width:cfg.window ()
   in
-  let window_shards () =
-    Array.init cfg.workers (fun _ ->
-        Telemetry.Windowed.create ~slots:cfg.window_slots ~width:cfg.window ())
-  in
-  let qwait_shards = hist_shards () in
-  let dispatch_shards = hist_shards () in
-  let service_shards = hist_shards () in
-  let sojourn_w_shards = window_shards () in
-  let qwait_w_shards = window_shards () in
   let arrive = Array.make cfg.requests 0 in
   let inject_t = Array.make cfg.requests 0 in
   let dequeue_t = Array.make cfg.requests 0 in
@@ -206,120 +196,66 @@ let run ?sink cfg =
     done;
     injector_done := true
   in
-  let exec_task w t =
-    let m = metrics.Metrics.workers.(w) in
-    m.Metrics.tasks_run <- m.Metrics.tasks_run + 1;
-    let stage = t mod cfg.chain in
-    let i = t / cfg.chain in
-    if stage = 0 then begin
-      (* Stage-0 dequeue closes the first two stages. The injector queue
-         is FIFO, so successive stage-0 dequeues on one worker see
-         non-decreasing arrival ticks — monotone enough for the
-         arrival-keyed queue-wait ring. *)
-      let now = Timing.now clk in
-      dequeue_t.(i) <- now;
-      let qw = inject_t.(i) - arrive.(i) in
-      Telemetry.Histogram.observe qwait_shards.(w) qw;
-      Telemetry.Windowed.observe qwait_w_shards.(w) ~now:arrive.(i) qw;
-      Telemetry.Histogram.observe dispatch_shards.(w) (now - inject_t.(i))
-    end;
-    let ticks = stage_ticks.(t) in
-    if ticks > 0 then Program.work ticks;
-    if stage < cfg.chain - 1 then begin
-      m.Metrics.puts <- m.Metrics.puts + 1;
-      Ws_core.Queue_intf.put queues.(w) (t + 1)
-    end
-    else begin
-      let now = Timing.now clk in
-      let soj = now - arrive.(i) in
-      Telemetry.Histogram.observe sojourn_shards.(w) soj;
-      Telemetry.Histogram.observe service_shards.(w) (now - dequeue_t.(i));
-      Telemetry.Windowed.observe sojourn_w_shards.(w) ~now soj;
-      incr completed;
-      decr in_flight
-    end
+  let rngs =
+    Array.init cfg.workers (fun w ->
+        Open_load.rng (cfg.seed + ((w + 1) * 0x9e37)))
   in
-  let worker_body w () =
-    let m = metrics.Metrics.workers.(w) in
-    let rng = Open_load.rng (cfg.seed + ((w + 1) * 0x9e37)) in
-    let live () = !in_flight > 0 || not !injector_done in
-    let rec own_loop () =
-      if live () then begin
-        m.Metrics.takes <- m.Metrics.takes + 1;
-        match Ws_core.Queue_intf.take queues.(w) with
-        | `Task t ->
-            exec_task w t;
-            own_loop ()
-        | `Empty ->
-            m.Metrics.take_empties <- m.Metrics.take_empties + 1;
-            hunt ()
-      end
-    and hunt () =
-      if live () then begin
-        (* Drain the front door first, like the native pool: arrivals wait
-           in the injector's deque and only steals move them on. *)
-        let victim =
-          if !in_queue > 0 then inj
-          else if cfg.workers = 1 then inj
-          else begin
-            let v = Open_load.int rng (cfg.workers - 1) in
-            if v >= w then v + 1 else v
+  let src =
+    {
+      Engine.live = (fun () -> !in_flight > 0 || not !injector_done);
+      (* Drain the front door first, like the native pool: arrivals wait
+         in the injector's deque and only steals move them on. *)
+      victim =
+        (fun w ->
+          if !in_queue > 0 || cfg.workers = 1 then inj
+          else
+            let v = Open_load.int rngs.(w) (cfg.workers - 1) in
+            if v >= w then v + 1 else v);
+      run =
+        (fun w ~from t ->
+          if from = inj then decr in_queue;
+          let stage = t mod cfg.chain in
+          let i = t / cfg.chain in
+          if stage = 0 then begin
+            (* Stage-0 dequeue closes the first two stages. The injector
+               queue is FIFO and its thieves take its lock in turn, so
+               stage-0 dequeues see non-decreasing arrival ticks, as the
+               arrival-keyed queue-wait ring requires. *)
+            let now = Timing.now clk in
+            dequeue_t.(i) <- now;
+            let qw = inject_t.(i) - arrive.(i) in
+            Telemetry.Histogram.observe qwait qw;
+            Telemetry.Windowed.observe qwait_windows ~now:arrive.(i) qw;
+            Telemetry.Histogram.observe dispatch (now - inject_t.(i))
+          end;
+          let ticks = stage_ticks.(t) in
+          if ticks > 0 then Program.work ticks;
+          if stage < cfg.chain - 1 then begin
+            let m = metrics.Metrics.workers.(w) in
+            m.Metrics.puts <- m.Metrics.puts + 1;
+            Ws_core.Queue_intf.put queues.(w) (t + 1)
           end
-        in
-        m.Metrics.steal_attempts <- m.Metrics.steal_attempts + 1;
-        match Ws_core.Queue_intf.steal queues.(victim) with
-        | `Task t ->
-            m.Metrics.steals <- m.Metrics.steals + 1;
-            (* Draining the injector is the front-door path, not a steal
-               between workers, so only worker-victim steals count as
-               stolen task executions. *)
-            if victim = inj then decr in_queue
-            else m.Metrics.tasks_run_stolen <- m.Metrics.tasks_run_stolen + 1;
-            exec_task w t;
-            own_loop ()
-        | `Empty ->
-            m.Metrics.steal_empties <- m.Metrics.steal_empties + 1;
-            Program.work cfg.idle_backoff;
-            hunt ()
-        | `Abort ->
-            m.Metrics.steal_aborts <- m.Metrics.steal_aborts + 1;
-            Program.work cfg.idle_backoff;
-            hunt ()
-      end
-    in
-    own_loop ()
+          else begin
+            let now = Timing.now clk in
+            let soj = now - arrive.(i) in
+            Telemetry.Histogram.observe sojourn soj;
+            Telemetry.Histogram.observe service (now - dequeue_t.(i));
+            Telemetry.Windowed.observe sojourn_windows ~now soj;
+            incr completed;
+            decr in_flight
+          end);
+    }
   in
   for w = 0 to cfg.workers - 1 do
     ignore
-      (Machine.spawn machine ~name:(Printf.sprintf "worker%d" w)
-         (worker_body w))
+      (Machine.spawn machine ~name:(Printf.sprintf "worker%d" w) (fun () ->
+           Engine.schedule metrics queues ~idle_backoff:cfg.idle_backoff src w))
   done;
   ignore (Machine.spawn machine ~name:"injector" injector_body);
-  let shards =
-    match sink with
-    | Some _ -> Some (Telemetry.Shards.create ~n:(cfg.workers + 1))
-    | None -> None
-  in
   let timing =
-    Timing.run ~max_steps:cfg.max_steps ~clock:clk ?sink ?shards machine
-      cfg.costs
+    Timing.run ~max_steps:cfg.max_steps ~clock:clk ?sink machine cfg.costs
   in
-  (match sink with
-  | None -> ()
-  | Some s -> Metrics.fold_into_sink metrics s);
-  let merge_hists shards =
-    let into = Telemetry.Histogram.create () in
-    Array.iter (fun h -> Telemetry.Histogram.merge ~into h) shards;
-    into
-  in
-  let merge_windows shards =
-    let into =
-      Telemetry.Windowed.create ~slots:cfg.window_slots ~width:cfg.window ()
-    in
-    Array.iter (fun w -> Telemetry.Windowed.merge ~into w) shards;
-    into
-  in
-  let sojourn = merge_hists sojourn_shards in
+  Option.iter (Metrics.fold_into_sink metrics) sink;
   let makespan = timing.Timing.makespan in
   {
     injected = !injected;
@@ -332,11 +268,11 @@ let run ?sink cfg =
     p99 = Telemetry.Histogram.percentile sojourn 0.99;
     p999 = Telemetry.Histogram.percentile sojourn 0.999;
     sojourn;
-    qwait = merge_hists qwait_shards;
-    dispatch = merge_hists dispatch_shards;
-    service = merge_hists service_shards;
-    sojourn_windows = merge_windows sojourn_w_shards;
-    qwait_windows = merge_windows qwait_w_shards;
+    qwait;
+    dispatch;
+    service;
+    sojourn_windows;
+    qwait_windows;
     peak_queue = !peak_queue;
     block_spins = !block_spins;
     offered_rate = Open_load.mean_rate cfg.arrival;

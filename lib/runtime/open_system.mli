@@ -6,9 +6,10 @@
     δ-relaxed queue can never hand its last item to a thief (ABORT
     subsumes EMPTY), which would strand the final arrival in a deque whose
     owner only puts. Each request runs as a chain of dependent stages on
-    the worker deques (which do use [config.queue]); sojourn latency
-    (arrival to last-stage completion, in ticks) is recorded through
-    per-worker histogram shards and reported as p50/p99/p999.
+    the worker deques (which do use [config.queue]), through the same
+    worker loop as DAG runs ({!Engine.schedule}); sojourn latency
+    (arrival to last-stage completion, in ticks) is reported as
+    p50/p99/p999.
 
     Fully deterministic: the load is a pre-drawn {!Open_load.plan}, worker
     victim choice uses the same seeded generator, and the timing engine
@@ -72,6 +73,5 @@ type report = {
 }
 
 val run : ?sink:Telemetry.Sink.t -> config -> report
-(** Run to quiescence. With [sink], the sharded counter plane is attached
-    (one shard per worker plus one for the injector) and batch-merged into
-    [sink] at the end of the run, and task-level metrics are folded in. *)
+(** Run to quiescence. With [sink], the run's machine and queue counters
+    accumulate in it, and task-level metrics are folded in at the end. *)

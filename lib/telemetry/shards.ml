@@ -1,8 +1,8 @@
-(* Per-worker/per-domain sharding of the counter plane.
+(* Per-domain sharding of the counter plane.
 
    A [Shards.t] is a fixed ring of independent {!Sink.t}s. Writers are
-   assigned a shard by index (worker id, simulated thread id, domain slot)
-   and bump plain mutable ints in their own shard only — the hot path has
+   assigned a shard by index (a {!Par_runner} domain slot) and bump plain
+   mutable ints in their own shard only — the hot path has
    zero cross-shard (and hence zero cross-domain) writes and no
    synchronization at all. Reads happen at quiescence points: an explicit
    batched {!merge} folds every shard into a root sink and drains the

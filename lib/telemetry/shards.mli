@@ -1,5 +1,7 @@
-(** Sharded counter plane: a fixed ring of {!Sink.t}s, one per
-    worker/domain, with an explicit batched merge at quiescence points.
+(** Sharded counter plane: a fixed ring of {!Sink.t}s, one per host
+    domain, with an explicit batched merge at quiescence points. A
+    simulated run needs none: all of its simulated threads run on one host
+    thread, so it attaches a single sink.
 
     Writers bump only their own shard, so the accounting path adds no
     synchronization (and no cross-domain cache traffic) that the measured
@@ -32,7 +34,6 @@ val sinks : t -> Sink.t array
 val merge : into:Sink.t -> t -> unit
 (** Batched quiescence-point merge: fold every shard into [into], then
     reset the shards (drain semantics — merging twice adds nothing new).
-    Call only while writers are quiescent ({!Par_runner} joins, engine run
-    end, pool folds). *)
+    Call only while writers are quiescent (the {!Par_runner} joins). *)
 
 val reset : t -> unit

@@ -65,12 +65,6 @@ type t = {
      single physical-equality check per transition, mirroring the
      [n_listeners > 0] guard on event strings. *)
   mutable sink : Telemetry.Sink.t option;
-  (* Counter routing table, always consistent with [sink]: empty when
-     detached, [|root|] for a plain sink, one entry per shard when a
-     sharded plane is attached (events on thread [tid] are charged to
-     [counters.(tid mod length)]). Counting sites test only this array's
-     length, so the detached cost stays a single check. *)
-  mutable counters : Telemetry.Sink.t array;
   (* Response recording for {!snapshot}/{!restore_into}. Off by default so
      the simulator hot path pays one boolean test per executed
      instruction. *)
@@ -88,40 +82,24 @@ let create ?mem cfg =
     n_listeners = 0;
     steps = 0;
     sink = None;
-    counters = [||];
     record = false;
   }
 
 let memory t = t.mem
 let config t = t.cfg
 
-let set_sink t s =
-  t.sink <- Some s;
-  t.counters <- [| s |]
-
-let set_sharded_sink t s shards =
-  t.sink <- Some s;
-  t.counters <- Telemetry.Shards.sinks shards
-
-let clear_sink t =
-  t.sink <- None;
-  t.counters <- [||]
-
+let set_sink t s = t.sink <- Some s
+let clear_sink t = t.sink <- None
 let sink t = t.sink
-let counters t = t.counters
 
 (* Queue-layer hook: the fence-free thieves count each delta certification
    they attempt ([t - delta > h]) against the machine's sink. Host-side and
    deterministic — it fires exactly when the simulated steal path executes
-   the comparison. The caller does not know which simulated thread is
-   stealing, so the check is charged to shard 0; merged totals are
-   unaffected (shard merging is pure addition). *)
+   the comparison. *)
 let count_delta_check t =
-  let r = t.counters in
-  if Array.length r > 0 then begin
-    let s = Array.unsafe_get r 0 in
-    s.Telemetry.Sink.delta_checks <- s.Telemetry.Sink.delta_checks + 1
-  end
+  match t.sink with
+  | None -> ()
+  | Some s -> s.Telemetry.Sink.delta_checks <- s.Telemetry.Sink.delta_checks + 1
 
 let spawn t ~name body =
   let tid = t.n_threads in
@@ -481,23 +459,11 @@ let count_drain (s : Telemetry.Sink.t) th result =
   Telemetry.Histogram.observe s.egress_depth
     (if Store_buffer.can_flush_egress th.buf then 1 else 0)
 
-(* The sink charged for thread [tid]'s events: its shard when a sharded
-   plane is attached ([counters] has one entry per shard), the root sink
-   otherwise ([counters] = [|root|]). Callers must have checked that the
-   routing table is non-empty. *)
-let[@inline] counter_for t tid =
-  let r = t.counters in
-  Array.unsafe_get r (tid mod Array.length r)
-
 let apply t tr =
   t.steps <- t.steps + 1;
-  let tr_tid =
-    match tr with Step tid -> tid | Drain (tid, _) -> tid | Flush tid -> tid
-  in
-  let counting = Array.length t.counters > 0 in
-  (if counting then
-     let s = counter_for t tr_tid in
-     s.Telemetry.Sink.steps <- s.Telemetry.Sink.steps + 1);
+  (match t.sink with
+  | None -> ()
+  | Some s -> s.Telemetry.Sink.steps <- s.Telemetry.Sink.steps + 1);
   match tr with
   | Step tid -> (
       let th = thread t tid in
@@ -510,7 +476,7 @@ let apply t tr =
           th.hist <- mix (mix th.hist (encode_request req)) (encode_response req v);
           if t.record then log_response th (encode_response req v);
           th.status <- Program.resume k v;
-          if counting then count_exec (counter_for t tid) th req;
+          (match t.sink with None -> () | Some s -> count_exec s th req);
           (* The formatted instruction string exists only for listeners;
              without any registered, nothing is formatted. *)
           if t.n_listeners > 0 then begin
@@ -521,14 +487,14 @@ let apply t tr =
   | Drain (tid, lane) ->
       let th = thread t tid in
       let result = Store_buffer.drain_lane th.buf lane t.mem in
-      if counting then count_drain (counter_for t tid) th result;
+      (match t.sink with None -> () | Some s -> count_drain s th result);
       if t.n_listeners > 0 then emit t (Ev_drain { tid; result })
   | Flush tid ->
       let th = thread t tid in
       let addr, value = Store_buffer.flush_egress th.buf t.mem in
-      (if counting then
-         let s = counter_for t tid in
-         s.Telemetry.Sink.flushes <- s.Telemetry.Sink.flushes + 1);
+      (match t.sink with
+      | None -> ()
+      | Some s -> s.Telemetry.Sink.flushes <- s.Telemetry.Sink.flushes + 1);
       if t.n_listeners > 0 then emit t (Ev_flush { tid; addr; value })
 
 (* One buffered store (egress slot or buffer-proper entry) folded into a
@@ -789,11 +755,11 @@ let restore_into snap t =
   done;
   t.steps <- snap.s_steps;
   t.record <- true;
-  let r = t.counters in
-  if Array.length r > 0 then begin
-    let s = Array.unsafe_get r 0 in
-    s.Telemetry.Sink.snapshot_restores <- s.Telemetry.Sink.snapshot_restores + 1
-  end
+  match t.sink with
+  | None -> ()
+  | Some s ->
+      s.Telemetry.Sink.snapshot_restores <-
+        s.Telemetry.Sink.snapshot_restores + 1
 
 (* The pre-optimisation digest, kept as a debug cross-check: the alcotest
    suite differential-tests {!fingerprint}'s equality classes against it

@@ -145,31 +145,14 @@ val set_sink : t -> Telemetry.Sink.t -> unit
     laziness: with no sink attached the per-transition cost is one mutable
     field read. *)
 
-val set_sharded_sink : t -> Telemetry.Sink.t -> Telemetry.Shards.t -> unit
-(** Attach a sharded counter plane: events on simulated thread [tid] are
-    charged to shard [tid mod n] instead of the root sink, so per-thread
-    accounting never shares a cache line. The root sink receives nothing
-    until the caller merges the shards into it at a quiescence point
-    ({!Telemetry.Shards.merge}); after that merge the totals are
-    byte-identical to what a plain {!set_sink} run would have produced. *)
-
 val clear_sink : t -> unit
 
 val sink : t -> Telemetry.Sink.t option
-(** The root sink, attached by {!set_sink} or {!set_sharded_sink}. Under
-    sharding it holds nothing until the shards are merged. *)
-
-val counters : t -> Telemetry.Sink.t array
-(** The counter routing table: [[||]] when detached, [[|root|]] for a
-    plain sink, one entry per shard when sharded. Exposed so the queue
-    layer's counting shim can route per-queue writes with a single length
-    test; callers must not resize it. *)
+(** The sink attached by {!set_sink}, if any. *)
 
 val count_delta_check : t -> unit
 (** Bump the δ-check counter (fence-free steal-side bound checks); no-op
-    when no sink is attached. Called by the deque implementations, which
-    do not know the stealing thread — under sharding the check is charged
-    to shard 0 (merged totals are unaffected). *)
+    when no sink is attached. Called by the deque implementations. *)
 
 (** {1 Introspection for the timing engine} *)
 

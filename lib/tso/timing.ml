@@ -75,8 +75,8 @@ type clock = { mutable now : int }
 let clock () = { now = 0 }
 let now c = c.now
 
-let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
-    ?(trace_pid = 0) m costs =
+let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?tracer ?(trace_pid = 0) m
+    costs =
   (match Machine.config m with
   | { buffer_model = Store_buffer.Abstract; _ } -> ()
   | _ -> invalid_arg "Timing.run: requires the Abstract buffer model");
@@ -84,19 +84,8 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
   let n = Machine.thread_count m in
   (* One knob for counter collection: attaching the sink here also turns on
      the machine-level counters (loads/stores/occupancy/...); this function
-     adds the stall attribution the machine cannot see. With [shards], each
-     simulated thread accumulates into its own shard and the batched merge
-     below (this run's quiescence point) folds them into the root sink, so
-     the reported totals are byte-identical to an unsharded run. *)
-  (match sink, shards with
-  | Some s, Some sh -> Machine.set_sharded_sink m s sh
-  | Some s, None -> Machine.set_sink m s
-  | None, _ -> ());
-  (* Stall attribution goes to the stalled thread's shard (or the root
-     sink when unsharded). *)
-  let stall_sink tid s =
-    match shards with Some sh -> Telemetry.Shards.shard sh tid | None -> s
-  in
+     adds the stall attribution the machine cannot see. *)
+  (match sink with Some s -> Machine.set_sink m s | None -> ());
   (match tracer with
   | None -> ()
   | Some tr ->
@@ -241,7 +230,6 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
                 match sink with
                 | None -> ()
                 | Some s ->
-                    let s = stall_sink tid s in
                     s.Telemetry.Sink.drain_stall_cycles <-
                       s.Telemetry.Sink.drain_stall_cycles
                       + max 0 (c.drain_free - clock_before)
@@ -261,7 +249,6 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
           | Machine.C_none -> assert false);
           (match cls, sink with
           | (Machine.C_rmw | Machine.C_fence), Some s ->
-              let s = stall_sink tid s in
               s.Telemetry.Sink.fence_stall_cycles <-
                 s.Telemetry.Sink.fence_stall_cycles + (time - clock_before)
           | _ -> ());
@@ -309,11 +296,6 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
        incr steps
      done
    with Exit -> ());
-  (* Quiescence point: no simulated thread is running, so the batched
-     shard merge is safe and the root sink now carries the run's totals. *)
-  (match sink, shards with
-  | Some s, Some sh -> Telemetry.Shards.merge ~into:s sh
-  | _ -> ());
   let threads =
     Array.map
       (fun c ->

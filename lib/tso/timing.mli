@@ -62,7 +62,6 @@ val run :
   ?max_steps:int ->
   ?clock:clock ->
   ?sink:Telemetry.Sink.t ->
-  ?shards:Telemetry.Shards.t ->
   ?tracer:Telemetry.Chrome_trace.t ->
   ?trace_pid:int ->
   Machine.t ->
@@ -90,13 +89,7 @@ val run :
     counters fill in) and additionally receives the stall attribution only
     the timing engine can compute: [fence_stall_cycles] (drain waits before
     fences/RMWs) and [drain_stall_cycles] (stores waiting on a full
-    buffer). [shards] (with [sink]) attaches the sharded counter plane
-    instead: each simulated thread accumulates into shard [tid mod n],
-    stall attribution lands in the stalled thread's shard, and the run's
-    end is the quiescence point where the shards are batch-merged into
-    [sink] — totals byte-identical to an unsharded run, with no shared
-    counter writes while the run executes. [tracer] records a Chrome trace
-    of the run — one span per
+    buffer). [tracer] records a Chrome trace of the run — one span per
     instruction on its simulated core's track, "fence-stall" spans for the
     drain waits, async "sb-store" intervals for each store's residency in
     the store buffer, and an "sb-entries" counter track. [trace_pid]

@@ -815,6 +815,24 @@ let failures_digest fs =
     (Digest.to_hex (Digest.string (String.concat "|" (List.map line fs))))
     0 12
 
+exception Build_budget of int
+exception Row_timeout
+
+(* [f ()] under a wall-clock bound of [seconds]. Broken DPOR bookkeeping
+   can also loop inside a single step (a read chain linked back to
+   itself), building nothing, where no build budget reaches; the alarm's
+   handler raises at the loop's next poll point. *)
+let within seconds f =
+  let previous =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Row_timeout))
+  in
+  ignore (Unix.alarm seconds);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm previous)
+    f
+
 let test_dpor_golden () =
   let expected_keys =
     List.concat_map
@@ -845,36 +863,66 @@ let test_dpor_golden () =
         }
       in
       let mk = Ws_harness.Scenarios.instance spec in
-      let st =
-        match mode with
-        | Stateless ->
-            Explore.search ~max_runs:4000 ~preemption_bound:(Some 2)
-              ~dpor:true ~mk ()
-        | Memo ->
-            Explore.search ~preemption_bound:(Some 3) ~memo:true ~dpor:true
-              ~mk ()
+      let row () =
+        Printf.sprintf "(%S, %d, (%d, %d, %d, %d), %s" queue sb tasks steals
+          delta cs
+          (match mode with Stateless -> "Stateless" | Memo -> "Memo")
       in
-      let got =
-        [|
-          st.Explore.runs;
-          st.truncated;
-          st.deadlocks;
-          st.pruned;
-          st.memo_hits;
-          st.sleep_skips;
-          st.peak_depth;
-        |]
-      in
-      let fs = Explore.failures_in_replay_order st in
-      if got <> counts || failures_digest fs <> digest || List.map snd fs <> msgs
-      then
-        differ :=
-          Printf.sprintf "(%S, %d, (%d, %d, %d, %d), %s, [| %s |], %S, %d failures)"
-            queue sb tasks steals delta cs
-            (match mode with Stateless -> "Stateless" | Memo -> "Memo")
-            (String.concat "; " (Array.to_list (Array.map string_of_int got)))
-            (failures_digest fs) (List.length fs)
-          :: !differ)
+      (* The slowest row takes about a second, so a row still searching
+         after 20 s has broken; the group stops there rather than wait
+         out every later row. *)
+      match
+        within 20 (fun () ->
+            match mode with
+            | Stateless ->
+                Explore.search ~max_runs:4000 ~preemption_bound:(Some 2)
+                  ~dpor:true ~mk ()
+            | Memo ->
+                (* A memoised row runs to completion, so broken DPOR
+                   bookkeeping could keep it searching for hours. Its
+                   recorded search built at most runs + memo hits + sleep
+                   skips instances; past twice that, the row fails. *)
+                let budget = 2 * (counts.(0) + counts.(4) + counts.(5)) in
+                let builds = ref 0 in
+                let mk () =
+                  incr builds;
+                  if !builds > budget then raise (Build_budget budget);
+                  mk ()
+                in
+                Explore.search ~preemption_bound:(Some 3) ~memo:true
+                  ~dpor:true ~mk ())
+      with
+      | exception Build_budget budget ->
+          differ :=
+            Printf.sprintf "%s, spent its budget of %d instance builds)"
+              (row ()) budget
+            :: !differ
+      | exception Row_timeout ->
+          Alcotest.failf "%s) is still searching after 20 s" (row ())
+      | st ->
+          let got =
+            [|
+              st.Explore.runs;
+              st.truncated;
+              st.deadlocks;
+              st.pruned;
+              st.memo_hits;
+              st.sleep_skips;
+              st.peak_depth;
+            |]
+          in
+          let fs = Explore.failures_in_replay_order st in
+          if
+            got <> counts
+            || failures_digest fs <> digest
+            || List.map snd fs <> msgs
+          then
+            differ :=
+              Printf.sprintf "%s, [| %s |], %S, %d failures)" (row ())
+                (String.concat "; "
+                   (Array.to_list (Array.map string_of_int got)))
+                (failures_digest fs) (List.length fs)
+              :: !differ)
     dpor_golden;
   match List.rev !differ with
   | [] -> ()

@@ -400,15 +400,73 @@ let test_open_system_windowed_deterministic () =
     (fun (_, h) -> checki "window histograms carry no negatives" 0 (H.negative h))
     (W.windows a.Open_system.qwait_windows)
 
-let test_open_system_sharded_counters () =
-  (* the sink totals must not depend on the sharded plane's merge order:
-     two identical runs produce byte-identical counter JSON *)
+let test_open_system_counters_reproducible () =
+  (* two identical runs produce byte-identical counter JSON *)
   let render () =
     let sink = Telemetry.Sink.create () in
     ignore (Open_system.run ~sink open_cfg);
     Telemetry.Json.to_string ~indent:true (Telemetry.Sink.to_json sink)
   in
   Alcotest.(check string) "counter JSON reproducible" (render ()) (render ())
+
+(* Every per-worker Metrics field of four small runs, recorded before the
+   DAG and open-system engines shared one worker loop. These host-side
+   counts are in no digest: a loop that counted a front-door steal as a
+   stolen run, or took the wrong one-worker path (a lone DAG worker has
+   no victim; a lone open-system worker steals from the front door),
+   changes a row here. A row is one worker's [tasks_run;
+   tasks_run_stolen; puts; takes; take_empties; steal_attempts; steals;
+   steal_empties; steal_aborts]. *)
+let pinned_metrics =
+  [
+    ("DAG, 1 worker", [ [ 265; 0; 265; 265; 0; 0; 0; 0; 0 ] ]);
+    ( "DAG, 3 workers",
+      [
+        [ 101; 0; 102; 102; 1; 14; 0; 0; 14 ];
+        [ 62; 1; 62; 63; 2; 39; 1; 0; 38 ];
+        [ 102; 1; 101; 102; 1; 12; 1; 0; 11 ];
+      ] );
+    ("open system, 1 worker", [ [ 240; 0; 120; 240; 120; 120; 120; 0; 0 ] ]);
+    ( "open system, 3 workers",
+      [
+        [ 82; 0; 41; 83; 42; 154; 41; 113; 0 ];
+        [ 84; 0; 42; 85; 43; 159; 42; 117; 0 ];
+        [ 74; 0; 37; 74; 37; 178; 37; 141; 0 ];
+      ] );
+  ]
+
+let test_metrics_pinned () =
+  let rows (m : Metrics.t) =
+    Array.to_list
+      (Array.map
+         (fun (w : Metrics.worker) ->
+           [
+             w.Metrics.tasks_run;
+             w.tasks_run_stolen;
+             w.puts;
+             w.takes;
+             w.take_empties;
+             w.steal_attempts;
+             w.steals;
+             w.steal_empties;
+             w.steal_aborts;
+           ])
+         m.Metrics.workers)
+  in
+  let dag workers =
+    (Engine.run_timed
+       { (engine_cfg "ff-the") with workers }
+       (Dag.instantiate (Lazy.force fib_dag) ~name:"fib10"))
+      .Engine.metrics
+  in
+  let open_system workers =
+    (Open_system.run { open_cfg with Open_system.workers }).Open_system.metrics
+  in
+  let runs = [ dag 1; dag 3; open_system 1; open_system 3 ] in
+  List.iter2
+    (fun (name, expected) m ->
+      Alcotest.(check (list (list int))) name expected (rows m))
+    pinned_metrics runs
 
 let () =
   Alcotest.run "runtime"
@@ -470,11 +528,16 @@ let () =
             test_open_system_drop_under_overload;
           Alcotest.test_case "block backpressure" `Quick
             test_open_system_block_backpressure;
-          Alcotest.test_case "sharded counters reproducible" `Quick
-            test_open_system_sharded_counters;
+          Alcotest.test_case "counter JSON reproducible" `Quick
+            test_open_system_counters_reproducible;
           Alcotest.test_case "stage attribution partitions sojourn" `Quick
             test_open_system_stage_attribution;
           Alcotest.test_case "windowed series deterministic" `Quick
             test_open_system_windowed_deterministic;
+        ] );
+      ( "loop",
+        [
+          Alcotest.test_case "per-worker metrics pinned" `Quick
+            test_metrics_pinned;
         ] );
     ]

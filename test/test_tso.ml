@@ -885,57 +885,6 @@ let test_timing_domain_isolation () =
   checkb "the two grids differ (test is not vacuous)" true
     (seq0.Timing.makespan <> seq9.Timing.makespan)
 
-let test_timing_sharded_sink_byte_identical () =
-  (* the sharded counter plane is invisible in the totals: a run whose
-     threads accumulate into per-thread shards (merged at quiescence) must
-     render the same sink JSON, byte for byte, as a run writing the plain
-     sink directly — queue-op counters (Counted shim, shard-routed) and
-     machine counters alike *)
-  let build () =
-    let m = Machine.create (Machine.abstract_config ~sb_capacity:4) in
-    let params =
-      {
-        Ws_core.Queue_intf.capacity = 64;
-        delta = 2;
-        worker_fence = false;
-        tag = "q";
-      }
-    in
-    let q =
-      Ws_core.Registry.create ~shard:0 (Ws_core.Registry.find "ff-the") m
-        params
-    in
-    let _ =
-      Machine.spawn m ~name:"owner" (fun () ->
-          for i = 1 to 16 do
-            Ws_core.Queue_intf.put q i
-          done;
-          let rec drain () =
-            match Ws_core.Queue_intf.take q with
-            | `Task _ -> drain ()
-            | `Empty -> ()
-          in
-          drain ())
-    in
-    let _ =
-      Machine.spawn m ~name:"thief" (fun () ->
-          for _ = 1 to 8 do
-            ignore (Ws_core.Queue_intf.steal q)
-          done)
-    in
-    m
-  in
-  let plain = Telemetry.Sink.create () in
-  let r1 = Timing.run ~sink:plain (build ()) costs in
-  let merged = Telemetry.Sink.create () in
-  let shards = Telemetry.Shards.create ~n:2 in
-  let r2 = Timing.run ~sink:merged ~shards (build ()) costs in
-  checki "same makespan" r1.Timing.makespan r2.Timing.makespan;
-  Alcotest.(check string)
-    "sink JSON byte-identical"
-    (Telemetry.Json.to_string ~indent:true (Telemetry.Sink.to_json plain))
-    (Telemetry.Json.to_string ~indent:true (Telemetry.Sink.to_json merged))
-
 (* The engine as it stood before each core cached its next events: every
    step rescans every core (two feasibility calls each) and tests
    [Machine.quiescent] before selecting. Kept verbatim as the oracle that the
@@ -962,7 +911,7 @@ module Reference_timing = struct
 
   type clock = { mutable now : int }
 
-  let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
+  let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?tracer
       ?(trace_pid = 0) m costs =
     (match Machine.config m with
     | { buffer_model = Store_buffer.Abstract; _ } -> ()
@@ -971,19 +920,8 @@ module Reference_timing = struct
     let n = Machine.thread_count m in
     (* One knob for counter collection: attaching the sink here also turns on
        the machine-level counters (loads/stores/occupancy/...); this function
-       adds the stall attribution the machine cannot see. With [shards], each
-       simulated thread accumulates into its own shard and the batched merge
-       below (this run's quiescence point) folds them into the root sink, so
-       the reported totals are byte-identical to an unsharded run. *)
-    (match sink, shards with
-    | Some s, Some sh -> Machine.set_sharded_sink m s sh
-    | Some s, None -> Machine.set_sink m s
-    | None, _ -> ());
-    (* Stall attribution goes to the stalled thread's shard (or the root
-       sink when unsharded). *)
-    let stall_sink tid s =
-      match shards with Some sh -> Telemetry.Shards.shard sh tid | None -> s
-    in
+       adds the stall attribution the machine cannot see. *)
+    (match sink with Some s -> Machine.set_sink m s | None -> ());
     (match tracer with
     | None -> ()
     | Some tr ->
@@ -1126,7 +1064,6 @@ module Reference_timing = struct
                   match sink with
                   | None -> ()
                   | Some s ->
-                      let s = stall_sink tid s in
                       s.Telemetry.Sink.drain_stall_cycles <-
                         s.Telemetry.Sink.drain_stall_cycles
                         + max 0 (c.drain_free - clock_before)
@@ -1146,7 +1083,6 @@ module Reference_timing = struct
             | Machine.C_none -> assert false);
             (match cls, sink with
             | (Machine.C_rmw | Machine.C_fence), Some s ->
-                let s = stall_sink tid s in
                 s.Telemetry.Sink.fence_stall_cycles <-
                   s.Telemetry.Sink.fence_stall_cycles + (time - clock_before)
             | _ -> ());
@@ -1193,11 +1129,6 @@ module Reference_timing = struct
          incr steps
        done
      with Exit -> ());
-    (* Quiescence point: no simulated thread is running, so the batched
-       shard merge is safe and the root sink now carries the run's totals. *)
-    (match sink, shards with
-    | Some s, Some sh -> Telemetry.Shards.merge ~into:s sh
-    | _ -> ());
     let threads =
       Array.map
         (fun c ->
@@ -1263,29 +1194,23 @@ let timing_case_machine tc =
     tc.progs;
   m
 
-(* Everything a run shows: the reports of a plain-sink, a sharded-sink and
-   a traced run, both sinks' JSON, the final memory and the trace bytes. *)
+(* Everything a run shows: the reports of a sink-attached and a traced
+   run, the sink's JSON, the final memory and the trace bytes. *)
 let timing_observe ~reference tc =
-  let run ?sink ?shards ?tracer m =
+  let run ?sink ?tracer m =
     if reference then
-      Reference_timing.run ?max_steps:tc.limit ?sink ?shards ?tracer
-        ~trace_pid:3 m tc.tcosts
-    else
-      Timing.run ?max_steps:tc.limit ?sink ?shards ?tracer ~trace_pid:3 m
+      Reference_timing.run ?max_steps:tc.limit ?sink ?tracer ~trace_pid:3 m
         tc.tcosts
+    else Timing.run ?max_steps:tc.limit ?sink ?tracer ~trace_pid:3 m tc.tcosts
   in
-  let json s = Telemetry.Json.to_string (Telemetry.Sink.to_json s) in
   let m = timing_case_machine tc in
-  let plain = Telemetry.Sink.create () in
-  let r = run ~sink:plain m in
+  let sink = Telemetry.Sink.create () in
+  let r = run ~sink m in
   let mem = Memory.snapshot (Machine.memory m) in
-  let merged = Telemetry.Sink.create () in
-  let shards = Telemetry.Shards.create ~n:2 in
-  let r_sharded = run ~sink:merged ~shards (timing_case_machine tc) in
   let tr = Telemetry.Chrome_trace.create () in
   let r_traced = run ~tracer:tr (timing_case_machine tc) in
-  ( (r, r_sharded, r_traced),
-    (json plain, json merged),
+  ( (r, r_traced),
+    Telemetry.Json.to_string (Telemetry.Sink.to_json sink),
     mem,
     Telemetry.Chrome_trace.to_string tr )
 
@@ -2169,8 +2094,6 @@ let () =
           Alcotest.test_case "instruction stats" `Quick test_timing_stats;
           Alcotest.test_case "concurrent domains are isolated" `Quick
             test_timing_domain_isolation;
-          Alcotest.test_case "sharded sink byte-identical to plain" `Quick
-            test_timing_sharded_sink_byte_identical;
           QCheck_alcotest.to_alcotest timing_oracle_prop;
           Alcotest.test_case "oracle: store on a full buffer" `Quick
             test_timing_oracle_full_buffer;
