@@ -236,27 +236,19 @@ let memo_arg =
           "Memoize visited machine states, pruning interleavings that \
            converge to an already-explored state.")
 
-let por_arg =
-  Arg.(
-    value & flag
-    & info [ "por" ]
-        ~doc:
-          "Sleep-set partial-order reduction: skip interleavings that only \
-           commute independent transitions of already-explored ones. \
-           Verdicts and replayable failure prefixes are unchanged; the run \
-           count typically drops by 5-100x.")
-
 let dpor_arg =
   Arg.(
     value & flag
     & info [ "dpor" ]
         ~doc:
-          "Source-DPOR (implies $(b,--por)): on top of sleep sets, track \
-           races between executed transitions via their memory footprints \
-           and backtrack only into interleavings that reverse an observed \
-           race, instead of enumerating every non-sleeping sibling. \
-           Verdicts and failure sets are unchanged; the run count and \
-           (especially) the sleep-set skip work drop further.")
+          "Source-DPOR with sleep sets: track races between executed \
+           transitions via their memory footprints and backtrack only into \
+           interleavings that reverse an observed race, instead of \
+           enumerating every sibling; skip interleavings that only commute \
+           independent transitions of already-explored ones. Verdicts and \
+           replayable failure prefixes are unchanged; the run count drops \
+           wherever threads touch disjoint data. Where nearly every state \
+           is a memo hit, the unreduced search is as fast.")
 
 let memo_file_arg =
   Arg.(
@@ -272,26 +264,15 @@ let memo_file_arg =
            rejected. Warm reruns prune at every stored state and report \
            the stored failure set.")
 
-let snapshots_arg =
-  Arg.(
-    value & opt bool true
-    & info [ "snapshots" ] ~docv:"BOOL"
-        ~doc:
-          "Reach sibling branches by restoring machine snapshots instead of \
-           replaying the schedule prefix from the root. Results are \
-           byte-identical either way; $(b,--snapshots=false) is the replay \
-           oracle the snapshot path is differentially tested against.")
-
 (* classic x86-TSO litmus suite *)
 let tso_litmus_cmd =
-  let run memo por dpor memo_file snapshots =
+  let run memo dpor memo_file =
     print_endline
       "== Classic x86-TSO litmus tests against the abstract machine ==";
     let memo = memo || memo_file <> None in
     let results =
       try
-        Ws_litmus.Classic.run_all ~memo ~por ~dpor ?memo_dir:memo_file
-          ~snapshots ()
+        Ws_litmus.Classic.run_all ~memo ~dpor ?memo_dir:memo_file ()
       with Failure e ->
         (* keep stdout (the banner, any completed rows) ahead of the error
            even when both land in one pipe *)
@@ -329,8 +310,7 @@ let tso_litmus_cmd =
   Cmd.v
     (Cmd.info "tso-litmus"
        ~doc:"Validate the machine against the classic x86-TSO litmus tests")
-    Term.(
-      const run $ memo_arg $ por_arg $ dpor_arg $ memo_file $ snapshots_arg)
+    Term.(const run $ memo_arg $ dpor_arg $ memo_file)
 
 (* ablation *)
 let ablation_cmd =
@@ -487,7 +467,7 @@ let trace_cmd =
 (* explore: bounded exhaustive model checking *)
 let explore_cmd =
   let run qname sb delta preloaded steals client_stores max_runs pb fence memo
-      por dpor memo_file metrics snapshots progress forensics trace_failure =
+      dpor memo_file metrics progress forensics trace_failure =
     let spec =
       {
         Ws_harness.Scenarios.default_spec with
@@ -515,7 +495,7 @@ let explore_cmd =
           match
             Tso.Memo_store.open_ ~path ~config
               ~max_depth:Tso.Explore.default_max_depth
-              ~preemption_bound:(Some pb) ~por ~dpor ()
+              ~preemption_bound:(Some pb) ~dpor ()
           with
           | Ok store -> Some store
           | Error e ->
@@ -525,8 +505,7 @@ let explore_cmd =
     in
     let st, clean =
       Ws_harness.Scenarios.explore_check spec ~max_runs
-        ~preemption_bound:(Some pb) ~memo ~por ~dpor ?memo_store ~snapshots
-        ~progress ()
+        ~preemption_bound:(Some pb) ~memo ~dpor ?memo_store ~progress ()
     in
     Printf.printf
       "%s: %d complete runs, %d truncated, %d deadlocks, %d pruned branches%s%s%s, \
@@ -536,7 +515,7 @@ let explore_cmd =
          Printf.sprintf ", %d memo hits (%.1f%% hit rate)" st.memo_hits
            (100.0 *. Tso.Explore.memo_hit_rate st)
        else "")
-      (if por || dpor then
+      (if dpor then
          Printf.sprintf ", %d sleep-set skips" st.sleep_skips
        else "")
       (match memo_store with
@@ -552,7 +531,7 @@ let explore_cmd =
         let doc =
           J.Obj
             [
-              ("schema", J.Str "wsrepro-explore/v2");
+              ("schema", J.Str "wsrepro-explore/v3");
               ("scenario", J.Obj (Ws_harness.Scenarios.spec_json spec));
               ( "bounds",
                 J.Obj
@@ -560,9 +539,7 @@ let explore_cmd =
                     ("max_runs", J.Int max_runs);
                     ("preemption_bound", J.Int pb);
                     ("memo", J.Bool memo);
-                    ("por", J.Bool (por || dpor));
                     ("dpor", J.Bool dpor);
-                    ("snapshots", J.Bool snapshots);
                   ] );
               ( "stats",
                 J.Obj
@@ -705,7 +682,7 @@ let explore_cmd =
       & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
-            "Write a machine-readable $(b,wsrepro-explore/v2) JSON sidecar: \
+            "Write a machine-readable $(b,wsrepro-explore/v3) JSON sidecar: \
              the scenario and bounds, the explorer statistics (with \
              $(b,complete), false when the run budget stopped the search) \
              and the persistent memo-store counters when $(b,--memo-file) \
@@ -730,9 +707,8 @@ let explore_cmd =
        ~doc:"Bounded exhaustive model checking of a queue")
     Term.(
       const run $ queue_arg $ sb $ delta $ preloaded $ steals $ client_stores
-      $ max_runs $ pb $ fence $ memo_arg $ por_arg $ dpor_arg $ memo_file_arg
-      $ explore_metrics $ snapshots_arg $ progress_arg $ forensics_arg
-      $ trace_failure_arg)
+      $ max_runs $ pb $ fence $ memo_arg $ dpor_arg $ memo_file_arg
+      $ explore_metrics $ progress_arg $ forensics_arg $ trace_failure_arg)
 
 (* native: the pool on real silicon — sim-vs-native parity or a scenario replay *)
 let backend_conv =

@@ -9,7 +9,7 @@
    is sound. The explorer finds a duplicated task for delta = 1 and proves
    (within the bound) that delta = 2 has no such execution. *)
 
-let explore ?(por = false) ~delta () =
+let explore ?(dpor = false) ~delta () =
   let spec =
     {
       Ws_harness.Scenarios.default_spec with
@@ -27,7 +27,7 @@ let explore ?(por = false) ~delta () =
      the thief), so a CHESS bound of 3 keeps the search exhaustive-within-
      bound AND small enough to finish *)
   Ws_harness.Scenarios.explore_check spec ~max_runs:2_000_000
-    ~preemption_bound:(Some 3) ~por ()
+    ~preemption_bound:(Some 3) ~dpor ()
 
 let () =
   Printf.printf "machine: TSO[2]; worker does 0 stores between takes\n\n";
@@ -48,17 +48,18 @@ let () =
     print_endline
       "  verified: no task lost or duplicated under any schedule with <= 3 preemptions";
   print_newline ();
-  (* the same proof, reduced: sleep-set POR skips interleavings that only
-     commute independent transitions, so both verdicts are re-established
-     from a fraction of the runs *)
-  let unsound_por, _ = explore ~por:true ~delta:1 () in
-  let sound_por, _ = explore ~por:true ~delta:2 () in
+  (* the same proof, reduced: source-DPOR only reverses the races it
+     observes and skips interleavings that only commute independent
+     transitions, so both verdicts are re-established from a fraction of
+     the runs *)
+  let unsound_dpor, _ = explore ~dpor:true ~delta:1 () in
+  let sound_dpor, _ = explore ~dpor:true ~delta:2 () in
   Printf.printf
-    "with sleep-set POR: delta = 1 finds the violation in %d runs (%s), and\n\
+    "with source-DPOR: delta = 1 finds the violation in %d runs (%s), and\n\
     \  delta = 2 is re-verified in %d runs (was %d, %.1fx fewer)\n"
-    unsound_por.Tso.Explore.runs
-    (if unsound_por.Tso.Explore.failures <> [] then "violation found"
+    unsound_dpor.Tso.Explore.runs
+    (if unsound_dpor.Tso.Explore.failures <> [] then "violation found"
      else "VIOLATION LOST")
-    sound_por.Tso.Explore.runs sound.Tso.Explore.runs
+    sound_dpor.Tso.Explore.runs sound.Tso.Explore.runs
     (float_of_int sound.Tso.Explore.runs
-    /. float_of_int (max 1 sound_por.Tso.Explore.runs))
+    /. float_of_int (max 1 sound_dpor.Tso.Explore.runs))

@@ -33,7 +33,6 @@ let spec_json spec =
     | Store_buffer.Abstract -> "abstract"
     | Store_buffer.Realistic { coalesce = true } -> "realistic+coalesce"
     | Store_buffer.Realistic { coalesce = false } -> "realistic"
-    | Store_buffer.Pso -> "pso"
   in
   [
     ("queue", Telemetry.Json.Str spec.queue);
@@ -152,8 +151,7 @@ let random_check spec ~seeds ?(drain_weight = 0.1) () =
   go seeds
 
 let explore_check spec ?max_runs ?max_depth ?preemption_bound ?(memo = false)
-    ?(por = false) ?(dpor = false) ?memo_store ?(snapshots = true)
-    ?(progress = false) () =
+    ?(dpor = false) ?memo_store ?(progress = false) () =
   let reporter =
     if progress then Some (Telemetry.Progress.create ~label:"explore" ())
     else None
@@ -170,8 +168,8 @@ let explore_check spec ?max_runs ?max_depth ?preemption_bound ?(memo = false)
       reporter
   in
   let st =
-    Explore.search ?max_runs ?max_depth ?preemption_bound ~memo ~por ~dpor
-      ?memo_store ~snapshots ?on_progress ~mk:(instance spec) ()
+    Explore.search ?max_runs ?max_depth ?preemption_bound ~memo ~dpor
+      ?memo_store ?on_progress ~mk:(instance spec) ()
   in
   Option.iter (fun rep -> Telemetry.Progress.finish rep) reporter;
   ( st,

@@ -44,25 +44,20 @@ val explore_check :
   ?max_depth:int ->
   ?preemption_bound:int option ->
   ?memo:bool ->
-  ?por:bool ->
   ?dpor:bool ->
   ?memo_store:Tso.Memo_store.t ->
-  ?snapshots:bool ->
   ?progress:bool ->
   unit ->
   Tso.Explore.stats * bool
 (** Bounded exhaustive exploration of the scenario. [memo] enables the
-    visited-state cache; [por] enables sleep-set partial-order reduction
-    (same verdicts and failure prefixes, far fewer runs); [dpor] adds
-    source-DPOR race reversal on top ([dpor] implies [por]); [memo_store]
-    backs the memo cache with a persistent on-disk store; [snapshots]
-    selects snapshot-based sibling exploration (default) vs
-    replay-from-root. With [progress] a live status line (runs/s, depth
-    frontier, memo hit rate) is maintained on stderr. Defaults:
-    [memo = false], [por = false], [dpor = false], [snapshots = true],
-    [progress = false]. Returns the explorer statistics and a clean-verdict
-    flag, true iff the search completed within its run budget, found no
-    failure and cut no run at the depth bound. *)
+    visited-state cache; [dpor] enables source-DPOR with sleep sets (same
+    verdicts and failure prefixes, fewer runs); [memo_store] backs the
+    memo cache with a persistent on-disk store. With [progress] a live
+    status line (runs/s, depth frontier, memo hit rate) is maintained on
+    stderr. Defaults: [memo = false], [dpor = false], [progress = false].
+    Returns the explorer statistics and a clean-verdict flag, true iff the
+    search completed within its run budget, found no failure and cut no
+    run at the depth bound. *)
 
 (** {1 Open-system scenarios}
 

@@ -241,8 +241,7 @@ type result = {
   memo_hits : int;
 }
 
-let run ?(max_runs = 400_000) ?(memo = false) ?(por = false)
-    ?(dpor = false) ?memo_dir ?(snapshots = true) test =
+let run ?(max_runs = 400_000) ?(memo = false) ?(dpor = false) ?memo_dir test =
   let memo_store =
     match memo_dir with
     | None -> None
@@ -252,15 +251,14 @@ let run ?(max_runs = 400_000) ?(memo = false) ?(por = false)
         let path = Filename.concat dir test.name in
         match
           Tso.Memo_store.open_ ~path ~config:("tso-litmus/" ^ test.name)
-            ~max_depth:Explore.default_max_depth ~preemption_bound:None ~por
-            ~dpor ()
+            ~max_depth:Explore.default_max_depth ~preemption_bound:None ~dpor
+            ()
         with
         | Ok store -> Some store
         | Error e -> failwith e)
   in
   let st =
-    Explore.search ~max_runs ~memo ~por ~dpor ?memo_store ~snapshots
-      ~mk:test.mk ()
+    Explore.search ~max_runs ~memo ~dpor ?memo_store ~mk:test.mk ()
   in
   let observed = st.Explore.failures <> [] in
   let exhausted = st.Explore.complete && st.Explore.truncated = 0 in
@@ -276,8 +274,8 @@ let run ?(max_runs = 400_000) ?(memo = false) ?(por = false)
   in
   { test; observed; runs = st.Explore.runs; exhausted; ok; memo_lookups; memo_hits }
 
-let run_all ?max_runs ?memo ?por ?dpor ?memo_dir ?snapshots () =
-  List.map (fun t -> run ?max_runs ?memo ?por ?dpor ?memo_dir ?snapshots t) all
+let run_all ?max_runs ?memo ?dpor ?memo_dir () =
+  List.map (fun t -> run ?max_runs ?memo ?dpor ?memo_dir t) all
 
 let pp_result ppf r =
   Format.fprintf ppf "%-18s %-9s %-12s %7d runs%s  %s" r.test.name

@@ -44,32 +44,20 @@ type result = {
 }
 
 val run :
-  ?max_runs:int ->
-  ?memo:bool ->
-  ?por:bool ->
-  ?dpor:bool ->
-  ?memo_dir:string ->
-  ?snapshots:bool ->
-  t ->
-  result
+  ?max_runs:int -> ?memo:bool -> ?dpor:bool -> ?memo_dir:string -> t -> result
 (** Decide one test's verdict by bounded exhaustive search. [memo] prunes
     converged interleavings, shrinking [runs] without changing [observed];
-    [por] applies sleep-set partial-order reduction (same verdicts, far
-    fewer [runs]); [dpor] upgrades to source-DPOR (implies [por], fewer
-    [runs] again); [memo_dir] persists the visited-state cache under
+    [dpor] applies source-DPOR with sleep sets (same verdicts, far fewer
+    [runs]); [memo_dir] persists the visited-state cache under
     [memo_dir/<test name>] across invocations ({!Tso.Memo_store}; raises
-    [Failure] with the store's diagnostic on a header mismatch);
-    [snapshots] selects snapshot-based sibling exploration (default) vs
-    replay-from-root. Defaults: [memo = false], [por = false],
-    [dpor = false], [snapshots = true]. *)
+    [Failure] with the store's diagnostic on a header mismatch). Defaults:
+    [memo = false], [dpor = false]. *)
 
 val run_all :
   ?max_runs:int ->
   ?memo:bool ->
-  ?por:bool ->
   ?dpor:bool ->
   ?memo_dir:string ->
-  ?snapshots:bool ->
   unit ->
   result list
 val pp_result : Format.formatter -> result -> unit

@@ -1,7 +1,7 @@
 (* Per-domain sharding of the counter plane.
 
    A [Shards.t] is a fixed ring of independent {!Sink.t}s. Writers are
-   assigned a shard by index (a {!Par_runner} domain slot) and bump plain
+   assigned a sink by index (a {!Par_runner} domain slot) and bump plain
    mutable ints in their own shard only — the hot path has
    zero cross-shard (and hence zero cross-domain) writes and no
    synchronization at all. Reads happen at quiescence points: an explicit
@@ -17,8 +17,6 @@
 type t = { sinks : Sink.t array }
 
 let create ~n = { sinks = Array.init (max 1 n) (fun _ -> Sink.create ()) }
-let length t = Array.length t.sinks
-let shard t i = t.sinks.(i mod Array.length t.sinks)
 let sinks t = t.sinks
 
 let merge ~into t =
@@ -27,5 +25,3 @@ let merge ~into t =
       Sink.merge ~into s;
       Sink.reset s)
     t.sinks
-
-let reset t = Array.iter Sink.reset t.sinks

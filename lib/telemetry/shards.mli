@@ -21,19 +21,11 @@ type t
 val create : n:int -> t
 (** [n] shards ([n <= 0] is clamped to 1), all zeroed. *)
 
-val length : t -> int
-
-val shard : t -> int -> Sink.t
-(** [shard t i] is shard [i mod length t] — out-of-range ids wrap rather
-    than raise, so a caller sized for W workers can route any id. *)
-
 val sinks : t -> Sink.t array
-(** The underlying ring, for routing tables that index it directly. Do not
+(** The shards, for routing tables that index them directly. Do not
     resize; mutating the sinks is the whole point. *)
 
 val merge : into:Sink.t -> t -> unit
 (** Batched quiescence-point merge: fold every shard into [into], then
     reset the shards (drain semantics — merging twice adds nothing new).
     Call only while writers are quiescent (the {!Par_runner} joins). *)
-
-val reset : t -> unit

@@ -5,17 +5,7 @@
    ring of {!Histogram.t}s. Window [w = now / width] lands in slot
    [w mod slots]; arriving at a window the slot has not seen yet evicts
    whatever older window lived there. Writers observe with a monotone
-   clock, so a slot only ever moves to larger window indices.
-
-   Merging follows the same drain-at-quiescence discipline as {!Shards},
-   and the claim rule — a slot is owned by the largest window index that
-   hashes to it; equal indices add bucket-wise, smaller ones are stale and
-   dropped — makes the merge associative and commutative. Merging N
-   per-worker rings fed by a partitioned observation stream therefore
-   yields byte-for-byte (in {!to_json} form) the ring a single writer
-   would have built from the whole stream: each slot ends up holding the
-   globally-largest window index for that residue class, with the full
-   bucket sums of that window. *)
+   clock, so a slot only ever moves to larger window indices. *)
 
 type t = {
   width : int;
@@ -43,47 +33,9 @@ let observe t ~now v =
     t.starts.(s) <- w
   end;
   (* [starts.(s) > w] means a newer window already claimed the slot; the
-     sample is stale (a lagging merge source, never a monotone writer) and
-     is dropped rather than polluting the newer window. *)
+     sample is stale (a non-monotone writer) and is dropped rather than
+     polluting the newer window. *)
   if t.starts.(s) = w then Histogram.observe t.hists.(s) v
-
-let reset t =
-  Array.iter Histogram.reset t.hists;
-  Array.fill t.starts 0 (Array.length t.starts) (-1)
-
-let compatible a b = a.width = b.width && Array.length a.hists = Array.length b.hists
-
-let merge_slot ~into s w src_hist =
-  if into.starts.(s) < w then begin
-    Histogram.reset into.hists.(s);
-    into.starts.(s) <- w
-  end;
-  if into.starts.(s) = w then Histogram.merge ~into:into.hists.(s) src_hist
-
-(* Drain-on-merge, like {!Shards.merge}: fold every occupied slot of [src]
-   into [into], then reset [src], so a second merge adds nothing. *)
-let merge ~into src =
-  if not (compatible into src) then
-    invalid_arg "Windowed.merge: width/slots mismatch";
-  for s = 0 to Array.length src.hists - 1 do
-    if src.starts.(s) >= 0 then merge_slot ~into s src.starts.(s) src.hists.(s)
-  done;
-  reset src
-
-(* Non-draining deep copy, for live scrapers that must not disturb the
-   owner's ring. Fields are single words written by one domain, so a
-   concurrent snapshot is never torn per-field; cross-field consistency
-   only holds at quiescence (same model as {!Shards}). *)
-let snapshot src =
-  let t = create ~slots:(Array.length src.hists) ~width:src.width () in
-  for s = 0 to Array.length src.hists - 1 do
-    let w = src.starts.(s) in
-    if w >= 0 then begin
-      t.starts.(s) <- w;
-      Histogram.merge ~into:t.hists.(s) src.hists.(s)
-    end
-  done;
-  t
 
 (* Occupied windows as [(index, histogram)], oldest first. The histograms
    are the live ring entries — treat them as read-only views. *)

@@ -2,15 +2,7 @@
     fixed-width windows (ticks in the simulator, nanoseconds native) and
     the last [slots] windows are kept in a ring, giving per-window
     percentile series (p50/p99 over time) instead of one end-of-run
-    number.
-
-    Sharding contract, mirroring {!Shards}: writers observe into their own
-    ring with a monotone clock; a quiescence-point {!merge} folds worker
-    rings into a root ring and drains them. The slot claim rule (largest
-    window index wins, equal indices add bucket-wise, smaller are dropped
-    as stale) makes the merge associative and commutative, so the merged
-    ring — and its {!to_json} bytes — are independent of how the
-    observation stream was partitioned across shards. *)
+    number. One writer observes with a monotone clock. *)
 
 type t
 
@@ -26,20 +18,6 @@ val observe : t -> now:int -> int -> unit
     (negative [now] is clamped to 0), evicting the older window resident
     in its ring slot if any. Callers must feed a monotone [now]; a sample
     for a window older than the slot's resident is dropped as stale. *)
-
-val merge : into:t -> t -> unit
-(** Quiescence-point merge: fold every occupied window of [src] into
-    [into], then reset [src] (drain semantics — a second merge adds
-    nothing). Slots resolve by the largest-window-index rule, so merge
-    order across shards cannot change the result.
-    @raise Invalid_argument if [width] or [slots] differ. *)
-
-val snapshot : t -> t
-(** Non-draining deep copy. Safe to take while the owner writes, with
-    the same torn-free-per-field / no-cross-field consistency model as
-    {!Shards}. *)
-
-val reset : t -> unit
 
 val windows : t -> (int * Histogram.t) list
 (** Occupied windows as [(window index, histogram)], oldest first. The

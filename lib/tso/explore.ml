@@ -90,10 +90,10 @@ let[@inline] mix h k = (h lxor k) * fnv_prime
 
 (* {2 Sleep sets}
 
-   Sleep-set partial-order reduction (Godefroid). After a branch node's
-   child [tr] has been fully explored, every execution from a later sibling
-   that schedules only transitions independent of [tr] before eventually
-   firing [tr] is a commuted copy of one already explored under [tr] — so
+   Source-DPOR (below) carries sleep sets (Godefroid). After a branch
+   node's child [tr] has been fully explored, every execution from a later
+   sibling that schedules only transitions independent of [tr] before
+   eventually firing [tr] is a commuted copy of one explored under [tr] — so
    [tr] is put to sleep for the later siblings and skipped wherever it
    stays asleep. A sleeping transition wakes (is dropped) as soon as a
    dependent transition fires; since any transition of the same thread is
@@ -117,7 +117,7 @@ type sleep_entry = { sl_tr : Machine.transition; sl_fp : Machine.footprint }
 let tr_equal a b =
   match (a, b) with
   | Machine.Step t, Machine.Step u | Machine.Flush t, Machine.Flush u -> t = u
-  | Machine.Drain (t, l), Machine.Drain (u, k) -> t = u && l = k
+  | Machine.Drain t, Machine.Drain u -> t = u
   | (Machine.Step _ | Machine.Drain _ | Machine.Flush _), _ -> false
 
 let rec sleep_mem sleep tr =
@@ -136,9 +136,11 @@ let rec sleep_filter sleep fp =
       else if rest' == rest then sleep
       else e :: rest'
 
+(* A drain mixes in a 0 after its thread: the value every persisted memo
+   key was built with, so stored entries keep matching. *)
 let tr_hash = function
   | Machine.Step t -> mix 0x57 t
-  | Machine.Drain (t, l) -> mix (mix 0xD5 t) l
+  | Machine.Drain t -> mix (mix 0xD5 t) 0
   | Machine.Flush t -> mix 0xF1 t
 
 (* Order-independent (xor-folded): a sleep set is a set. *)
@@ -176,19 +178,23 @@ let sleep_hash sleep =
    selection and every planted backtrack point take ALL of the unit's
    choice indices together.
 
-   Composition (the same discipline as sleep sets, DESIGN.md §13):
+   Composition (DESIGN.md §13):
    - a subtree cut by the CHESS bound or pruned by a memo hit may hide the
      race that would have demanded a sibling, so an unclean child degrades
-     its node to full enumeration ([nd_all]) — under a preemption bound or
+     its node to full enumeration ([all]) — under a preemption bound or
      memoization the reduction is best-effort but the bounded verdict is
      preserved;
-   - sleep sets compose unchanged: a demanded-but-sleeping choice is a
-     commuted copy of an explored one and is skipped with the usual
-     accounting, and explored children enter the running sleep set under
-     the usual clean-subtree rule. *)
+   - sleep sets compose: a demanded-but-sleeping choice is a commuted copy
+     of an explored one and is skipped, and explored children enter the
+     running sleep set under the clean-subtree rule above.
+
+   The unreduced search keeps the branch nodes and nothing else: each one
+   opens at full enumeration, and no footprint, clock or sleep set is
+   computed. *)
 
 (* The branch-node scratch of one spine depth, reused by every branch node
-   that depth sees: its arrays only grow. *)
+   that depth sees: its arrays only grow. Both searches keep it; only DPOR
+   fills [units] and [backtrack]. *)
 type dnode = {
   mutable n : int;
       (** choices of the branch node at this depth; 0 when the depth holds
@@ -442,7 +448,7 @@ let dpor_pop ds depth =
 type frame = {
   buf : Machine.tbuf;  (** the node's choices *)
   snap : Machine.snapshot;  (** its state, for restoring siblings *)
-  mutable fps : Machine.footprint array;  (** each choice's footprint *)
+  mutable fps : Machine.footprint array;  (** each choice's footprint (DPOR) *)
 }
 
 type frames = { mutable frames : frame array }
@@ -464,8 +470,8 @@ let frame_get fs depth =
   fs.frames.(depth)
 
 (* Growable array-backed choice prefix. Alongside each choice index we keep
-   the chosen transition itself: transitions are plain values (thread ids
-   and lane numbers), so a sibling replay can re-apply them directly instead
+   the chosen transition itself: transitions are plain values (thread
+   ids), so a sibling replay can re-apply them directly instead
    of recomputing the choice universe at every step — replay is one
    [Machine.apply] per step, O(depth) total where the list-based
    representation cost O(depth^2). *)
@@ -558,33 +564,19 @@ let stats_of_acc ~complete a =
     failures = List.rev a.failures_rev;
   }
 
-(* Visited-state cache. Pruning a revisit is only sound if the earlier
-   exploration of the state had at least as much remaining budget (depth and
-   preemptions), so each fingerprint maps to the Pareto frontier of
-   (depth remaining, preemptions remaining) pairs already explored. With the
-   default unbounded settings the frontier is a single entry and this
-   degenerates to a plain visited set. [seen fp ~depth_rem ~preempt_rem] is
-   true (prune) iff [fp] was already explored with at least that budget,
-   and records the visit otherwise. The persistent {!Memo_store.seen} can
-   stand in for this table; the frontier rule itself lives in
-   {!Memo_store.tbl_check}, so the two cannot drift. *)
-let memo_create () =
-  let tbl = Hashtbl.create 4096 in
-  fun fp ~depth_rem ~preempt_rem ->
-    Memo_store.tbl_check tbl fp ~depth_rem ~preempt_rem
-
 type ctx = {
   mk : unit -> instance;
   max_depth : int;
   preemption_bound : int option;
   max_failures : int;
-  memo : (int -> depth_rem:int -> preempt_rem:int -> bool) option;
+  memo : Memo_store.t option;  (** the visited-state cache, if any *)
   acc : acc;
   on_run : acc -> unit;  (** called once per completed run; may raise {!Stop} *)
   frames : frames;  (** per-depth scratch for the in-place DFS *)
-  por : bool;  (** sleep-set partial-order reduction *)
-  dpor : dpor option;
-      (** source-DPOR state; implies [por] (sleep sets stay composed) *)
+  ds : dpor;
+      (** the branch nodes along the spine and, under [dpor], the
+          happens-before state *)
+  dpor : bool;  (** source-DPOR with sleep sets; [false] enumerates *)
   use_snapshots : bool;
       (** sibling exploration by snapshot/restore; [false] falls back to
           prefix replay (the differential oracle) *)
@@ -625,10 +617,17 @@ let preemption_cost_buf ~last buf tr =
 let within ctx preemptions cost =
   match ctx.preemption_bound with None -> true | Some b -> preemptions + cost <= b
 
+(* The next choice of [nd] to explore: the first unexplored one that is
+   demanded, or any once the node enumerates; -1 when none is left. *)
+let rec next_child nd j =
+  if j >= nd.n then -1
+  else if (not nd.explored.(j)) && (nd.all || nd.backtrack.(j)) then j
+  else next_child nd (j + 1)
+
 (* Continue a run in-place from the current machine state. [prefix] holds
    the choices that reached this state; [last]/[preemptions] summarise the
    prefix for the CHESS bound; [sleep] is the sleep set this node
-   inherited (always [[]] unless [ctx.por]). Siblings of the choices made
+   inherited (always [[]] unless [ctx.dpor]). Siblings of the choices made
    here are explored on a fresh instance — restored from a snapshot of this
    node when [ctx.use_snapshots], replayed from the root otherwise — which
    the node releases once the child's subtree is done, also when {!Stop}
@@ -640,7 +639,7 @@ let rec extend ctx inst prefix depth last preemptions sleep =
   let memo_hit =
     match ctx.memo with
     | None -> false
-    | Some seen ->
+    | Some store ->
         let preempt_rem =
           match ctx.preemption_bound with
           | None -> max_int
@@ -650,9 +649,10 @@ let rec extend ctx inst prefix depth last preemptions sleep =
           let fp = Machine.fingerprint m in
           (* The sleep set is part of the key: a visit with a different
              sleep set explores a different reduced subtree. *)
-          if ctx.por then mix fp (sleep_hash sleep) else fp
+          if ctx.dpor then mix fp (sleep_hash sleep) else fp
         in
-        seen key ~depth_rem:(ctx.max_depth - depth) ~preempt_rem
+        Memo_store.seen store key ~depth_rem:(ctx.max_depth - depth)
+          ~preempt_rem
   in
   if memo_hit then ctx.acc.memo_hits <- ctx.acc.memo_hits + 1
   else begin
@@ -680,200 +680,144 @@ let rec extend ctx inst prefix depth last preemptions sleep =
     end
     else if n = 1 then begin
       let tr = Machine.tbuf_get buf 0 in
-      if ctx.por && sleep_mem sleep tr then
+      if sleep_mem sleep tr then
         (* The whole continuation is a commuted copy of an explored one:
            backtrack without completing (or counting) a run — this silent
            cut is where the run reduction comes from. *)
         sleep_skip ctx m
       else begin
-        (* The footprint is needed to wake sleepers and for DPOR, whose
-           forced steps still take part in race detection and
-           happens-before; the node itself offers no reversal. *)
+        (* Under DPOR a forced step still takes part in race detection and
+           happens-before, and its footprint wakes sleepers; the node
+           itself offers no reversal. *)
         let sleep' =
-          match (ctx.dpor, sleep) with
-          | None, [] -> sleep
-          | dpor, _ -> (
-              let fp = Machine.footprint m tr in
-              (match dpor with
-              | Some ds ->
-                  ignore (dpor_node ds depth 0);
-                  dpor_push ds depth fp
-              | None -> ());
-              match sleep with [] -> sleep | _ -> sleep_filter sleep fp)
+          if ctx.dpor then begin
+            let fp = Machine.footprint m tr in
+            ignore (dpor_node ctx.ds depth 0);
+            dpor_push ctx.ds depth fp;
+            sleep_filter sleep fp
+          end
+          else sleep
         in
         Machine.apply m tr;
         Prefix.push prefix 0 tr;
         extend ctx inst prefix (depth + 1) (next_last last tr) preemptions
           sleep';
         Prefix.pop prefix;
-        match ctx.dpor with Some ds -> dpor_pop ds depth | None -> ()
+        if ctx.dpor then dpor_pop ctx.ds depth
       end
     end
-    else begin
-      (* Footprints are a function of the machine state at this node (a
-         drain's target address is the current buffer head), so they are
-         taken for every child before child 0 advances the machine. *)
-      if ctx.por then begin
-        if Array.length fr.fps < n then
-          fr.fps <-
-            Array.make
-              (max n (2 * Array.length fr.fps))
-              (Machine.footprint m (Machine.tbuf_get buf 0));
-        for i = 0 to n - 1 do
-          fr.fps.(i) <- Machine.footprint m (Machine.tbuf_get buf i)
-        done
-      end;
-      let fps = fr.fps in
-      (* Capture this node's state once, before child 0 mutates it — but
-         only if some sibling (i > 0) will actually be explored. Additions
-         to the sleep set during the loop only remove that need. *)
-      let snapped =
-        ctx.use_snapshots
-        && begin
-             let need = ref false in
-             (match ctx.dpor with
-             | Some _ ->
-                 (* Which siblings will be demanded is only known as races
-                    are sighted; capture whenever more than one child could
-                    run. *)
-                 let awake = ref 0 in
-                 for i = 0 to n - 1 do
-                   if not (sleep_mem sleep (Machine.tbuf_get buf i)) then
-                     incr awake
-                 done;
-                 need := !awake > 1
-             | None ->
-                 let i = ref 1 in
-                 while (not !need) && !i < n do
-                   let tr = Machine.tbuf_get buf !i in
-                   if
-                     (not (ctx.por && sleep_mem sleep tr))
-                     && within ctx preemptions (preemption_cost_buf ~last buf tr)
-                   then need := true;
-                   incr i
-                 done);
-             if !need then Machine.snapshot m fr.snap;
-             !need
-           end
-      in
-      match ctx.dpor with
-      | Some ds ->
-          (* Source-DPOR node: explore one unit's choices, then whatever
-             the races observed below demand. The first explored child
-             advances [m] in place; later demanded children restore. *)
-          let nd = dpor_node ds depth n in
-          for i = 0 to n - 1 do
-            nd.units.(i) <- Machine.footprint_tid fps.(i)
-          done;
-          let init = ref (-1) in
-          for i = n - 1 downto 0 do
-            if not (sleep_mem sleep (Machine.tbuf_get buf i)) then init := i
-          done;
-          (if !init < 0 then
-             (* every choice is a commuted copy of an explored execution *)
-             for _ = 1 to n do
-               sleep_skip ctx m
-             done
-           else begin
-             let u0 = nd.units.(!init) in
-             for j = 0 to n - 1 do
-               if nd.units.(j) = u0 then nd.backtrack.(j) <- true
-             done;
-             let sleep_now = ref sleep in
-             let in_place = ref false in
-             let running = ref true in
-             while !running do
-               let next = ref (-1) in
-               let j = ref 0 in
-               while !next < 0 && !j < n do
-                 if (not nd.explored.(!j)) && (nd.all || nd.backtrack.(!j))
-                 then next := !j;
-                 incr j
-               done;
-               if !next < 0 then running := false
-               else begin
-                 let i = !next in
-                 nd.explored.(i) <- true;
-                 let tr = Machine.tbuf_get buf i in
-                 if sleep_mem !sleep_now tr then sleep_skip ctx m
-                 else begin
-                   let cost = preemption_cost_buf ~last buf tr in
-                   if not (within ctx preemptions cost) then begin
-                     ctx.acc.pruned <- ctx.acc.pruned + 1;
-                     (* the bound cut a demanded child; races below it are
-                        unknown, so enumerate as the bounded search does *)
-                     nd.all <- true
-                   end
-                   else begin
-                     let child_sleep = sleep_filter !sleep_now fps.(i) in
-                     let pruned0 = ctx.acc.pruned
-                     and memo0 = ctx.acc.memo_hits in
-                     Prefix.push prefix i tr;
-                     dpor_push ds depth fps.(i);
-                     let fresh = !in_place in
-                     in_place := true;
-                     child ctx inst fr ~snapped prefix ~fresh tr (depth + 1)
-                       last (preemptions + cost) child_sleep;
-                     Prefix.pop prefix;
-                     dpor_pop ds depth;
-                     let clean =
-                       ctx.acc.pruned = pruned0 && ctx.acc.memo_hits = memo0
-                     in
-                     (* sleep insertion follows the usual clean-subtree
-                        rule; unlike sleep sets alone, a memoized subtree
-                        also degrades the node — the cached visit may have
-                        sighted races this path never replays. *)
-                     if
-                       match ctx.preemption_bound with
-                       | None -> true
-                       | Some _ -> clean
-                     then
-                       sleep_now :=
-                         { sl_tr = tr; sl_fp = fps.(i) } :: !sleep_now;
-                     if not clean then nd.all <- true
-                   end
-                 end
-               end
-             done
-           end);
-          nd.n <- 0
-      | None ->
-          (* Child 0 is explored in-place; siblings restore (or replay).
-             As children complete, they enter the running sleep set for
-             their later siblings (subject to the CHESS-bound rule
-             above). *)
-          let sleep_now = ref sleep in
-          for i = 0 to n - 1 do
-            let tr = Machine.tbuf_get buf i in
-            if ctx.por && sleep_mem !sleep_now tr then sleep_skip ctx m
-            else begin
-              let cost = preemption_cost_buf ~last buf tr in
-              if not (within ctx preemptions cost) then
-                ctx.acc.pruned <- ctx.acc.pruned + 1
-              else begin
-                let child_sleep =
-                  if ctx.por then sleep_filter !sleep_now fps.(i) else []
-                in
-                let pruned0 = ctx.acc.pruned and memo0 = ctx.acc.memo_hits in
-                Prefix.push prefix i tr;
-                child ctx inst fr ~snapped prefix ~fresh:(i > 0) tr
-                  (depth + 1) last (preemptions + cost) child_sleep;
-                Prefix.pop prefix;
-                if ctx.por then begin
-                  let clean =
-                    match ctx.preemption_bound with
-                    | None -> true
-                    | Some _ ->
-                        ctx.acc.pruned = pruned0 && ctx.acc.memo_hits = memo0
-                  in
-                  if clean then
-                    sleep_now := { sl_tr = tr; sl_fp = fps.(i) } :: !sleep_now
-                end
-              end
-            end
-          done
-    end
+    else branch ctx inst fr prefix depth last preemptions sleep n
   end
+
+(* The branch node at [depth], whose [n > 1] choices are in [fr.buf]. A
+   DPOR node explores one unit's choices, then whatever the races observed
+   below demand; an unreduced node opens at full enumeration. The first
+   child entered advances [inst] in place; later ones restore (or replay).
+   Under DPOR each explored child enters the running sleep set of its
+   later siblings. *)
+and branch ctx inst fr prefix depth last preemptions sleep n =
+  let m = inst.machine and buf = fr.buf and ds = ctx.ds in
+  let nd = dpor_node ds depth n in
+  if not ctx.dpor then nd.all <- true
+  else begin
+    (* Footprints are a function of the machine state at this node (a
+       drain's target address is the current buffer head), so they are
+       taken for every child before the first one advances the machine. *)
+    if Array.length fr.fps < n then
+      fr.fps <-
+        Array.make
+          (max n (2 * Array.length fr.fps))
+          (Machine.footprint m (Machine.tbuf_get buf 0));
+    for i = 0 to n - 1 do
+      let fp = Machine.footprint m (Machine.tbuf_get buf i) in
+      fr.fps.(i) <- fp;
+      nd.units.(i) <- Machine.footprint_tid fp
+    done;
+    (* Start with the unit of the first awake choice. When every choice
+       sleeps, each is a commuted copy of an explored execution: enumerate,
+       so that each one is skipped. *)
+    let init = ref (-1) in
+    for i = n - 1 downto 0 do
+      if not (sleep_mem sleep (Machine.tbuf_get buf i)) then init := i
+    done;
+    if !init < 0 then nd.all <- true
+    else begin
+      let u0 = nd.units.(!init) in
+      for j = 0 to n - 1 do
+        if nd.units.(j) = u0 then nd.backtrack.(j) <- true
+      done
+    end
+  end;
+  let fps = fr.fps in
+  (* Capture this node's state once, before the first child mutates it, but
+     only if a second child could be entered: only an awake child within
+     the bound is, and the loop's additions to the sleep set only remove
+     candidates. *)
+  let snapped =
+    ctx.use_snapshots
+    && begin
+         let enterable = ref 0 and i = ref 0 in
+         while !enterable < 2 && !i < n do
+           let tr = Machine.tbuf_get buf !i in
+           if
+             (not (sleep_mem sleep tr))
+             && within ctx preemptions (preemption_cost_buf ~last buf tr)
+           then incr enterable;
+           incr i
+         done;
+         !enterable > 1
+         && begin
+              Machine.snapshot m fr.snap;
+              true
+            end
+       end
+  in
+  let sleep_now = ref sleep in
+  let first = ref true in
+  let i = ref (next_child nd 0) in
+  while !i >= 0 do
+    let c = !i in
+    nd.explored.(c) <- true;
+    let tr = Machine.tbuf_get buf c in
+    if sleep_mem !sleep_now tr then sleep_skip ctx m
+    else begin
+      let cost = preemption_cost_buf ~last buf tr in
+      if not (within ctx preemptions cost) then begin
+        ctx.acc.pruned <- ctx.acc.pruned + 1;
+        (* the bound cut a demanded child; races below it are unknown, so
+           enumerate as the bounded search does *)
+        nd.all <- true
+      end
+      else begin
+        let child_sleep =
+          if ctx.dpor then sleep_filter !sleep_now fps.(c) else []
+        in
+        let pruned0 = ctx.acc.pruned and memo0 = ctx.acc.memo_hits in
+        Prefix.push prefix c tr;
+        if ctx.dpor then dpor_push ds depth fps.(c);
+        let fresh = not !first in
+        first := false;
+        child ctx inst fr ~snapped prefix ~fresh tr (depth + 1) last
+          (preemptions + cost) child_sleep;
+        Prefix.pop prefix;
+        if ctx.dpor then begin
+          dpor_pop ds depth;
+          let clean =
+            ctx.acc.pruned = pruned0 && ctx.acc.memo_hits = memo0
+          in
+          (* The preemption count is not commutation-invariant, so under
+             a CHESS bound only a clean child goes to sleep; and a memo
+             hit below degrades the node, since the cached visit may have
+             sighted races this path never replays. *)
+          if match ctx.preemption_bound with None -> true | Some _ -> clean
+          then sleep_now := { sl_tr = tr; sl_fp = fps.(c) } :: !sleep_now;
+          if not clean then nd.all <- true
+        end
+      end
+    end;
+    i := next_child nd 0
+  done;
+  nd.n <- 0
 
 (* Enter child [tr] of a branch node whose choice is already on [prefix]:
    in place on [inst] unless [fresh], else on a new instance — restored
@@ -921,16 +865,15 @@ let default_max_depth = 400
 
 let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
     ?(preemption_bound = None) ?(max_failures = 5) ?(memo = false)
-    ?(por = false) ?(dpor = false) ?memo_store ?(snapshots = true) ?on_progress
+    ?(dpor = false) ?memo_store ?(snapshots = true) ?on_progress
     ?(progress_every = 4096) ~mk () =
-  let por = por || dpor in
   let mk = if snapshots then recording_mk mk else mk in
   let acc = make_acc () in
   let progress_every = max 1 progress_every in
-  let memo_impl =
+  let memo =
     match memo_store with
-    | Some store -> Some (Memo_store.seen store)
-    | None -> if memo then Some (memo_create ()) else None
+    | Some _ -> memo_store
+    | None -> if memo then Some (Memo_store.in_memory ()) else None
   in
   let root = mk () in
   let ctx =
@@ -939,7 +882,7 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
       max_depth;
       preemption_bound;
       max_failures;
-      memo = memo_impl;
+      memo;
       acc;
       on_run =
         (fun a ->
@@ -950,11 +893,8 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
           | _ -> ());
           if a.runs >= max_runs then raise Stop);
       frames = frames_create ();
-      por;
-      dpor =
-        (if dpor then
-           Some (dpor_create ~nthreads:(Machine.thread_count root.machine))
-         else None);
+      ds = dpor_create ~nthreads:(Machine.thread_count root.machine);
+      dpor;
       use_snapshots = snapshots;
     }
   in
@@ -969,13 +909,14 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
         | exception Stop -> false)
   in
   let st = stats_of_acc ~complete acc in
-  match memo_store with
+  match memo with
   | None -> st
   | Some store ->
       (* Warm runs may sight nothing live (everything memoized): the
          stored failure set keeps the verdict; only completed searches
          are merged back (a partial failure set is not the
-         configuration's). *)
+         configuration's). In memory there is nothing stored to merge,
+         and nothing to commit. *)
       let failures =
         Memo_store.merge_failures store ~max_failures st.failures
       in

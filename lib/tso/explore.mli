@@ -1,12 +1,9 @@
 (** Bounded stateless model checking of machine programs.
 
-    Explores the tree of scheduler choices by depth-first search. Because a
-    thread program's continuation cannot be cloned, each branch is replayed
-    from a fresh machine built by [mk] — standard stateless model checking.
-    Replay is incremental: the prefix that reached a node is kept as a
-    growable array of (choice index, transition) pairs, so replaying a
-    sibling costs one [Machine.apply] per step instead of re-deriving the
-    choice universe (the former list-based replay was O(depth^2)).
+    Explores the tree of scheduler choices by depth-first search. A thread
+    program's continuation cannot be cloned, so each sibling branch starts
+    on a fresh machine built by [mk], restored from a snapshot of the
+    branch node (or replayed from the root: see [snapshots] below).
 
     The search is bounded by depth, by a total-run budget, and optionally by
     a CHESS-style preemption bound (switching away from a thread whose next
@@ -23,46 +20,42 @@
     Under a preemption bound the cache only prunes a revisit whose remaining
     budget is covered by an earlier visit, so bounding stays exact.
 
-    With [por = true] the search applies sleep-set partial-order reduction
-    over {!Machine.independent} transition footprints: once a branch
-    node's child has been fully explored, later siblings refuse to
-    schedule that child's transition until a dependent transition fires,
-    cutting the commuted copies of explored interleavings (counted in
-    [sleep_skips]; DESIGN.md §10 has the soundness argument under the
-    CHESS bound and the memo cache — the sleep set is part of the memo
-    key, and a child whose subtree saw bound prunes or memo hits never
-    enters a sleep set while a preemption bound is active). Verdicts and
-    recorded failure prefixes are preserved; [runs] typically drops by
-    5–100×.
+    With [dpor = true] the search applies {e source dynamic partial-order
+    reduction} (Flanagan–Godefroid with source sets) over
+    {!Machine.independent} transition footprints: a branch node initially
+    explores just one unit's choices, and further siblings are only
+    explored when an actual race observed below — two dependent accesses
+    by different threads not ordered by happens-before — demands their
+    reversal via a planted backtrack point. Store-buffer awareness comes
+    for free from footprints: a buffered store's [Step] touches no shared
+    address, so it races with a concurrent load only where its
+    [Drain]/[Flush] does. DPOR carries sleep sets: once a branch node's
+    child has been fully explored, later siblings refuse to schedule that
+    child's transition until a dependent transition fires, cutting the
+    commuted copies of explored interleavings (counted in
+    [sleep_skips]). The sleep set is part of the memo key; under a CHESS
+    bound a child whose subtree saw bound prunes or memo hits never enters
+    a sleep set, and under a CHESS bound or on a memo hit a node whose
+    child subtree was cut degrades to full enumeration, keeping bounded
+    verdicts exact (DESIGN.md §10, §13). Verdicts and replayable failure
+    prefixes are preserved; [runs] drops wherever threads touch disjoint
+    data. The unreduced search ([dpor = false]) is the differential
+    oracle, and as fast where nearly every node is a memo hit: DPOR's
+    bookkeeping then buys nothing.
 
-    With [dpor = true] the search upgrades to {e source dynamic
-    partial-order reduction} (Flanagan–Godefroid with source sets), layered
-    on the same footprint relation: a branch node initially explores just
-    one unit's choices, and further siblings are only explored when an
-    actual race observed below — two dependent accesses by different
-    threads not ordered by happens-before — demands their reversal via a
-    planted backtrack point. Store-buffer awareness comes for free from
-    footprints: a buffered store's [Step] touches no shared address, so it
-    races with a concurrent load only where its [Drain]/[Flush] does.
-    Sleep sets stay composed ([dpor] implies [por]); under a CHESS bound
-    or on a memo hit, a node whose child subtree was cut degrades to full
-    enumeration, keeping bounded verdicts exact (DESIGN.md §13). Verdicts
-    and failure sets match [por]'s; [runs] drops further wherever threads
-    touch disjoint data.
-
-    With [memo_store] (a {!Memo_store.t}) the visited-state cache is
-    additionally backed by an on-disk store that persists across runs:
-    states explored by earlier searches of the same configuration are
-    pruned immediately, and novel states (plus the merged failure set) are
-    committed back when the search completes. A fully-warm search does no
-    re-exploration and still reports the stored failures.
+    With [memo_store] (a {!Memo_store.t} opened on a directory) the
+    visited-state cache persists across runs: states explored by earlier
+    searches of the same configuration are pruned immediately, and novel
+    states (plus the merged failure set) are committed back when the
+    search completes. A fully-warm search does no re-exploration and still
+    reports the stored failures.
 
     By default ([snapshots = true]) sibling subtrees are started by
     restoring a {!Machine.snapshot} of the branch node onto a fresh
     instance — O(state) — instead of replaying the whole prefix from the
     root — O(depth) machine transitions. [snapshots = false] keeps the
-    replay path as a differential oracle; results are identical either
-    way.
+    replay path as the test suite's differential oracle; results are
+    identical either way.
 
     Used by the test suite to verify, over {e all} interleavings of small
     configurations, the safety properties of every queue algorithm: no task
@@ -84,7 +77,7 @@ type stats = {
   memo_hits : int;
       (** subtrees pruned by the visited-state cache (0 unless [memo]) *)
   sleep_skips : int;
-      (** transitions refused by sleep-set POR (0 unless [por]) *)
+      (** transitions refused by DPOR's sleep sets (0 unless [dpor]) *)
   peak_depth : int;
       (** deepest node reached by the search (the depth frontier) *)
   complete : bool;
@@ -128,7 +121,6 @@ val search :
   ?preemption_bound:int option ->
   ?max_failures:int ->
   ?memo:bool ->
-  ?por:bool ->
   ?dpor:bool ->
   ?memo_store:Memo_store.t ->
   ?snapshots:bool ->
@@ -139,9 +131,9 @@ val search :
   stats
 (** Defaults: [max_depth = 400], [max_runs = 200_000],
     [preemption_bound = None] (unbounded), [max_failures = 5],
-    [memo = false], [por = false] (sleep-set partial-order reduction),
-    [dpor = false] (source-DPOR; implies [por]), [memo_store = None]
-    (persistent visited-state store; implies memoization),
+    [memo = false], [dpor = false] (source-DPOR with sleep sets),
+    [memo_store = None] (persistent visited-state store; implies
+    memoization),
     [snapshots = true] (snapshot-based sibling exploration; [false] uses
     replay-from-root, the differential oracle).
 

@@ -9,13 +9,11 @@ let abstract_config ~sb_capacity =
 let realistic_config ~sb_capacity ~coalesce =
   { sb_capacity; buffer_model = Store_buffer.Realistic { coalesce } }
 
-let pso_config ~sb_capacity = { sb_capacity; buffer_model = Store_buffer.Pso }
-
 type tid = int
 
 type transition =
   | Step of tid
-  | Drain of tid * int
+  | Drain of tid
   | Flush of tid
 
 type thread = {
@@ -30,11 +28,10 @@ type thread = {
      continuations cannot expose directly. *)
   mutable hist : int;
   (* Preallocated transition values, so computing the enabled set allocates
-     nothing in steady state. [drain_trs.(l)] is [Drain (tid, l)]; lanes
-     beyond 0 only exist under PSO and are grown on demand. *)
+     nothing. *)
   step_tr : transition;
+  drain_tr : transition;
   flush_tr : transition;
-  mutable drain_trs : transition array;
   (* Decoded response log: one [encode_response] int per executed
      instruction, appended only while the machine is recording. A
      deterministic thread program is a function of its response history, so
@@ -114,8 +111,8 @@ let spawn t ~name body =
       status = Program.start body;
       hist = 0;
       step_tr = Step tid;
+      drain_tr = Drain tid;
       flush_tr = Flush tid;
-      drain_trs = [| Drain (tid, 0) |];
       resp_log = [||];
       resp_len = 0;
     }
@@ -189,34 +186,14 @@ let request_enabled th (type a) (req : a Program.request) =
          memory states other threads can observe. *)
       Store_buffer.is_empty th.buf
 
-let drain_tr th lane =
-  let n = Array.length th.drain_trs in
-  if lane >= n then begin
-    let grown = Array.make (max (lane + 1) (2 * n)) th.step_tr in
-    Array.blit th.drain_trs 0 grown 0 n;
-    for l = n to Array.length grown - 1 do
-      grown.(l) <- Drain (th.tid, l)
-    done;
-    th.drain_trs <- grown
-  end;
-  th.drain_trs.(lane)
-
 (* The enabled set, in the deterministic order every driver depends on:
-   threads by tid; per thread [Flush], then [Drain] lanes ascending, then
-   [Step]. The FIFO models (the hot path) go through the preallocated
-   per-thread transitions; only PSO's per-address lane enumeration
-   allocates. *)
+   threads by tid; per thread [Flush], then [Drain], then [Step], each the
+   thread's preallocated transition. *)
 let enabled_iter t f =
   for i = 0 to t.n_threads - 1 do
     let th = t.threads.(i) in
     if Store_buffer.can_flush_egress th.buf then f th.flush_tr;
-    (match t.cfg.buffer_model with
-    | Store_buffer.Abstract | Store_buffer.Realistic _ ->
-        if Store_buffer.can_drain th.buf then f th.drain_trs.(0)
-    | Store_buffer.Pso ->
-        List.iter
-          (fun lane -> f (drain_tr th lane))
-          (Store_buffer.drain_lanes th.buf));
+    if Store_buffer.can_drain th.buf then f th.drain_tr;
     match th.status with
     | Program.Done -> ()
     | Program.Paused_at (req, _) ->
@@ -260,13 +237,7 @@ let enabled_into t b =
   for i = 0 to t.n_threads - 1 do
     let th = t.threads.(i) in
     if Store_buffer.can_flush_egress th.buf then tbuf_add b th.flush_tr;
-    (match t.cfg.buffer_model with
-    | Store_buffer.Abstract | Store_buffer.Realistic _ ->
-        if Store_buffer.can_drain th.buf then tbuf_add b th.drain_trs.(0)
-    | Store_buffer.Pso ->
-        List.iter
-          (fun lane -> tbuf_add b (drain_tr th lane))
-          (Store_buffer.drain_lanes th.buf));
+    if Store_buffer.can_drain th.buf then tbuf_add b th.drain_tr;
     match th.status with
     | Program.Done -> ()
     | Program.Paused_at (req, _) ->
@@ -484,9 +455,9 @@ let apply t tr =
             emit t (Ev_exec { tid; instr });
             if status_done th.status then emit t (Ev_done tid)
           end)
-  | Drain (tid, lane) ->
+  | Drain tid ->
       let th = thread t tid in
-      let result = Store_buffer.drain_lane th.buf lane t.mem in
+      let result = Store_buffer.drain th.buf t.mem in
       (match t.sink with None -> () | Some s -> count_drain s th result);
       if t.n_listeners > 0 then emit t (Ev_drain { tid; result })
   | Flush tid ->
@@ -584,15 +555,8 @@ let footprint t tr =
           | Program.Req_store _ | Program.Req_fence | Program.Req_work _
           | Program.Req_label _ | Program.Req_pause ->
               make_footprint tid no_addr no_addr))
-  | Drain (tid, lane) ->
-      let th = thread t tid in
-      let w =
-        match t.cfg.buffer_model with
-        | Store_buffer.Pso -> lane (* PSO lanes are address indices *)
-        | Store_buffer.Abstract | Store_buffer.Realistic _ ->
-            Store_buffer.head_addr th.buf
-      in
-      make_footprint tid no_addr w
+  | Drain tid ->
+      make_footprint tid no_addr (Store_buffer.head_addr (thread t tid).buf)
   | Flush tid ->
       make_footprint tid no_addr (Store_buffer.egress_addr (thread t tid).buf)
 

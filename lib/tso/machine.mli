@@ -19,10 +19,6 @@ val realistic_config : sb_capacity:int -> coalesce:bool -> config
     observable reordering bound to [sb_capacity + 1], and [coalesce] enables
     same-address store coalescing in B. *)
 
-val pso_config : sb_capacity:int -> config
-(** Bounded partial store order (per-address drain lanes): the §10
-    future-work model, under which TSO-dependent algorithms break. *)
-
 type t
 
 val create : ?mem:Memory.t -> config -> t
@@ -78,15 +74,14 @@ val steps : t -> int
 
 type transition =
   | Step of tid  (** execute the thread's pending instruction *)
-  | Drain of tid * int
-      (** memory subsystem propagates a store of the thread's buffer: lane 0
-          (the oldest store) for the FIFO models; one lane per pending
-          address for PSO *)
+  | Drain of tid
+      (** memory subsystem propagates the oldest store of the thread's
+          buffer *)
   | Flush of tid  (** memory subsystem writes the egress buffer B to memory *)
 
 val enabled : t -> transition list
 (** All transitions enabled in the current state, in a deterministic order
-    (threads by tid; per thread [Flush], then [Drain] lanes, then [Step]).
+    (threads by tid; per thread [Flush], then [Drain], then [Step]).
     Empty iff the machine is quiescent or deadlocked. Allocates a fresh
     list; the drivers on the hot path use {!enabled_into} instead. *)
 
@@ -208,8 +203,8 @@ val fingerprint_digest : t -> string
 
 (** {1 Transition footprints}
 
-    The dependence structure sleep-set partial-order reduction
-    ({!Explore.search} [~por:true]) is built on. Every machine transition
+    The dependence structure source-DPOR and its sleep sets
+    ({!Explore.search} [~dpor:true]) are built on. Every machine transition
     reads and/or writes at most one shared-memory address:
 
     - a [Step] of a load reads its address; a [Step] of a CAS / fetch-add
@@ -217,8 +212,8 @@ val fingerprint_digest : t -> string
       shared address at all — the store only enters the issuing thread's
       private buffer (the memory write happens at the later [Drain]/[Flush]
       that propagates it, and that transition carries the write);
-    - a [Drain] writes the address of the oldest buffered store (per-lane
-      under PSO); in the realistic model a drain that merely stages into B
+    - a [Drain] writes the address of the oldest buffered store; in the
+      realistic model a drain that merely stages into B
       still claims the write, conservatively — staging changes what a
       subsequent same-address [Flush] writes;
     - a [Flush] writes the address held in B.

@@ -1,68 +1,82 @@
-(* Disk-backed visited-state store: the explorer's memo table, persisted
-   across runs so repeated explorations of the same configuration are
-   incremental. The layout is a directory:
+(* The explorer's memo table: a visited-state store, in memory only or
+   persisted across runs so repeated explorations of the same configuration
+   are incremental. A persisted store is a directory:
 
      PATH/header.json   -- schema + the configuration the entries are valid
-                           for (config string, bounds, reduction flags)
+                           for (config string, bounds, reduction flag)
      PATH/shard-K.dat   -- append-only "fingerprint depth_rem preempt_rem"
                            lines, sharded by fingerprint
      PATH/failures.json -- the violations sighted by committed searches,
                            so a fully-memoized warm run still reports them
 
-   Soundness mirrors the in-memory cache ({!Explore}): an entry only prunes
-   a revisit with no more remaining budget than the recorded visit, and the
-   header pins everything else that shapes the reduced tree (machine
-   configuration, depth bound, preemption bound, por/dpor). A store opened
-   against a mismatched header is rejected with a descriptive error rather
-   than silently poisoning verdicts.
+   An entry only prunes a revisit with no more remaining budget than the
+   recorded visit, and the header pins everything else that shapes the
+   reduced tree (machine configuration, depth bound, preemption bound,
+   dpor). A store opened against a mismatched header is rejected with a
+   descriptive error rather than silently poisoning verdicts.
 
    One domain: a store belongs to the one search that opened it
    ([Classic.run] opens one per litmus test, [wsrepro explore] one per
-   search), so it has no locks and plain counters. The table is sharded by
-   fingerprint only to match the shard files, and novel entries are
-   buffered per shard (write-back) until [commit] appends them. [commit]
-   runs after the search returns, and only for searches that ran to
-   completion: entries from a [max_runs]-interrupted search are real
-   visits, but the failure set of a partial search is not the
-   configuration's failure set, so partial searches are not merged. *)
+   search), so it has no locks and plain counters. Novel entries of a
+   persisted store are buffered per shard file (write-back) until [commit]
+   appends them. [commit] runs after the search returns, and only for
+   searches that ran to completion: entries from a [max_runs]-interrupted
+   search are real visits, but the failure set of a partial search is not
+   the configuration's failure set, so partial searches are not merged. *)
 
 let schema = "wsrepro-memo/v1"
 let n_shards = 16
 
-type shard = {
-  tbl : (int, (int * int) list) Hashtbl.t;
-  mutable pending : (int * int * int) list;  (** newest first *)
-}
-
 type t = {
-  path : string;
-  header : Telemetry.Json.value;
-  shards : shard array;
+  dir : (string * Telemetry.Json.value) option;
+      (** the directory and its header; [None] in memory *)
+  tbl : (int, (int * int) list) Hashtbl.t;
+      (** fingerprint -> the Pareto frontier of the (depth_rem,
+          preempt_rem) pairs already explored *)
+  pending : (int * int * int) list array;
+      (** per shard file, newest first; always empty in memory *)
   mutable stored_failures : (int list * string) list;
   mutable loaded : int;
   mutable lookups : int;
   mutable hits : int;
 }
 
-(* The Pareto-frontier membership/insertion shared with the explorer's
-   in-memory memo: a fingerprint maps to the maximal (depth_rem,
-   preempt_rem) pairs already explored. *)
-let tbl_check tbl fp ~depth_rem ~preempt_rem =
-  let entries = Option.value ~default:[] (Hashtbl.find_opt tbl fp) in
-  if List.exists (fun (d, p) -> d >= depth_rem && p >= preempt_rem) entries
-  then true
-  else begin
-    let entries =
-      (depth_rem, preempt_rem)
-      :: List.filter
-           (fun (d, p) -> not (d <= depth_rem && p <= preempt_rem))
-           entries
-    in
-    Hashtbl.replace tbl fp entries;
-    false
-  end
+let create dir =
+  {
+    dir;
+    tbl = Hashtbl.create 4096;
+    pending = Array.make n_shards [];
+    stored_failures = [];
+    loaded = 0;
+    lookups = 0;
+    hits = 0;
+  }
 
-let header_json ~config ~max_depth ~preemption_bound ~por ~dpor =
+let in_memory () = create None
+
+(* Some frontier entry has at least this budget. A top-level recursion, so
+   a hit allocates nothing. *)
+let rec covered frontier depth_rem preempt_rem =
+  match frontier with
+  | [] -> false
+  | (d, p) :: rest ->
+      (d >= depth_rem && p >= preempt_rem)
+      || covered rest depth_rem preempt_rem
+
+(* Membership, or insertion into the frontier of [fp]. *)
+let check t fp ~depth_rem ~preempt_rem =
+  let frontier = try Hashtbl.find t.tbl fp with Not_found -> [] in
+  covered frontier depth_rem preempt_rem
+  || begin
+       Hashtbl.replace t.tbl fp
+         ((depth_rem, preempt_rem)
+         :: List.filter
+              (fun (d, p) -> not (d <= depth_rem && p <= preempt_rem))
+              frontier);
+       false
+     end
+
+let header_json ~config ~max_depth ~preemption_bound ~dpor =
   let open Telemetry.Json in
   Obj
     [
@@ -71,22 +85,9 @@ let header_json ~config ~max_depth ~preemption_bound ~por ~dpor =
       ("max_depth", Int max_depth);
       ( "preemption_bound",
         Int (match preemption_bound with None -> -1 | Some b -> b) );
-      ("por", Bool por);
       ("dpor", Bool dpor);
       ("shards", Int n_shards);
     ]
-
-let fresh ~path ~header =
-  {
-    path;
-    header;
-    shards =
-      Array.init n_shards (fun _ -> { tbl = Hashtbl.create 1024; pending = [] });
-    stored_failures = [];
-    loaded = 0;
-    lookups = 0;
-    hits = 0;
-  }
 
 let shard_file path k = Filename.concat path (Printf.sprintf "shard-%d.dat" k)
 let header_file path = Filename.concat path "header.json"
@@ -121,7 +122,7 @@ let check_header ~path ~expected found =
   match member "schema" found with
   | Some (Str s) when s = schema ->
       check
-        [ "config"; "max_depth"; "preemption_bound"; "por"; "dpor"; "shards" ]
+        [ "config"; "max_depth"; "preemption_bound"; "dpor"; "shards" ]
   | Some (Str s) ->
       err (Printf.sprintf "has schema %S; this build expects %S" s schema)
   | _ -> err "header has no schema field"
@@ -153,12 +154,11 @@ let load_failures path =
             with Exit -> Error (file ^ ": malformed failure entry"))
         | _ -> Error (file ^ ": missing failures field"))
 
-let load_shard t k =
-  let file = shard_file t.path k in
+let load_shard t path k =
+  let file = shard_file path k in
   if not (Sys.file_exists file) then Ok ()
   else begin
     let ic = open_in file in
-    let sh = t.shards.(k) in
     let result = ref (Ok ()) in
     (try
        let rec loop () =
@@ -169,7 +169,7 @@ let load_shard t k =
                 Scanf.sscanf line "%d %d %d" (fun fp d p -> (fp, d, p))
               with
              | fp, d, p ->
-                 ignore (tbl_check sh.tbl fp ~depth_rem:d ~preempt_rem:p);
+                 ignore (check t fp ~depth_rem:d ~preempt_rem:p);
                  t.loaded <- t.loaded + 1
              | exception _ ->
                  result := Error (file ^ ": malformed entry " ^ String.escaped line));
@@ -183,9 +183,9 @@ let load_shard t k =
     !result
   end
 
-let open_ ~path ~config ~max_depth ~preemption_bound ~por ~dpor () =
-  let header = header_json ~config ~max_depth ~preemption_bound ~por ~dpor in
-  if not (Sys.file_exists path) then Ok (fresh ~path ~header)
+let open_ ~path ~config ~max_depth ~preemption_bound ~dpor () =
+  let header = header_json ~config ~max_depth ~preemption_bound ~dpor in
+  if not (Sys.file_exists path) then Ok (create (Some (path, header)))
   else if not (Sys.is_directory path) then
     Error (path ^ ": memo store path exists but is not a directory")
   else if not (Sys.file_exists (header_file path)) then
@@ -197,10 +197,13 @@ let open_ ~path ~config ~max_depth ~preemption_bound ~por ~dpor () =
         match check_header ~path ~expected:header found with
         | Error _ as e -> e
         | Ok () -> (
-            let t = fresh ~path ~header in
+            let t = create (Some (path, header)) in
             let rec shards k =
               if k >= n_shards then Ok ()
-              else match load_shard t k with Ok () -> shards (k + 1) | e -> e
+              else
+                match load_shard t path k with
+                | Ok () -> shards (k + 1)
+                | e -> e
             in
             match shards 0 with
             | Error _ as e -> e
@@ -213,10 +216,15 @@ let open_ ~path ~config ~max_depth ~preemption_bound ~por ~dpor () =
 
 let seen t fp ~depth_rem ~preempt_rem =
   t.lookups <- t.lookups + 1;
-  let sh = t.shards.((fp land max_int) mod n_shards) in
-  let hit = tbl_check sh.tbl fp ~depth_rem ~preempt_rem in
+  let hit = check t fp ~depth_rem ~preempt_rem in
   if hit then t.hits <- t.hits + 1
-  else sh.pending <- (fp, depth_rem, preempt_rem) :: sh.pending;
+  else begin
+    match t.dir with
+    | None -> ()
+    | Some _ ->
+        let k = (fp land max_int) mod n_shards in
+        t.pending.(k) <- (fp, depth_rem, preempt_rem) :: t.pending.(k)
+  end;
   hit
 
 let lookups t = t.lookups
@@ -224,7 +232,7 @@ let hits t = t.hits
 let loaded_entries t = t.loaded
 
 let pending_entries t =
-  Array.fold_left (fun n sh -> n + List.length sh.pending) 0 t.shards
+  Array.fold_left (fun n l -> n + List.length l) 0 t.pending
 
 let stored_failures t = t.stored_failures
 
@@ -270,26 +278,29 @@ let rec mkdir_p path =
   end
 
 let commit t ~failures =
-  try
-    mkdir_p t.path;
-    Telemetry.Json.write_file (header_file t.path) t.header;
-    Array.iteri
-      (fun k sh ->
-        match sh.pending with
-        | [] -> ()
-        | pending ->
-            let oc =
-              open_out_gen
-                [ Open_wronly; Open_append; Open_creat ]
-                0o644 (shard_file t.path k)
-            in
-            List.iter
-              (fun (fp, d, p) -> Printf.fprintf oc "%d %d %d\n" fp d p)
-              (List.rev pending);
-            close_out oc;
-            sh.pending <- [])
-      t.shards;
-    Telemetry.Json.write_file (failures_file t.path) (failures_json failures);
-    t.stored_failures <- failures;
-    Ok ()
-  with Sys_error e -> Error e
+  match t.dir with
+  | None -> Ok ()
+  | Some (path, header) -> (
+      try
+        mkdir_p path;
+        Telemetry.Json.write_file (header_file path) header;
+        Array.iteri
+          (fun k pending ->
+            match pending with
+            | [] -> ()
+            | pending ->
+                let oc =
+                  open_out_gen
+                    [ Open_wronly; Open_append; Open_creat ]
+                    0o644 (shard_file path k)
+                in
+                List.iter
+                  (fun (fp, d, p) -> Printf.fprintf oc "%d %d %d\n" fp d p)
+                  (List.rev pending);
+                close_out oc;
+                t.pending.(k) <- [])
+          t.pending;
+        Telemetry.Json.write_file (failures_file path) (failures_json failures);
+        t.stored_failures <- failures;
+        Ok ()
+      with Sys_error e -> Error e)

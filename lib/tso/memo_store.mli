@@ -1,18 +1,19 @@
-(** Disk-backed visited-state store ([wsrepro-memo/v1]).
-
-    Persists the explorer's memo table across runs: a directory holding a
-    header (the configuration the entries are valid for), fingerprint-
-    sharded append-only entry files, and the failure set committed by
-    completed searches. A warm search over the same configuration prunes
-    at every stored state and still reports the stored violations, so
-    repeated CI explorations are incremental.
+(** The explorer's visited-state store ([wsrepro-memo/v1]).
 
     An entry means "this state was explored with this much remaining depth
-    and preemption budget"; pruning is only allowed against an entry with
-    at least as much budget (the same Pareto-frontier rule as the in-memory
-    memo). Everything else that shapes the reduced tree — machine
-    configuration, bounds, [por]/[dpor] — is pinned by the header, and
-    {!open_} rejects a store whose header does not match.
+    and preemption budget"; a revisit is pruned only against an entry with
+    at least as much budget, so each fingerprint keeps the Pareto frontier
+    of its explored budgets.
+
+    A store lives {!in_memory} for one search, or persists across runs in
+    a directory ({!open_}): a header (the configuration the entries are
+    valid for), fingerprint-sharded append-only entry files, and the
+    failure set committed by completed searches. A warm search over the
+    same configuration prunes at every stored state and still reports the
+    stored violations, so repeated CI explorations are incremental.
+    Everything else that shapes the reduced tree — machine configuration,
+    bounds, [dpor] — is pinned by the header, and {!open_} rejects a store
+    whose header does not match.
 
     A store is single-domain: it belongs to the one search that opened it
     and has no locks. Do not share one across domains. *)
@@ -22,12 +23,15 @@ type t
 val schema : string
 (** ["wsrepro-memo/v1"]. *)
 
+val in_memory : unit -> t
+(** An empty store with no directory: it buffers nothing, and {!commit}
+    writes nothing. *)
+
 val open_ :
   path:string ->
   config:string ->
   max_depth:int ->
   preemption_bound:int option ->
-  por:bool ->
   dpor:bool ->
   unit ->
   (t, string) result
@@ -39,13 +43,14 @@ val open_ :
 
 val seen : t -> int -> depth_rem:int -> preempt_rem:int -> bool
 (** Memo lookup-and-insert. [true] means the state was already explored
-    with at least this much budget; [false] records the visit (buffered in
-    memory until {!commit}). *)
+    with at least this much budget; [false] records the visit (buffered
+    until {!commit} in a store with a directory). A hit allocates
+    nothing. *)
 
 val commit : t -> failures:(int list * string) list -> (unit, string) result
 (** Append the buffered novel entries to the shard files, write the header
-    and the given failure set. Call only after a search that ran to
-    completion (a partial search's failure set is not the
+    and the given failure set; a no-op in memory. Call only after a search
+    that ran to completion (a partial search's failure set is not the
     configuration's). *)
 
 val merge_failures :
@@ -60,12 +65,3 @@ val pending_entries : t -> int
 
 val lookups : t -> int
 val hits : t -> int
-
-val tbl_check :
-  (int, (int * int) list) Hashtbl.t ->
-  int ->
-  depth_rem:int ->
-  preempt_rem:int ->
-  bool
-(** The Pareto-frontier membership/insert both memo implementations share
-    (exposed for the explorer's in-memory memo). *)

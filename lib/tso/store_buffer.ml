@@ -1,7 +1,6 @@
 type model =
   | Abstract
   | Realistic of { coalesce : bool }
-  | Pso
 
 (* The buffer proper is a ring of [capacity] slots in two int arrays: entry
    [k] (0 = oldest) sits in slot [(head + k) mod capacity]. B is two ints,
@@ -87,7 +86,7 @@ let can_drain t =
   t.len > 0
   &&
   match t.model with
-  | Abstract | Pso -> true
+  | Abstract -> true
   | Realistic { coalesce } ->
       (not (can_flush_egress t)) || (coalesce && t.eg_addr = t.addrs.(t.head))
 
@@ -102,7 +101,7 @@ let drain t mem =
   let s = pop t in
   let a = Addr.of_index t.addrs.(s) and v = t.vals.(s) in
   match t.model with
-  | Abstract | Pso ->
+  | Abstract ->
       Memory.set mem a v;
       Wrote (a, v)
   | Realistic _ ->
@@ -110,43 +109,6 @@ let drain t mem =
       t.eg_addr <- Addr.to_index a;
       t.eg_val <- v;
       if coalesced then Coalesced (a, v) else Staged (a, v)
-
-(* Position (0 = oldest) of the oldest entry for address index [a] from
-   entry [k] on, or -1. *)
-let rec oldest_entry_of t a k =
-  if k >= t.len then -1
-  else if t.addrs.(slot t k) = a then k
-  else oldest_entry_of t a (k + 1)
-
-(* PSO: one drain lane per address with pending stores; lanes are address
-   indices, so they are stable across replays of a schedule. *)
-let drain_lanes t =
-  match t.model with
-  | Abstract | Realistic _ -> if can_drain t then [ 0 ] else []
-  | Pso ->
-      List.init t.len (fun k -> t.addrs.(slot t k)) |> List.sort_uniq compare
-
-let drain_lane t lane mem =
-  match t.model with
-  | Abstract | Realistic _ ->
-      if lane <> 0 then invalid_arg "Store_buffer.drain_lane: bad lane";
-      drain t mem
-  | Pso ->
-      (* remove the oldest entry whose address is [lane], closing the gap
-         by moving the younger entries one place toward the head *)
-      let k = oldest_entry_of t lane 0 in
-      if k < 0 then
-        invalid_arg "Store_buffer.drain_lane: lane has no pending store";
-      let v = t.vals.(slot t k) in
-      for j = k to t.len - 2 do
-        let dst = slot t j and src = slot t (j + 1) in
-        t.addrs.(dst) <- t.addrs.(src);
-        t.vals.(dst) <- t.vals.(src)
-      done;
-      t.len <- t.len - 1;
-      let a = Addr.of_index lane in
-      Memory.set mem a v;
-      Wrote (a, v)
 
 let flush_egress t mem =
   if not (can_flush_egress t) then

@@ -23,18 +23,12 @@
     {!Machine.fingerprint}, {!Machine.snapshot} and {!Machine.footprint}
     read the buffer through. What allocates is what a caller asks to
     see — {!drain}'s and {!flush_egress}'s results, and the option/list
-    views ({!lookup}, {!egress_entry}, {!to_list}, {!buffered},
-    {!drain_lanes}) kept for tests, traces and forensics. *)
+    views ({!lookup}, {!egress_entry}, {!to_list}, {!buffered}) kept for
+    tests, traces and forensics. *)
 
 type model =
   | Abstract
   | Realistic of { coalesce : bool }
-  | Pso
-      (** partial store order (the §10 future-work question): one FIFO lane
-          per address, so stores to {e different} addresses drain in any
-          order. Loads still forward from the newest same-address entry.
-          Under PSO the work-stealing put() is broken without an extra
-          fence — the tests demonstrate it. *)
 
 type t
 
@@ -81,17 +75,8 @@ val can_drain : t -> bool
     realistic model, B is either free or coalescible with the oldest entry. *)
 
 val drain : t -> Memory.t -> drain_result
-(** Perform one drain step (lane 0). @raise Invalid_argument if
-    [not (can_drain t)]. *)
-
-val drain_lanes : t -> int list
-(** The drain choices currently enabled. FIFO models have at most lane
-    [0]; the PSO model has one lane per address with pending stores
-    (identified by the address index, so lanes are stable across replays). *)
-
-val drain_lane : t -> int -> Memory.t -> drain_result
-(** Drain the oldest store of the given lane.
-    @raise Invalid_argument if the lane is not in {!drain_lanes}. *)
+(** Perform one drain step: propagate the oldest store.
+    @raise Invalid_argument if [not (can_drain t)]. *)
 
 val can_flush_egress : t -> bool
 (** Realistic model only: B holds a store that can be written to memory. *)

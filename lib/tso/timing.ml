@@ -37,7 +37,7 @@ type report = {
 
 type core = {
   step_tr : Machine.transition;  (* [Step tid], built once *)
-  drain_tr : Machine.transition;  (* [Drain (tid, 0)], built once *)
+  drain_tr : Machine.transition;  (* [Drain tid], built once *)
   mutable clock : int;
   mutable drain_free : int;  (* when the drain engine can start its next write *)
   mutable buffer_emptied_at : int;  (* time of the drain that last emptied the buffer *)
@@ -99,7 +99,7 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?tracer ?(trace_pid = 0) m
     Array.init n (fun tid ->
         {
           step_tr = Machine.Step tid;
-          drain_tr = Machine.Drain (tid, 0);
+          drain_tr = Machine.Drain tid;
           clock = 0;
           drain_free = 0;
           buffer_emptied_at = 0;

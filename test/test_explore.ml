@@ -127,100 +127,6 @@ let test_scenario_memo_completes () =
   checkb "memo hits reported" true (st.Explore.memo_hits > 0);
   checkb "well under the run budget" true (st.Explore.runs < 10_000)
 
-(* --- sleep-set partial-order reduction -------------------------------- *)
-
-let test_por_classic_differential () =
-  (* POR must preserve every verdict and every recorded failure prefix
-     while exploring (in aggregate, substantially) fewer runs *)
-  let total_plain = ref 0 and total_por = ref 0 in
-  List.iter
-    (fun (t : Ws_litmus.Classic.t) ->
-      let plain = Explore.search ~max_runs ~mk:t.mk () in
-      let por = Explore.search ~max_runs ~por:true ~mk:t.mk () in
-      checkb (t.name ^ ": verdict unchanged")
-        (plain.Explore.failures <> [])
-        (por.Explore.failures <> []);
-      checkb (t.name ^ ": POR never explores more") true
-        (por.Explore.runs <= plain.Explore.runs);
-      checkb (t.name ^ ": POR still exhausts") true (por.Explore.truncated = 0);
-      total_plain := !total_plain + plain.Explore.runs;
-      total_por := !total_por + por.Explore.runs;
-      List.iter
-        (fun (choices, _) ->
-          match Explore.replay_choices ~mk:t.mk choices with
-          | Error _ -> () (* the reduced search's sighting reproduces *)
-          | Ok () ->
-              Alcotest.failf "%s: POR failure prefix did not replay" t.name)
-        por.Explore.failures)
-    Ws_litmus.Classic.all;
-  checkb "POR cuts the classic suite by at least 5x" true
-    (!total_por * 5 <= !total_plain)
-
-let test_por_capacity_sweep () =
-  (* the same differential across store-buffer capacities of a queue
-     scenario: capacity moves where the reordering lives, so the
-     independence relation is exercised with short and long drain chains *)
-  List.iter
-    (fun sb_capacity ->
-      let spec =
-        {
-          Ws_harness.Scenarios.default_spec with
-          sb_capacity;
-          preloaded = 2;
-          steal_attempts = 1;
-        }
-      in
-      let go por =
-        Ws_harness.Scenarios.explore_check spec ~max_runs:40_000
-          ~preemption_bound:(Some 3) ~por ()
-      in
-      let plain, plain_clean = go false in
-      let por, por_clean = go true in
-      checkb
-        (Printf.sprintf "sb=%d: clean verdict agrees" sb_capacity)
-        plain_clean por_clean;
-      checkb
-        (Printf.sprintf "sb=%d: POR never explores more" sb_capacity)
-        true
-        (por.Explore.runs <= plain.Explore.runs))
-    [ 1; 2; 3 ]
-
-let test_por_delta_scenarios () =
-  (* the §4 delta-soundness pair: POR must still sight the delta=1
-     duplication (with a replayable prefix) and still prove delta=2 clean *)
-  let spec = delta_spec "ff-cl" in
-  (* the unmemoized space is ~800k runs with the duplication deep in DFS
-     order; memoization collapses it to ~100 runs and memoized failure
-     prefixes stay replayable, so sight through the cache *)
-  let sight por =
-    fst
-      (Ws_harness.Scenarios.explore_check (spec 1) ~preemption_bound:(Some 3)
-         ~memo:true ~por ())
-  in
-  let plain = sight false and por = sight true in
-  checkb "delta=1: unreduced search sights the duplication" true
-    (plain.Explore.failures <> []);
-  checkb "delta=1: POR sights the duplication" true (por.Explore.failures <> []);
-  (match por.Explore.failures with
-  | (choices, _) :: _ -> (
-      match
-        Explore.replay_choices ~mk:(Ws_harness.Scenarios.instance (spec 1)) choices
-      with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "POR duplication prefix did not replay")
-  | [] -> ());
-  (* delta=2 is a proof, so it must exhaust: memoization makes that cheap,
-     and POR must compose with it (the sleep set is part of the memo key) *)
-  let prove por =
-    Ws_harness.Scenarios.explore_check (spec 2) ~preemption_bound:(Some 3)
-      ~memo:true ~por ()
-  in
-  let p, p_clean = prove false in
-  let q, q_clean = prove true in
-  checkb "delta=2: both memoized proofs are clean" true (p_clean && q_clean);
-  checkb "delta=2: both proofs complete under budget" true
-    (p.Explore.runs < 200_000 && q.Explore.runs < 200_000)
-
 (* --- failure orientation ----------------------------------------------- *)
 
 (* S = delta + 1 with no client stores between takes: delta = ceil(S/1) = 2,
@@ -267,27 +173,52 @@ let test_snapshot_replay_oracle () =
       let snap = Explore.search ~max_runs ~mk:t.mk () in
       Alcotest.check stats (t.name ^ ": snapshots equal replay") replay snap)
     Ws_litmus.Classic.all;
-  (* and on a queue scenario with memo + POR + preemption bound stacked *)
+  (* and on a queue scenario with memo + DPOR + preemption bound stacked *)
   let go snapshots =
-    fst
-      (Ws_harness.Scenarios.explore_check Ws_harness.Scenarios.default_spec
-         ~preemption_bound:(Some 3) ~memo:true ~por:true ~snapshots ())
+    Explore.search ~preemption_bound:(Some 3) ~memo:true ~dpor:true ~snapshots
+      ~mk:(Ws_harness.Scenarios.instance Ws_harness.Scenarios.default_spec)
+      ()
   in
-  Alcotest.check stats "scenario: snapshots equal replay under memo+POR"
+  Alcotest.check stats "scenario: snapshots equal replay under memo+DPOR"
     (go false) (go true)
+
+let test_snapshot_oracle_unreduced_bounded () =
+  (* the unreduced search under a preemption bound, which can cut a
+     node's first child so that a sibling is its first explored one:
+     snapshots must still match replay, stateless on the litmus suite and
+     memoised on a queue scenario *)
+  List.iter
+    (fun (t : Ws_litmus.Classic.t) ->
+      let go snapshots =
+        Explore.search ~max_runs ~preemption_bound:(Some 1) ~snapshots
+          ~mk:t.mk ()
+      in
+      Alcotest.check stats
+        (t.name ^ ": snapshots equal replay at bound 1")
+        (go false) (go true))
+    Ws_litmus.Classic.all;
+  let go snapshots =
+    Explore.search ~preemption_bound:(Some 3) ~memo:true ~snapshots
+      ~mk:(Ws_harness.Scenarios.instance Ws_harness.Scenarios.default_spec)
+      ()
+  in
+  let snap = go true in
+  Alcotest.check stats "scenario: snapshots equal replay under memo+bound"
+    (go false) snap;
+  Alcotest.(check int) "the unreduced search keeps no sleep set" 0
+    snap.Explore.sleep_skips
 
 (* --- source-DPOR -------------------------------------------------------- *)
 
 let test_dpor_classic_differential () =
   (* DPOR must preserve every verdict (and replayable failure prefixes)
      while never exploring more runs than the unreduced search, and in
-     aggregate no more than sleep sets alone; snapshot-based sibling
-     exploration must stay byte-identical to replay-from-root under it *)
-  let total_por = ref 0 and total_dpor = ref 0 in
+     aggregate far fewer; snapshot-based sibling exploration must stay
+     byte-identical to replay-from-root under it *)
+  let total_plain = ref 0 and total_dpor = ref 0 in
   List.iter
     (fun (t : Ws_litmus.Classic.t) ->
       let plain = Explore.search ~max_runs ~mk:t.mk () in
-      let por = Explore.search ~max_runs ~por:true ~mk:t.mk () in
       let dpor = Explore.search ~max_runs ~dpor:true ~mk:t.mk () in
       checkb (t.name ^ ": verdict unchanged")
         (plain.Explore.failures <> [])
@@ -296,7 +227,7 @@ let test_dpor_classic_differential () =
         (dpor.Explore.runs <= plain.Explore.runs);
       checkb (t.name ^ ": DPOR still exhausts") true
         (dpor.Explore.truncated = 0);
-      total_por := !total_por + por.Explore.runs;
+      total_plain := !total_plain + plain.Explore.runs;
       total_dpor := !total_dpor + dpor.Explore.runs;
       List.iter
         (fun (choices, _) ->
@@ -311,8 +242,8 @@ let test_dpor_classic_differential () =
       Alcotest.check stats (t.name ^ ": DPOR snapshots equal replay") replay
         dpor)
     Ws_litmus.Classic.all;
-  checkb "DPOR does not fall behind sleep sets across the suite" true
-    (!total_dpor <= !total_por)
+  checkb "DPOR cuts the suite at least 5x against the unreduced search" true
+    (!total_dpor * 5 <= !total_plain)
 
 let test_dpor_parallel_verdicts () =
   check_fanned_out ~label:"DPOR jobs=4 equals sequential" (fun t ->
@@ -376,6 +307,35 @@ let test_dpor_joined_read_clock () =
     "runs, sleep skips, truncated" [ 8; 5; 0 ]
     [ st.Explore.runs; st.Explore.sleep_skips; st.Explore.truncated ]
 
+let test_dpor_capacity_sweep () =
+  (* the classic-suite differential across store-buffer capacities of a
+     queue scenario: capacity moves where the reordering lives, so the
+     independence relation is exercised with short and long drain chains *)
+  List.iter
+    (fun sb_capacity ->
+      let spec =
+        {
+          Ws_harness.Scenarios.default_spec with
+          sb_capacity;
+          preloaded = 2;
+          steal_attempts = 1;
+        }
+      in
+      let go dpor =
+        Ws_harness.Scenarios.explore_check spec ~max_runs:40_000
+          ~preemption_bound:(Some 3) ~dpor ()
+      in
+      let plain, plain_clean = go false in
+      let dpor, dpor_clean = go true in
+      checkb
+        (Printf.sprintf "sb=%d: clean verdict agrees" sb_capacity)
+        plain_clean dpor_clean;
+      checkb
+        (Printf.sprintf "sb=%d: DPOR never explores more" sb_capacity)
+        true
+        (dpor.Explore.runs <= plain.Explore.runs))
+    [ 1; 2; 3 ]
+
 (* --- persistent memo store ---------------------------------------------- *)
 
 let fresh_store_path name =
@@ -394,10 +354,10 @@ let fresh_store_path name =
   if Sys.file_exists path then rm path;
   path
 
-let open_store ?(config = "test") ?(preemption_bound = None) ?(por = false)
-    ?(dpor = false) path =
+let open_store ?(config = "test") ?(preemption_bound = None) ?(dpor = false)
+    path =
   Memo_store.open_ ~path ~config ~max_depth:Explore.default_max_depth
-    ~preemption_bound ~por ~dpor ()
+    ~preemption_bound ~dpor ()
 
 let test_memo_store_roundtrip () =
   (* cold search populates and commits; a warm reopen prunes the whole
@@ -451,7 +411,7 @@ let test_memo_store_header_mismatch () =
           true
           (contains ~needle:what e)
   in
-  expect_error "por" (open_store ~por:true path);
+  expect_error "dpor" (open_store path);
   expect_error "config" (open_store ~config:"other" ~dpor:true path);
   expect_error "preemption_bound"
     (open_store ~preemption_bound:(Some 2) ~dpor:true path);
@@ -474,6 +434,51 @@ let test_memo_store_corruption () =
   | Error e ->
       checkb ("corruption diagnosed: " ^ e) true
         (contains ~needle:"malformed entry" e)
+
+let test_memo_store_in_memory () =
+  (* a store with no directory is the table behind [~memo:true]: handing
+     one in searches exactly as [~memo:true] does, and the store buffers,
+     loads and commits nothing *)
+  let t = Ws_litmus.Classic.find "SB" in
+  let store = Memo_store.in_memory () in
+  let given =
+    Explore.search ~max_runs ~dpor:true ~memo_store:store ~mk:t.mk ()
+  in
+  let memo = Explore.search ~max_runs ~dpor:true ~memo:true ~mk:t.mk () in
+  Alcotest.check stats "same search as ~memo:true" memo given;
+  Alcotest.(check int)
+    "every memo hit is a store hit" given.Explore.memo_hits
+    (Memo_store.hits store);
+  checkb "visits were recorded" true
+    (Memo_store.lookups store > Memo_store.hits store);
+  Alcotest.(check int) "nothing buffered" 0 (Memo_store.pending_entries store);
+  Alcotest.(check int) "nothing loaded" 0 (Memo_store.loaded_entries store);
+  checkb "commit is a no-op" true
+    (Memo_store.commit store ~failures:given.Explore.failures = Ok ());
+  checkb "no failure set is stored" true (Memo_store.stored_failures store = [])
+
+let test_memo_store_frontier () =
+  (* a revisit is pruned only by an entry with at least its depth and its
+     preemption budget, so incomparable budgets both stay on a state's
+     frontier *)
+  let s = Memo_store.in_memory () in
+  let seen d p = Memo_store.seen s 42 ~depth_rem:d ~preempt_rem:p in
+  checkb "first visit is novel" false (seen 10 1);
+  checkb "less of both is covered" true (seen 9 0);
+  checkb "equal budget is covered" true (seen 10 1);
+  checkb "more preemptions, less depth: novel" false (seen 5 3);
+  checkb "covered by the second entry" true (seen 5 2);
+  checkb "the first entry still covers" true (seen 10 1);
+  checkb "more depth than either: novel" false (seen 11 1);
+  checkb "the new entry covers the first's budget" true (seen 11 0);
+  checkb "no entry has both maxima" false (seen 11 3);
+  checkb "which now covers every earlier visit" true
+    (seen 11 3 && seen 5 3 && seen 10 1);
+  checkb "another fingerprint has its own frontier" false
+    (Memo_store.seen s 43 ~depth_rem:0 ~preempt_rem:0);
+  Alcotest.(check (pair int int))
+    "lookups and hits" (13, 8)
+    (Memo_store.lookups s, Memo_store.hits s)
 
 (* --- complete ----------------------------------------------------------- *)
 
@@ -581,17 +586,14 @@ let test_instances_released () =
   in
   let mk = keeping (Ws_harness.Scenarios.instance violating_spec) in
   let pb = Some 2 and max_runs = 3000 in
-  let search ?snapshots ?(max_runs = max_runs) ?max_depth ?memo ?por ?dpor ()
-      () =
+  let search ?snapshots ?(max_runs = max_runs) ?max_depth ?memo ?dpor () () =
     ignore
       (Explore.search ~max_runs ?max_depth ~preemption_bound:pb ?snapshots
-         ?memo ?por ?dpor ~mk ())
+         ?memo ?dpor ~mk ())
   in
   expect "stateless plain" (search ());
-  expect "stateless por" (search ~por:true ());
   expect "stateless dpor" (search ~dpor:true ());
   expect "memo plain" (search ~memo:true ());
-  expect "memo por" (search ~memo:true ~por:true ());
   expect "memo dpor" (search ~memo:true ~dpor:true ());
   expect "snapshots:false" (search ~snapshots:false ~dpor:true ());
   expect "snapshots:false memo" (search ~snapshots:false ~memo:true ());
@@ -805,6 +807,53 @@ let dpor_golden =
     ("idempotent-fifo", 2, (2, 2, 1, 0), Memo, [| 68; 0; 0; 46; 1344; 19; 26 |], "d41d8cd98f00", []);
   ]
 
+(* The unreduced search, recorded before it moved into the DPOR branch-node
+   loop: every queue at sb 1 and 2 on config (2, 1, 1, 1), under the same
+   caps and bounds as the DPOR rows. *)
+let unreduced_golden =
+  [
+    ("the", 1, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 1396; 0; 0; 52 |], "d41d8cd98f00", []);
+    ("the", 1, (2, 1, 1, 1), Memo, [| 85; 0; 0; 100; 1425; 0; 56 |], "d41d8cd98f00", []);
+    ("the", 2, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 515; 0; 0; 52 |], "d41d8cd98f00", []);
+    ("the", 2, (2, 1, 1, 1), Memo, [| 90; 0; 0; 119; 1917; 0; 56 |], "d41d8cd98f00", []);
+    ("chase-lev", 1, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 3520; 0; 0; 46 |], "d41d8cd98f00", []);
+    ("chase-lev", 1, (2, 1, 1, 1), Memo, [| 31; 0; 0; 14; 415; 0; 46 |], "d41d8cd98f00", []);
+    ("chase-lev", 2, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 3362; 0; 0; 46 |], "d41d8cd98f00", []);
+    ("chase-lev", 2, (2, 1, 1, 1), Memo, [| 31; 0; 0; 16; 523; 0; 46 |], "d41d8cd98f00", []);
+    ("chase-lev-dyn", 1, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 4439; 0; 0; 52 |], "d41d8cd98f00", []);
+    ("chase-lev-dyn", 1, (2, 1, 1, 1), Memo, [| 33; 0; 0; 24; 626; 0; 52 |], "d41d8cd98f00", []);
+    ("chase-lev-dyn", 2, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 3055; 0; 0; 52 |], "d41d8cd98f00", []);
+    ("chase-lev-dyn", 2, (2, 1, 1, 1), Memo, [| 33; 0; 0; 27; 767; 0; 52 |], "d41d8cd98f00", []);
+    ("abp", 1, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 3729; 0; 0; 37 |], "d41d8cd98f00", []);
+    ("abp", 1, (2, 1, 1, 1), Memo, [| 29; 0; 0; 0; 328; 0; 37 |], "d41d8cd98f00", []);
+    ("abp", 2, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 2498; 0; 0; 37 |], "d41d8cd98f00", []);
+    ("abp", 2, (2, 1, 1, 1), Memo, [| 29; 0; 0; 0; 403; 0; 37 |], "d41d8cd98f00", []);
+    ("ff-the", 1, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 1169; 0; 0; 48 |], "d41d8cd98f00", []);
+    ("ff-the", 1, (2, 1, 1, 1), Memo, [| 140; 0; 0; 137; 2610; 0; 52 |], "d41d8cd98f00", []);
+    ("ff-the", 2, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 546; 0; 0; 48 |], "d41d8cd98f00", []);
+    ("ff-the", 2, (2, 1, 1, 1), Memo, [| 140; 0; 0; 236; 4896; 0; 52 |], "d41d8cd98f00", []);
+    ("ff-cl", 1, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 1748; 0; 0; 37 |], "d41d8cd98f00", []);
+    ("ff-cl", 1, (2, 1, 1, 1), Memo, [| 28; 0; 0; 0; 435; 0; 42 |], "d41d8cd98f00", []);
+    ("ff-cl", 2, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 1243; 0; 0; 37 |], "d41d8cd98f00", []);
+    ("ff-cl", 2, (2, 1, 1, 1), Memo, [| 26; 0; 0; 0; 818; 0; 42 |], "d41d8cd98f00", []);
+    ("thep", 1, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 1020; 0; 0; 58 |], "d41d8cd98f00", []);
+    ("thep", 1, (2, 1, 1, 1), Memo, [| 1484; 119; 0; 404; 8709; 0; 400 |], "d41d8cd98f00", []);
+    ("thep", 2, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 203; 0; 0; 58 |], "d41d8cd98f00", []);
+    ("thep", 2, (2, 1, 1, 1), Memo, [| 1505; 138; 0; 524; 21660; 0; 400 |], "d41d8cd98f00", []);
+    ("thep-sep", 1, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 1294; 0; 0; 65 |], "d41d8cd98f00", []);
+    ("thep-sep", 1, (2, 1, 1, 1), Memo, [| 4948; 420; 0; 1589; 33731; 0; 400 |], "d41d8cd98f00", []);
+    ("thep-sep", 2, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 187; 0; 0; 65 |], "d41d8cd98f00", []);
+    ("thep-sep", 2, (2, 1, 1, 1), Memo, [| 5104; 566; 0; 2013; 83229; 0; 400 |], "d41d8cd98f00", []);
+    ("idempotent-lifo", 1, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 1468; 0; 0; 29 |], "d41d8cd98f00", []);
+    ("idempotent-lifo", 1, (2, 1, 1, 1), Memo, [| 17; 0; 0; 0; 338; 0; 29 |], "d41d8cd98f00", []);
+    ("idempotent-lifo", 2, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 1349; 0; 0; 29 |], "d41d8cd98f00", []);
+    ("idempotent-lifo", 2, (2, 1, 1, 1), Memo, [| 16; 0; 0; 0; 637; 0; 29 |], "d41d8cd98f00", []);
+    ("idempotent-fifo", 1, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 1468; 0; 0; 29 |], "d41d8cd98f00", []);
+    ("idempotent-fifo", 1, (2, 1, 1, 1), Memo, [| 17; 0; 0; 0; 338; 0; 29 |], "d41d8cd98f00", []);
+    ("idempotent-fifo", 2, (2, 1, 1, 1), Stateless, [| 4000; 0; 0; 1349; 0; 0; 29 |], "d41d8cd98f00", []);
+    ("idempotent-fifo", 2, (2, 1, 1, 1), Memo, [| 16; 0; 0; 0; 637; 0; 29 |], "d41d8cd98f00", []);
+  ]
+
 let golden_configs = [ (1, 1, 1, 0); (2, 1, 1, 1); (3, 1, 2, 0); (2, 2, 1, 0) ]
 
 let failures_digest fs =
@@ -833,102 +882,117 @@ let within seconds f =
       Sys.set_signal Sys.sigalrm previous)
     f
 
-let test_dpor_golden () =
-  let expected_keys =
+(* Check [table] covers every registry queue at sb 1 and 2 on [configs],
+   stateless and memoised, then rerun every row with [dpor] and fail
+   listing each row whose counts or failures moved. *)
+let check_golden ~dpor ~label table configs =
+  let keys =
     List.concat_map
       (fun q ->
         List.concat_map
           (fun sb ->
             List.concat_map
               (fun cfg -> [ (q, sb, cfg, Stateless); (q, sb, cfg, Memo) ])
-              golden_configs)
+              configs)
           [ 1; 2 ])
       Ws_core.Registry.names
   in
-  checkb "the table covers every registry queue, sb and config" true
-    (List.map (fun (q, sb, cfg, mode, _, _, _) -> (q, sb, cfg, mode)) dpor_golden
-    = expected_keys);
+  checkb
+    (Printf.sprintf "the %s table covers every registry queue, sb and config"
+       label)
+    true
+    (List.map (fun (q, sb, cfg, mode, _, _, _) -> (q, sb, cfg, mode)) table
+    = keys);
   let differ = ref [] in
-  List.iter
-    (fun (queue, sb, (tasks, steals, delta, cs), mode, counts, digest, msgs) ->
-      let spec =
-        {
-          Ws_harness.Scenarios.default_spec with
-          queue;
-          sb_capacity = sb;
-          delta;
-          preloaded = tasks;
-          steal_attempts = steals;
-          client_stores = cs;
-        }
-      in
-      let mk = Ws_harness.Scenarios.instance spec in
-      let row () =
-        Printf.sprintf "(%S, %d, (%d, %d, %d, %d), %s" queue sb tasks steals
-          delta cs
-          (match mode with Stateless -> "Stateless" | Memo -> "Memo")
-      in
-      (* The slowest row takes about a second, so a row still searching
-         after 20 s has broken; the group stops there rather than wait
-         out every later row. *)
-      match
-        within 20 (fun () ->
-            match mode with
-            | Stateless ->
-                Explore.search ~max_runs:4000 ~preemption_bound:(Some 2)
-                  ~dpor:true ~mk ()
-            | Memo ->
-                (* A memoised row runs to completion, so broken DPOR
-                   bookkeeping could keep it searching for hours. Its
-                   recorded search built at most runs + memo hits + sleep
-                   skips instances; past twice that, the row fails. *)
-                let budget = 2 * (counts.(0) + counts.(4) + counts.(5)) in
-                let builds = ref 0 in
-                let mk () =
-                  incr builds;
-                  if !builds > budget then raise (Build_budget budget);
-                  mk ()
-                in
-                Explore.search ~preemption_bound:(Some 3) ~memo:true
-                  ~dpor:true ~mk ())
-      with
-      | exception Build_budget budget ->
+  let check_row
+      (queue, sb, (tasks, steals, delta, cs), mode, counts, digest, msgs) =
+    let spec =
+      {
+        Ws_harness.Scenarios.default_spec with
+        queue;
+        sb_capacity = sb;
+        delta;
+        preloaded = tasks;
+        steal_attempts = steals;
+        client_stores = cs;
+      }
+    in
+    let mk = Ws_harness.Scenarios.instance spec in
+    let row () =
+      Printf.sprintf "%s(%S, %d, (%d, %d, %d, %d), %s"
+        (if dpor then "" else "unreduced ")
+        queue sb tasks steals delta cs
+        (match mode with Stateless -> "Stateless" | Memo -> "Memo")
+    in
+    (* The slowest row takes about three seconds, so a row still
+       searching after 20 s has broken; the group stops there rather than
+       wait out every later row. *)
+    match
+      within 20 (fun () ->
+          match mode with
+          | Stateless ->
+              Explore.search ~max_runs:4000 ~preemption_bound:(Some 2) ~dpor
+                ~mk ()
+          | Memo ->
+              (* A memoised row runs to completion, so broken DPOR
+                 bookkeeping could keep it searching for hours. Its
+                 recorded search built at most runs + memo hits + sleep
+                 skips instances; past twice that, the row fails. *)
+              let budget = 2 * (counts.(0) + counts.(4) + counts.(5)) in
+              let builds = ref 0 in
+              let mk () =
+                incr builds;
+                if !builds > budget then raise (Build_budget budget);
+                mk ()
+              in
+              Explore.search ~preemption_bound:(Some 3) ~memo:true ~dpor
+                ~mk ())
+    with
+    | exception Build_budget budget ->
+        differ :=
+          Printf.sprintf "%s, spent its budget of %d instance builds)"
+            (row ()) budget
+          :: !differ
+    | exception Row_timeout ->
+        Alcotest.failf "%s) is still searching after 20 s" (row ())
+    | st ->
+        let got =
+          [|
+            st.Explore.runs;
+            st.truncated;
+            st.deadlocks;
+            st.pruned;
+            st.memo_hits;
+            st.sleep_skips;
+            st.peak_depth;
+          |]
+        in
+        let fs = Explore.failures_in_replay_order st in
+        if
+          got <> counts
+          || failures_digest fs <> digest
+          || List.map snd fs <> msgs
+        then
           differ :=
-            Printf.sprintf "%s, spent its budget of %d instance builds)"
-              (row ()) budget
+            Printf.sprintf "%s, [| %s |], %S, %d failures)" (row ())
+              (String.concat "; "
+                 (Array.to_list (Array.map string_of_int got)))
+              (failures_digest fs) (List.length fs)
             :: !differ
-      | exception Row_timeout ->
-          Alcotest.failf "%s) is still searching after 20 s" (row ())
-      | st ->
-          let got =
-            [|
-              st.Explore.runs;
-              st.truncated;
-              st.deadlocks;
-              st.pruned;
-              st.memo_hits;
-              st.sleep_skips;
-              st.peak_depth;
-            |]
-          in
-          let fs = Explore.failures_in_replay_order st in
-          if
-            got <> counts
-            || failures_digest fs <> digest
-            || List.map snd fs <> msgs
-          then
-            differ :=
-              Printf.sprintf "%s, [| %s |], %S, %d failures)" (row ())
-                (String.concat "; "
-                   (Array.to_list (Array.map string_of_int got)))
-                (failures_digest fs) (List.length fs)
-              :: !differ)
-    dpor_golden;
+  in
+  List.iter check_row table;
   match List.rev !differ with
   | [] -> ()
   | rows ->
       Alcotest.failf "%d of %d rows differ from the recording; now:\n%s"
-        (List.length rows) (List.length dpor_golden) (String.concat "\n" rows)
+        (List.length rows) (List.length table) (String.concat "\n" rows)
+
+let test_dpor_golden () =
+  check_golden ~dpor:true ~label:"DPOR" dpor_golden golden_configs
+
+let test_unreduced_golden () =
+  check_golden ~dpor:false ~label:"unreduced" unreduced_golden
+    [ (2, 1, 1, 1) ]
 
 (* --- allocation-free hot path ------------------------------------------- *)
 
@@ -997,11 +1061,27 @@ let test_hot_path_allocates_nothing () =
   in
   check_words "DPOR push/pop over 60 events" 0. pass
 
+let test_memo_hit_allocates_nothing () =
+  (* A warmed in-memory table whose 1,000 states each keep a two-entry
+     frontier: the second entry covers every lookup. *)
+  let store = Memo_store.in_memory () in
+  let key i = i * 0x2545F4914F6CDD1D in
+  for i = 0 to 999 do
+    ignore (Memo_store.seen store (key i) ~depth_rem:10 ~preempt_rem:1);
+    ignore (Memo_store.seen store (key i) ~depth_rem:5 ~preempt_rem:3)
+  done;
+  check_words "Memo_store.seen over 10,000 hits" 0. (fun () ->
+      for i = 0 to 9_999 do
+        let fp = key (i mod 1000) in
+        if not (Memo_store.seen store fp ~depth_rem:5 ~preempt_rem:2) then
+          Alcotest.fail "a warmed state missed"
+      done)
+
 (* --- pinned fingerprint values ------------------------------------------ *)
 
-(* Memo keys, and the fingerprints [wsrepro-memo/v1] shards keep on disk,
-   stay valid only while {!Machine.fingerprint} computes the same values,
-   so a set of them is pinned here. *)
+(* Memo keys, and the entries [wsrepro-memo/v1] shards keep on disk, stay
+   valid only while {!Machine.fingerprint} and the sleep-set hashes compute
+   the same values, so a set of them is pinned here. *)
 
 (* perfbench's fingerprint probe: a single-worker THEP machine stopped 200
    round-robin steps into its run. *)
@@ -1146,7 +1226,29 @@ let test_fingerprints_pinned () =
       Alcotest.(check (list int))
         (name ^ ": every state of the last-choice schedule")
         expected (last_choice_fingerprints m))
-    pinned_fingerprints
+    pinned_fingerprints;
+  (* The keys a memoised DPOR search commits: fingerprints mixed with the
+     hashes of their sleep sets, drains included. *)
+  let path = fresh_store_path "keys" in
+  (match open_store ~dpor:true path with
+  | Ok s ->
+      ignore
+        (Explore.search ~max_runs ~dpor:true ~memo_store:s
+           ~mk:(Ws_litmus.Classic.find "SB").mk ())
+  | Error e -> Alcotest.fail e);
+  let lines k =
+    let file = Filename.concat path (Printf.sprintf "shard-%d.dat" k) in
+    if not (Sys.file_exists file) then []
+    else
+      In_channel.with_open_text file In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (( <> ) "")
+  in
+  let keys = List.sort compare (List.concat_map lines (List.init 16 Fun.id)) in
+  Alcotest.(check (pair int string))
+    "SB: the entries a memoised DPOR search commits"
+    (36, "f0348cb693728a3898fb7a5a41f1decf")
+    (List.length keys, Digest.to_hex (Digest.string (String.concat "\n" keys)))
 
 (* --- source-DPOR bookkeeping against its record-based reference --------- *)
 
@@ -1474,15 +1576,6 @@ let () =
           Alcotest.test_case "scenario proof under budget" `Quick
             test_scenario_memo_completes;
         ] );
-      ( "por",
-        [
-          Alcotest.test_case "classic suite differential" `Quick
-            test_por_classic_differential;
-          Alcotest.test_case "capacity sweep differential" `Quick
-            test_por_capacity_sweep;
-          Alcotest.test_case "delta scenarios differential" `Quick
-            test_por_delta_scenarios;
-        ] );
       ( "dpor",
         [
           Alcotest.test_case "classic suite differential" `Quick
@@ -1493,11 +1586,15 @@ let () =
             test_dpor_delta_scenarios;
           Alcotest.test_case "a write joins every read since the last"
             `Quick test_dpor_joined_read_clock;
+          Alcotest.test_case "capacity sweep differential" `Quick
+            test_dpor_capacity_sweep;
         ] );
       ( "dpor-golden",
         [
           Alcotest.test_case "recorded counts per queue, sb and config" `Quick
             test_dpor_golden;
+          Alcotest.test_case "unreduced rows per queue and sb" `Quick
+            test_unreduced_golden;
         ] );
       ( "lifecycle",
         [
@@ -1512,6 +1609,10 @@ let () =
             test_memo_store_header_mismatch;
           Alcotest.test_case "corruption rejected" `Quick
             test_memo_store_corruption;
+          Alcotest.test_case "in memory, nothing persists" `Quick
+            test_memo_store_in_memory;
+          Alcotest.test_case "Pareto frontier of budgets" `Quick
+            test_memo_store_frontier;
         ] );
       ( "complete",
         [
@@ -1532,11 +1633,14 @@ let () =
       ( "snapshots",
         [
           Alcotest.test_case "replay oracle" `Quick test_snapshot_replay_oracle;
+          Alcotest.test_case "unreduced replay oracle under a bound" `Quick
+            test_snapshot_oracle_unreduced_bounded;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "snapshot, fingerprint, footprint and DPOR"
             `Quick test_hot_path_allocates_nothing;
+          Alcotest.test_case "memo hit" `Quick test_memo_hit_allocates_nothing;
         ] );
       ( "fingerprint",
         [

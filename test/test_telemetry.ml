@@ -485,8 +485,9 @@ let test_shards_merge_equals_sequential () =
     apply_op seq i
   done;
   let shards = Telemetry.Shards.create ~n:3 in
+  let sinks = Telemetry.Shards.sinks shards in
   for i = 0 to 999 do
-    apply_op (Telemetry.Shards.shard shards (i mod 7)) i
+    apply_op sinks.(i mod 7 mod 3) i
   done;
   let merged = S.create () in
   Telemetry.Shards.merge ~into:merged shards;
@@ -498,7 +499,7 @@ let test_shards_merge_equals_sequential () =
 let test_shards_drain_semantics () =
   let shards = Telemetry.Shards.create ~n:4 in
   for i = 0 to 99 do
-    apply_op (Telemetry.Shards.shard shards i) i
+    apply_op (Telemetry.Shards.sinks shards).(i mod 4) i
   done;
   let root = S.create () in
   Telemetry.Shards.merge ~into:root shards;
@@ -516,30 +517,40 @@ let test_shards_drain_semantics () =
     (J.to_string (S.to_json (S.create ())))
     (J.to_string (S.to_json fresh))
 
-let test_shards_wrap_and_clamp () =
+let test_shards_clamp_and_histogram () =
   let shards = Telemetry.Shards.create ~n:2 in
-  check int "length" 2 (Telemetry.Shards.length shards);
-  (* out-of-range ids wrap rather than raise *)
-  let s5 = Telemetry.Shards.shard shards 5 in
-  s5.S.puts <- 3;
-  check int "id 5 wraps to shard 1" 3
-    (Telemetry.Shards.shard shards 1).S.puts;
+  check int "two shards" 2 (Array.length (Telemetry.Shards.sinks shards));
   let clamped = Telemetry.Shards.create ~n:0 in
-  check int "n <= 0 clamps to 1 shard" 1 (Telemetry.Shards.length clamped);
-  (* a histogram observed through a wrapped id merges exactly once *)
-  H.observe (S.sb_occupancy (Telemetry.Shards.shard shards 7)) 9;
+  check int "n <= 0 clamps to 1 shard" 1
+    (Array.length (Telemetry.Shards.sinks clamped));
+  (* a histogram observed in one shard merges exactly once *)
+  H.observe (S.sb_occupancy (Telemetry.Shards.sinks shards).(1)) 9;
   let root = S.create () in
   Telemetry.Shards.merge ~into:root shards;
-  check int "wrapped-id histogram sample counted once" 1
+  check int "shard histogram sample counted once" 1
     (H.total (S.sb_occupancy root))
+
+(* The merge law for every partition: a stream routed over any number of
+   shards, in any pattern, merges to what one sink would have rendered. *)
+let shards_partition_prop =
+  QCheck.Test.make ~name:"any routing over any shard count merges exactly"
+    ~count:200
+    QCheck.(
+      pair (int_range 1 8)
+        (small_list (pair (int_bound 999) (int_bound 63))))
+    (fun (n, stream) ->
+      let seq = S.create () in
+      List.iter (fun (i, _) -> apply_op seq i) stream;
+      let shards = Telemetry.Shards.create ~n in
+      let sinks = Telemetry.Shards.sinks shards in
+      List.iter (fun (i, r) -> apply_op sinks.(r mod n) i) stream;
+      let merged = S.create () in
+      Telemetry.Shards.merge ~into:merged shards;
+      J.to_string (S.to_json seq) = J.to_string (S.to_json merged))
 
 (* --- windowed time series --------------------------------------------- *)
 
 module W = Telemetry.Windowed
-
-(* A deterministic stream of (now, value) observations spanning many
-   windows: now advances monotonically, values vary per step. *)
-let windowed_stream n = List.init n (fun i -> (i * 13, (i * 7 mod 97) + (i mod 3)))
 
 let test_windowed_rotation () =
   let t = W.create ~slots:4 ~width:100 () in
@@ -565,80 +576,54 @@ let test_windowed_rotation () =
   check bool "negative now lands in window 0" true
     (List.map fst (W.windows n) = [ 0 ])
 
-let test_windowed_partition_independence () =
-  (* one ring sees the whole stream; k rings see it partitioned round-robin
-     by an arbitrary key; merged bytes must match for every k *)
-  let stream = windowed_stream 500 in
-  let single = W.create ~slots:8 ~width:64 () in
-  List.iter (fun (now, v) -> W.observe single ~now v) stream;
-  let expect = J.to_string ~indent:true (W.to_json single) in
-  List.iter
-    (fun k ->
-      let rings = Array.init k (fun _ -> W.create ~slots:8 ~width:64 ()) in
-      List.iteri
-        (fun i (now, v) -> W.observe rings.(i * 11 mod k) ~now v)
-        stream;
-      let merged = W.create ~slots:8 ~width:64 () in
-      Array.iter (fun r -> W.merge ~into:merged r) rings;
-      check string
-        (Printf.sprintf "merged JSON byte-identical at %d shards" k)
-        expect
-        (J.to_string ~indent:true (W.to_json merged)))
-    [ 1; 2; 4; 8 ];
-  (* merge order cannot matter either: reversed shard order, same bytes *)
-  let rings = Array.init 4 (fun _ -> W.create ~slots:8 ~width:64 ()) in
-  List.iteri (fun i (now, v) -> W.observe rings.(i mod 4) ~now v) stream;
-  let merged = W.create ~slots:8 ~width:64 () in
-  for i = 3 downto 0 do
-    W.merge ~into:merged rings.(i)
-  done;
-  check string "reverse merge order, same bytes" expect
-    (J.to_string ~indent:true (W.to_json merged))
-
-let test_windowed_drain_and_snapshot () =
-  let src = W.create ~slots:4 ~width:50 () in
-  List.iter (fun (now, v) -> W.observe src ~now v) (windowed_stream 40);
-  let snap = W.snapshot src in
-  check string "snapshot equals source"
-    (J.to_string (W.to_json src))
-    (J.to_string (W.to_json snap));
-  (* snapshot does not drain: source still renders the same *)
-  let before = J.to_string (W.to_json src) in
-  let root = W.create ~slots:4 ~width:50 () in
-  W.merge ~into:root src;
-  check string "merge moved everything" before (J.to_string (W.to_json root));
-  check bool "merge drained the source" true (W.windows src = []);
-  W.merge ~into:root src;
-  check string "second merge is a no-op" before (J.to_string (W.to_json root));
-  (* snapshot is deep: mutating it leaves the (drained) source alone *)
-  W.observe snap ~now:0 1;
-  check bool "snapshot mutation invisible to source" true (W.windows src = [])
-
-let test_windowed_stale_and_mismatch () =
+let test_windowed_stale_and_zero_width () =
   let t = W.create ~slots:2 ~width:10 () in
   W.observe t ~now:35 5;
   (* window 1 maps to slot 1; window 3 owns it now, so this is stale *)
   W.observe t ~now:15 7;
   check bool "stale sample dropped" true
-    (List.map fst (W.windows t) = [ 3 ])
-    ;
+    (List.map fst (W.windows t) = [ 3 ]);
   check int "stale sample did not pollute" 1
     (H.total (List.assoc 3 (W.windows t)));
-  (* a lagging shard merges its stale window away, a leading one evicts *)
-  let lag = W.create ~slots:2 ~width:10 () in
-  W.observe lag ~now:15 7;
-  W.merge ~into:t lag;
-  check bool "lagging shard's stale window dropped on merge" true
-    (List.map fst (W.windows t) = [ 3 ]);
-  Alcotest.check_raises "width mismatch rejected"
-    (Invalid_argument "Windowed.merge: width/slots mismatch") (fun () ->
-      W.merge ~into:t (W.create ~slots:2 ~width:20 ()));
-  Alcotest.check_raises "slots mismatch rejected"
-    (Invalid_argument "Windowed.merge: width/slots mismatch") (fun () ->
-      W.merge ~into:t (W.create ~slots:4 ~width:10 ()));
   Alcotest.check_raises "zero width rejected"
     (Invalid_argument "Windowed.create: width must be positive") (fun () ->
       ignore (W.create ~width:0 ()))
+
+(* The ring against a reference that keeps, per slot, the newest window
+   that reached it and that window's samples. The clock may go backwards,
+   so stale samples are exercised too. *)
+let windowed_model_prop =
+  QCheck.Test.make ~name:"windowed ring matches a reference model" ~count:300
+    QCheck.(
+      triple (int_range 1 6) (int_range 1 20)
+        (small_list (pair (int_range (-10) 400) (int_bound 1000))))
+    (fun (slots, width, stream) ->
+      let t = W.create ~slots ~width () in
+      let resident = Array.make slots None in
+      let render (w, h) = (w, J.to_string (H.to_json h)) in
+      let expected () =
+        Array.to_list resident
+        |> List.filter_map (function
+             | None -> None
+             | Some (w, vs) ->
+                 let h = H.create () in
+                 List.iter (H.observe h) vs;
+                 Some (w, J.to_string (H.to_json h)))
+        |> List.sort compare
+      in
+      List.for_all
+        (fun (now, v) ->
+          W.observe t ~now v;
+          let w = max now 0 / width in
+          let s = w mod slots in
+          (match resident.(s) with
+          | Some (w0, vs) when w0 = w -> resident.(s) <- Some (w, v :: vs)
+          | Some (w0, _) when w0 > w -> ()
+          | _ -> resident.(s) <- Some (w, [ v ]));
+          let exp = expected () in
+          List.map render (W.windows t) = exp
+          && W.latest t = List.fold_left (fun m (w, _) -> max m w) (-1) exp)
+        stream)
 
 let () =
   Alcotest.run "telemetry"
@@ -692,17 +677,16 @@ let () =
           Alcotest.test_case "merge equals sequential sink" `Quick
             test_shards_merge_equals_sequential;
           Alcotest.test_case "merge drains" `Quick test_shards_drain_semantics;
-          Alcotest.test_case "wrap and clamp" `Quick test_shards_wrap_and_clamp;
+          Alcotest.test_case "clamp and histogram merge" `Quick
+            test_shards_clamp_and_histogram;
+          QCheck_alcotest.to_alcotest shards_partition_prop;
         ] );
       ( "windowed",
         [
           Alcotest.test_case "rotation and eviction" `Quick
             test_windowed_rotation;
-          Alcotest.test_case "partition independence" `Quick
-            test_windowed_partition_independence;
-          Alcotest.test_case "drain and snapshot" `Quick
-            test_windowed_drain_and_snapshot;
-          Alcotest.test_case "stale drop and mismatch" `Quick
-            test_windowed_stale_and_mismatch;
+          Alcotest.test_case "stale drop and zero width" `Quick
+            test_windowed_stale_and_zero_width;
+          QCheck_alcotest.to_alcotest windowed_model_prop;
         ] );
     ]

@@ -196,31 +196,6 @@ let test_sb_lookup_shadows_egress () =
   check (Alcotest.option Alcotest.int) "queue still forwards after flush"
     (Some 2) (Store_buffer.lookup sb x)
 
-let test_sb_pso_lanes_stable () =
-  let mem, x, y = mk_mem2 () in
-  let sb = Store_buffer.create ~capacity:4 ~model:Store_buffer.Pso in
-  Store_buffer.push sb y 1;
-  Store_buffer.push sb x 2;
-  Store_buffer.push sb y 3;
-  let lanes = Store_buffer.drain_lanes sb in
-  check (Alcotest.list Alcotest.int) "one sorted lane per pending address"
-    [ Addr.to_index x; Addr.to_index y ]
-    lanes;
-  check (Alcotest.list Alcotest.int) "lanes are stable across calls" lanes
-    (Store_buffer.drain_lanes sb);
-  (match Store_buffer.drain_lane sb (Addr.to_index y) mem with
-  | Store_buffer.Wrote (a, 1) -> checkb "oldest y first" true (Addr.equal a y)
-  | _ -> Alcotest.fail "PSO drain writes memory directly");
-  check (Alcotest.list Alcotest.int) "y still pending: lanes unchanged"
-    [ Addr.to_index x; Addr.to_index y ]
-    (Store_buffer.drain_lanes sb);
-  (match Store_buffer.drain_lane sb (Addr.to_index y) mem with
-  | Store_buffer.Wrote (_, 3) -> ()
-  | _ -> Alcotest.fail "second y drain must write y:=3");
-  check (Alcotest.list Alcotest.int) "y lane disappears once empty"
-    [ Addr.to_index x ]
-    (Store_buffer.drain_lanes sb)
-
 (* qcheck: the abstract store buffer against a reference list model. *)
 let sb_model_prop =
   QCheck.Test.make ~name:"store buffer matches reference model" ~count:300
@@ -278,7 +253,6 @@ let sb_model_prop =
 type sb_op =
   | Op_push of int * int
   | Op_drain
-  | Op_drain_lane of int
   | Op_flush
   | Op_lookup of int
   | Op_clear
@@ -287,7 +261,6 @@ type sb_op =
 let sb_op_to_string = function
   | Op_push (a, v) -> Printf.sprintf "push %d:=%d" a v
   | Op_drain -> "drain"
-  | Op_drain_lane l -> Printf.sprintf "drain_lane %d" l
   | Op_flush -> "flush"
   | Op_lookup a -> Printf.sprintf "lookup %d" a
   | Op_clear -> "clear"
@@ -299,7 +272,6 @@ let sb_models =
     Store_buffer.Abstract;
     Store_buffer.Realistic { coalesce = true };
     Store_buffer.Realistic { coalesce = false };
-    Store_buffer.Pso;
   |]
 
 let sb_ring_arb =
@@ -312,7 +284,6 @@ let sb_ring_arb =
         [
           (6, map2 (fun a v -> Op_push (a, v)) addr value);
           (4, return Op_drain);
-          (3, map (fun l -> Op_drain_lane l) addr);
           (3, return Op_flush);
           (2, map (fun a -> Op_lookup a) addr);
           (1, return Op_clear);
@@ -325,7 +296,10 @@ let sb_ring_arb =
       Printf.sprintf "model %d, capacity %d: %s" m cap
         (String.concat "; " (List.map sb_op_to_string ops)))
     QCheck.Gen.(
-      triple (int_bound 3) (int_range 1 5) (list_size (int_range 0 60) op))
+      triple
+        (int_bound (Array.length sb_models - 1))
+        (int_range 1 5)
+        (list_size (int_range 0 60) op))
 
 let sb_ring_prop =
   QCheck.Test.make ~name:"ring store buffer matches list reference" ~count:500
@@ -346,17 +320,11 @@ let sb_ring_prop =
         | [] -> false
         | (a, _) :: _ -> (
             match model with
-            | Store_buffer.Abstract | Store_buffer.Pso -> true
+            | Store_buffer.Abstract -> true
             | Store_buffer.Realistic { coalesce } -> (
                 match !b with
                 | None -> true
                 | Some (a', _) -> coalesce && a = a'))
-      in
-      let ref_lanes () =
-        match model with
-        | Store_buffer.Abstract | Store_buffer.Realistic _ ->
-            if ref_can_drain () then [ 0 ] else []
-        | Store_buffer.Pso -> List.sort_uniq compare (List.map fst !q)
       in
       let ref_drain_fifo () =
         match !q with
@@ -364,7 +332,7 @@ let sb_ring_prop =
         | (a, v) :: rest -> (
             q := rest;
             match model with
-            | Store_buffer.Abstract | Store_buffer.Pso ->
+            | Store_buffer.Abstract ->
                 refmem.(a) <- v;
                 `Wrote (a, v)
             | Store_buffer.Realistic _ ->
@@ -402,28 +370,6 @@ let sb_ring_prop =
             if ref_can_drain () then
               of_result (Store_buffer.drain sb mem) = ref_drain_fifo ()
             else raises (fun () -> Store_buffer.drain sb mem)
-        | Op_drain_lane l -> (
-            let lane =
-              match model with Store_buffer.Pso -> l | _ -> l mod 2
-            in
-            if not (List.mem lane (ref_lanes ())) then
-              raises (fun () -> Store_buffer.drain_lane sb lane mem)
-            else
-              let got = of_result (Store_buffer.drain_lane sb lane mem) in
-              match model with
-              | Store_buffer.Pso ->
-                  let rec remove = function
-                    | [] -> assert false
-                    | (a, v) :: rest when a = lane -> (v, rest)
-                    | e :: rest ->
-                        let v, rest = remove rest in
-                        (v, e :: rest)
-                  in
-                  let v, rest = remove !q in
-                  q := rest;
-                  refmem.(lane) <- v;
-                  got = `Wrote (lane, v)
-              | _ -> got = ref_drain_fifo ())
         | Op_flush -> (
             match !b with
             | None -> raises (fun () -> Store_buffer.flush_egress sb mem)
@@ -456,7 +402,6 @@ let sb_ring_prop =
         && Store_buffer.is_empty sb = (expected_list = [])
         && Store_buffer.can_drain sb = ref_can_drain ()
         && Store_buffer.can_flush_egress sb = Option.is_some !b
-        && Store_buffer.drain_lanes sb = ref_lanes ()
         && List.for_all
              (fun a -> Store_buffer.lookup sb addrs.(a) = ref_lookup a)
              (List.init n_addrs Fun.id)
@@ -520,12 +465,12 @@ let test_machine_enabledness () =
     (List.map
        (function Machine.Drain _ -> "drain" | Machine.Step _ -> "step" | Machine.Flush _ -> "flush")
        (Machine.enabled m));
-  ignore (Machine.apply m (Machine.Drain (tid, 0)));
+  ignore (Machine.apply m (Machine.Drain tid));
   ignore (Machine.apply m (Machine.Step tid));
   (* fence must wait until y drains *)
   checkb "fence not enabled while buffered" true
     (not (List.mem (Machine.Step tid) (Machine.enabled m)));
-  ignore (Machine.apply m (Machine.Drain (tid, 0)));
+  ignore (Machine.apply m (Machine.Drain tid));
   ignore (Machine.apply m (Machine.Step tid)) (* fence *);
   ignore (Machine.apply m (Machine.Step tid)) (* cas, buffer empty *);
   checkb "done" true (Machine.thread_done m tid);
@@ -556,7 +501,7 @@ let test_machine_events () =
   Machine.on_event m (fun e -> events := e :: !events);
   let tid = Machine.spawn m ~name:"t" (fun () -> Program.store x 1) in
   ignore (Machine.apply m (Machine.Step tid));
-  ignore (Machine.apply m (Machine.Drain (tid, 0)));
+  ignore (Machine.apply m (Machine.Drain tid));
   let kinds =
     List.rev_map
       (function
@@ -589,7 +534,7 @@ let test_machine_event_order () =
     (fun i _ ->
       Machine.on_event m (fun _ -> if hits.(i) < 0 then hits.(i) <- i))
     hits;
-  ignore (Machine.apply m (Machine.Drain (tid, 0)));
+  ignore (Machine.apply m (Machine.Drain tid));
   checkb "all listeners fired" true (Array.for_all (fun v -> v >= 0) hits)
 
 let test_fingerprint_covers_control_state () =
@@ -625,7 +570,7 @@ let test_fingerprint_distinguishes_egress () =
   check Alcotest.int "identical states share a fingerprint"
     (Machine.fingerprint m_queued)
     (Machine.fingerprint m_staged);
-  ignore (Machine.apply m_staged (Machine.Drain (tid, 0))) (* stage into B *);
+  ignore (Machine.apply m_staged (Machine.Drain tid)) (* stage into B *);
   checkb "queued vs staged-in-B differ" true
     (Machine.fingerprint m_queued <> Machine.fingerprint m_staged)
 
@@ -656,7 +601,7 @@ let test_snapshot_wrapped_ring () =
   in
   let m, seen = mk () in
   List.iter (Machine.apply m)
-    [ Machine.Step 0; Machine.Step 0; Machine.Drain (0, 0); Machine.Step 0 ];
+    [ Machine.Step 0; Machine.Step 0; Machine.Drain 0; Machine.Step 0 ];
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
     "x:=1 in B, y:=2 then z:=3 in the wrapped ring"
@@ -1017,7 +962,7 @@ module Reference_timing = struct
             let tid = !best_tid in
             clk.now <- time;
             let c = cores.(tid) in
-            Machine.apply m (Machine.Drain (tid, 0));
+            Machine.apply m (Machine.Drain tid);
             ignore (Queue.pop c.issue_times);
             c.drain_free <- time;
             if Queue.is_empty c.issue_times then c.buffer_emptied_at <- time;
@@ -1414,7 +1359,7 @@ let test_footprint_independence () =
   (* transitions of the same thread never commute *)
   checkb "same thread is dependent" false (indep f_store f_store);
   ignore (Machine.apply m (Machine.Step t0)) (* x=1 now queued in t0's SB *);
-  let f_drain = Machine.footprint m (Machine.Drain (t0, 0)) in
+  let f_drain = Machine.footprint m (Machine.Drain t0) in
   let f_load_x = Machine.footprint m (Machine.Step t1) in
   (* the drain is the memory write of x: it must not commute with a load
      of x... *)
@@ -1448,7 +1393,7 @@ let test_footprint_rmw_and_flush () =
   checki "cas reads x" (Addr.to_index x) (Machine.footprint_read f_cas1);
   checki "cas writes x" (Addr.to_index x) (Machine.footprint_write f_cas1);
   ignore (Machine.apply m (Machine.Step t0));
-  let f_drain = Machine.footprint m (Machine.Drain (t0, 0)) in
+  let f_drain = Machine.footprint m (Machine.Drain t0) in
   checkb "drain x || cas x" false (Machine.independent f_drain f_cas1);
   (* realistic model: a drain stages into B, and the flush out of B carries
      the memory write — both claim the address *)
@@ -1463,10 +1408,10 @@ let test_footprint_rmw_and_flush () =
         ignore (Program.load b))
   in
   ignore (Machine.apply m2 (Machine.Step u0));
-  let f_stage = Machine.footprint m2 (Machine.Drain (u0, 0)) in
+  let f_stage = Machine.footprint m2 (Machine.Drain u0) in
   checki "staging drain claims the write" (Addr.to_index a)
     (Machine.footprint_write f_stage);
-  ignore (Machine.apply m2 (Machine.Drain (u0, 0))) (* a=1 staged in B *);
+  ignore (Machine.apply m2 (Machine.Drain u0)) (* a=1 staged in B *);
   let f_flush = Machine.footprint m2 (Machine.Flush u0) in
   let f_load_a = Machine.footprint m2 (Machine.Step u1) in
   checkb "flush a || load a" false (Machine.independent f_flush f_load_a);
@@ -1599,14 +1544,14 @@ let test_snapshot_preconditions () =
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* PSO (the §10 future-work model)                                     *)
+(* Store-store order: what TSO's FIFO buffer gives for free            *)
 (* ------------------------------------------------------------------ *)
 
 (* The work-stealing publication idiom: store the task, then bump the tail.
-   TSO orders the two stores for free; PSO does not, so a thief can observe
-   the new tail before the task — unless a fence sits between the stores. *)
-let publication_instance ~config ~fenced () =
-  let m = Machine.create config in
+   A thief that sees the new tail must see the task: TSO drains a thread's
+   stores in program order, so no fence is needed between the two. *)
+let publication_instance () =
+  let m = Machine.create (Machine.abstract_config ~sb_capacity:4) in
   let mem = Machine.memory m in
   let task = Memory.alloc mem ~name:"task" ~init:(-1) in
   let tail = Memory.alloc mem ~name:"tail" ~init:0 in
@@ -1614,7 +1559,6 @@ let publication_instance ~config ~fenced () =
   let _ =
     Machine.spawn m ~name:"worker" (fun () ->
         Program.store task 7;
-        if fenced then Program.fence ();
         Program.store tail 1)
   in
   let _ =
@@ -1628,38 +1572,16 @@ let publication_instance ~config ~fenced () =
   in
   { Explore.machine = m; check }
 
-let test_pso_breaks_publication () =
-  let st =
-    Explore.search
-      ~mk:(publication_instance ~config:(Machine.pso_config ~sb_capacity:4) ~fenced:false)
-      ()
-  in
-  checkb "PSO reorders the publication stores" true (st.Explore.failures <> [])
-
-let test_pso_fence_restores_publication () =
-  let st =
-    Explore.search
-      ~mk:(publication_instance ~config:(Machine.pso_config ~sb_capacity:4) ~fenced:true)
-      ()
-  in
-  checkb "a store-store fence fixes it" true (st.Explore.failures = []);
+let test_tso_orders_publication_for_free () =
+  let st = Explore.search ~mk:publication_instance () in
+  checkb "TSO's FIFO buffer orders the stores without a fence" true
+    (st.Explore.failures = []);
   checki "search exhausted" 0 st.Explore.truncated
 
-let test_tso_orders_publication_for_free () =
-  let st =
-    Explore.search
-      ~mk:
-        (publication_instance ~config:(Machine.abstract_config ~sb_capacity:4)
-           ~fenced:false)
-      ()
-  in
-  checkb "TSO's FIFO buffer orders the stores without a fence" true
-    (st.Explore.failures = [])
-
-let test_pso_mp_allowed () =
-  (* message passing, forbidden under TSO, becomes observable under PSO *)
-  let mk config () =
-    let m = Machine.create config in
+let test_tso_mp_forbidden () =
+  (* message passing: a reader that sees the flag must see the data *)
+  let mk () =
+    let m = Machine.create (Machine.abstract_config ~sb_capacity:4) in
     let mem = Machine.memory m in
     let data = Memory.alloc mem ~name:"data" ~init:0 in
     let flag = Memory.alloc mem ~name:"flag" ~init:0 in
@@ -1677,13 +1599,14 @@ let test_pso_mp_allowed () =
     let check () = if !f = 1 && !d = 0 then Error "mp observed" else Ok () in
     { Explore.machine = m; check }
   in
-  let pso = Explore.search ~mk:(mk (Machine.pso_config ~sb_capacity:4)) () in
-  checkb "MP observable under PSO" true (pso.Explore.failures <> []);
-  let tso = Explore.search ~mk:(mk (Machine.abstract_config ~sb_capacity:4)) () in
-  checkb "MP forbidden under TSO" true (tso.Explore.failures = [])
+  let plain = Explore.search ~mk () in
+  checkb "MP forbidden under TSO" true (plain.Explore.failures = []);
+  checki "search exhausted" 0 plain.Explore.truncated;
+  let dpor = Explore.search ~dpor:true ~mk () in
+  checkb "DPOR agrees" true (dpor.Explore.failures = [])
 
-let test_pso_forwarding_still_works () =
-  let m = Machine.create (Machine.pso_config ~sb_capacity:4) in
+let test_forwarding_behind_fifo_drain () =
+  let m = Machine.create (Machine.abstract_config ~sb_capacity:4) in
   let mem = Machine.memory m in
   let x = Memory.alloc mem ~name:"x" ~init:0 in
   let y = Memory.alloc mem ~name:"y" ~init:0 in
@@ -1698,13 +1621,56 @@ let test_pso_forwarding_still_works () =
   for _ = 1 to 3 do
     ignore (Machine.apply m (Machine.Step tid))
   done;
-  (* drain y's lane only: x's stores stay buffered and must still forward *)
-  ignore (Machine.apply m (Machine.Drain (tid, Addr.to_index y)));
+  (* one drain writes the oldest store, x:=1; y:=2 and x:=3 stay buffered *)
+  ignore (Machine.apply m (Machine.Drain tid));
   ignore (Machine.apply m (Machine.Step tid));
-  checki "newest same-address store forwards under PSO" 3 !got;
-  checki "y drained out of order" 2 (Memory.get mem y);
-  checki "x not yet in memory" 0 (Memory.get mem x)
+  checki "newest same-address store forwards" 3 !got;
+  checki "the oldest store reached memory first" 1 (Memory.get mem x);
+  checki "y waits behind it" 0 (Memory.get mem y)
 
+let test_one_drain_per_thread () =
+  (* a thread's buffer drains in one FIFO order, so however many addresses
+     it holds, the thread offers a single Drain *)
+  let go config =
+    let m = Machine.create config in
+    let mem = Machine.memory m in
+    let x = Memory.alloc mem ~name:"x" ~init:0 in
+    let y = Memory.alloc mem ~name:"y" ~init:0 in
+    let t0 =
+      Machine.spawn m ~name:"t0" (fun () ->
+          Program.store x 1;
+          Program.store y 2;
+          Program.store x 3;
+          ignore (Program.load y))
+    in
+    let t1 =
+      Machine.spawn m ~name:"t1" (fun () ->
+          Program.store y 4;
+          ignore (Program.load x))
+    in
+    List.iter
+      (fun t -> ignore (Machine.apply m (Machine.Step t)))
+      [ t0; t0; t0; t1 ];
+    let tb = Machine.tbuf_create () in
+    let n = Machine.enabled_into m tb in
+    let listed = Machine.enabled m in
+    checkb "enabled_into lists what enabled lists" true
+      (List.init n (Machine.tbuf_get tb) = listed);
+    (m, t0, t1, listed)
+  in
+  let _, t0, t1, listed = go (Machine.abstract_config ~sb_capacity:4) in
+  checkb "abstract: per thread one Drain, then its Step" true
+    (listed
+    = [ Machine.Drain t0; Machine.Step t0; Machine.Drain t1; Machine.Step t1 ]);
+  (* realistic without coalescing: once x:=1 sits in B, y:=2 cannot drain
+     over it, and the thread offers Flush alone before its Step *)
+  let m, t0, t1, _ =
+    go (Machine.realistic_config ~sb_capacity:4 ~coalesce:false)
+  in
+  ignore (Machine.apply m (Machine.Drain t0));
+  checkb "realistic: Flush replaces Drain while B blocks the queue" true
+    (Machine.enabled m
+    = [ Machine.Flush t0; Machine.Step t0; Machine.Drain t1; Machine.Step t1 ])
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
@@ -1719,7 +1685,7 @@ let test_trace_records_and_renders () =
   let t1 = Machine.spawn m ~name:"beta" (fun () -> ignore (Program.load x)) in
   ignore (Machine.apply m (Machine.Step t0));
   ignore (Machine.apply m (Machine.Step t1));
-  ignore (Machine.apply m (Machine.Drain (t0, 0)));
+  ignore (Machine.apply m (Machine.Drain t0));
   checki "three applies recorded (plus dones)" 5 (Trace.length trace);
   let s = Trace.render trace in
   let contains needle =
@@ -1874,9 +1840,9 @@ let test_machine_introspection () =
   check (Alcotest.option Alcotest.string) "no pending request when done" None
     (Machine.pending_request m tid);
   let fp1 = Machine.fingerprint m in
-  ignore (Machine.apply m (Machine.Drain (tid, 0)));
+  ignore (Machine.apply m (Machine.Drain tid));
   checkb "fingerprint tracks drains" true (fp1 <> Machine.fingerprint m);
-  ignore (Machine.apply m (Machine.Drain (tid, 0)));
+  ignore (Machine.apply m (Machine.Drain tid));
   checkb "quiescent after drains" true (Machine.quiescent m);
   checki "final memory" 2 (Memory.get mem x)
 
@@ -2053,8 +2019,6 @@ let () =
             test_sb_no_cross_address_coalescing;
           Alcotest.test_case "lookup: queue shadows egress" `Quick
             test_sb_lookup_shadows_egress;
-          Alcotest.test_case "PSO drain lanes are stable" `Quick
-            test_sb_pso_lanes_stable;
           QCheck_alcotest.to_alcotest sb_model_prop;
           QCheck_alcotest.to_alcotest sb_ring_prop;
         ] );
@@ -2076,6 +2040,17 @@ let () =
           Alcotest.test_case "snapshot restores a wrapped ring and B" `Quick
             test_snapshot_wrapped_ring;
           Alcotest.test_case "rmw atomicity" `Quick test_machine_rmw_atomicity;
+          Alcotest.test_case "one drain per buffered thread" `Quick
+            test_one_drain_per_thread;
+        ] );
+      ( "store-order",
+        [
+          Alcotest.test_case "TSO orders the publication for free" `Quick
+            test_tso_orders_publication_for_free;
+          Alcotest.test_case "MP forbidden under TSO" `Quick
+            test_tso_mp_forbidden;
+          Alcotest.test_case "forwarding behind a FIFO drain" `Quick
+            test_forwarding_behind_fifo_drain;
         ] );
       ( "sched",
         [
@@ -2158,18 +2133,5 @@ let () =
           Alcotest.test_case "records and renders" `Quick
             test_trace_records_and_renders;
           Alcotest.test_case "last filter" `Quick test_trace_last_filter;
-        ] );
-      ( "pso",
-        [
-          Alcotest.test_case "PSO breaks put-publication" `Quick
-            test_pso_breaks_publication;
-          Alcotest.test_case "store-store fence restores it" `Quick
-            test_pso_fence_restores_publication;
-          Alcotest.test_case "TSO orders it for free" `Quick
-            test_tso_orders_publication_for_free;
-          Alcotest.test_case "MP: PSO allowed, TSO forbidden" `Quick
-            test_pso_mp_allowed;
-          Alcotest.test_case "forwarding under PSO" `Quick
-            test_pso_forwarding_still_works;
         ] );
     ]
