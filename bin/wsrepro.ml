@@ -35,17 +35,24 @@ let bench_conv =
        (fun (b : Ws_workloads.Cilk_suite.bench) -> b.name)
        Ws_workloads.Cilk_suite.all)
 
-let pos_int =
+let int_within ?(max = max_int) ~min ~expected () =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
+    | Ok n when n >= min && n <= max -> Ok n
     | Ok _ ->
         Error
-          (`Msg
-            (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
     | Error _ as e -> e
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_within ~min:1 ~expected:"a positive integer" ()
+
+(* A preemption bound is a remaining budget in the memo table, whose packed
+   fields hold 0 to 2^31 - 2 (Memo_store.seen). *)
+let preemption_bound_conv =
+  int_within ~min:0 ~max:((1 lsl 31) - 2)
+    ~expected:"an integer from 0 to 2147483646" ()
 
 let machine_arg =
   Arg.(
@@ -650,7 +657,7 @@ let explore_cmd =
              (delta = ceil(S / (stores + 1))).")
   in
   let max_runs = Arg.(value & opt int 200_000 & info [ "max-runs" ] ~docv:"N" ~doc:"Run budget.") in
-  let pb = Arg.(value & opt int 3 & info [ "preemptions" ] ~docv:"N" ~doc:"CHESS preemption bound.") in
+  let pb = Arg.(value & opt preemption_bound_conv 3 & info [ "preemptions" ] ~docv:"N" ~doc:"CHESS preemption bound.") in
   let fence =
     Arg.(
       value & opt bool true

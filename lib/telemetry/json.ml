@@ -282,11 +282,19 @@ let parse s =
   | v -> Ok v
   | exception Bad (p, msg) -> Error (Printf.sprintf "offset %d: %s" p msg)
 
+(* A file that cannot be read reports its reason without the path, as a
+   parse error does, since every caller names the file itself; [open]'s
+   [Sys_error] message starts with the path, a read's does not. *)
 let parse_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  parse s
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> parse s
+  | exception Sys_error e ->
+      let prefix = path ^ ": " in
+      Error
+        (if String.starts_with ~prefix e then
+           String.sub e (String.length prefix)
+             (String.length e - String.length prefix)
+         else e)
 
 let member name = function
   | Obj fields -> List.assoc_opt name fields

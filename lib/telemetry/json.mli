@@ -24,6 +24,10 @@ val parse : string -> (value, string) result
     literals). Returns [Error "offset N: ..."] on malformed input. *)
 
 val parse_file : string -> (value, string) result
+(** {!parse} on the contents of a file. A file that cannot be read (it is
+    missing, or a directory) is an [Error] with the reason, such as
+    ["No such file or directory"]; like a parse error, it does not name
+    the file, and never raises. *)
 
 val member : string -> value -> value option
 (** Field lookup on [Obj]; [None] on other constructors. *)

@@ -663,6 +663,9 @@ let rec extend ctx inst prefix depth last preemptions sleep =
     let n = choices_into m buf in
     if n = 0 then begin
       if Machine.quiescent m then begin
+        (* A restored thread's host effects exist only once it has
+           replayed, and the check reads them. *)
+        Machine.catch_up m;
         (match inst.check () with
         | Ok () -> ()
         | Error msg -> fail ctx prefix msg);

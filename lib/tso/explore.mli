@@ -52,10 +52,12 @@
 
     By default ([snapshots = true]) sibling subtrees are started by
     restoring a {!Machine.snapshot} of the branch node onto a fresh
-    instance — O(state) — instead of replaying the whole prefix from the
-    root — O(depth) machine transitions. [snapshots = false] keeps the
-    replay path as the test suite's differential oracle; results are
-    identical either way.
+    instance — O(state), plus the replay of each thread the subtree
+    steps, at its first step — instead of replaying the whole prefix from
+    the root — O(depth) machine transitions. Before a leaf's [check], the
+    search runs {!Machine.catch_up}, so the check sees every thread's
+    host-side effects. [snapshots = false] keeps the replay path as the
+    test suite's differential oracle; results are identical either way.
 
     Used by the test suite to verify, over {e all} interleavings of small
     configurations, the safety properties of every queue algorithm: no task
@@ -136,6 +138,11 @@ val search :
     memoization),
     [snapshots = true] (snapshot-based sibling exploration; [false] uses
     replay-from-root, the differential oracle).
+
+    Under memoization, the remaining budgets are memo-table entries, so
+    a negative [max_depth] or preemption bound, or one of 2{^31} - 1 or
+    more, raises [Invalid_argument] from {!Memo_store.seen} (at the root,
+    or at depth 1 for [max_depth = max_int]) instead of being clamped.
 
     With [memo_store], the store is committed (novel entries appended,
     failure set merged) only if the search ran to completion — a

@@ -40,6 +40,13 @@ type thread = {
      which effect-based one-shot continuations cannot support by copying. *)
   mutable resp_log : int array;
   mutable resp_len : int;
+  (* Set by {!restore_into}. [status] is then the snapshot's: its pending
+     request, with a continuation that belongs to another machine and is
+     never resumed or discontinued here. The thread's own continuation,
+     [own], waits at its first instruction until [replay] runs it through
+     [resp_log], at the thread's first step or at {!catch_up}. *)
+  mutable lagging : bool;
+  mutable own : Program.status;
 }
 
 type event =
@@ -115,6 +122,8 @@ let spawn t ~name body =
       flush_tr = Flush tid;
       resp_log = [||];
       resp_len = 0;
+      lagging = false;
+      own = Program.Done;
     }
   in
   if tid = Array.length t.threads then begin
@@ -147,13 +156,16 @@ let all_done t =
 (* Every paused thread is set [Done] before its continuation is
    discontinued, so a body that raises while unwinding still leaves the
    machine released; the first such exception is re-raised once every
-   thread has been handled. *)
+   thread has been handled. A lagging thread's continuation is its [own]:
+   the snapshot's, in [status], may still be live on its source machine. *)
 let release t =
   let first = ref None in
   for i = 0 to t.n_threads - 1 do
     let th = t.threads.(i) in
-    let st = th.status in
+    let st = if th.lagging then th.own else th.status in
     th.status <- Program.Done;
+    th.lagging <- false;
+    th.own <- Program.Done;
     try Program.release st
     with e -> if Option.is_none !first then first := Some e
   done;
@@ -373,6 +385,61 @@ let encode_response : type a. a Program.request -> a -> int =
   | Program.Req_label _ | Program.Req_pause ->
       0
 
+(* Decode a recorded response back to the value the request's continuation
+   expects — the exact inverse of [encode_response]. *)
+let decode_response : type a. a Program.request -> int -> a =
+ fun req r ->
+  match req with
+  | Program.Req_load _ -> r
+  | Program.Req_cas _ -> r <> 0
+  | Program.Req_fetch_add _ -> r
+  | Program.Req_store _ -> ()
+  | Program.Req_fence -> ()
+  | Program.Req_work _ -> ()
+  | Program.Req_label _ -> ()
+  | Program.Req_pause -> ()
+
+let diverged () = invalid_arg "Machine: thread diverged from snapshot"
+
+(* Fast-forward a lagging thread's own continuation through its response
+   log. No memory or buffer effect re-runs: {!restore_into} already put
+   the data state in place. The replay must stop where the snapshot's
+   thread did: done if it was, else at the same pending request. The
+   status is held in a local while it runs, and [own] is [Done] meanwhile,
+   so a body that raises mid-replay leaves nothing for {!release} to
+   discontinue twice. *)
+let replay th =
+  let st = ref th.own in
+  th.own <- Program.Done;
+  for k = 0 to th.resp_len - 1 do
+    match !st with
+    | Program.Done -> diverged ()
+    | Program.Paused_at (req, c) ->
+        st :=
+          Program.resume c
+            (decode_response req (Array.unsafe_get th.resp_log k))
+  done;
+  let landed =
+    match (!st, th.status) with
+    | Program.Done, Program.Done -> true
+    | Program.Paused_at (r, _), Program.Paused_at (r', _) ->
+        encode_request r = encode_request r'
+    | Program.Done, Program.Paused_at _ | Program.Paused_at _, Program.Done ->
+        false
+  in
+  if not landed then begin
+    th.own <- !st;
+    diverged ()
+  end;
+  th.status <- !st;
+  th.lagging <- false
+
+let catch_up t =
+  for i = 0 to t.n_threads - 1 do
+    let th = t.threads.(i) in
+    if th.lagging then replay th
+  done
+
 (* Response recording (snapshot support). *)
 
 let set_record_responses t b =
@@ -380,10 +447,13 @@ let set_record_responses t b =
     invalid_arg
       "Machine.set_record_responses: recording must start before the machine \
        is driven (earlier responses were not captured)";
-  if not b then
+  if not b then begin
+    (* a lagging thread still needs its log *)
+    catch_up t;
     for i = 0 to t.n_threads - 1 do
       t.threads.(i).resp_len <- 0
-    done;
+    done
+  end;
   t.record <- b
 
 let record_responses t = t.record
@@ -438,6 +508,7 @@ let apply t tr =
   match tr with
   | Step tid -> (
       let th = thread t tid in
+      if th.lagging then replay th;
       match th.status with
       | Program.Done -> invalid_arg "Machine.apply: thread is done"
       | Program.Paused_at (req, k) ->
@@ -573,16 +644,19 @@ let independent f1 f2 =
 
    One-shot effect continuations cannot be cloned, so a snapshot does not
    copy thread control state directly. Instead it copies everything else
-   (memory, store buffers, hashes) plus each thread's decoded response log;
-   [restore_into] then rebuilds control state by resuming a *fresh*
-   instance's continuations with the recorded responses. Host-side effects
-   a thread body performs (check closures writing result cells) re-execute
-   identically because the program is a deterministic function of its
-   response history. *)
+   (memory, store buffers, hashes) plus each thread's decoded response log
+   and its status, for the pending request; [restore_into] puts that state
+   on a *fresh* instance, whose own continuations then catch up lazily:
+   [replay] resumes one with the recorded responses at its thread's first
+   step, or at [catch_up]. Host-side effects a thread body performs (check
+   closures writing result cells) re-execute identically because the
+   program is a deterministic function of its response history. *)
 
 type thread_snap = {
   mutable s_hist : int;
-  mutable s_done : bool;
+  mutable s_status : Program.status;
+      (* read only for its pending request: the continuation belongs to
+         the source machine *)
   mutable s_resp : int array;
   mutable s_resp_len : int;
   (* buffer-proper entries, interleaved [addr_index; value] pairs *)
@@ -606,7 +680,7 @@ let snapshot_create () =
 let thread_snap_create () =
   {
     s_hist = 0;
-    s_done = false;
+    s_status = Program.Done;
     s_resp = [||];
     s_resp_len = 0;
     s_entries = [||];
@@ -642,7 +716,7 @@ let snapshot t snap =
     let th = t.threads.(i) in
     let ts = snap.s_threads.(i) in
     ts.s_hist <- th.hist;
-    ts.s_done <- status_done th.status;
+    ts.s_status <- th.status;
     if Array.length ts.s_resp < th.resp_len then
       ts.s_resp <- grow_ints ts.s_resp th.resp_len;
     copy_ints th.resp_log ts.s_resp th.resp_len;
@@ -662,20 +736,6 @@ let snapshot t snap =
     ts.s_egress_v <- (if eg < 0 then 0 else Store_buffer.egress_value buf)
   done
 
-(* Decode a recorded response back to the value the request's continuation
-   expects — the exact inverse of [encode_response]. *)
-let decode_response : type a. a Program.request -> int -> a =
- fun req r ->
-  match req with
-  | Program.Req_load _ -> r
-  | Program.Req_cas _ -> r <> 0
-  | Program.Req_fetch_add _ -> r
-  | Program.Req_store _ -> ()
-  | Program.Req_fence -> ()
-  | Program.Req_work _ -> ()
-  | Program.Req_label _ -> ()
-  | Program.Req_pause -> ()
-
 let restore_into snap t =
   if t.steps <> 0 then
     invalid_arg "Machine.restore_into: target must be a fresh instance";
@@ -687,18 +747,13 @@ let restore_into snap t =
   for i = 0 to t.n_threads - 1 do
     let th = t.threads.(i) in
     let ts = snap.s_threads.(i) in
-    (* Fast-forward the fresh continuation through the recorded responses;
-       memory/buffer side effects of [exec_request] are NOT re-run — the
-       snapshot already holds the resulting data state. *)
-    for k = 0 to ts.s_resp_len - 1 do
-      match th.status with
-      | Program.Done ->
-          invalid_arg "Machine.restore_into: thread diverged from snapshot"
-      | Program.Paused_at (req, c) ->
-          th.status <- Program.resume c (decode_response req ts.s_resp.(k))
-    done;
-    if status_done th.status <> ts.s_done then
-      invalid_arg "Machine.restore_into: thread diverged from snapshot";
+    (* The fresh continuation waits in [own] for [replay]; readers of the
+       pending request see the snapshot's. *)
+    if not th.lagging then begin
+      th.own <- th.status;
+      th.lagging <- true
+    end;
+    th.status <- ts.s_status;
     th.hist <- ts.s_hist;
     (* Sized as [log_response] would grow it, so the restored thread's next
        steps append without regrowing the log. *)

@@ -117,8 +117,11 @@ type event =
   | Ev_done of tid
 
 val apply : t -> transition -> unit
-(** Fire one enabled transition. @raise Invalid_argument if not enabled.
-    Events (including their formatted instruction strings) are only
+(** Fire one enabled transition. @raise Invalid_argument if not enabled,
+    or if it steps a thread that lags behind a {!restore_into} and whose
+    replay diverges from the snapshot. Stepping a lagging thread first
+    replays it ({!catch_up}); that costs the simulator, which never
+    restores, one boolean test per step. Events (including their formatted instruction strings) are only
     constructed when at least one listener is registered. An unobserved
     machine still allocates per instruction: the continuation the thread's
     next instruction captures and that instruction's request, with the
@@ -255,21 +258,33 @@ val footprint_write : footprint -> int
     One-shot effect continuations cannot be cloned, so machine states
     cannot be saved by copying alone. Instead, a {e recording} machine
     keeps each thread's decoded response log; {!snapshot} copies that log
-    together with memory, buffers and hashes into preallocated scratch, and
-    {!restore_into} rebuilds the state onto a {e fresh} machine built by
-    the same deterministic constructor — fast-forwarding each new
-    continuation through the recorded responses (no memory or buffer
-    effects re-run; the snapshot already holds the data state). This turns
-    the explorer's sibling exploration from an O(depth) replay of machine
-    transitions from the root into an O(state + instructions-executed)
-    restore with no enabled-set recomputation, no drain/flush re-execution
-    and no scheduling. *)
+    together with memory, buffers, hashes and each thread's pending
+    request into preallocated scratch, and {!restore_into} puts the state
+    onto a {e fresh} machine built by the same deterministic constructor.
+    The fresh machine's own continuations catch up lazily: a thread's
+    continuation is fast-forwarded through its recorded responses (no
+    memory or buffer effects re-run; the snapshot already holds the data
+    state) only when {!apply} first steps the thread, or at {!catch_up}.
+    A sibling subtree that never runs a thread never pays for its replay.
+    This turns the explorer's sibling exploration from an O(depth) replay
+    of machine transitions from the root into an O(state) restore plus
+    the replay of the threads the subtree steps, with no enabled-set
+    recomputation, no drain/flush re-execution and no scheduling.
+
+    {b Host-side effects.} A thread body's host code (a check closure's
+    result cell, a scenario's removal count) runs again as its thread
+    replays, so on a restored machine it has run only for the threads
+    that have stepped since the restore. Call {!catch_up} before reading
+    it; {!Explore.search} does so before every leaf check. Bodies must
+    not pass data between threads through host state: replay runs the
+    host code of different threads in a different order than the original
+    run did. *)
 
 val set_record_responses : t -> bool -> unit
 (** Turn response recording on or off. Recording must be enabled before the
     machine executes its first instruction (@raise Invalid_argument
     otherwise); while off, {!apply} pays a single boolean test. Turning
-    recording off discards the logs. *)
+    recording off runs {!catch_up}, then discards the logs. *)
 
 val record_responses : t -> bool
 
@@ -282,27 +297,38 @@ val snapshot_create : unit -> snapshot
 val snapshot : t -> snapshot -> unit
 (** Capture the machine's complete state ([t] must be recording:
     @raise Invalid_argument otherwise). The snapshot shares no mutable
-    structure with the machine. Capture into scratch already sized for
-    this machine allocates nothing, and every copy into it (memory,
-    response logs, buffer entries) is a typed [int] loop: OCaml 5.1's
-    [caml_array_blit], behind [Array.blit], calls [caml_modify] for every
-    element once the destination is in the major heap, as long-lived
-    scratch is, which made this call cost 341–510 ns on a [verify]
-    scenario at depth 10–37, where the loops take 104–227 ns. *)
+    structure with the machine. It keeps each thread's status value for
+    its pending request, whose continuation stays the machine's: nothing
+    ever resumes or discontinues it through the snapshot. A machine whose
+    threads still lag behind a restore can be captured too. Capture into
+    scratch already sized for this machine allocates nothing, and every
+    copy into it (memory, response logs, buffer entries) is a typed [int]
+    loop: OCaml 5.1's [caml_array_blit], behind [Array.blit], calls
+    [caml_modify] for every element once the destination is in the major
+    heap, as long-lived scratch is, which made this call cost 341–510 ns
+    on a [verify] scenario at depth 10–37, where the loops take
+    104–227 ns. *)
 
 val restore_into : snapshot -> t -> unit
-(** [restore_into snap t] rebuilds the captured state onto [t], which must
-    be a {e fresh, undriven} machine built by the same deterministic
+(** [restore_into snap t] puts the captured state onto [t], which must be
+    a {e fresh, undriven} machine built by the same deterministic
     constructor as the snapshotted one (same threads, same memory layout:
-    @raise Invalid_argument otherwise, or if a thread's replayed program
-    diverges from the recorded status). [t] is left recording, so it can
-    itself be snapshotted. Bumps the sink's [snapshot_restores] counter
-    when one is attached.
+    @raise Invalid_argument otherwise). It restores memory, the store
+    buffers, the history hashes and each thread's response log, and gives
+    each thread the snapshot's pending request, so that {!enabled_into},
+    {!fingerprint}, {!footprint}, the [pending_*] readers,
+    {!store_blocked} and {!quiescent} read the captured state at once. It
+    resumes no continuation: each of [t]'s threads lags until {!apply}
+    steps it or {!catch_up} runs, and only then does its body's host code
+    run. {!release} discontinues a lagging thread's own continuation,
+    never the snapshot's. [t] is left recording, so it can itself be
+    snapshotted. Bumps the sink's [snapshot_restores] counter when one is
+    attached.
 
     {b Attached listeners and sinks survive the restore} — they belong to
     the target machine [t], not to the snapshot, and restoring neither
-    detaches nor re-registers them. But the fast-forward is {e silent}:
-    the recorded responses are fed straight to the continuations without
+    detaches nor re-registers them. But the catch-up is {e silent}: the
+    recorded responses are fed straight to the continuations without
     going through {!apply}, so no {!event} is emitted and no sink counter
     (other than [snapshot_restores]) is bumped for the instructions being
     replayed. A {!Trace} attached to [t] before the restore therefore
@@ -312,3 +338,14 @@ val restore_into : snapshot -> t -> unit
     To obtain a complete event stream of a recorded schedule, replay it
     from the root with the listener attached (what the forensics layer
     does) instead of restoring into an observed machine. *)
+
+val catch_up : t -> unit
+(** Replay every thread that still lags behind a {!restore_into}, in tid
+    order, so that every thread body's host-side effects exist: a thread
+    that finished before the snapshot has run its body to the end again.
+    Silent, like the restore. Does nothing on a machine that was never
+    restored, or whose threads have all stepped since.
+    @raise Invalid_argument ["thread diverged from snapshot"] if a
+    thread's replay does not end where the snapshot's thread was: done, or
+    paused at the same request. {!apply} raises the same when it steps a
+    lagging thread whose replay diverges. *)

@@ -38,14 +38,25 @@ val open_ :
 (** Open (or create in memory — nothing touches disk until {!commit}) the
     store at [path]. [config] is an opaque description of the machine /
     scenario; it must match the stored header byte-for-byte. Errors are
-    descriptive: schema mismatch, configuration mismatch, malformed
-    entries. *)
+    descriptive, one line each, and never raised: schema mismatch,
+    configuration mismatch, a store of the retired [--por] search (whose
+    entries can never hit), a file that cannot be read (a directory in
+    its place, say), or a malformed entry. A shard line is an entry only
+    as {!commit} writes it: three decimal ints separated by single spaces,
+    with budgets {!seen} accepts. *)
 
 val seen : t -> int -> depth_rem:int -> preempt_rem:int -> bool
 (** Memo lookup-and-insert. [true] means the state was already explored
     with at least this much budget; [false] records the visit (buffered
-    until {!commit} in a store with a directory). A hit allocates
-    nothing. *)
+    until {!commit} in a store with a directory). The table is one flat
+    open-addressing array: a state's frontier of k budget pairs takes k
+    slots, each the fingerprint and both budgets packed into one int. A
+    hit allocates nothing, and a miss allocates nothing unless the table
+    grows (or the store has a directory, whose write-back buffer takes
+    the entry).
+    @raise Invalid_argument if a budget is neither [max_int] (no bound)
+    nor in \[0, 2{^31} - 1), the range a packed field holds: clamping it
+    could turn a miss into a hit. *)
 
 val commit : t -> failures:(int list * string) list -> (unit, string) result
 (** Append the buffered novel entries to the shard files, write the header

@@ -480,6 +480,341 @@ let test_memo_store_frontier () =
     "lookups and hits" (13, 8)
     (Memo_store.lookups s, Memo_store.hits s)
 
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let test_memo_store_retired_por () =
+  (* a store of the retired sleep-set-only search is keyed with sleep-set
+     hashes that no search makes any more: refused with advice to delete
+     it, while a DPOR store that still carries "por" (DPOR once implied
+     it) opens *)
+  let path = fresh_store_path "por" in
+  Sys.mkdir path 0o755;
+  let header ~dpor =
+    Printf.sprintf
+      {|{"schema":"wsrepro-memo/v1","config":"test","max_depth":%d,"preemption_bound":-1,"por":true,"dpor":%b,"shards":16}|}
+      Explore.default_max_depth dpor
+  in
+  write_file (Filename.concat path "header.json") (header ~dpor:false);
+  (match open_store path with
+  | Ok _ -> Alcotest.fail "a --por store was accepted"
+  | Error e ->
+      checkb ("names the retired search: " ^ e) true
+        (contains ~needle:"retired --por search" e
+        && contains ~needle:"delete the store" e));
+  write_file (Filename.concat path "header.json") (header ~dpor:true);
+  match open_store ~dpor:true path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "a DPOR store with \"por\": true refused: %s" e
+
+(* The list-based table the flat one replaced, kept verbatim as the
+   reference: a hashtable from each fingerprint to its Pareto frontier. *)
+module List_memo = struct
+  let rec covered frontier depth_rem preempt_rem =
+    match frontier with
+    | [] -> false
+    | (d, p) :: rest ->
+        (d >= depth_rem && p >= preempt_rem)
+        || covered rest depth_rem preempt_rem
+
+  let check tbl fp ~depth_rem ~preempt_rem =
+    let frontier = try Hashtbl.find tbl fp with Not_found -> [] in
+    covered frontier depth_rem preempt_rem
+    || begin
+         Hashtbl.replace tbl fp
+           ((depth_rem, preempt_rem)
+           :: List.filter
+                (fun (d, p) -> not (d <= depth_rem && p <= preempt_rem))
+                frontier);
+         false
+       end
+end
+
+(* Fingerprints that differ in their low bits only, their high bits only,
+   the extremes, and arbitrary ones. *)
+let memo_key_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun i -> i) (int_range (-8) 8);
+      map (fun i -> i lsl 52) (int_range (-512) 511);
+      oneofl [ max_int; min_int; max_int - 1; min_int + 1 ];
+      int;
+    ]
+
+let memo_budget_gen =
+  QCheck.Gen.(frequency [ (6, int_range 0 4); (1, return max_int) ])
+
+(* A table of [n] keys and lookups over them: a handful of keys to build
+   deep frontiers, or thousands so that probe runs crowd and the table
+   grows. *)
+let memo_case_gen =
+  let open QCheck.Gen in
+  let* n =
+    frequency
+      [ (3, int_range 1 8); (2, int_range 50 500); (2, int_range 2500 5000) ]
+  in
+  let* keys = array_size (return n) memo_key_gen in
+  let+ ops =
+    list_size
+      (int_range 0 ((3 * n) + 100))
+      (triple (int_bound (n - 1)) memo_budget_gen memo_budget_gen)
+  in
+  (keys, ops)
+
+let print_memo_case (keys, ops) =
+  Printf.sprintf "%d keys, %d lookups: %s" (Array.length keys)
+    (List.length ops)
+    (String.concat "; "
+       (List.map
+          (fun (k, d, p) -> Printf.sprintf "(%d, %d, %d)" keys.(k) d p)
+          (List.filteri (fun i _ -> i < 40) ops)))
+
+let memo_matches_list_table (keys, ops) =
+  let store = Memo_store.in_memory () and tbl = Hashtbl.create 16 in
+  let hits = ref 0 in
+  List.iteri
+    (fun i (k, d, p) ->
+      let fp = keys.(k) in
+      let want = List_memo.check tbl fp ~depth_rem:d ~preempt_rem:p in
+      let got = Memo_store.seen store fp ~depth_rem:d ~preempt_rem:p in
+      if got <> want then
+        QCheck.Test.fail_reportf "lookup %d (%d, %d, %d): %b, reference %b" i
+          fp d p got want;
+      if want then incr hits)
+    ops;
+  Memo_store.lookups store = List.length ops && Memo_store.hits store = !hits
+
+let memo_table_prop =
+  QCheck.Test.make ~name:"flat memo table = list-based reference" ~count:120
+    (QCheck.make ~print:print_memo_case memo_case_gen)
+    memo_matches_list_table
+
+(* --- memo-store loader fuzz ---------------------------------------------- *)
+
+(* A shard line and the entry it holds when it is well-formed. *)
+let fuzz_line_gen ~well_formed =
+  let open QCheck.Gen in
+  let budget = frequency [ (5, int_range 0 1000); (1, return max_int) ] in
+  (* the first budget a slot's field cannot hold: its all-ones code *)
+  let limit = (1 lsl ((Sys.int_size - 1) / 2)) - 1 in
+  let entry =
+    let* fp = oneof [ int; int_range (-3) 3; oneofl [ max_int; min_int ] ]
+    and* d = budget
+    and* p = budget in
+    return (fp, d, p)
+  in
+  let valid (fp, d, p) = (Printf.sprintf "%d %d %d" fp d p, Some (fp, d, p)) in
+  let bad text = (text, None) in
+  if well_formed then
+    frequency
+      [
+        (8, map valid entry);
+        (1, map (fun fp -> valid (fp, limit - 1, 0)) int);
+      ]
+  else
+    frequency
+      [
+        ( 1,
+          map
+            (fun ((fp, d, p), junk) ->
+              bad (Printf.sprintf "%d %d %d%s" fp d p junk))
+            (pair entry (oneofl [ " junk"; " "; "\t"; "\r"; " 4" ])) );
+        ( 1,
+          map (fun (fp, d, p) -> bad (Printf.sprintf "%d  %d %d" fp d p)) entry
+        );
+        (1, map (fun (fp, d, _) -> bad (Printf.sprintf "%d %d" fp d)) entry);
+        (1, return (bad ""));
+        ( 1,
+          oneofl
+            [
+              bad "99999999999999999999 1 2";
+              bad "1 99999999999999999999 2";
+              bad "1 2 4611686018427387904";
+              bad "+1 2 3";
+              bad "01 2 3";
+              bad "1 0x2 3";
+              bad "1 2_0 3";
+              bad "-0 1 1";
+              bad "not a number";
+            ] );
+        ( 1,
+          map
+            (fun (fp, d) -> bad (Printf.sprintf "%d %d -1" fp d))
+            (pair int (int_range 0 9)) );
+        ( 1,
+          map
+            (fun (fp, huge) -> bad (Printf.sprintf "%d %d 1" fp huge))
+            (pair int (oneofl [ limit; limit + 1; 1 lsl 40; max_int - 1 ])) );
+      ]
+
+type fuzz_file = Absent | Directory | Text of string
+
+(* A shard file: a directory, or lines with the entry each well-formed
+   one holds. *)
+type fuzz_shard = [ `Dir | `Lines of (string * (int * int * int) option) list ]
+
+type fuzz_case = {
+  fz_header : fuzz_file;  (** [Absent] keeps the valid header *)
+  fz_failures : fuzz_file;
+  fz_shards : (int * fuzz_shard) list;
+}
+
+let fuzz_case_gen =
+  let open QCheck.Gen in
+  let header =
+    frequency
+      [
+        (16, return Absent);
+        (1, return Directory);
+        ( 1,
+          oneofl
+            [
+              Text "{";
+              Text {|{"schema":"bogus"}|};
+              Text
+                {|{"schema":"wsrepro-memo/v1","config":"fuzz","max_depth":400,"preemption_bound":-1,"por":true,"dpor":false,"shards":16}|};
+              Text
+                {|{"schema":"wsrepro-memo/v1","config":"other","max_depth":400,"preemption_bound":-1,"dpor":false,"shards":16}|};
+            ] );
+      ]
+  in
+  let failures =
+    frequency
+      [
+        (16, return Absent);
+        (1, return Directory);
+        (1, oneofl [ Text "[]"; Text {|{"failures":[{"choices":["x"]}]}|} ]);
+      ]
+  in
+  (* well-formed lines, with at most one malformed line among them, so
+     that each kind of malformed line decides a case on its own *)
+  let lines =
+    let* good = list_size (int_range 0 12) (fuzz_line_gen ~well_formed:true) in
+    let* bad = fuzz_line_gen ~well_formed:false in
+    let* at = int_bound (List.length good) in
+    let* spoil = bool in
+    return
+      (if not spoil then good
+       else
+         List.filteri (fun i _ -> i < at) good
+         @ (bad :: List.filteri (fun i _ -> i >= at) good))
+  in
+  let shard =
+    frequency [ (1, return `Dir); (12, map (fun l -> `Lines l) lines) ]
+  in
+  let* fz_header = header and* fz_failures = failures in
+  let+ fz_shards = list_size (int_range 0 4) (pair (int_bound 15) shard) in
+  { fz_header; fz_failures; fz_shards }
+
+let print_fuzz_case c =
+  let file = function
+    | Absent -> "valid"
+    | Directory -> "a directory"
+    | Text t -> String.escaped t
+  in
+  Printf.sprintf "header %s, failures %s\n%s" (file c.fz_header)
+    (file c.fz_failures)
+    (String.concat "\n"
+       (List.map
+          (fun (k, sh) ->
+            match sh with
+            | `Dir -> Printf.sprintf "shard-%d.dat: a directory" k
+            | `Lines ls ->
+                Printf.sprintf "shard-%d.dat:\n%s" k
+                  (String.concat "\n"
+                     (List.map (fun (t, _) -> "  " ^ String.escaped t) ls)))
+          c.fz_shards))
+
+let rec rm_rf p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+
+let fuzz_cases = ref 0
+
+(* Lay the case out over a committed empty store, open it, and check the
+   outcome: [Error] exactly when some file is malformed or unreadable,
+   else every well-formed entry hits at its own budgets and is counted. *)
+let store_loader_is_strict c =
+  incr fuzz_cases;
+  let path = fresh_store_path (Printf.sprintf "fuzz-%d" !fuzz_cases) in
+  let opened () =
+    Memo_store.open_ ~path ~config:"fuzz" ~max_depth:400 ~preemption_bound:None
+      ~dpor:false ()
+  in
+  Fun.protect
+    ~finally:(fun () -> rm_rf path)
+    (fun () ->
+      (match opened () with
+      | Ok s -> (
+          match Memo_store.commit s ~failures:[] with
+          | Ok () -> ()
+          | Error e -> failwith e)
+      | Error e -> failwith e);
+      let lay name = function
+        | Absent -> ()
+        | Directory ->
+            let f = Filename.concat path name in
+            Sys.remove f;
+            Sys.mkdir f 0o755
+        | Text t -> write_file (Filename.concat path name) t
+      in
+      lay "header.json" c.fz_header;
+      lay "failures.json" c.fz_failures;
+      (* a later shard of the same index replaces an earlier one *)
+      let shards = Hashtbl.create 4 in
+      List.iter (fun (k, sh) -> Hashtbl.replace shards k sh) c.fz_shards;
+      let entries = ref [] and malformed = ref false in
+      Hashtbl.iter
+        (fun k sh ->
+          let f = Filename.concat path (Printf.sprintf "shard-%d.dat" k) in
+          match sh with
+          | `Dir ->
+              malformed := true;
+              Sys.mkdir f 0o755
+          | `Lines ls ->
+              List.iter
+                (fun (_, e) ->
+                  match e with
+                  | Some e -> entries := e :: !entries
+                  | None -> malformed := true)
+                ls;
+              write_file f
+                (String.concat "" (List.map (fun (t, _) -> t ^ "\n") ls)))
+        shards;
+      let bad_file = function Absent -> false | Directory | Text _ -> true in
+      let expect_ok =
+        not (!malformed || bad_file c.fz_header || bad_file c.fz_failures)
+      in
+      match opened () with
+      | exception e ->
+          QCheck.Test.fail_reportf "open_ raised %s" (Printexc.to_string e)
+      | Error e ->
+          if expect_ok then QCheck.Test.fail_reportf "refused: %s" e;
+          true
+      | Ok s ->
+          if not expect_ok then
+            QCheck.Test.fail_reportf "a malformed store opened";
+          let n = List.length !entries in
+          if Memo_store.loaded_entries s <> n then
+            QCheck.Test.fail_reportf "loaded %d entries of %d"
+              (Memo_store.loaded_entries s) n;
+          List.for_all
+            (fun (fp, d, p) -> Memo_store.seen s fp ~depth_rem:d ~preempt_rem:p)
+            !entries)
+
+let store_fuzz_prop =
+  QCheck.Test.make ~name:"memo-store loader is strict and never raises"
+    ~count:150
+    (QCheck.make ~print:print_fuzz_case fuzz_case_gen)
+    store_loader_is_strict
+
 (* --- complete ----------------------------------------------------------- *)
 
 let test_complete () =
@@ -1077,6 +1412,36 @@ let test_memo_hit_allocates_nothing () =
           Alcotest.fail "a warmed state missed"
       done)
 
+let test_memo_miss_allocates_nothing () =
+  (* 25,000 states grow the table to 65,536 slots, which hold 49,152
+     before the next growth: the warm-up pass and the measured one of
+     [check_words] each add 10,000 novel states, and both fit *)
+  let store = Memo_store.in_memory () in
+  let key i = i * 0x2545F4914F6CDD1D in
+  for i = 0 to 24_999 do
+    ignore (Memo_store.seen store (key i) ~depth_rem:10 ~preempt_rem:1)
+  done;
+  let next = ref 25_000 in
+  check_words "Memo_store.seen over 10,000 misses" 0. (fun () ->
+      for i = !next to !next + 9_999 do
+        if Memo_store.seen store (key i) ~depth_rem:10 ~preempt_rem:1 then
+          Alcotest.fail "a novel state hit"
+      done;
+      next := !next + 10_000);
+  (* misses that take a covered entry's slot: the first pass also drops
+     each state's second entry, the second replaces the first pass's *)
+  for i = 0 to 999 do
+    ignore (Memo_store.seen store (key i) ~depth_rem:5 ~preempt_rem:3)
+  done;
+  let depth = ref 11 in
+  check_words "Memo_store.seen over 1,000 misses that replace entries" 0.
+    (fun () ->
+      incr depth;
+      for i = 0 to 999 do
+        if Memo_store.seen store (key i) ~depth_rem:!depth ~preempt_rem:4 then
+          Alcotest.fail "a larger budget hit"
+      done)
+
 (* --- pinned fingerprint values ------------------------------------------ *)
 
 (* Memo keys, and the entries [wsrepro-memo/v1] shards keep on disk, stay
@@ -1557,6 +1922,184 @@ let dpor_differential_prop =
     (QCheck.make ~print:print_dpor_case dpor_case_gen)
     dpor_matches_reference
 
+(* --- lazily restored machines against replay from the root ------------- *)
+
+type sop =
+  | S_load of int  (** a load, and a label when the value read is odd *)
+  | S_store of int * int
+  | S_cas of int * int * int
+  | S_faa of int * int
+  | S_fence
+  | S_pause
+
+type restore_case = {
+  rc_realistic : bool;  (** B with coalescing, else the abstract buffer *)
+  rc_sb : int;
+  rc_threads : sop list list;
+  rc_schedule : int list;  (** each picks an enabled transition, mod their count *)
+  rc_cuts : int list;
+      (** the steps before which the machine under test is snapshotted,
+          released, and replaced by a fresh instance restored from it *)
+}
+
+(* One instance of the case's program over three cells. Each thread logs
+   every response it gets in a host cell of its own. *)
+let restore_case_mk c () =
+  let cfg =
+    if c.rc_realistic then
+      Machine.realistic_config ~sb_capacity:c.rc_sb ~coalesce:true
+    else Machine.abstract_config ~sb_capacity:c.rc_sb
+  in
+  let m = Machine.create cfg in
+  Machine.set_record_responses m true;
+  let mem = Machine.memory m in
+  let cells =
+    Array.init 3 (fun i -> Memory.alloc mem ~name:(Printf.sprintf "a%d" i) ~init:0)
+  in
+  let logs = Array.make (List.length c.rc_threads) [] in
+  let exec i op =
+    let v =
+      match op with
+      | S_load a ->
+          let v = Program.load cells.(a) in
+          if v land 1 = 1 then Program.label "odd";
+          v
+      | S_store (a, v) ->
+          Program.store cells.(a) v;
+          0
+      | S_cas (a, e, r) ->
+          if Program.cas cells.(a) ~expect:e ~replace:r then 1 else 0
+      | S_faa (a, d) -> Program.fetch_add cells.(a) d
+      | S_fence ->
+          Program.fence ();
+          0
+      | S_pause ->
+          Program.spin_pause ();
+          0
+    in
+    logs.(i) <- v :: logs.(i)
+  in
+  List.iteri
+    (fun i ops ->
+      ignore
+        (Machine.spawn m ~name:(Printf.sprintf "t%d" i) (fun () ->
+             List.iter (exec i) ops)))
+    c.rc_threads;
+  (m, logs)
+
+let restore_case_gen =
+  let open QCheck.Gen in
+  let addr = int_bound 2 and value = int_range 0 3 in
+  let op =
+    frequency
+      [
+        (4, map (fun a -> S_load a) addr);
+        (4, map2 (fun a v -> S_store (a, v)) addr value);
+        (2, map3 (fun a e r -> S_cas (a, e, r)) addr value value);
+        (2, map2 (fun a d -> S_faa (a, d)) addr (int_range 1 2));
+        (1, return S_fence);
+        (1, return S_pause);
+      ]
+  in
+  let* rc_realistic = bool
+  and* rc_sb = int_range 1 3
+  and* rc_threads = list_size (int_range 1 3) (list_size (int_range 0 6) op)
+  and* rc_schedule = list_size (int_range 0 40) (int_bound 7) in
+  let+ cuts = list_size (int_range 1 2) (int_bound (List.length rc_schedule)) in
+  {
+    rc_realistic;
+    rc_sb;
+    rc_threads;
+    rc_schedule;
+    rc_cuts = List.sort_uniq compare cuts;
+  }
+
+let print_restore_case c =
+  let op = function
+    | S_load a -> Printf.sprintf "load a%d" a
+    | S_store (a, v) -> Printf.sprintf "store a%d %d" a v
+    | S_cas (a, e, r) -> Printf.sprintf "cas a%d %d %d" a e r
+    | S_faa (a, d) -> Printf.sprintf "faa a%d %d" a d
+    | S_fence -> "fence"
+    | S_pause -> "pause"
+  in
+  let ints l = String.concat " " (List.map string_of_int l) in
+  Printf.sprintf "%s sb=%d\n%s\nschedule: %s\ncuts: %s"
+    (if c.rc_realistic then "realistic" else "abstract")
+    c.rc_sb
+    (String.concat "\n"
+       (List.mapi
+          (fun i ops ->
+            Printf.sprintf "t%d: %s" i (String.concat "; " (List.map op ops)))
+          c.rc_threads))
+    (ints c.rc_schedule) (ints c.rc_cuts)
+
+(* What every reader of the machine sees, for comparison. *)
+let machine_view m =
+  let trs = Machine.enabled m in
+  let threads =
+    List.init (Machine.thread_count m) (fun t ->
+        ( Machine.thread_done m t,
+          Machine.pending_request m t,
+          Machine.pending_class m t,
+          Machine.pending_load m t,
+          Machine.store_blocked m t ))
+  in
+  ( Machine.fingerprint m,
+    trs,
+    List.map (fun tr -> (Machine.footprint m tr :> int)) trs,
+    Machine.quiescent m,
+    threads )
+
+(* Drive a reference machine from the root and the machine under test
+   through the same schedule; at each cut the machine under test is
+   snapshotted, released and replaced by a restored fresh instance, whose
+   threads then lag until they step. Both must look the same at every
+   step, and once the machine under test has caught up, its threads' host
+   logs must equal the reference's. *)
+let lazy_restore_matches_replay c =
+  let mk = restore_case_mk c in
+  let r, r_logs = mk () in
+  let m = ref (mk ()) in
+  let built = ref [ r; fst !m ] in
+  let snap = Machine.snapshot_create () in
+  Fun.protect
+    ~finally:(fun () -> List.iter Machine.release !built)
+    (fun () ->
+      let agree step =
+        if machine_view (fst !m) <> machine_view r then
+          QCheck.Test.fail_reportf "the machines differ before step %d" step
+      in
+      List.iteri
+        (fun step pick ->
+          if List.mem step c.rc_cuts then begin
+            let old = fst !m in
+            Machine.snapshot old snap;
+            Machine.release old;
+            let fresh = mk () in
+            built := fst fresh :: !built;
+            Machine.restore_into snap (fst fresh);
+            m := fresh
+          end;
+          agree step;
+          match Machine.enabled r with
+          | [] -> ()
+          | trs ->
+              let tr = List.nth trs (pick mod List.length trs) in
+              Machine.apply r tr;
+              Machine.apply (fst !m) tr)
+        c.rc_schedule;
+      agree (List.length c.rc_schedule);
+      Machine.catch_up (fst !m);
+      agree (List.length c.rc_schedule);
+      snd !m = r_logs)
+
+let lazy_restore_prop =
+  QCheck.Test.make ~name:"a lazily restored machine = replay from the root"
+    ~count:400
+    (QCheck.make ~print:print_restore_case restore_case_gen)
+    lazy_restore_matches_replay
+
 let () =
   Alcotest.run "explore"
     [
@@ -1613,7 +2156,12 @@ let () =
             test_memo_store_in_memory;
           Alcotest.test_case "Pareto frontier of budgets" `Quick
             test_memo_store_frontier;
+          Alcotest.test_case "a store of the retired --por search refused"
+            `Quick test_memo_store_retired_por;
         ] );
+      ( "memo-store-differential",
+        [ QCheck_alcotest.to_alcotest memo_table_prop ] );
+      ("memo-store-fuzz", [ QCheck_alcotest.to_alcotest store_fuzz_prop ]);
       ( "complete",
         [
           Alcotest.test_case "set iff the search finished" `Quick
@@ -1636,11 +2184,15 @@ let () =
           Alcotest.test_case "unreduced replay oracle under a bound" `Quick
             test_snapshot_oracle_unreduced_bounded;
         ] );
+      ( "snapshots-differential",
+        [ QCheck_alcotest.to_alcotest lazy_restore_prop ] );
       ( "allocation",
         [
           Alcotest.test_case "snapshot, fingerprint, footprint and DPOR"
             `Quick test_hot_path_allocates_nothing;
           Alcotest.test_case "memo hit" `Quick test_memo_hit_allocates_nothing;
+          Alcotest.test_case "memo miss with room" `Quick
+            test_memo_miss_allocates_nothing;
         ] );
       ( "fingerprint",
         [

@@ -1543,6 +1543,119 @@ let test_snapshot_preconditions () =
     Alcotest.fail "restore onto a driven machine must raise"
   with Invalid_argument _ -> ()
 
+(* Two threads of loads whose bodies count, in host cells of their own
+   instance, every resume past an instruction, and mark when they finish:
+   "short" runs 2 loads, "long" 5. *)
+let counting_mk () =
+  let m = Machine.create (Machine.abstract_config ~sb_capacity:2) in
+  Machine.set_record_responses m true;
+  let mem = Machine.memory m in
+  let x = Memory.alloc mem ~name:"x" ~init:0 in
+  let y = Memory.alloc mem ~name:"y" ~init:0 in
+  let resumes = Array.make 2 0 and finished = Array.make 2 false in
+  let body i a n () =
+    for _ = 1 to n do
+      ignore (Program.load a);
+      resumes.(i) <- resumes.(i) + 1
+    done;
+    finished.(i) <- true
+  in
+  ignore (Machine.spawn m ~name:"short" (body 0 x 2));
+  ignore (Machine.spawn m ~name:"long" (body 1 y 5));
+  (m, resumes, finished)
+
+let test_snapshot_lazy_replay () =
+  (* "short" finishes and "long" runs two loads before the snapshot *)
+  let src, src_resumes, _ = counting_mk () in
+  List.iter (Machine.apply src)
+    Machine.[ Step 0; Step 0; Step 1; Step 1 ];
+  let snap = Machine.snapshot_create () in
+  Machine.snapshot src snap;
+  let m, resumes, finished = counting_mk () in
+  Machine.restore_into snap m;
+  check (Alcotest.array Alcotest.int) "the restore resumes nothing" [| 0; 0 |]
+    resumes;
+  checki "yet the captured state reads at once" (Machine.fingerprint src)
+    (Machine.fingerprint m);
+  checkb "a finished thread reads done" true (Machine.thread_done m 0);
+  checkb "and is not stepped" true
+    (Machine.enabled m = [ Machine.Step 1 ]);
+  Machine.apply m (Machine.Step 1);
+  check (Alcotest.array Alcotest.int)
+    "a step replays its own thread only (2 replayed + 1)" [| 0; 3 |] resumes;
+  checkb "the finished thread's host effects wait" false finished.(0);
+  Machine.catch_up m;
+  check (Alcotest.array Alcotest.int) "catch_up replays the rest" [| 2; 3 |]
+    resumes;
+  checkb "the finished thread ran to its end again" true finished.(0);
+  Machine.catch_up m;
+  check (Alcotest.array Alcotest.int) "a second catch_up does nothing"
+    [| 2; 3 |] resumes;
+  (* the source and the restored machine finish alike *)
+  Machine.apply src (Machine.Step 1);
+  quiesce src;
+  quiesce m;
+  checki "same final state" (Machine.fingerprint src) (Machine.fingerprint m);
+  check (Alcotest.array Alcotest.int) "same host counts" src_resumes resumes;
+  checkb "both finished" true (finished.(0) && finished.(1))
+
+let test_snapshot_release_leaves_source () =
+  (* the snapshot's pending requests carry the source's live
+     continuations: releasing a machine restored from it must discontinue
+     that machine's own continuations, never the source's *)
+  let src, src_resumes, src_finished = counting_mk () in
+  List.iter (Machine.apply src) Machine.[ Step 0; Step 1 ];
+  let snap = Machine.snapshot_create () in
+  Machine.snapshot src snap;
+  let m, resumes, _ = counting_mk () in
+  Machine.restore_into snap m;
+  Machine.apply m (Machine.Step 0);
+  Machine.release m;
+  checkb "the restored machine is released" true (Machine.all_done m);
+  check (Alcotest.array Alcotest.int) "the lagging thread never replayed"
+    [| 2; 0 |] resumes;
+  quiesce src;
+  checkb "the source still runs to quiescence" true (Machine.quiescent src);
+  check (Alcotest.array Alcotest.int) "with every load resumed once"
+    [| 2; 5 |] src_resumes;
+  checkb "and both bodies finished" true (src_finished.(0) && src_finished.(1))
+
+let test_snapshot_divergence_at_first_step () =
+  (* a body that branches on a host counter shared by every instance is
+     not a function of its responses, so its replay takes the other branch;
+     the restore itself cannot see that, the thread's first step does *)
+  let built = ref 0 in
+  let mk () =
+    let m = Machine.create (Machine.abstract_config ~sb_capacity:2) in
+    Machine.set_record_responses m true;
+    let mem = Machine.memory m in
+    let x = Memory.alloc mem ~name:"x" ~init:0 in
+    let y = Memory.alloc mem ~name:"y" ~init:0 in
+    ignore
+      (Machine.spawn m ~name:"t" (fun () ->
+           incr built;
+           if !built = 1 then begin
+             ignore (Program.load x);
+             ignore (Program.load x)
+           end
+           else ignore (Program.load y)));
+    m
+  in
+  let src = mk () in
+  Machine.apply src (Machine.Step 0);
+  let snap = Machine.snapshot_create () in
+  Machine.snapshot src snap;
+  let m = mk () in
+  Machine.restore_into snap m;
+  (match Machine.apply m (Machine.Step 0) with
+  | () -> Alcotest.fail "a diverging replay must raise"
+  | exception Invalid_argument msg ->
+      check Alcotest.string "the replay diverged"
+        "Machine: thread diverged from snapshot" msg);
+  Machine.release m;
+  checkb "the diverged machine still releases" true (Machine.all_done m);
+  Machine.release src
+
 (* ------------------------------------------------------------------ *)
 (* Store-store order: what TSO's FIFO buffer gives for free            *)
 (* ------------------------------------------------------------------ *)
@@ -2098,6 +2211,12 @@ let () =
             test_snapshot_preconditions;
           Alcotest.test_case "listeners survive, fast-forward is silent"
             `Quick test_snapshot_restore_listeners;
+          Alcotest.test_case "a restored thread replays at its first step"
+            `Quick test_snapshot_lazy_replay;
+          Alcotest.test_case "releasing a restored machine spares the source"
+            `Quick test_snapshot_release_leaves_source;
+          Alcotest.test_case "a diverging replay raises at the first step"
+            `Quick test_snapshot_divergence_at_first_step;
         ] );
       ( "release",
         [
