@@ -47,6 +47,15 @@ let spec_json spec =
     ("client_stores", Telemetry.Json.Int spec.client_stores);
   ]
 
+(* Every task the scenario ever holds, plus a free cell, rounded up to a
+   power of two; at least 8 cells, chase-lev-dyn's initial buffer. The
+   explorer hashes, snapshots and restores every cell at every node, so
+   the array is sized to the scenario, not to a constant. *)
+let task_capacity spec =
+  let need = max 8 (spec.preloaded + spec.puts + 1) in
+  let rec pow2 c = if c >= need then c else pow2 (2 * c) in
+  pow2 8
+
 (* The per-spec work (registry lookup, queue parameters, thread names, the
    preload list) is done once, when the builder is made: the explorer calls
    the builder for every sibling it restores, and a build is ~1 µs. *)
@@ -57,7 +66,7 @@ let instance spec =
   in
   let params =
     {
-      Ws_core.Queue_intf.capacity = 64;
+      Ws_core.Queue_intf.capacity = task_capacity spec;
       delta = spec.delta;
       worker_fence = spec.worker_fence;
       tag = "q";
@@ -526,6 +535,16 @@ let open_spec_of_json v =
   let* sc_seed = get_int ctx fs "seed" ~default:d.sc_seed in
   let* sc_capacity = get_int ctx fs "capacity" ~default:d.sc_capacity in
   let* sc_capacity = require_pos ctx "capacity" sc_capacity in
+  let* () =
+    (* [open_config] keeps the engine's task arrays, and the injector must
+       fit in one *)
+    let cells = Ws_runtime.Open_system.default_config.queue_capacity in
+    if sc_capacity < cells then Ok ()
+    else
+      Error
+        (Printf.sprintf "%s: \"capacity\" must be below %d (got %d)" ctx cells
+           sc_capacity)
+  in
   let* policy_s =
     get_str ctx fs "policy"
       ~default:(match d.sc_policy with OL.Drop -> "drop" | OL.Block -> "block")

@@ -25,6 +25,11 @@ val spec_json : spec -> (string * Telemetry.Json.value) list
 (** The spec as JSON fields, for embedding in a forensics report's
     [config] object. Deterministic field order. *)
 
+val task_capacity : spec -> int
+(** The size of the scenario queue's task array: the smallest power of two
+    of at least [max 8 (preloaded + puts + 1)] cells. Every task fits with
+    a cell to spare, and 8 keeps chase-lev-dyn's initial buffer. *)
+
 val instance : spec -> unit -> Tso.Explore.instance
 (** [instance spec] looks the queue up and does the rest of the per-spec
     work once (@raise Not_found for a queue not in the registry), and
@@ -119,7 +124,8 @@ val open_spec_of_json :
   Telemetry.Json.value -> (open_spec, string) result
 (** Strict parse + validation: schema tag must match {!open_schema},
     unknown fields are rejected everywhere, the queue must exist in the
-    registry, counts must be >= 1, rates > 0 and probabilities in [0, 1].
+    registry, counts must be >= 1, [capacity] below the engine's task
+    arrays (16,384 cells), rates > 0 and probabilities in [0, 1].
     Every field except [schema] is optional and defaults from
     {!default_open_spec}. *)
 

@@ -755,14 +755,27 @@ let stage_hists pool =
     merge_all pool.stage_dispatch,
     merge_all pool.stage_service )
 
+(* Each leaf adds to its own slot's padded sum, so the task path shares
+   no counter between domains; the sums are folded once the run is over.
+   A leaf that runs with no slot (only [shutdown]'s drain) takes the
+   shared cell. *)
 let fib pool n =
-  let acc = Atomic.make 0 in
+  let sums =
+    Array.init (Array.length pool.slots) (fun _ -> Chase_lev.padded (ref 0))
+  in
+  let other = Atomic.make 0 in
   let rec task n () =
-    if n < 2 then ignore (Atomic.fetch_and_add acc n)
+    if n < 2 then begin
+      match Domain.DLS.get pool.worker_id with
+      | Some me ->
+          let c = sums.(me) in
+          c := !c + n
+      | None -> ignore (Atomic.fetch_and_add other n)
+    end
     else begin
       spawn pool (task (n - 1));
       spawn pool (task (n - 2))
     end
   in
   parallel_run pool [ task n ];
-  Atomic.get acc
+  Array.fold_left (fun acc c -> acc + !c) (Atomic.get other) sums

@@ -39,7 +39,7 @@ type result = {
   outcome : Sched.outcome;
   timing : Timing.report option;
   metrics : Metrics.t;
-  executions : (int, int) Hashtbl.t;
+  executions : int array;
   duplicates : int;
   lost : int;
 }
@@ -53,7 +53,15 @@ type source = {
 let no_victim = -1
 
 let machine_and_deques ~sb_capacity ~workers impl params =
-  let machine = Machine.create (Machine.abstract_config ~sb_capacity) in
+  (* Room for one more deque (the open system's front door) and a few
+     cells per worker besides, so a run's memory is allocated once
+     instead of doubling its way through the task arrays. *)
+  let mem =
+    Memory.create
+      ~cells:((workers + 1) * (params.Ws_core.Queue_intf.capacity + 16))
+      ()
+  in
+  let machine = Machine.create ~mem (Machine.abstract_config ~sb_capacity) in
   let deques =
     Array.init workers (fun w ->
         Ws_core.Registry.create impl machine
@@ -120,15 +128,25 @@ type shared = {
   queues : Ws_core.Queue_intf.packed array;
   scratch : Addr.t array;  (* per-worker cell for the post-take client stores *)
   metrics : Metrics.t;
-  executions : (int, int) Hashtbl.t;  (* completions per task id *)
-  enqueued : (int, int) Hashtbl.t;  (* puts per task id *)
+  (* Per task id, dense: sized from [expected_total], grown by doubling
+     past it. *)
+  mutable executions : int array;  (* completions *)
+  mutable enqueued : int array;  (* puts *)
   mutable in_flight : int;  (* puts not yet matched by a completion *)
 }
 
-let bump tbl id =
-  let c = 1 + Option.value ~default:0 (Hashtbl.find_opt tbl id) in
-  Hashtbl.replace tbl id c;
-  c
+(* [a] with room for index [id], its new cells 0. *)
+let room a id =
+  if id < Array.length a then a
+  else begin
+    let b = Array.make (max (id + 1) (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let bump_enqueued st id =
+  st.enqueued <- room st.enqueued id;
+  st.enqueued.(id) <- st.enqueued.(id) + 1
 
 (* Termination accounting that tolerates duplicate extraction (idempotent
    queues): every put increments [in_flight]; a completion decrements it
@@ -136,7 +154,7 @@ let bump tbl id =
    count, so a doubly-extracted entry cannot drive [in_flight] negative and
    end the run while real work remains. *)
 let enqueue st w id =
-  ignore (bump st.enqueued id);
+  bump_enqueued st id;
   st.in_flight <- st.in_flight + 1;
   let m = st.metrics.Metrics.workers.(w) in
   m.Metrics.puts <- m.Metrics.puts + 1;
@@ -149,8 +167,10 @@ let exec_task st w id =
   done;
   let spawned = st.wl.Workload.execute ~worker:w id in
   List.iter (fun t -> enqueue st w t) spawned;
-  let done_count = bump st.executions id in
-  let put_count = Option.value ~default:0 (Hashtbl.find_opt st.enqueued id) in
+  st.executions <- room st.executions id;
+  let done_count = st.executions.(id) + 1 in
+  st.executions.(id) <- done_count;
+  let put_count = if id < Array.length st.enqueued then st.enqueued.(id) else 0 in
   if done_count <= put_count then st.in_flight <- st.in_flight - 1
 
 (* A worker's next victim, never itself. A lone worker has none: it
@@ -190,6 +210,7 @@ let setup cfg wl =
         Memory.alloc mem ~name:(Printf.sprintf "scratch%d" w) ~init:0)
   in
   wl.Workload.init machine;
+  let tasks = Option.value ~default:1024 wl.Workload.expected_total in
   let st =
     {
       cfg;
@@ -197,12 +218,12 @@ let setup cfg wl =
       queues;
       scratch;
       metrics = Metrics.create cfg.workers;
-      executions = Hashtbl.create 1024;
-      enqueued = Hashtbl.create 1024;
+      executions = Array.make tasks 0;
+      enqueued = Array.make tasks 0;
       in_flight = List.length wl.Workload.roots;
     }
   in
-  List.iter (fun t -> ignore (bump st.enqueued t)) wl.Workload.roots;
+  List.iter (bump_enqueued st) wl.Workload.roots;
   let src =
     {
       live = (fun () -> st.in_flight > 0);
@@ -228,7 +249,7 @@ let setup cfg wl =
 
 let summarize st outcome timing =
   let duplicates =
-    Hashtbl.fold (fun _ c acc -> if c > 1 then acc + 1 else acc) st.executions 0
+    Array.fold_left (fun acc c -> if c > 1 then acc + 1 else acc) 0 st.executions
   in
   let lost =
     match st.wl.Workload.expected_total with
@@ -236,7 +257,8 @@ let summarize st outcome timing =
     | Some n ->
         let missing = ref 0 in
         for id = 0 to n - 1 do
-          if not (Hashtbl.mem st.executions id) then incr missing
+          if id >= Array.length st.executions || st.executions.(id) = 0 then
+            incr missing
         done;
         !missing
   in

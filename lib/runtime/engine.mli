@@ -41,7 +41,9 @@ type result = {
   outcome : Tso.Sched.outcome;
   timing : Tso.Timing.report option;  (** present for timed runs *)
   metrics : Metrics.t;
-  executions : (int, int) Hashtbl.t;  (** task id -> times executed *)
+  executions : int array;
+      (** times each task id was executed, indexed by id; an id never
+          executed reads 0, and the array may run past the highest id *)
   duplicates : int;  (** tasks executed more than once *)
   lost : int;  (** expected tasks never executed (needs [expected_total]) *)
 }
@@ -83,7 +85,10 @@ val machine_and_deques :
   Ws_core.Queue_intf.params ->
   Tso.Machine.t * Ws_core.Queue_intf.packed array
 (** A fresh abstract-buffer machine and one deque per worker on it, tagged
-    [q0], [q1], … in worker order ([params]' own tag is not used). *)
+    [q0], [q1], … in worker order ([params]' own tag is not used). Its
+    memory is allocated up front with room for one more deque and a few
+    cells per worker, so a run's task arrays are laid out without
+    regrowing it. *)
 
 val schedule :
   Metrics.t ->

@@ -21,7 +21,9 @@ val write_file : string -> value -> unit
 
 val parse : string -> (value, string) result
 (** Strict JSON parser (objects, arrays, strings with escapes, numbers,
-    literals). Returns [Error "offset N: ..."] on malformed input. *)
+    literals). Returns [Error "offset N: ..."] on malformed input, and on
+    arrays and objects nested more than 512 deep, which the recursive
+    descent would take quadratic time over. It never raises. *)
 
 val parse_file : string -> (value, string) result
 (** {!parse} on the contents of a file. A file that cannot be read (it is

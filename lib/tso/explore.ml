@@ -580,6 +580,9 @@ type ctx = {
   use_snapshots : bool;
       (** sibling exploration by snapshot/restore; [false] falls back to
           prefix replay (the differential oracle) *)
+  probe : Machine.t option;
+      (** a memoised snapshot search's probe ({!Machine.restore_data}),
+          which keys each fresh sibling before it is built *)
 }
 
 let sleep_skip ctx m =
@@ -617,6 +620,28 @@ let preemption_cost_buf ~last buf tr =
 let within ctx preemptions cost =
   match ctx.preemption_bound with None -> true | Some b -> preemptions + cost <= b
 
+(* Memo lookup-and-insert for the node at [depth] whose machine is [m].
+   Under DPOR the sleep set is part of the key: a visit with a different
+   sleep set explores a different reduced subtree. *)
+let memo_seen ctx store m depth preemptions sleep =
+  let preempt_rem =
+    match ctx.preemption_bound with None -> max_int | Some b -> b - preemptions
+  in
+  let fp = Machine.fingerprint m in
+  let key = if ctx.dpor then mix fp (sleep_hash sleep) else fp in
+  Memo_store.seen store key ~depth_rem:(ctx.max_depth - depth) ~preempt_rem
+
+(* The memo verdict on child [tr] of the node snapshotted in [fr], taken
+   on the probe: its key is the fingerprint the child would have after
+   [Machine.apply], so no instance is built, restored or released. *)
+let probe_seen ctx fr tr depth preemptions sleep =
+  match (ctx.probe, ctx.memo) with
+  | Some p, Some store ->
+      Machine.restore_data fr.snap p;
+      Machine.apply_data p tr;
+      memo_seen ctx store p depth preemptions sleep
+  | _ -> false
+
 (* The next choice of [nd] to explore: the first unexplored one that is
    demanded, or any once the node enumerates; -1 when none is left. *)
 let rec next_child nd j =
@@ -627,32 +652,20 @@ let rec next_child nd j =
 (* Continue a run in-place from the current machine state. [prefix] holds
    the choices that reached this state; [last]/[preemptions] summarise the
    prefix for the CHESS bound; [sleep] is the sleep set this node
-   inherited (always [[]] unless [ctx.dpor]). Siblings of the choices made
+   inherited (always [[]] unless [ctx.dpor]); [keyed] says the probe has
+   already looked this node up, and missed. Siblings of the choices made
    here are explored on a fresh instance — restored from a snapshot of this
    node when [ctx.use_snapshots], replayed from the root otherwise — which
    the node releases once the child's subtree is done, also when {!Stop}
    or another exception unwinds through it. On return the prefix is
    restored to its entry length. *)
-let rec extend ctx inst prefix depth last preemptions sleep =
+let rec extend ctx inst prefix depth last preemptions sleep ~keyed =
   let m = inst.machine in
   if depth > ctx.acc.peak_depth then ctx.acc.peak_depth <- depth;
   let memo_hit =
     match ctx.memo with
-    | None -> false
-    | Some store ->
-        let preempt_rem =
-          match ctx.preemption_bound with
-          | None -> max_int
-          | Some b -> b - preemptions
-        in
-        let key =
-          let fp = Machine.fingerprint m in
-          (* The sleep set is part of the key: a visit with a different
-             sleep set explores a different reduced subtree. *)
-          if ctx.dpor then mix fp (sleep_hash sleep) else fp
-        in
-        Memo_store.seen store key ~depth_rem:(ctx.max_depth - depth)
-          ~preempt_rem
+    | Some store when not keyed -> memo_seen ctx store m depth preemptions sleep
+    | _ -> false
   in
   if memo_hit then ctx.acc.memo_hits <- ctx.acc.memo_hits + 1
   else begin
@@ -704,7 +717,7 @@ let rec extend ctx inst prefix depth last preemptions sleep =
         Machine.apply m tr;
         Prefix.push prefix 0 tr;
         extend ctx inst prefix (depth + 1) (next_last last tr) preemptions
-          sleep';
+          sleep' ~keyed:false;
         Prefix.pop prefix;
         if ctx.dpor then dpor_pop ctx.ds depth
       end
@@ -826,13 +839,20 @@ and branch ctx inst fr prefix depth last preemptions sleep n =
    in place on [inst] unless [fresh], else on a new instance — restored
    from the node's snapshot in frame [fr] when [snapped] and advanced by
    [tr], or replayed from the root — that is released on every exit from
-   the child's subtree. [last] is the node's; the child's follows from
-   [tr]. *)
+   the child's subtree. A memoised search keys a snapped sibling on its
+   probe first, and builds nothing for a memo hit. [last] is the node's;
+   the child's follows from [tr]. *)
 and child ctx inst fr ~snapped prefix ~fresh tr depth last preemptions sleep =
   let last = next_last last tr in
+  let keyed = snapped && Option.is_some ctx.probe in
   if not fresh then begin
     Machine.apply inst.machine tr;
-    extend ctx inst prefix depth last preemptions sleep
+    extend ctx inst prefix depth last preemptions sleep ~keyed:false
+  end
+  else if keyed && probe_seen ctx fr tr depth preemptions sleep then begin
+    (* counted as [extend] counts a hit *)
+    if depth > ctx.acc.peak_depth then ctx.acc.peak_depth <- depth;
+    ctx.acc.memo_hits <- ctx.acc.memo_hits + 1
   end
   else begin
     let sib =
@@ -849,7 +869,7 @@ and child ctx inst fr ~snapped prefix ~fresh tr depth last preemptions sleep =
       end
       else Prefix.replay ~mk:ctx.mk prefix
     in
-    match extend ctx sib prefix depth last preemptions sleep with
+    match extend ctx sib prefix depth last preemptions sleep ~keyed with
     | () -> Machine.release sib.machine
     | exception e ->
         Machine.release sib.machine;
@@ -879,6 +899,17 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
     | None -> if memo then Some (Memo_store.in_memory ()) else None
   in
   let root = mk () in
+  (* One probe keys the fresh siblings of a memoised snapshot search. *)
+  let probe =
+    match memo with
+    | Some _ when snapshots -> (
+        match mk () with
+        | p -> Some p.machine
+        | exception e ->
+            Machine.release root.machine;
+            raise e)
+    | _ -> None
+  in
   let ctx =
     {
       mk;
@@ -899,15 +930,18 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
       ds = dpor_create ~nthreads:(Machine.thread_count root.machine);
       dpor;
       use_snapshots = snapshots;
+      probe;
     }
   in
-  (* The root is built here, so it is released here, also when [Stop] (or
-     any other exception) unwinds the tree. *)
+  (* The root and the probe are built here, so they are released here,
+     also when [Stop] (or any other exception) unwinds the tree. *)
   let complete =
     Fun.protect
-      ~finally:(fun () -> Machine.release root.machine)
+      ~finally:(fun () ->
+        Machine.release root.machine;
+        Option.iter Machine.release probe)
       (fun () ->
-        match extend ctx root (Prefix.create ()) 0 (-1) 0 [] with
+        match extend ctx root (Prefix.create ()) 0 (-1) 0 [] ~keyed:false with
         | () -> true
         | exception Stop -> false)
   in

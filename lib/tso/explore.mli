@@ -14,11 +14,13 @@
     With [memo = true] the search additionally keeps a visited-state cache
     keyed by {!Machine.fingerprint}: two interleavings that converge to the
     same machine state have identical subtrees, so the second one is pruned
-    (counted in [memo_hits]). Because the fingerprint covers per-thread
-    program position, the cache never merges states whose threads observed
-    different values — verdicts are unchanged, only redundant work is cut.
-    Under a preemption bound the cache only prunes a revisit whose remaining
-    budget is covered by an earlier visit, so bounding stays exact.
+    (counted in [memo_hits]). The fingerprint hashes the data state alone
+    (memory, store buffers and each thread's response history); because
+    the history covers per-thread program position, the cache never merges
+    states whose threads observed different values — verdicts are
+    unchanged, only redundant work is cut. Under a preemption bound the
+    cache only prunes a revisit whose remaining budget is covered by an
+    earlier visit, so bounding stays exact.
 
     With [dpor = true] the search applies {e source dynamic partial-order
     reduction} (Flanagan–Godefroid with source sets) over
@@ -56,8 +58,15 @@
     steps, at its first step — instead of replaying the whole prefix from
     the root — O(depth) machine transitions. Before a leaf's [check], the
     search runs {!Machine.catch_up}, so the check sees every thread's
-    host-side effects. [snapshots = false] keeps the replay path as the
-    test suite's differential oracle; results are identical either way.
+    host-side effects. A memoised snapshot search also builds one
+    {e probe} instance: before it builds a sibling, it puts the node's
+    data state on the probe ({!Machine.restore_data}), fires the
+    sibling's transition there ({!Machine.apply_data}) and looks the
+    resulting key up. A hit is counted as one on arrival would be, and
+    nothing is built, restored, replayed or released for it; a miss builds
+    the sibling and does not look its key up again. [snapshots = false]
+    keeps the replay path, which builds every sibling, as the test suite's
+    differential oracle; results are identical either way.
 
     Used by the test suite to verify, over {e all} interleavings of small
     configurations, the safety properties of every queue algorithm: no task

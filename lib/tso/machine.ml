@@ -105,6 +105,15 @@ let count_delta_check t =
   | None -> ()
   | Some s -> s.Telemetry.Sink.delta_checks <- s.Telemetry.Sink.delta_checks + 1
 
+(* Every thread's [hist] starts here, not at 0. The update mixes the
+   encoded request in by xor, so from 0 a load of cell 1 that returns 1
+   leaves [hist] at the FNV prime, which a load of cell 0 that returns 1
+   then maps to itself: two positions of one thread would share a hash.
+   From a full-width start, [hist] never meets the small multiples of the
+   prime that request encodings are. (The 64-bit FNV offset basis,
+   shifted into an OCaml int.) *)
+let hist_basis = 0x32fca73921088c89
+
 let spawn t ~name body =
   let tid = t.n_threads in
   let buf =
@@ -116,7 +125,7 @@ let spawn t ~name body =
       name;
       buf;
       status = Program.start body;
-      hist = 0;
+      hist = hist_basis;
       step_tr = Step tid;
       drain_tr = Drain tid;
       flush_tr = Flush tid;
@@ -556,12 +565,9 @@ let fingerprint t =
   for i = 0 to t.n_threads - 1 do
     let th = t.threads.(i) in
     let buf = th.buf in
-    (* Control state: done/paused, the pending instruction, and the
-       response-history hash (program position). *)
-    (match th.status with
-    | Program.Done -> h := mix !h 0xD0
-    | Program.Paused_at (req, _) ->
-        h := mix (mix !h 0xBA) (encode_request req));
+    (* The response-history hash is the program position: a deterministic
+       thread body is a function of it, so it also fixes whether the
+       thread is done and which request it waits at. *)
     h := mix !h th.hist;
     (* The egress slot B is hashed separately from the buffer proper: a
        store staged in B and the same store still queued are different
@@ -736,31 +742,32 @@ let snapshot t snap =
     ts.s_egress_v <- (if eg < 0 then 0 else Store_buffer.egress_value buf)
   done
 
-let restore_into snap t =
-  if t.steps <> 0 then
-    invalid_arg "Machine.restore_into: target must be a fresh instance";
+(* {1 Restores}
+
+   [restore_data] puts back what both restores share: memory, the store
+   buffers, the history hashes and each thread's pending request. A
+   thread's own continuation waits in [own] (for [replay], or for
+   [release]); readers of the pending request see the snapshot's. On its
+   own it makes a probe: the explorer keys a sibling before it builds one
+   by firing one transition there with [apply_data], which has [apply]'s
+   memory, buffer and history effects but no resume, so [fingerprint] then
+   reads the key the sibling would have after [apply]. The probe's own
+   continuations never move. *)
+let restore_data snap t =
   if t.n_threads <> snap.s_n_threads then
-    invalid_arg "Machine.restore_into: thread count differs from snapshot";
+    invalid_arg "Machine: thread count differs from snapshot";
   if Memory.size t.mem <> snap.s_mem_len then
-    invalid_arg "Machine.restore_into: memory layout differs from snapshot";
+    invalid_arg "Machine: memory layout differs from snapshot";
   Memory.restore_from t.mem snap.s_mem ~len:snap.s_mem_len;
   for i = 0 to t.n_threads - 1 do
     let th = t.threads.(i) in
     let ts = snap.s_threads.(i) in
-    (* The fresh continuation waits in [own] for [replay]; readers of the
-       pending request see the snapshot's. *)
     if not th.lagging then begin
       th.own <- th.status;
       th.lagging <- true
     end;
     th.status <- ts.s_status;
     th.hist <- ts.s_hist;
-    (* Sized as [log_response] would grow it, so the restored thread's next
-       steps append without regrowing the log. *)
-    if Array.length th.resp_log <= ts.s_resp_len then
-      th.resp_log <- Array.make (max 64 (2 * ts.s_resp_len)) 0;
-    copy_ints ts.s_resp th.resp_log ts.s_resp_len;
-    th.resp_len <- ts.s_resp_len;
     Store_buffer.clear th.buf;
     for k = 0 to ts.s_n_entries - 1 do
       Store_buffer.push th.buf
@@ -771,6 +778,21 @@ let restore_into snap t =
       (if ts.s_egress_a >= 0 then
          Some (Addr.of_index ts.s_egress_a, ts.s_egress_v)
        else None)
+  done
+
+let restore_into snap t =
+  if t.steps <> 0 then
+    invalid_arg "Machine.restore_into: target must be a fresh instance";
+  restore_data snap t;
+  for i = 0 to t.n_threads - 1 do
+    let th = t.threads.(i) in
+    let ts = snap.s_threads.(i) in
+    (* Sized as [log_response] would grow it, so the restored thread's next
+       steps append without regrowing the log. *)
+    if Array.length th.resp_log <= ts.s_resp_len then
+      th.resp_log <- Array.make (max 64 (2 * ts.s_resp_len)) 0;
+    copy_ints ts.s_resp th.resp_log ts.s_resp_len;
+    th.resp_len <- ts.s_resp_len
   done;
   t.steps <- snap.s_steps;
   t.record <- true;
@@ -780,9 +802,27 @@ let restore_into snap t =
       s.Telemetry.Sink.snapshot_restores <-
         s.Telemetry.Sink.snapshot_restores + 1
 
+let apply_data t tr =
+  match tr with
+  | Step tid -> (
+      let th = thread t tid in
+      match th.status with
+      | Program.Done -> invalid_arg "Machine.apply_data: thread is done"
+      | Program.Paused_at (req, _) ->
+          if not (request_enabled th req) then
+            invalid_arg "Machine.apply_data: instruction not enabled";
+          let v = exec_request t th req in
+          th.hist <- mix (mix th.hist (encode_request req)) (encode_response req v);
+          (* Its next request is unknown until a body resumes, which a
+             probe never does. *)
+          th.status <- Program.Done)
+  | Drain tid -> ignore (Store_buffer.drain (thread t tid).buf t.mem)
+  | Flush tid -> ignore (Store_buffer.flush_egress (thread t tid).buf t.mem)
+
 (* The pre-optimisation digest, kept as a debug cross-check: the alcotest
    suite differential-tests {!fingerprint}'s equality classes against it
-   over the classic litmus programs. *)
+   over the classic litmus programs. It also spells out each thread's
+   control state, which the fingerprint leaves to [hist]. *)
 let fingerprint_digest t =
   let b = Buffer.create 256 in
   let add_entry (a, v) =

@@ -186,23 +186,28 @@ val store_blocked : t -> tid -> bool
 
 val fingerprint : t -> int
 (** An incremental structural hash (FNV-style over ints; it allocates
-    nothing) of the complete machine state: memory
-    contents and, per thread, the control state (done/paused plus the
-    pending instruction), the program position (a rolling hash of every
-    response the thread has received — a deterministic thread program is a
-    function of its response history), the egress slot B, and the buffer
-    proper. Equal fingerprints imply equal machine states (modulo hash
-    collisions), which is what lets {!Explore.search}'s memoization prune
-    converged interleavings soundly. Host-side effects performed by thread
-    bodies are covered exactly when they are a function of the response
-    history and commute across threads (true for per-thread result
-    registers and commutative counters). *)
+    nothing) of the machine's data state: memory contents and, per
+    thread, the program position (a rolling hash of every request the
+    thread has executed and the response it got), the egress slot B, and
+    the buffer proper. A deterministic thread program is a function of its
+    response history, so the position also fixes whether the thread is
+    done and which request it waits at: the key leaves both out, and
+    {!apply_data} can compute it without resuming any thread. (The lazy
+    replay of {!restore_into} rests on the same determinism, and checks it
+    when a replay lands.) Equal fingerprints imply equal machine states
+    (modulo hash collisions), which is what lets {!Explore.search}'s
+    memoization prune converged interleavings soundly. Host-side effects
+    performed by thread bodies are covered exactly when they are a
+    function of the response history and commute across threads (true for
+    per-thread result registers and commutative counters). *)
 
 val fingerprint_digest : t -> string
-(** The pre-optimisation MD5 digest of the same state components, kept as a
-    debug cross-check: the test suite asserts that {!fingerprint} and this
-    digest induce the same equality classes over explored states. Slow;
-    not used by the explorer. *)
+(** The pre-optimisation MD5 digest of the same state components plus each
+    thread's control state (done, or the pending request), kept as a debug
+    cross-check: the test suite asserts that {!fingerprint} and this
+    digest induce the same equality classes over the states of each
+    program it walks, which also checks that the history hash fixes the
+    control state. Slow; not used by the explorer. *)
 
 (** {1 Transition footprints}
 
@@ -338,6 +343,28 @@ val restore_into : snapshot -> t -> unit
     To obtain a complete event stream of a recorded schedule, replay it
     from the root with the listener attached (what the forensics layer
     does) instead of restoring into an observed machine. *)
+
+val restore_data : snapshot -> t -> unit
+(** [restore_data snap t] puts the captured data state onto [t], a
+    machine built by the same deterministic constructor (same threads,
+    same memory layout: @raise Invalid_argument otherwise): memory, the
+    store buffers, the history hashes and each thread's pending request,
+    as {!restore_into} does, but no response log and no step count, and no
+    sink counter moves. [t] need not be fresh. It becomes a {e probe}:
+    drive it only with {!apply_data}, read it with {!fingerprint}, restore
+    it again, or {!release} it, which discontinues its own continuations,
+    never the snapshot's. The explorer keeps one probe per memoised
+    search to key a sibling before it builds one. *)
+
+val apply_data : t -> transition -> unit
+(** Fire an enabled transition on a probe ({!restore_data}) with the data
+    effects of {!apply}: the same request execution, history-hash update
+    and buffer, drain and flush updates, so that {!fingerprint} afterwards
+    equals that of a real instance after {!apply}. It resumes no
+    continuation, logs no response, counts no step and informs no
+    listener or sink. A stepped thread's next request is unknown until its
+    body resumes, so it reads as done until the next {!restore_data}.
+    @raise Invalid_argument if the transition is not enabled. *)
 
 val catch_up : t -> unit
 (** Replay every thread that still lags behind a {!restore_into}, in tid

@@ -24,7 +24,10 @@
    search are real visits, but the failure set of a partial search is not
    the configuration's failure set, so partial searches are not merged. *)
 
-let schema = "wsrepro-memo/v1"
+(* v2 keys a state on its data alone (DESIGN.md §8): the fingerprints a
+   v1 store holds also hashed each thread's pending request, so none of
+   them would ever hit, and its header check refuses the store. *)
+let schema = "wsrepro-memo/v2"
 let n_shards = 16
 
 (* {2 Budgets}
@@ -232,16 +235,8 @@ let check_header ~path ~expected found =
                    name (describe f) (describe e)))
   in
   match member "schema" found with
-  | Some (Str s) when s = schema -> (
-      match (member "por" found, member "dpor" found) with
-      | Some (Bool true), Some (Bool false) ->
-          (* keyed with sleep-set hashes the unreduced search never makes *)
-          err
-            "was built by the retired --por search, so none of its entries \
-             can ever hit: delete the store"
-      | _ ->
-          check
-            [ "config"; "max_depth"; "preemption_bound"; "dpor"; "shards" ])
+  | Some (Str s) when s = schema ->
+      check [ "config"; "max_depth"; "preemption_bound"; "dpor"; "shards" ]
   | Some (Str s) ->
       err (Printf.sprintf "has schema %S; this build expects %S" s schema)
   | _ -> err "header has no schema field"

@@ -1,9 +1,13 @@
-(** The explorer's visited-state store ([wsrepro-memo/v1]).
+(** The explorer's visited-state store ([wsrepro-memo/v2]).
 
     An entry means "this state was explored with this much remaining depth
     and preemption budget"; a revisit is pruned only against an entry with
     at least as much budget, so each fingerprint keeps the Pareto frontier
-    of its explored budgets.
+    of its explored budgets. A key is a {!Machine.fingerprint}, which
+    hashes the data state alone (memory, store buffers and each thread's
+    response history), mixed under DPOR with the hash of the node's sleep
+    set. Schema v1 keys also hashed each thread's pending request, so none
+    of them can hit a v2 key, and {!open_} refuses a v1 store.
 
     A store lives {!in_memory} for one search, or persists across runs in
     a directory ({!open_}): a header (the configuration the entries are
@@ -21,7 +25,7 @@
 type t
 
 val schema : string
-(** ["wsrepro-memo/v1"]. *)
+(** ["wsrepro-memo/v2"]. *)
 
 val in_memory : unit -> t
 (** An empty store with no directory: it buffers nothing, and {!commit}
@@ -38,9 +42,9 @@ val open_ :
 (** Open (or create in memory — nothing touches disk until {!commit}) the
     store at [path]. [config] is an opaque description of the machine /
     scenario; it must match the stored header byte-for-byte. Errors are
-    descriptive, one line each, and never raised: schema mismatch,
-    configuration mismatch, a store of the retired [--por] search (whose
-    entries can never hit), a file that cannot be read (a directory in
+    descriptive, one line each, and never raised: schema mismatch (a v1
+    store among them, and so every store of the retired [--por] search),
+    configuration mismatch, a file that cannot be read (a directory in
     its place, say), or a malformed entry. A shard line is an entry only
     as {!commit} writes it: three decimal ints separated by single spaces,
     with budgets {!seen} accepts. *)

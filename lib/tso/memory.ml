@@ -16,9 +16,9 @@ type t = {
 
 let no_region = { base = 0; len = 0; name = "" }
 
-let create () =
+let create ?(cells = 64) () =
   {
-    cells = Array.make 64 0;
+    cells = Array.make (max 1 cells) 0;
     used = 0;
     regions = Array.make 8 no_region;
     n_regions = 0;

@@ -11,7 +11,11 @@
 
 type t
 
-val create : unit -> t
+val create : ?cells:int -> unit -> t
+(** An empty memory with room for [cells] cells (default 64) before it
+    first grows; allocation past that doubles the backing array. A caller
+    that knows how much it will allocate (a runtime's task arrays) passes
+    it, so the array is allocated once. *)
 
 val alloc : t -> name:string -> init:int -> Addr.t
 (** Allocate one named cell. *)

@@ -182,6 +182,32 @@ let test_snapshot_replay_oracle () =
   Alcotest.check stats "scenario: snapshots equal replay under memo+DPOR"
     (go false) (go true)
 
+let test_probe_precheck_oracle () =
+  (* a memoised snapshot search keys each fresh sibling on its probe
+     before it builds one, while replay from the root builds every sibling
+     and looks it up on arrival: both must report identical statistics and
+     failures, with and without DPOR, also where violations are found *)
+  let same ?preemption_bound name mk =
+    List.iter
+      (fun dpor ->
+        let go snapshots =
+          Explore.search ~max_runs ?preemption_bound ~memo:true ~dpor
+            ~snapshots ~mk ()
+        in
+        Alcotest.check stats
+          (Printf.sprintf "%s%s: precheck equals replay" name
+             (if dpor then " with DPOR" else ""))
+          (go false) (go true))
+      [ false; true ]
+  in
+  List.iter
+    (fun (t : Ws_litmus.Classic.t) -> same t.name t.mk)
+    Ws_litmus.Classic.all;
+  same ~preemption_bound:(Some 3) "default scenario"
+    (Ws_harness.Scenarios.instance Ws_harness.Scenarios.default_spec);
+  same ~preemption_bound:(Some 3) "ff-the at an unsound delta"
+    (Ws_harness.Scenarios.instance violating_spec)
+
 let test_snapshot_oracle_unreduced_bounded () =
   (* the unreduced search under a preemption bound, which can cut a
      node's first child so that a sibling is its first explored one:
@@ -485,29 +511,39 @@ let write_file path text =
   output_string oc text;
   close_out oc
 
-let test_memo_store_retired_por () =
-  (* a store of the retired sleep-set-only search is keyed with sleep-set
-     hashes that no search makes any more: refused with advice to delete
-     it, while a DPOR store that still carries "por" (DPOR once implied
-     it) opens *)
-  let path = fresh_store_path "por" in
+let test_memo_store_v1_refused () =
+  (* a v1 store's keys also hashed each thread's pending request, so none
+     of them can hit a v2 key: refused on its schema, whether it was
+     written by a DPOR, an unreduced or the retired --por search, and a v2
+     header over the same shards opens *)
+  let path = fresh_store_path "v1" in
   Sys.mkdir path 0o755;
-  let header ~dpor =
+  let header ~schema ~por =
     Printf.sprintf
-      {|{"schema":"wsrepro-memo/v1","config":"test","max_depth":%d,"preemption_bound":-1,"por":true,"dpor":%b,"shards":16}|}
-      Explore.default_max_depth dpor
+      {|{"schema":%S,"config":"test","max_depth":%d,"preemption_bound":-1,%s"dpor":false,"shards":16}|}
+      schema Explore.default_max_depth
+      (if por then {|"por":true,|} else "")
   in
-  write_file (Filename.concat path "header.json") (header ~dpor:false);
-  (match open_store path with
-  | Ok _ -> Alcotest.fail "a --por store was accepted"
-  | Error e ->
-      checkb ("names the retired search: " ^ e) true
-        (contains ~needle:"retired --por search" e
-        && contains ~needle:"delete the store" e));
-  write_file (Filename.concat path "header.json") (header ~dpor:true);
-  match open_store ~dpor:true path with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "a DPOR store with \"por\": true refused: %s" e
+  write_file
+    (Filename.concat path "shard-9.dat")
+    (Printf.sprintf "12345 400 %d\n" max_int);
+  List.iter
+    (fun por ->
+      write_file
+        (Filename.concat path "header.json")
+        (header ~schema:"wsrepro-memo/v1" ~por);
+      match open_store path with
+      | Ok _ -> Alcotest.fail "a wsrepro-memo/v1 store was accepted"
+      | Error e ->
+          checkb ("names both schemas: " ^ e) true
+            (contains ~needle:{|"wsrepro-memo/v1"|} e
+            && contains ~needle:{|"wsrepro-memo/v2"|} e))
+    [ false; true ];
+  write_file (Filename.concat path "header.json")
+    (header ~schema:Memo_store.schema ~por:false);
+  match open_store path with
+  | Ok s -> Alcotest.(check int) "its entry loads" 1 (Memo_store.loaded_entries s)
+  | Error e -> Alcotest.failf "a v2 store refused: %s" e
 
 (* The list-based table the flat one replaced, kept verbatim as the
    reference: a hashtable from each fingerprint to its Pareto frontier. *)
@@ -677,7 +713,9 @@ let fuzz_case_gen =
               Text
                 {|{"schema":"wsrepro-memo/v1","config":"fuzz","max_depth":400,"preemption_bound":-1,"por":true,"dpor":false,"shards":16}|};
               Text
-                {|{"schema":"wsrepro-memo/v1","config":"other","max_depth":400,"preemption_bound":-1,"dpor":false,"shards":16}|};
+                (Printf.sprintf
+                   {|{"schema":%S,"config":"other","max_depth":400,"preemption_bound":-1,"dpor":false,"shards":16}|}
+                   Memo_store.schema);
             ] );
       ]
   in
@@ -1200,22 +1238,6 @@ let failures_digest fs =
     0 12
 
 exception Build_budget of int
-exception Row_timeout
-
-(* [f ()] under a wall-clock bound of [seconds]. Broken DPOR bookkeeping
-   can also loop inside a single step (a read chain linked back to
-   itself), building nothing, where no build budget reaches; the alarm's
-   handler raises at the loop's next poll point. *)
-let within seconds f =
-  let previous =
-    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Row_timeout))
-  in
-  ignore (Unix.alarm seconds);
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Unix.alarm 0);
-      Sys.set_signal Sys.sigalrm previous)
-    f
 
 (* Check [table] covers every registry queue at sb 1 and 2 on [configs],
    stateless and memoised, then rerun every row with [dpor] and fail
@@ -1261,9 +1283,12 @@ let check_golden ~dpor ~label table configs =
     in
     (* The slowest row takes about three seconds, so a row still
        searching after 20 s has broken; the group stops there rather than
-       wait out every later row. *)
+       wait out every later row. Broken DPOR bookkeeping can also loop
+       inside a single step (a read chain linked back to itself), building
+       nothing, where no build budget reaches; the time bound stops it at
+       the loop's next poll point. *)
     match
-      within 20 (fun () ->
+      Time_bound.within ~seconds:20.0 (fun () ->
           match mode with
           | Stateless ->
               Explore.search ~max_runs:4000 ~preemption_bound:(Some 2) ~dpor
@@ -1288,7 +1313,7 @@ let check_golden ~dpor ~label table configs =
           Printf.sprintf "%s, spent its budget of %d instance builds)"
             (row ()) budget
           :: !differ
-    | exception Row_timeout ->
+    | exception Time_bound.Timeout ->
         Alcotest.failf "%s) is still searching after 20 s" (row ())
     | st ->
         let got =
@@ -1444,7 +1469,7 @@ let test_memo_miss_allocates_nothing () =
 
 (* --- pinned fingerprint values ------------------------------------------ *)
 
-(* Memo keys, and the entries [wsrepro-memo/v1] shards keep on disk, stay
+(* Memo keys, and the entries [wsrepro-memo/v2] shards keep on disk, stay
    valid only while {!Machine.fingerprint} and the sleep-set hashes compute
    the same values, so a set of them is pinned here. *)
 
@@ -1510,76 +1535,76 @@ let pinned_fingerprints =
   [
     ( "SB",
       [
-        0x64bf8da60a10e04a; 0x3881df5bc044052a; 0x108ccf8af7b1f3ce;
-        0x5361eb5fd392e008; 0x748f1ee678fb2a4; 0x2884bc5e4682abcb;
-        0x12891a1d17fa7a80;
+        0x22c06e8e68374927; 0x40b0a0ab79e0e43c; 0x4a43d8957dfec2ed;
+        0x2c46635cc795b609; 0x126940a7dfa5dbd6; 0x4d13d76a60ce30b1;
+        0x7dcbf34201d0e21a;
       ] );
     ( "SB+fences",
       [
-        0x64bf8da60a10e04a; 0x7fc15a9ef0b80b34; 0x5777d6bc4780da30;
-        0x7b5a4360c5b30bc9; 0x45d8446182393863; 0x388dfba7ec6a082a;
-        0x27aa0a6fe6c8a02f; 0x4a2410bfe0dc4699; 0x435e21b9c9371b80;
+        0x22c06e8e68374927; 0x40b0a0ab79e0e43c; 0x4522c1542f39ee0c;
+        0x2cb03f6e6ea3f27f; 0x16a2299bc418a2a6; 0x1940a0c55a1f19d9;
+        0x670a26288c82216e; 0x3a5e0e333e45b077; 0x7496f6a5801386a8;
       ] );
     ( "SB+rmw",
       [
-        0x3b18941a63bb818; 0x3fbb7909dfb82c00; 0x6e097c89d5e75930;
-        0x5b98c4648d1a86eb; 0x461acc68c0e3b23f; 0x78c77b30346b22a3;
-        0x6bed3c9e9b447dce; 0x106c7c68337b1790; 0x3eba9556ed14fb1d;
+        0x5e647c94164ec27d; 0x700b79f9b963ba9e; 0x111c2fda19e900ca;
+        0x74f801b0ec305949; 0x57b79da746b9190c; 0x1982162bdc0dc737;
+        0x3a9440efa7a12b48; 0x769ee7e58229077e; 0x2c491e2591f48dcd;
       ] );
     ( "MP",
       [
-        0x5f0187f853c11202; 0x7c7f99156945dd31; 0x3a6678a9531fff75;
-        0x574f700e0bc736fd; 0x843bd063a905ce4; 0x507181f097d01cfd;
-        0x65b263ec62e45b0d;
+        0x22c06e8e68374927; 0x628fd80325cdbef; 0x65c3b240ebdfa01e;
+        0x8774929f997ff35; 0x7fd39e295a69546a; 0x455810d37c14bbc3;
+        0x230cf3d33e1edb61;
       ] );
     ( "LB",
       [
-        0x43716d34904589f8; 0x6d872383b85202fd; 0x2310445bf60f8fe7;
-        0x6011028e94c81786; 0x384a0b58739d7e55; 0x3f4ed93ba271d3b4;
-        0x5446f7beabd0e94c;
+        0x22c06e8e68374927; 0x628fd80325cdbef; 0x7ea23e0f60d44a02;
+        0x735463c6b424209; 0x7d59f34121c26c0d; 0x285c2c0583298ff0;
+        0x772ff8a70d1d932;
       ] );
     ( "n6",
       [
-        0x51ea805750d40a83; 0x67e79b6d8cc3e38b; 0x61d9300144326670;
-        0x332d196307a3543e; 0x1e7b5b7f5c59f79b; 0x32fb209ee203cc68;
-        0x6e87d7a2558611d7; 0x6ffef0f14278d45; 0x38bef924b250f9c4;
+        0x22c06e8e68374927; 0x6bdb2407175a7a36; 0x5b295f19008c7c73;
+        0x733bfb7b8680a5d1; 0x76a2070f4a3e22f4; 0x233a007e95bac60b;
+        0x4a58321a16bd0363; 0x1512afaf780a069d; 0x2c3a0702fba3ac40;
       ] );
     ( "n5",
       [
-        0x2af90f2ae5af2073; 0x6eb3d68a1f8e3333; 0x4c2bb06e87a73ca7;
-        0x4b3538d433f2e4aa; 0x34c7fbeea1b7795d; 0x786e1bffb834f1f0;
-        0x1807972859d00f07;
+        0x18a51f74632d6a66; 0x59562c10a08a6aed; 0x40bec19a9976483e;
+        0x72d3270ab1648923; 0xc9afa6862d71a90; 0x54b9b7b9f0022da8;
+        0x4d964aeaf948ec33;
       ] );
     ( "IRIW",
       [
-        0x18fe971cf87ab3fb; 0x6b34e1e093c4ba28; 0x2086b07e205df04a;
-        0x13e22a35056ad434; 0x706780c19027ed46; 0x54a6e5098a91b7f;
-        0xeec43ee5a4f7d11; 0x1f2e62163b72ae3b; 0x6adef64bd37a071c;
+        0x6552e93e6043a541; 0x8aef221319482a9; 0x14d946810aff858c;
+        0x1576a3f6098ebe3f; 0x12dee0447d5909ef; 0x67e520c3f67e8444;
+        0x11a9e52bf57f2f14; 0x75655c969337282f; 0x691c490376ed191c;
       ] );
     ( "store-forwarding",
       [
-        0x2032c6b7f2291f01; 0x4fb6cf9d6e2b8d9d; 0x22319a5eb58ad73f;
-        0x7d1ddbc44df8a3f5; 0x78f629ef167c91f6; 0x2b3fcc08d0c01cf0;
+        0x462493d854aabea1; 0x5820e24642950740; 0x1c342e04ce1b991;
+        0x209b30012367e3fa; 0x648a0b3394d8ef6f; 0x17f162d42dfa2d07;
       ] );
     ( "rmw-atomic",
       [
-        0x72e8085ef2bb3eba; 0x3a81a7b439fcc34e; 0x565c473a7183d472;
-        0x4c8802d1250e5283; 0x5ac24bd336600d9f;
+        0x18a51f74632d6a66; 0x42cdfe502bbf1937; 0x2962f74cca3e65ef;
+        0x6ab04b84102beb63; 0x5d25be2bf4a5ae7b;
       ] );
     ( "realistic",
       [
-        0x64bf8da60a10e04a; 0x3881df5bc044052a; 0x108ccf8af7b1f3ce;
-        0x7eeb67105143878d; 0x5361eb5fd392e008; 0x16c1d64829aa4b18;
-        0x342c4ffab5b25287; 0x381438907c069bcc; 0x5382d1cdcdf5db87;
-        0x62880b62c10b502a; 0x6790245e3a608154; 0x27845c349d382d2;
-        0x74de056057ce6f4d; 0x724263ea3ed15521;
+        0x22c06e8e68374927; 0x40b0a0ab79e0e43c; 0x4a43d8957dfec2ed;
+        0x3894d61ad784c6a2; 0x2c46635cc795b609; 0x126940a7dfa5dbd6;
+        0x207da685b02f1ad1; 0x7b4f6d4cc2717be8; 0x5a1aa18a6d0ca83b;
+        0x23f51498f1398df6; 0x60bf9f59ac409000; 0x152eaa4119d08c32;
+        0x34b8bfa426c80cd3; 0x7feaa2a21813b223;
       ] );
   ]
 
 let test_fingerprints_pinned () =
   let probe = probe_machine () in
   Alcotest.(check int)
-    "perfbench's probe machine at 200 steps" 0x6606d30e9de0585a
+    "perfbench's probe machine at 200 steps" 0xd373713db97d21b
     (Machine.fingerprint probe);
   Machine.release probe;
   List.iter
@@ -1588,9 +1613,16 @@ let test_fingerprints_pinned () =
         if name = "realistic" then realistic_machine ()
         else ((Ws_litmus.Classic.find name).mk ()).Explore.machine
       in
+      let fps = last_choice_fingerprints m in
       Alcotest.(check (list int))
         (name ^ ": every state of the last-choice schedule")
-        expected (last_choice_fingerprints m))
+        expected fps;
+      (* every transition moves a thread's history or the memory or a
+         buffer, so no two states of one run share a key *)
+      Alcotest.(check int)
+        (name ^ ": no state repeats along the schedule")
+        (List.length fps)
+        (List.length (List.sort_uniq compare fps)))
     pinned_fingerprints;
   (* The keys a memoised DPOR search commits: fingerprints mixed with the
      hashes of their sleep sets, drains included. *)
@@ -1612,7 +1644,7 @@ let test_fingerprints_pinned () =
   let keys = List.sort compare (List.concat_map lines (List.init 16 Fun.id)) in
   Alcotest.(check (pair int string))
     "SB: the entries a memoised DPOR search commits"
-    (36, "f0348cb693728a3898fb7a5a41f1decf")
+    (36, "b6d984ad7570c730d0ab0434aa9e2c04")
     (List.length keys, Digest.to_hex (Digest.string (String.concat "\n" keys)))
 
 (* --- source-DPOR bookkeeping against its record-based reference --------- *)
@@ -2094,6 +2126,59 @@ let lazy_restore_matches_replay c =
       agree (List.length c.rc_schedule);
       snd !m = r_logs)
 
+(* At every state of a random schedule, the probe's key for each enabled
+   transition ({!Machine.restore_data}, then {!Machine.apply_data}) must
+   be the fingerprint of a real instance restored from the same snapshot
+   after {!Machine.apply}. One probe serves every key, as in a search. *)
+let probe_keys_match_apply c =
+  let mk () = fst (restore_case_mk c ()) in
+  let r = mk () and probe = mk () in
+  let snap = Machine.snapshot_create () in
+  let keys_agree step =
+    Machine.snapshot r snap;
+    List.iter
+      (fun tr ->
+        Machine.restore_data snap probe;
+        Machine.apply_data probe tr;
+        let real = mk () in
+        let fp =
+          Fun.protect
+            ~finally:(fun () -> Machine.release real)
+            (fun () ->
+              Machine.restore_into snap real;
+              Machine.apply real tr;
+              Machine.fingerprint real)
+        in
+        if Machine.fingerprint probe <> fp then
+          QCheck.Test.fail_reportf "before step %d: the probe's key for %s differs"
+            step
+            (match tr with
+            | Machine.Step t -> Printf.sprintf "a step of t%d" t
+            | Machine.Drain t -> Printf.sprintf "a drain of t%d" t
+            | Machine.Flush t -> Printf.sprintf "a flush of t%d" t))
+      (Machine.enabled r)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Machine.release r;
+      Machine.release probe)
+    (fun () ->
+      List.iteri
+        (fun step pick ->
+          keys_agree step;
+          match Machine.enabled r with
+          | [] -> ()
+          | trs -> Machine.apply r (List.nth trs (pick mod List.length trs)))
+        c.rc_schedule;
+      keys_agree (List.length c.rc_schedule);
+      true)
+
+let probe_key_prop =
+  QCheck.Test.make ~name:"the probe's key = the fingerprint after apply"
+    ~count:300
+    (QCheck.make ~print:print_restore_case restore_case_gen)
+    probe_keys_match_apply
+
 let lazy_restore_prop =
   QCheck.Test.make ~name:"a lazily restored machine = replay from the root"
     ~count:400
@@ -2156,8 +2241,8 @@ let () =
             test_memo_store_in_memory;
           Alcotest.test_case "Pareto frontier of budgets" `Quick
             test_memo_store_frontier;
-          Alcotest.test_case "a store of the retired --por search refused"
-            `Quick test_memo_store_retired_por;
+          Alcotest.test_case "a wsrepro-memo/v1 store refused" `Quick
+            test_memo_store_v1_refused;
         ] );
       ( "memo-store-differential",
         [ QCheck_alcotest.to_alcotest memo_table_prop ] );
@@ -2181,11 +2266,16 @@ let () =
       ( "snapshots",
         [
           Alcotest.test_case "replay oracle" `Quick test_snapshot_replay_oracle;
+          Alcotest.test_case "probe precheck equals the replay oracle" `Quick
+            test_probe_precheck_oracle;
           Alcotest.test_case "unreduced replay oracle under a bound" `Quick
             test_snapshot_oracle_unreduced_bounded;
         ] );
       ( "snapshots-differential",
-        [ QCheck_alcotest.to_alcotest lazy_restore_prop ] );
+        [
+          QCheck_alcotest.to_alcotest lazy_restore_prop;
+          QCheck_alcotest.to_alcotest probe_key_prop;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "snapshot, fingerprint, footprint and DPOR"

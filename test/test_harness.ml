@@ -600,6 +600,128 @@ let test_open_spec_validates () =
           ]));
   reject "bad policy" (override "policy" (J.Str "shed"))
 
+(* --- scenario parser fuzz ------------------------------------------------ *)
+
+(* Scenario documents: a valid spec's JSON with fields dropped,
+   duplicated, retyped, set out of range or misnamed, at the top level or
+   inside the nested objects; and the same documents as text, cut or
+   spliced with hostile bytes before [J.parse]. *)
+let spec_value_gen =
+  let open QCheck.Gen in
+  let* base = oneofl [ Scenarios.default_open_spec; fancy_spec ] in
+  let* arrival =
+    oneofl
+      [
+        base.Scenarios.sc_arrival;
+        OL.Poisson { rate = 0.25 };
+        OL.Bursty { rate_lo = 1.0; rate_hi = 4.0; switch_lo = 0.3; switch_hi = 0.0 };
+      ]
+  and* service =
+    oneofl
+      [
+        base.Scenarios.sc_service;
+        OL.Fixed { ticks = 7 };
+        OL.Uniform { lo = 5; hi = 9 };
+        OL.Exponential { mean = 30 };
+      ]
+  in
+  return
+    (Scenarios.open_spec_json
+       { base with Scenarios.sc_arrival = arrival; sc_service = service })
+
+let odd_value_gen =
+  let open QCheck.Gen in
+  oneofl
+    [
+      J.Null; J.Bool true; J.Int 0; J.Int (-1); J.Int 1; J.Int max_int;
+      J.Int min_int; J.Int 16_384; J.Int (1 lsl 40); J.Float 0.0;
+      J.Float (-1.0); J.Float 1.5; J.Float Float.nan; J.Float Float.infinity;
+      J.Float Float.neg_infinity; J.Float 1e308; J.Float 0.5; J.Str "";
+      J.Str "ff-the"; J.Str "block"; J.Str "poisson"; J.Str "bimodal";
+      J.Str "\xff\xfe"; J.List []; J.List [ J.Int 1 ]; J.Obj [];
+      J.Obj [ ("process", J.Str "poisson") ];
+      J.Obj [ ("dist", J.Str "uniform"); ("lo", J.Int 9); ("hi", J.Int 3) ];
+      J.Str Scenarios.open_schema;
+    ]
+
+(* One mutation somewhere in the tree: at an object, drop, duplicate,
+   retype or add a field, or descend into one of its object fields. *)
+let rec mutate_spec v =
+  let open QCheck.Gen in
+  match v with
+  | J.Obj fields when fields <> [] ->
+      let n = List.length fields in
+      let* i = int_bound (n - 1) in
+      let k, fv = List.nth fields i in
+      let replace x = List.mapi (fun j f -> if j = i then x else f) fields in
+      let* odd = odd_value_gen in
+      let* choice = int_bound 5 in
+      (match (choice, fv) with
+      | 0, _ -> return (List.filteri (fun j _ -> j <> i) fields)
+      | 1, _ -> return (fields @ [ (k, odd) ])
+      | 2, _ -> return (replace (k, odd))
+      | 3, _ -> return (fields @ [ ("extra", odd) ])
+      | 4, J.Obj _ -> map (fun fv' -> replace (k, fv')) (mutate_spec fv)
+      | _ -> return ((k, odd) :: List.filteri (fun j _ -> j <> i) fields))
+      >|= fun fs -> J.Obj fs
+  | _ -> odd_value_gen
+
+let spec_doc_gen =
+  let open QCheck.Gen in
+  let value =
+    let* v = spec_value_gen in
+    let* k = int_range 1 3 in
+    let rec go v k = if k = 0 then return v else mutate_spec v >>= fun v -> go v (k - 1) in
+    go v k
+  in
+  let text =
+    let* v = oneof [ spec_value_gen; value ] in
+    let s = J.to_string v in
+    let n = String.length s in
+    let* i = int_bound n and* c = map Char.chr (int_bound 255) in
+    oneofl
+      [
+        String.sub s 0 i;
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
+        String.concat "" (List.init 600 (fun _ -> {|{"arrival":|})) ^ s;
+      ]
+  in
+  frequency [ (3, map (fun v -> `Value v) value); (1, map (fun s -> `Text s) text) ]
+
+let print_spec_doc = function
+  | `Value v -> J.to_string v
+  | `Text s -> String.escaped s
+
+(* Total: a value or an [Error], within a second; and an accepted spec
+   meets every precondition of [Open_system.run]. *)
+let spec_parse_total doc =
+  let parse () =
+    match doc with
+    | `Value v -> Scenarios.open_spec_of_json v
+    | `Text s -> Result.bind (J.parse s) Scenarios.open_spec_of_json
+  in
+  match Time_bound.within ~seconds:1.0 parse with
+  | Error _ -> true
+  | Ok spec ->
+      let c = Scenarios.open_config spec in
+      let open Ws_runtime.Open_system in
+      if
+        not
+          (c.workers >= 1 && c.chain >= 1 && c.capacity >= 1
+          && c.capacity < c.queue_capacity && c.requests >= 1)
+      then QCheck.Test.fail_report "accepted a spec Open_system.run refuses";
+      true
+  | exception Time_bound.Timeout -> QCheck.Test.fail_report "parse hung"
+  | exception e ->
+      QCheck.Test.fail_reportf "parse raised %s" (Printexc.to_string e)
+
+let scenario_fuzz_prop =
+  QCheck.Test.make
+    ~name:"open_spec_of_json accepts or refuses, never raises or hangs"
+    ~count:1000
+    (QCheck.make ~print:print_spec_doc spec_doc_gen)
+    spec_parse_total
+
 let test_overload_report_validates () =
   let spec =
     {
@@ -994,6 +1116,43 @@ let test_fig10_point_words_per_step () =
     (Printf.sprintf "%.1f minor words per step <= 18" per_step)
     true (per_step <= 18.0)
 
+let test_scenario_task_capacity () =
+  (* the queue's task array holds every task with a cell to spare, at a
+     power of two of at least 8 cells: the explorer hashes, snapshots and
+     restores each of its cells at every node *)
+  let task_cells spec =
+    let m = (Scenarios.instance spec ()).Tso.Explore.machine in
+    let mem = Tso.Machine.memory m in
+    let n = ref 0 in
+    for i = 0 to Tso.Memory.size mem - 1 do
+      if
+        String.starts_with ~prefix:"q.tasks["
+          (Tso.Memory.name mem (Tso.Addr.of_index i))
+      then incr n
+    done;
+    Tso.Machine.release m;
+    !n
+  in
+  let cells label expected spec =
+    checki (label ^ ": task_capacity") expected (Scenarios.task_capacity spec);
+    checki (label ^ ": the machine's task array") expected (task_cells spec)
+  in
+  cells "default spec (3 tasks)" 8 Scenarios.default_spec;
+  (* explore -q ff-the --sb 16 -d 16 --client-stores 0 --tasks 17, the
+     S = 16 Fig. 8 cell *)
+  cells "the S = 16 Fig. 8 cell (18 tasks)" 32
+    {
+      Scenarios.default_spec with
+      sb_capacity = 16;
+      delta = 16;
+      client_stores = 0;
+      preloaded = 17;
+      steal_attempts = 1;
+    };
+  cells "7 tasks fill 8 cells" 8
+    { Scenarios.default_spec with preloaded = 6 };
+  cells "8 tasks need 16" 16 { Scenarios.default_spec with preloaded = 7 }
+
 let test_instance_build_words () =
   (* One explorer instance: ff-the, 3 tasks, 2 steal attempts. *)
   let spec = Scenarios.default_spec in
@@ -1062,6 +1221,8 @@ let () =
         [
           Alcotest.test_case "check plumbing" `Quick test_scenario_check_logic;
           Alcotest.test_case "abort accounting" `Quick test_scenario_flags_bad_abort;
+          Alcotest.test_case "task array sized to the scenario" `Quick
+            test_scenario_task_capacity;
         ] );
       ( "open-spec-dsl",
         [
@@ -1075,6 +1236,7 @@ let () =
           Alcotest.test_case "overload report validates" `Quick
             test_overload_report_validates;
         ] );
+      ("scenario-fuzz", [ QCheck_alcotest.to_alcotest scenario_fuzz_prop ]);
       ( "native-slo",
         [
           Alcotest.test_case "verdict conversion and judging" `Quick

@@ -589,6 +589,113 @@ let test_windowed_stale_and_zero_width () =
     (Invalid_argument "Windowed.create: width must be positive") (fun () ->
       ignore (W.create ~width:0 ()))
 
+(* --- JSON parser fuzz ---------------------------------------------------- *)
+
+(* Documents: random values as the emitter writes them, then cut, spliced
+   with hostile bytes (structural characters, escapes, NUL, bytes that are
+   not UTF-8), nested far past the parser's bound, or plain random
+   bytes. *)
+let json_value_gen =
+  let open QCheck.Gen in
+  let key = string_size ~gen:printable (int_bound 4) in
+  sized_size (int_bound 12)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return J.Null;
+               map (fun b -> J.Bool b) bool;
+               map (fun i -> J.Int i) int;
+               map (fun f -> J.Float f) (float_range (-1e6) 1e6);
+               map (fun s -> J.Str s) (string_size ~gen:char (int_bound 6));
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> J.List l) (list_size (int_bound 4) (self (n / 2))));
+               ( 1,
+                 map
+                   (fun l -> J.Obj l)
+                   (list_size (int_bound 4) (pair key (self (n / 2)))) );
+             ])
+
+let hostile_byte =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ '{'; '}'; '['; ']'; '"'; '\\'; ','; ':'; '-'; '.'; 'e'; 'u'; '0'; '\000' ];
+        map Char.chr (int_range 0x80 0xff);
+        char;
+      ])
+
+let json_doc_gen =
+  let open QCheck.Gen in
+  let doc = map (fun (v, indent) -> J.to_string ~indent v) (pair json_value_gen bool) in
+  let mutate s =
+    let n = String.length s in
+    let* i = int_bound n in
+    let* j = int_bound n in
+    let lo = min i j and hi = max i j in
+    oneof
+      [
+        return (String.sub s 0 lo);
+        map
+          (fun c -> String.sub s 0 lo ^ String.make 1 c ^ String.sub s lo (n - lo))
+          hostile_byte;
+        map
+          (fun c ->
+            if lo >= n then s
+            else String.sub s 0 lo ^ String.make 1 c ^ String.sub s (lo + 1) (n - lo - 1))
+          hostile_byte;
+        return (String.sub s 0 lo ^ String.sub s hi (n - hi));
+      ]
+  in
+  let nested =
+    let* d = oneof [ int_range 500 520; int_range 1 100_000 ] in
+    let* opening = oneofl [ "["; "{\"k\":"; " [ " ] in
+    let* closed = bool in
+    return
+      (String.concat "" (List.init d (fun _ -> opening))
+      ^ "1"
+      ^ if closed && opening = "[" then String.make d ']' else "")
+  in
+  frequency
+    [
+      (2, doc);
+      (6, doc >>= fun s -> mutate s >>= mutate);
+      (1, nested);
+      (1, string_size ~gen:hostile_byte (int_bound 40));
+    ]
+
+(* Total: every input is a value or an [Error], within a second. *)
+let json_parse_total s =
+  match Time_bound.within ~seconds:1.0 (fun () -> J.parse s) with
+  | Ok _ | Error _ -> true
+  | exception Time_bound.Timeout -> QCheck.Test.fail_report "parse hung"
+  | exception e ->
+      QCheck.Test.fail_reportf "parse raised %s" (Printexc.to_string e)
+
+let json_fuzz_prop =
+  QCheck.Test.make ~name:"Json.parse accepts or refuses, never raises or hangs"
+    ~count:1000
+    (QCheck.make ~print:String.escaped json_doc_gen)
+    json_parse_total
+
+let test_json_nesting_bound () =
+  let nest d = String.make d '[' ^ String.make d ']' in
+  check bool "512 levels parse" true (Result.is_ok (J.parse (nest 512)));
+  (match J.parse (nest 513) with
+  | Ok _ -> Alcotest.fail "513 levels accepted"
+  | Error e ->
+      check string "refused at the 513th level"
+        "offset 512: nested deeper than 512 levels" e);
+  check bool "a megabyte of '[' is refused at once" true
+    (Result.is_error (J.parse (String.make 1_000_000 '[')))
+
 (* The ring against a reference that keeps, per slot, the newest window
    that reached it and that window's samples. The clock may go backwards,
    so stale samples are exercised too. *)
@@ -654,7 +761,9 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
+          Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound;
         ] );
+      ("json-fuzz", [ QCheck_alcotest.to_alcotest json_fuzz_prop ]);
       ( "chrome-trace",
         [
           Alcotest.test_case "spans nest" `Quick test_trace_spans_nest;
