@@ -257,67 +257,19 @@ let dpor_arg =
            wherever threads touch disjoint data. Where nearly every state \
            is a memo hit, the unreduced search is as fast.")
 
-let memo_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "memo-file" ] ~docv:"PATH"
-        ~doc:
-          "Persistent visited-state store (implies $(b,--memo)): a \
-           directory of fingerprint-sharded append-only entry files plus a \
-           header pinning the scenario, bounds and reduction flags. A \
-           missing PATH starts cold and is created on a completed search; \
-           a PATH whose header does not match this run's configuration is \
-           rejected. Warm reruns prune at every stored state and report \
-           the stored failure set.")
-
 (* classic x86-TSO litmus suite *)
 let tso_litmus_cmd =
-  let run memo dpor memo_file =
+  let run memo dpor =
     print_endline
       "== Classic x86-TSO litmus tests against the abstract machine ==";
-    let memo = memo || memo_file <> None in
-    let results =
-      try
-        Ws_litmus.Classic.run_all ~memo ~dpor ?memo_dir:memo_file ()
-      with Failure e ->
-        (* keep stdout (the banner, any completed rows) ahead of the error
-           even when both land in one pipe *)
-        flush stdout;
-        prerr_endline e;
-        exit 2
-    in
+    let results = Ws_litmus.Classic.run_all ~memo ~dpor () in
     List.iter (fun r -> Format.printf "%a@." Ws_litmus.Classic.pp_result r) results;
-    (match memo_file with
-    | Some dir ->
-        let lookups, hits =
-          List.fold_left
-            (fun (l, h) (r : Ws_litmus.Classic.result) ->
-              (l + r.memo_lookups, h + r.memo_hits))
-            (0, 0) results
-        in
-        Printf.printf "memo store %s: %d lookups, %d hits (hit rate %.3f)\n"
-          dir lookups hits
-          (if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups)
-    | None -> ());
     if List.exists (fun r -> not r.Ws_litmus.Classic.ok) results then exit 1
-  in
-  let memo_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "memo-file" ] ~docv:"PATH"
-          ~doc:
-            "Persistent visited-state store directory (implies \
-             $(b,--memo)); each litmus test keeps its own store under \
-             PATH, pinned to the test and this run's reduction flags. A \
-             warm rerun prunes at every stored state; a mismatched or \
-             corrupt store is rejected.")
   in
   Cmd.v
     (Cmd.info "tso-litmus"
        ~doc:"Validate the machine against the classic x86-TSO litmus tests")
-    Term.(const run $ memo_arg $ dpor_arg $ memo_file)
+    Term.(const run $ memo_arg $ dpor_arg)
 
 (* ablation *)
 let ablation_cmd =
@@ -474,7 +426,7 @@ let trace_cmd =
 (* explore: bounded exhaustive model checking *)
 let explore_cmd =
   let run qname sb delta preloaded steals client_stores max_runs pb fence memo
-      dpor memo_file metrics progress forensics trace_failure =
+      dpor metrics progress forensics trace_failure =
     let spec =
       {
         Ws_harness.Scenarios.default_spec with
@@ -487,35 +439,12 @@ let explore_cmd =
         worker_fence = fence;
       }
     in
-    let memo = memo || memo_file <> None in
-    let memo_store =
-      match memo_file with
-      | None -> None
-      | Some path -> (
-          (* the header pins everything that shapes the reduced tree: the
-             scenario itself plus bounds and reduction flags *)
-          let config =
-            "explore "
-            ^ Telemetry.Json.to_string ~indent:false
-                (Telemetry.Json.Obj (Ws_harness.Scenarios.spec_json spec))
-          in
-          match
-            Tso.Memo_store.open_ ~path ~config
-              ~max_depth:Tso.Explore.default_max_depth
-              ~preemption_bound:(Some pb) ~dpor ()
-          with
-          | Ok store -> Some store
-          | Error e ->
-              (* the store's own diagnostics already carry the path *)
-              Printf.eprintf "memo store: %s\n" e;
-              exit 2)
-    in
     let st, clean =
       Ws_harness.Scenarios.explore_check spec ~max_runs
-        ~preemption_bound:(Some pb) ~memo ~dpor ?memo_store ~progress ()
+        ~preemption_bound:(Some pb) ~memo ~dpor ~progress ()
     in
     Printf.printf
-      "%s: %d complete runs, %d truncated, %d deadlocks, %d pruned branches%s%s%s, \
+      "%s: %d complete runs, %d truncated, %d deadlocks, %d pruned branches%s%s, \
        peak depth %d\n"
       qname st.Tso.Explore.runs st.truncated st.deadlocks st.pruned
       (if memo then
@@ -525,12 +454,6 @@ let explore_cmd =
       (if dpor then
          Printf.sprintf ", %d sleep-set skips" st.sleep_skips
        else "")
-      (match memo_store with
-      | Some store ->
-          Printf.sprintf ", memo store %d/%d warm hits"
-            (Tso.Memo_store.hits store)
-            (Tso.Memo_store.lookups store)
-      | None -> "")
       st.Tso.Explore.peak_depth;
     Option.iter
       (fun file ->
@@ -538,7 +461,7 @@ let explore_cmd =
         let doc =
           J.Obj
             [
-              ("schema", J.Str "wsrepro-explore/v3");
+              ("schema", J.Str "wsrepro-explore/v4");
               ("scenario", J.Obj (Ws_harness.Scenarios.spec_json spec));
               ( "bounds",
                 J.Obj
@@ -561,25 +484,6 @@ let explore_cmd =
                     ("failures", J.Int (List.length st.failures));
                     ("complete", J.Bool st.complete);
                   ] );
-              ( "memo_store",
-                match memo_store with
-                | None -> J.Null
-                | Some store ->
-                    let lookups = Tso.Memo_store.lookups store in
-                    let hits = Tso.Memo_store.hits store in
-                    J.Obj
-                      [
-                        ("loaded_entries",
-                         J.Int (Tso.Memo_store.loaded_entries store));
-                        ("pending_entries",
-                         J.Int (Tso.Memo_store.pending_entries store));
-                        ("lookups", J.Int lookups);
-                        ("hits", J.Int hits);
-                        ( "hit_rate",
-                          J.Float
-                            (if lookups = 0 then 0.0
-                             else float_of_int hits /. float_of_int lookups) );
-                      ] );
             ]
         in
         J.write_file file doc;
@@ -627,19 +531,14 @@ let explore_cmd =
          end
          else begin
            (* no forensics requested: show the raw failing interleaving *)
-           let inst = Ws_harness.Scenarios.instance spec () in
-           let trace = Tso.Trace.attach inst.Tso.Explore.machine in
-           List.iter
-             (fun i ->
-               match Tso.Explore.next_choices inst.Tso.Explore.machine with
-               | [] -> ()
-               | ts ->
-                   ignore
-                     (Tso.Machine.apply inst.Tso.Explore.machine (List.nth ts i)))
-             choices;
+           let replay =
+             Forensics.Witness.replay
+               ~mk:(Ws_harness.Scenarios.instance spec)
+               choices
+           in
            print_newline ();
            print_endline "interleaving:";
-           print_string (Tso.Trace.render trace)
+           print_string replay.Forensics.Witness.timeline
          end);
         exit 1
   in
@@ -689,17 +588,14 @@ let explore_cmd =
       & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
-            "Write a machine-readable $(b,wsrepro-explore/v3) JSON sidecar: \
-             the scenario and bounds, the explorer statistics (with \
-             $(b,complete), false when the run budget stopped the search) \
-             and the persistent memo-store counters when $(b,--memo-file) \
-             is set.")
+            "Write a machine-readable $(b,wsrepro-explore/v4) JSON sidecar: \
+             the scenario and bounds, and the explorer statistics (with \
+             $(b,complete), false when the run budget stopped the search).")
   in
   let exits =
     Cmd.Exit.info 0
       ~doc:"the search was exhaustive within its bounds and found no violation."
     :: Cmd.Exit.info 1 ~doc:"the search found a safety violation."
-    :: Cmd.Exit.info 2 ~doc:"the $(b,--memo-file) store could not be used."
     :: Cmd.Exit.info 3
          ~doc:
            "no violation was found, but the search was not exhaustive: the \
@@ -714,8 +610,7 @@ let explore_cmd =
        ~doc:"Bounded exhaustive model checking of a queue")
     Term.(
       const run $ queue_arg $ sb $ delta $ preloaded $ steals $ client_stores
-      $ max_runs $ pb $ fence $ memo_arg $ dpor_arg $ memo_file_arg
-      $ explore_metrics $ progress_arg $ forensics_arg $ trace_failure_arg)
+      $ max_runs $ pb $ fence $ memo_arg $ dpor_arg $ explore_metrics $ progress_arg $ forensics_arg $ trace_failure_arg)
 
 (* native: the pool on real silicon — sim-vs-native parity or a scenario replay *)
 let backend_conv =

@@ -89,35 +89,14 @@ let replay_on ?sink inst choices =
         | None -> ())
     | Machine.Drain _ | Machine.Flush _ -> ()
   in
-  (* Drive the recorded schedule through the same choice universe the
-     search used ({!Explore.next_choices}), then any forced suffix to
-     quiescence — mirroring {!Explore.replay_choices}. *)
-  List.iter
-    (fun i ->
-      match Explore.next_choices m with
-      | [] -> invalid_arg "Forensics.Witness.replay: run ended early"
-      | ts ->
-          if i < 0 || i >= List.length ts then
-            invalid_arg "Forensics.Witness.replay: bad choice index";
-          let tr = List.nth ts i in
-          consider tr;
-          Machine.apply m tr)
-    choices;
   (* Same suffix budget rationale as {!Shrink.reproduces}: the input is
      normally a minimized schedule that already quiesced under the oracle,
      but a caller-supplied sequence gets the same livelock protection. *)
-  let rec finish budget =
-    match Machine.enabled m with
-    | [] -> ()
-    | tr :: _ ->
-        if budget = 0 then
-          invalid_arg "Forensics.Witness.replay: suffix did not quiesce";
-        consider tr;
-        Machine.apply m tr;
-        finish (budget - 1)
+  let verdict =
+    Explore.replay_on
+      ~max_steps:((4 * List.length choices) + 1_000)
+      ~before:consider inst choices
   in
-  finish ((4 * List.length choices) + 1_000);
-  let verdict = inst.Explore.check () in
   let witnesses = List.rev !witnesses_rev in
   {
     witnesses;

@@ -249,17 +249,6 @@ let rec sleep_until t =
     sleep_until t
   end
 
-(* Flight-ring capacity per slot that holds a whole replay. Per cell, a
-   slot records at most a run, a steal, a spawn of the next stage and a
-   steal abort (each abort loses a cell to another taker). It parks at
-   most once per wake-up broadcast, and each park is a park/unpark pair:
-   one broadcast per enqueued cell, one per request whose last stage
-   leaves nothing in flight, one at shutdown. That is
-   requests x (6 x chain + 2) + 2 events; the report's per-ring [dropped]
-   counts confirm it. *)
-let replay_flight_capacity (spec : Scenarios.open_spec) =
-  (spec.Scenarios.sc_requests * ((6 * spec.Scenarios.sc_chain) + 2)) + 2
-
 let scenario_native (spec : Scenarios.open_spec) =
   let open Ws_runtime in
   let plan =
@@ -280,7 +269,7 @@ let scenario_native (spec : Scenarios.open_spec) =
     Ws_native.Pool.create ~domains:spec.Scenarios.sc_workers
       ~backend:(backend_of_queue spec.Scenarios.sc_queue)
       ~injector_capacity:spec.Scenarios.sc_capacity ~attribution:true
-      ~flight:true ~flight_capacity:(replay_flight_capacity spec) ()
+      ~flight:true ~flight_capacity:(Scenarios.replay_flight_capacity spec) ()
   in
   let sojourn = Telemetry.Histogram.create () in
   let late = Telemetry.Histogram.create () in

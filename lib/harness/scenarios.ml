@@ -160,7 +160,7 @@ let random_check spec ~seeds ?(drain_weight = 0.1) () =
   go seeds
 
 let explore_check spec ?max_runs ?max_depth ?preemption_bound ?(memo = false)
-    ?(dpor = false) ?memo_store ?(progress = false) () =
+    ?(dpor = false) ?(progress = false) () =
   let reporter =
     if progress then Some (Telemetry.Progress.create ~label:"explore" ())
     else None
@@ -178,7 +178,7 @@ let explore_check spec ?max_runs ?max_depth ?preemption_bound ?(memo = false)
   in
   let st =
     Explore.search ?max_runs ?max_depth ?preemption_bound ~memo ~dpor
-      ?memo_store ?on_progress ~mk:(instance spec) ()
+      ?on_progress ~mk:(instance spec) ()
   in
   Option.iter (fun rep -> Telemetry.Progress.finish rep) reporter;
   ( st,
@@ -372,6 +372,35 @@ let require_prob ctx k v =
   if v >= 0. && v <= 1. then Ok v
   else Error (Printf.sprintf "%s: %S must be in [0, 1]" ctx k)
 
+(* --- what one run can hold ------------------------------------------- *)
+
+(* [native --scenario] runs one domain per worker beside the main domain,
+   its load generator, and OCaml 5.1 runs at most 128 domains. The bound
+   also keeps the engine's task arrays, 16,384 cells per worker, small. *)
+let max_workers = 127
+
+(* Flight-ring capacity per slot that holds a whole replay. Per cell, a
+   slot records at most a run, a steal, a spawn of the next stage and a
+   steal abort (each abort loses a cell to another taker). It parks at
+   most once per wake-up broadcast, and each park is a park/unpark pair:
+   one broadcast per enqueued cell, one per request whose last stage
+   leaves nothing in flight, one at shutdown. That is
+   requests x (6 x chain + 2) + 2 events; the report's per-ring [dropped]
+   counts confirm it. *)
+let replay_flight_capacity s = (s.sc_requests * ((6 * s.sc_chain) + 2)) + 2
+
+(* The largest [requests], and then [chain], whose replay ring
+   {!Telemetry.Flight_recorder} can hold. The ring outgrows
+   [Open_system]'s [requests * chain] stage array, so that fits too. *)
+let max_ring = Telemetry.Flight_recorder.max_capacity
+let max_requests = (max_ring - 2) / 8
+let max_chain ~requests = (((max_ring - 2) / requests) - 2) / 6
+
+let require_at_most ctx k ?(what = "") limit v =
+  if v <= limit then Ok v
+  else
+    Error (Printf.sprintf "%s: %S must be at most %d%s (got %d)" ctx k limit what v)
+
 (* Optional-budget variants: absent stays [None] (no default kicks in). *)
 let get_int_opt ctx fs k =
   match List.assoc_opt k fs with
@@ -528,10 +557,18 @@ let open_spec_of_json v =
   in
   let* sc_workers = get_int ctx fs "workers" ~default:d.sc_workers in
   let* sc_workers = require_pos ctx "workers" sc_workers in
+  let* sc_workers = require_at_most ctx "workers" max_workers sc_workers in
   let* sc_requests = get_int ctx fs "requests" ~default:d.sc_requests in
   let* sc_requests = require_pos ctx "requests" sc_requests in
+  let* sc_requests = require_at_most ctx "requests" max_requests sc_requests in
   let* sc_chain = get_int ctx fs "chain" ~default:d.sc_chain in
   let* sc_chain = require_pos ctx "chain" sc_chain in
+  let* sc_chain =
+    require_at_most ctx "chain"
+      ~what:(Printf.sprintf " for %d requests" sc_requests)
+      (max_chain ~requests:sc_requests)
+      sc_chain
+  in
   let* sc_seed = get_int ctx fs "seed" ~default:d.sc_seed in
   let* sc_capacity = get_int ctx fs "capacity" ~default:d.sc_capacity in
   let* sc_capacity = require_pos ctx "capacity" sc_capacity in

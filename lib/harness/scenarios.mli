@@ -50,14 +50,12 @@ val explore_check :
   ?preemption_bound:int option ->
   ?memo:bool ->
   ?dpor:bool ->
-  ?memo_store:Tso.Memo_store.t ->
   ?progress:bool ->
   unit ->
   Tso.Explore.stats * bool
 (** Bounded exhaustive exploration of the scenario. [memo] enables the
     visited-state cache; [dpor] enables source-DPOR with sleep sets (same
-    verdicts and failure prefixes, fewer runs); [memo_store] backs the
-    memo cache with a persistent on-disk store. With [progress] a live
+    verdicts and failure prefixes, fewer runs). With [progress] a live
     status line (runs/s, depth frontier, memo hit rate) is maintained on
     stderr. Defaults: [memo = false], [dpor = false], [progress = false].
     Returns the explorer statistics and a clean-verdict flag, true iff the
@@ -125,9 +123,20 @@ val open_spec_of_json :
 (** Strict parse + validation: schema tag must match {!open_schema},
     unknown fields are rejected everywhere, the queue must exist in the
     registry, counts must be >= 1, [capacity] below the engine's task
-    arrays (16,384 cells), rates > 0 and probabilities in [0, 1].
-    Every field except [schema] is optional and defaults from
-    {!default_open_spec}. *)
+    arrays (16,384 cells), rates > 0 and probabilities in [0, 1]. Counts
+    are bounded from above by what one run can hold: [workers] by
+    {!max_workers}, [requests] and [chain] by the replay's flight rings
+    ({!replay_flight_capacity}). Every field except [schema] is optional
+    and defaults from {!default_open_spec}. *)
+
+val max_workers : int
+(** 127: [native --scenario] runs one domain per worker beside the main
+    domain, and OCaml 5.1 runs at most 128 domains. *)
+
+val replay_flight_capacity : open_spec -> int
+(** Events per pool slot that hold a whole native replay of the spec,
+    [requests * (6 * chain + 2) + 2]; a parsed spec's is at most
+    {!Telemetry.Flight_recorder.max_capacity}. *)
 
 val load_open_spec : string -> (open_spec, string) result
 (** {!open_spec_of_json} over a file, with the path prefixed to errors. *)

@@ -237,29 +237,10 @@ type result = {
   runs : int;
   exhausted : bool;
   ok : bool;
-  memo_lookups : int;
-  memo_hits : int;
 }
 
-let run ?(max_runs = 400_000) ?(memo = false) ?(dpor = false) ?memo_dir test =
-  let memo_store =
-    match memo_dir with
-    | None -> None
-    | Some dir -> (
-        (* One store per test, under [dir]: every test is its own machine
-           configuration, so each pins its own header. *)
-        let path = Filename.concat dir test.name in
-        match
-          Tso.Memo_store.open_ ~path ~config:("tso-litmus/" ^ test.name)
-            ~max_depth:Explore.default_max_depth ~preemption_bound:None ~dpor
-            ()
-        with
-        | Ok store -> Some store
-        | Error e -> failwith e)
-  in
-  let st =
-    Explore.search ~max_runs ~memo ~dpor ?memo_store ~mk:test.mk ()
-  in
+let run ?(max_runs = 400_000) ?(memo = false) ?(dpor = false) test =
+  let st = Explore.search ~max_runs ~memo ~dpor ~mk:test.mk () in
   let observed = st.Explore.failures <> [] in
   let exhausted = st.Explore.complete && st.Explore.truncated = 0 in
   let ok =
@@ -267,15 +248,10 @@ let run ?(max_runs = 400_000) ?(memo = false) ?(dpor = false) ?memo_dir test =
     | Allowed -> observed
     | Forbidden -> (not observed) && exhausted
   in
-  let memo_lookups, memo_hits =
-    match memo_store with
-    | None -> (0, 0)
-    | Some store -> (Tso.Memo_store.lookups store, Tso.Memo_store.hits store)
-  in
-  { test; observed; runs = st.Explore.runs; exhausted; ok; memo_lookups; memo_hits }
+  { test; observed; runs = st.Explore.runs; exhausted; ok }
 
-let run_all ?max_runs ?memo ?dpor ?memo_dir () =
-  List.map (fun t -> run ?max_runs ?memo ?dpor ?memo_dir t) all
+let run_all ?max_runs ?memo ?dpor () =
+  List.map (fun t -> run ?max_runs ?memo ?dpor t) all
 
 let pp_result ppf r =
   Format.fprintf ppf "%-18s %-9s %-12s %7d runs%s  %s" r.test.name

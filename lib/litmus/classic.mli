@@ -36,28 +36,14 @@ type result = {
           by the depth bound *)
   ok : bool;  (** observed matches the verdict (for Forbidden outcomes,
                   only meaningful when [exhausted]) *)
-  memo_lookups : int;
-      (** persistent-store lookups (0 unless [memo_dir] was given) *)
-  memo_hits : int;
-      (** persistent-store hits — nonzero on a warm rerun, since the
-          store already holds the whole reduced tree *)
 }
 
-val run :
-  ?max_runs:int -> ?memo:bool -> ?dpor:bool -> ?memo_dir:string -> t -> result
+val run : ?max_runs:int -> ?memo:bool -> ?dpor:bool -> t -> result
 (** Decide one test's verdict by bounded exhaustive search. [memo] prunes
     converged interleavings, shrinking [runs] without changing [observed];
     [dpor] applies source-DPOR with sleep sets (same verdicts, far fewer
-    [runs]); [memo_dir] persists the visited-state cache under
-    [memo_dir/<test name>] across invocations ({!Tso.Memo_store}; raises
-    [Failure] with the store's diagnostic on a header mismatch). Defaults:
-    [memo = false], [dpor = false]. *)
+    [runs]). Defaults: [memo = false], [dpor = false]. *)
 
 val run_all :
-  ?max_runs:int ->
-  ?memo:bool ->
-  ?dpor:bool ->
-  ?memo_dir:string ->
-  unit ->
-  result list
+  ?max_runs:int -> ?memo:bool -> ?dpor:bool -> unit -> result list
 val pp_result : Format.formatter -> result -> unit

@@ -68,9 +68,17 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
+(* The largest power of two whose ring, four ints per event, fits one
+   array. *)
+let max_capacity =
+  let rec go p = if 2 * p * 4 <= Sys.max_array_length then go (2 * p) else p in
+  go 1
+
 let create ?(capacity = 16384) ~slots () =
   if slots < 1 then invalid_arg "Flight_recorder.create: slots < 1";
   if capacity < 1 then invalid_arg "Flight_recorder.create: capacity < 1";
+  if capacity > max_capacity then
+    invalid_arg "Flight_recorder.create: capacity > max_capacity";
   let capacity = next_pow2 capacity in
   let mk_ring () = { mask = capacity - 1; buf = Array.make (capacity * 4) 0; wrote = 0 } in
   {

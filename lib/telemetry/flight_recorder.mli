@@ -47,10 +47,16 @@ val no_arg : int
 
 type t
 
+val max_capacity : int
+(** The largest capacity {!create} takes: a ring is one array of 4 words
+    per event ([2{^51}] events on a 64-bit host). *)
+
 val create : ?capacity:int -> slots:int -> unit -> t
 (** [slots] pool slots (coordinator included) plus one external ring.
     [capacity] is events per ring, rounded up to a power of two
-    (default 16384, i.e. 512 KiB per ring at 4 words/event). *)
+    (default 16384, i.e. 512 KiB per ring at 4 words/event).
+    @raise Invalid_argument if [capacity] is below 1 or above
+    {!max_capacity}. *)
 
 val slots : t -> int
 val capacity : t -> int

@@ -53,16 +53,8 @@ let is_noop m = function
       | _ -> false)
   | Machine.Drain _ | Machine.Flush _ -> false
 
-let choices m =
-  let ts = Machine.enabled m in
-  match List.filter (fun t -> not (is_noop m t)) ts with
-  | [] -> ts
-  | productive -> productive
-
-(* Same reduction over a reusable buffer: refill it with the enabled set,
-   then compact out the no-ops in place (keeping order) unless everything is
-   a no-op. This is the search's per-node choice computation, so it must
-   yield exactly the same sequence as [choices]. *)
+(* Refill [buf] with the enabled set, then compact out the no-ops in place
+   (keeping order) unless everything is a no-op. *)
 let choices_into m buf =
   let n = Machine.enabled_into m buf in
   let productive = ref 0 in
@@ -136,8 +128,9 @@ let rec sleep_filter sleep fp =
       else if rest' == rest then sleep
       else e :: rest'
 
-(* A drain mixes in a 0 after its thread: the value every persisted memo
-   key was built with, so stored entries keep matching. *)
+(* A drain mixes in a 0 after its thread: the lane every TSO drain
+   carried while drains also served bounded PSO. Every pinned count was
+   recorded with these keys. *)
 let tr_hash = function
   | Machine.Step t -> mix 0x57 t
   | Machine.Drain t -> mix (mix 0xD5 t) 0
@@ -888,16 +881,12 @@ let default_max_depth = 400
 
 let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
     ?(preemption_bound = None) ?(max_failures = 5) ?(memo = false)
-    ?(dpor = false) ?memo_store ?(snapshots = true) ?on_progress
+    ?(dpor = false) ?(snapshots = true) ?on_progress
     ?(progress_every = 4096) ~mk () =
   let mk = if snapshots then recording_mk mk else mk in
   let acc = make_acc () in
   let progress_every = max 1 progress_every in
-  let memo =
-    match memo_store with
-    | Some _ -> memo_store
-    | None -> if memo then Some (Memo_store.in_memory ()) else None
-  in
+  let memo = if memo then Some (Memo_store.create ()) else None in
   let root = mk () in
   (* One probe keys the fresh siblings of a memoised snapshot search. *)
   let probe =
@@ -945,62 +934,48 @@ let search ?(max_depth = default_max_depth) ?(max_runs = 200_000)
         | () -> true
         | exception Stop -> false)
   in
-  let st = stats_of_acc ~complete acc in
-  match memo with
-  | None -> st
-  | Some store ->
-      (* Warm runs may sight nothing live (everything memoized): the
-         stored failure set keeps the verdict; only completed searches
-         are merged back (a partial failure set is not the
-         configuration's). In memory there is nothing stored to merge,
-         and nothing to commit. *)
-      let failures =
-        Memo_store.merge_failures store ~max_failures st.failures
-      in
-      if complete then begin
-        match Memo_store.commit store ~failures with
-        | Ok () -> ()
-        | Error e -> failwith ("memo store commit failed: " ^ e)
-      end;
-      { st with failures }
+  stats_of_acc ~complete acc
 
-let next_choices = choices
-
-let replay_choices ?(max_steps = max_int) ~mk steps =
-  let inst = mk () in
-  let m = inst.machine in
-  (* One reusable buffer; [choices_into] yields exactly the sequence
-     [choices] would, so recorded indices keep their meaning — but each
-     step is O(enabled set) instead of the former List.nth/List.length
-     O(n²)-over-the-run pattern. *)
+let next_choices m =
   let buf = Machine.tbuf_create () in
-  let run () =
-    List.iter
-      (fun i ->
-        let n = choices_into m buf in
-        if n = 0 then invalid_arg "Explore.replay_choices: run ended early";
-        if i < 0 || i >= n then
-          invalid_arg "Explore.replay_choices: bad choice index";
-        Machine.apply m (Machine.tbuf_get buf i))
-      steps;
-    (* Drive any forced suffix to quiescence. The greedy
-       always-transition-0 policy can livelock from states only a
-       truncated candidate reaches (spin loop on a never-scheduled peer),
-       hence the budget. *)
-    let rec finish budget =
-      if Machine.enabled_into m buf > 0 then begin
-        if budget = 0 then
-          invalid_arg "Explore.replay_choices: suffix exceeded max_steps";
-        Machine.apply m (Machine.tbuf_get buf 0);
-        finish (budget - 1)
-      end
-    in
-    finish max_steps;
-    inst.check ()
+  List.init (choices_into m buf) (Machine.tbuf_get buf)
+
+let replay_on ?(max_steps = max_int) ?before inst steps =
+  let m = inst.machine in
+  let buf = Machine.tbuf_create () in
+  let fire tr =
+    Option.iter (fun f -> f tr) before;
+    Machine.apply m tr
   in
-  (* Released on every exit: the shrinker replays many truncated
-     candidates, and most of them raise with threads still paused. *)
-  Fun.protect ~finally:(fun () -> Machine.release m) run
+  List.iter
+    (fun i ->
+      let n = choices_into m buf in
+      if n = 0 then invalid_arg "Explore.replay_on: run ended early";
+      if i < 0 || i >= n then invalid_arg "Explore.replay_on: bad choice index";
+      fire (Machine.tbuf_get buf i))
+    steps;
+  (* Drive any forced suffix to quiescence. The greedy
+     always-transition-0 policy can livelock from states only a truncated
+     candidate reaches (spin loop on a never-scheduled peer), hence the
+     budget. *)
+  let rec finish budget =
+    if Machine.enabled_into m buf > 0 then begin
+      if budget = 0 then
+        invalid_arg "Explore.replay_on: suffix exceeded max_steps";
+      fire (Machine.tbuf_get buf 0);
+      finish (budget - 1)
+    end
+  in
+  finish max_steps;
+  inst.check ()
+
+(* Released on every exit: the shrinker replays many truncated candidates,
+   and most of them raise with threads still paused. *)
+let replay_choices ?max_steps ~mk steps =
+  let inst = mk () in
+  Fun.protect
+    ~finally:(fun () -> Machine.release inst.machine)
+    (fun () -> replay_on ?max_steps inst steps)
 
 module Internal = struct
   let recording_mk = recording_mk

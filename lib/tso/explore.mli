@@ -45,12 +45,8 @@
     oracle, and as fast where nearly every node is a memo hit: DPOR's
     bookkeeping then buys nothing.
 
-    With [memo_store] (a {!Memo_store.t} opened on a directory) the
-    visited-state cache persists across runs: states explored by earlier
-    searches of the same configuration are pruned immediately, and novel
-    states (plus the merged failure set) are committed back when the
-    search completes. A fully-warm search does no re-exploration and still
-    reports the stored failures.
+    The cache ({!Memo_store}) lives for one search: its keys are values
+    this build computes, so none of them is kept for another run.
 
     By default ([snapshots = true]) sibling subtrees are started by
     restoring a {!Machine.snapshot} of the branch node onto a fresh
@@ -124,7 +120,7 @@ val memo_hit_rate : stats -> float
 
 val default_max_depth : int
 (** The [max_depth] {!search} uses when none is given (400) — exported so
-    memo-store headers built by callers pin the same value. *)
+    that a caller reporting depth-cut runs can name the bound. *)
 
 val search :
   ?max_depth:int ->
@@ -133,7 +129,6 @@ val search :
   ?max_failures:int ->
   ?memo:bool ->
   ?dpor:bool ->
-  ?memo_store:Memo_store.t ->
   ?snapshots:bool ->
   ?on_progress:(stats -> unit) ->
   ?progress_every:int ->
@@ -143,8 +138,6 @@ val search :
 (** Defaults: [max_depth = 400], [max_runs = 200_000],
     [preemption_bound = None] (unbounded), [max_failures = 5],
     [memo = false], [dpor = false] (source-DPOR with sleep sets),
-    [memo_store = None] (persistent visited-state store; implies
-    memoization),
     [snapshots = true] (snapshot-based sibling exploration; [false] uses
     replay-from-root, the differential oracle).
 
@@ -153,35 +146,43 @@ val search :
     more, raises [Invalid_argument] from {!Memo_store.seen} (at the root,
     or at depth 1 for [max_depth = max_int]) instead of being clamped.
 
-    With [memo_store], the store is committed (novel entries appended,
-    failure set merged) only if the search ran to completion — a
-    [max_runs]-interrupted search never poisons the store's failure set.
-    @raise Failure if that commit fails at the filesystem level.
-
     [on_progress], if given, receives a snapshot of the running statistics
     (with [complete = false]) every [progress_every] completed runs
     (default 4096) — the hook for live progress reporting. It must not
     mutate the search. *)
 
-val replay_choices :
-  ?max_steps:int -> mk:(unit -> instance) -> int list -> (unit, string) result
-(** Re-run one recorded choice sequence (from {!stats.failures}) and return
-    its check result; useful to shrink or debug a failure. After the
-    recorded choices, any forced suffix is driven greedily (always
-    transition 0) to quiescence. [max_steps] (default unbounded) caps that
-    suffix: a {e truncated} sequence — as the forensics shrinker's ddmin
-    candidates are — can park the machine in a state where the greedy
-    driver spins forever (e.g. a thread retrying a CAS on a lock a
+val replay_on :
+  ?max_steps:int ->
+  ?before:(Machine.transition -> unit) ->
+  instance ->
+  int list ->
+  (unit, string) result
+(** Drive the caller's instance through one recorded choice sequence (from
+    {!stats.failures}) and return its check result. Each index picks from
+    {!next_choices} of the state it reaches. After the recorded choices,
+    any forced suffix is driven greedily (always transition 0) to
+    quiescence. [before], if given, sees every transition just before it
+    fires, the suffix's included. [max_steps] (default unbounded) caps
+    that suffix: a {e truncated} sequence — as the forensics shrinker's
+    ddmin candidates are — can park the machine in a state where the
+    greedy driver spins forever (e.g. a thread retrying a CAS on a lock a
     never-scheduled thread holds), and the cap turns that livelock into
     [Invalid_argument] like any other malformed candidate. Recorded
-    full-length failure prefixes never hit the cap: their suffix contains
-    only forced steps. *)
+    full-length failure prefixes never hit the cap: their suffix is empty.
+    The instance stays the caller's to release.
+    @raise Invalid_argument on a bad index, a sequence that runs past the
+    end of the run, or a suffix longer than [max_steps]. *)
+
+val replay_choices :
+  ?max_steps:int -> mk:(unit -> instance) -> int list -> (unit, string) result
+(** {!replay_on} on a fresh instance from [mk], released on every exit;
+    useful to shrink or debug a failure. *)
 
 val next_choices : Machine.t -> Machine.transition list
 (** The choice universe the explorer branches over at the machine's current
     state: enabled transitions after the no-op partial-order reduction.
-    Recorded choice indices index into this list — use it to replay a
-    failure step by step (e.g. with a {!Trace} attached). *)
+    Recorded choice indices index into this list. A list view of the
+    buffer the search itself fills. *)
 
 (**/**)
 

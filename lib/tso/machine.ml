@@ -207,20 +207,6 @@ let request_enabled th (type a) (req : a Program.request) =
          memory states other threads can observe. *)
       Store_buffer.is_empty th.buf
 
-(* The enabled set, in the deterministic order every driver depends on:
-   threads by tid; per thread [Flush], then [Drain], then [Step], each the
-   thread's preallocated transition. *)
-let enabled_iter t f =
-  for i = 0 to t.n_threads - 1 do
-    let th = t.threads.(i) in
-    if Store_buffer.can_flush_egress th.buf then f th.flush_tr;
-    if Store_buffer.can_drain th.buf then f th.drain_tr;
-    match th.status with
-    | Program.Done -> ()
-    | Program.Paused_at (req, _) ->
-        if request_enabled th req then f th.step_tr
-  done
-
 type tbuf = {
   mutable trs : transition array;
   mutable len : int;
@@ -251,8 +237,9 @@ let tbuf_add b tr =
   b.trs.(n) <- tr;
   b.len <- n + 1
 
-(* Same loop as {!enabled_iter}, open-coded so refilling a reused buffer
-   allocates nothing (passing [tbuf_add b] as a closure would). *)
+(* The enabled set, in the deterministic order every driver depends on:
+   threads by tid; per thread [Flush], then [Drain], then [Step], each the
+   thread's preallocated transition. *)
 let enabled_into t b =
   b.len <- 0;
   for i = 0 to t.n_threads - 1 do
@@ -267,9 +254,8 @@ let enabled_into t b =
   b.len
 
 let enabled t =
-  let acc = ref [] in
-  enabled_iter t (fun tr -> acc := tr :: !acc);
-  List.rev !acc
+  let b = tbuf_create () in
+  List.init (enabled_into t b) (tbuf_get b)
 
 let pending_request t tid =
   match (thread t tid).status with

@@ -82,12 +82,9 @@ type transition =
 val enabled : t -> transition list
 (** All transitions enabled in the current state, in a deterministic order
     (threads by tid; per thread [Flush], then [Drain], then [Step]).
-    Empty iff the machine is quiescent or deadlocked. Allocates a fresh
-    list; the drivers on the hot path use {!enabled_into} instead. *)
-
-val enabled_iter : t -> (transition -> unit) -> unit
-(** Apply a function to every enabled transition, in {!enabled} order,
-    without materialising a list. *)
+    Empty iff the machine is quiescent or deadlocked. A list view of
+    {!enabled_into}: it allocates a fresh list, so the drivers on the hot
+    path use {!enabled_into} instead. *)
 
 type tbuf
 (** A reusable buffer of transitions, so a driver taking millions of steps
