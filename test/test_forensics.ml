@@ -111,6 +111,44 @@ let test_witness_depth_exceeds_delta () =
   checkb "timeline rendered" true (r.Forensics.Witness.timeline <> "");
   checkb "events recorded" true (r.Forensics.Witness.events <> [])
 
+let test_witness_replay_agrees () =
+  (* the witness replay drives the explorer's own replay loop: on every
+     prefix of the failure, and past its end, it reaches the verdict that
+     [Explore.replay_choices] reaches under the same suffix budget, or is
+     refused where that is *)
+  let choices, msg = Lazy.force failure in
+  let outcome f =
+    match f () with
+    | v -> Some v
+    | exception Invalid_argument _ -> None
+  in
+  let same label candidate =
+    let max_steps = (4 * List.length candidate) + 1_000 in
+    let by_witness =
+      outcome (fun () ->
+          (Forensics.Witness.replay ~mk candidate).Forensics.Witness.verdict)
+    and by_explorer =
+      outcome (fun () ->
+          Tso.Explore.replay_choices ~max_steps ~mk candidate)
+    in
+    check
+      Alcotest.(option (result unit string))
+      label by_explorer by_witness
+  in
+  List.iteri
+    (fun keep _ ->
+      same
+        (Printf.sprintf "first %d choices" keep)
+        (List.filteri (fun i _ -> i < keep) choices))
+    choices;
+  same "the whole failure" choices;
+  same "one choice past its end" (choices @ [ 0 ]);
+  same "a bad index" [ 999 ];
+  check
+    Alcotest.(result unit string)
+    "the whole failure's verdict" (Error msg)
+    (Forensics.Witness.replay ~mk choices).Forensics.Witness.verdict
+
 let build_report ?sink () =
   let choices, msg = Lazy.force failure in
   match
@@ -206,6 +244,8 @@ let () =
             test_delta_pairing;
           Alcotest.test_case "depth exceeds delta on the violation" `Quick
             test_witness_depth_exceeds_delta;
+          Alcotest.test_case "verdicts agree with Explore.replay_choices"
+            `Quick test_witness_replay_agrees;
         ] );
       ( "report",
         [

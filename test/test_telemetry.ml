@@ -409,6 +409,23 @@ let test_flight_capacity_rounding () =
   check int "5 rounds up to 8" 8 (FR.capacity r);
   check int "slots as requested" 2 (FR.slots r)
 
+let test_flight_capacity_bound () =
+  (* the largest ring, four words per event, is one array; past it
+     [create] refuses before it allocates anything *)
+  let m = FR.max_capacity in
+  check bool "a power of two" true (m > 0 && m land (m - 1) = 0);
+  check bool "its ring fits one array" true (m * 4 <= Sys.max_array_length);
+  check bool "twice that does not" true (2 * m * 4 > Sys.max_array_length);
+  Alcotest.check_raises "one past max_capacity"
+    (Invalid_argument "Flight_recorder.create: capacity > max_capacity")
+    (fun () -> ignore (FR.create ~capacity:(m + 1) ~slots:1 ()));
+  Alcotest.check_raises "max_int"
+    (Invalid_argument "Flight_recorder.create: capacity > max_capacity")
+    (fun () -> ignore (FR.create ~capacity:max_int ~slots:1 ()));
+  Alcotest.check_raises "zero"
+    (Invalid_argument "Flight_recorder.create: capacity < 1") (fun () ->
+      ignore (FR.create ~capacity:0 ~slots:1 ()))
+
 (* A hand-written two-slot schedule: slot 0 spawns and pops task 0, spawns
    task 1, which slot 1 steals and runs — the minimal recording with one
    stolen lineage. *)
@@ -776,6 +793,8 @@ let () =
             test_flight_wraparound;
           Alcotest.test_case "capacity rounding" `Quick
             test_flight_capacity_rounding;
+          Alcotest.test_case "capacity past max_capacity refused" `Quick
+            test_flight_capacity_bound;
           Alcotest.test_case "lineage reconstruction" `Quick
             test_flight_lineage_reconstruct;
           Alcotest.test_case "report validate/reject" `Quick
